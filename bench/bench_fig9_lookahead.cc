@@ -11,12 +11,11 @@
 // records even when they already sit in the immutable memory region.
 //
 // Cold-working-set mode (--cold): a disk-residency-dominated MultiGet
-// sweep of io_mode=sync vs async x io_threads through the two-phase
-// pending-read pipeline, reporting keys/s and per-batch p50/p99. The
-// memory budget is derived from --cold_fraction so roughly that share of
-// the key space lives below the log head. This is the acceptance sweep
-// for the async pipeline: async/io_threads=4 vs sync on a majority-disk
-// batch >= 64.
+// sweep over io_threads through the two-phase pending-read pipeline,
+// reporting keys/s and per-batch p50/p99. The memory budget is derived
+// from --cold_fraction so roughly that share of the key space lives below
+// the log head. This is the acceptance sweep for the pipeline:
+// io_threads=4 vs 1 on a majority-disk batch >= 64.
 #include <algorithm>
 #include <memory>
 
@@ -57,7 +56,7 @@ struct ColdResult {
 
 ColdResult RunColdConfig(BackendKind kind, uint64_t num_keys,
                          uint64_t buffer_bytes, size_t batch_size,
-                         uint64_t rounds, IoMode io_mode, size_t io_threads) {
+                         uint64_t rounds, size_t io_threads) {
   constexpr uint32_t kDim = 16;
   TempDir dir;
   BackendConfig cfg;
@@ -66,7 +65,6 @@ ColdResult RunColdConfig(BackendKind kind, uint64_t num_keys,
   cfg.buffer_bytes = buffer_bytes;
   cfg.index_slots = num_keys;
   cfg.staleness_bound = UINT32_MAX - 1;  // ASP: clocks kept, no waits
-  cfg.io_mode = io_mode;
   cfg.io_threads = io_threads;
   std::unique_ptr<KvBackend> backend;
   if (!MakeBackend(kind, cfg, &backend).ok()) std::exit(1);
@@ -94,7 +92,7 @@ ColdResult RunColdConfig(BackendKind kind, uint64_t num_keys,
 
   // Uniform random batches over the whole key space: with the buffer
   // sized for cold_fraction, that share of every batch needs disk.
-  Rng rng(42 + static_cast<uint64_t>(io_mode) * 7 + io_threads);
+  Rng rng(42 + io_threads);
   std::vector<Key> batch(batch_size);
   std::vector<float> out(batch_size * kDim);
   Histogram latency;
@@ -129,38 +127,25 @@ int RunColdSweep(const Flags& flags) {
                             (1.0 - cold_fraction)),
       128 * 1024);
 
-  Banner("Cold-working-set MultiGet: io_mode=sync vs async x io_threads");
+  Banner("Cold-working-set MultiGet: io_threads sweep");
   std::printf("keys=%llu cold_fraction=%.2f (buffer=%llu KiB) batch=%zu "
               "rounds=%llu\n\n",
               (unsigned long long)num_keys, cold_fraction,
               (unsigned long long)(buffer_bytes >> 10), batch,
               (unsigned long long)rounds);
-  Table t({"engine", "io_mode", "io_thr", "keys/s", "p50_ms", "p99_ms",
-           "disk_reads", "async_ios", "refetched"});
+  Table t({"engine", "io_thr", "keys/s", "p50_ms", "p99_ms", "disk_reads",
+           "async_ios", "refetched"});
   t.PrintHeader();
-  std::vector<size_t> thread_counts =
-      flags.Smoke() ? std::vector<size_t>{4} : std::vector<size_t>{1, 2, 4, 8};
-  double sync_kps = 0, async4_kps = 0;
+  const std::vector<size_t> thread_counts =
+      flags.Smoke() ? std::vector<size_t>{1, 4}
+                    : std::vector<size_t>{1, 2, 4, 8};
+  double one_kps = 0, four_kps = 0;
   for (const BackendKind kind : {BackendKind::kMlkv, BackendKind::kFaster}) {
     const char* name = kind == BackendKind::kMlkv ? "MLKV" : "FASTER";
-    const ColdResult sync_res = RunColdConfig(kind, num_keys, buffer_bytes,
-                                              batch, rounds, IoMode::kSync, 0);
-    t.Cell(std::string(name));
-    t.Cell(std::string("sync"));
-    t.Cell(std::string("-"));
-    t.Cell(Human(sync_res.keys_per_sec));
-    t.Cell(static_cast<double>(sync_res.p50_us) / 1000.0, "%.2f");
-    t.Cell(static_cast<double>(sync_res.p99_us) / 1000.0, "%.2f");
-    t.Cell(sync_res.io.disk_record_reads);
-    t.Cell(sync_res.io.async_reads_submitted);
-    t.Cell(sync_res.io.async_reads_refetched);
-    t.EndRow();
     for (const size_t threads : thread_counts) {
-      const ColdResult res = RunColdConfig(kind, num_keys, buffer_bytes,
-                                           batch, rounds, IoMode::kAsync,
-                                           threads);
+      const ColdResult res =
+          RunColdConfig(kind, num_keys, buffer_bytes, batch, rounds, threads);
       t.Cell(std::string(name));
-      t.Cell(std::string("async"));
       t.Cell(static_cast<uint64_t>(threads));
       t.Cell(Human(res.keys_per_sec));
       t.Cell(static_cast<double>(res.p50_us) / 1000.0, "%.2f");
@@ -169,17 +154,16 @@ int RunColdSweep(const Flags& flags) {
       t.Cell(res.io.async_reads_submitted);
       t.Cell(res.io.async_reads_refetched);
       t.EndRow();
-      if (kind == BackendKind::kMlkv && threads == 4) {
-        async4_kps = res.keys_per_sec;
-      }
+      if (kind != BackendKind::kMlkv) continue;
+      if (threads == 1) one_kps = res.keys_per_sec;
+      if (threads == 4) four_kps = res.keys_per_sec;
     }
-    if (kind == BackendKind::kMlkv) sync_kps = sync_res.keys_per_sec;
   }
-  std::printf("\nExpected shape: async overlaps a batch's cold reads, so "
-              "throughput scales with io_threads until the device (or the "
-              "simulated NVMe) saturates; sync pays one blocking read per "
-              "cold key. MLKV async(4) vs sync: %.2fx\n",
-              sync_kps > 0 ? async4_kps / sync_kps : 0.0);
+  std::printf("\nExpected shape: a batch's cold reads go into flight "
+              "together, so throughput scales with io_threads until the "
+              "device (or the simulated NVMe) saturates; io_threads=1 pays "
+              "the reads one at a time. MLKV io_threads 4 vs 1: %.2fx\n",
+              one_kps > 0 ? four_kps / one_kps : 0.0);
   return 0;
 }
 
@@ -197,8 +181,8 @@ int main(int argc, char** argv) {
                 "  --batches=60 --buffer_mb=3 --compute_us=1000 "
                 "--no_immutable_skip\n"
                 "  --cardinality=60000 --entities=120000 --smoke\n"
-                "  --cold  cold-working-set MultiGet sweep of io_mode=sync\n"
-                "          vs async x io_threads (p50/p99 per batch);\n"
+                "  --cold  cold-working-set MultiGet sweep over io_threads\n"
+                "          1, 2, 4, 8 (p50/p99 per batch);\n"
                 "          --cold_keys=200000 --cold_fraction=0.9\n"
                 "          --cold_batch=256 --cold_rounds=120\n");
     return 0;

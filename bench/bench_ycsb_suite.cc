@@ -45,10 +45,9 @@ struct RunConfig {
   uint32_t value_size = 64;
   uint64_t ops_per_thread = 50000;
   // Batched-sweep extras: exact buffer override (cold mode sizes the
-  // buffer below 1 MiB granularity) and the hybrid-log engines' read-path
-  // mode (two-phase async pipeline vs blocking).
+  // buffer below 1 MiB granularity) and the hybrid-log engines'
+  // AsyncIoEngine worker count.
   uint64_t buffer_bytes_override = 0;
-  IoMode io_mode = IoMode::kSync;
   size_t io_threads = 4;
 };
 
@@ -258,7 +257,6 @@ double RunBatchedWorkload(const std::string& engine_name, const RunConfig& rc,
   cfg.staleness_bound = UINT32_MAX - 1;  // ASP: clocks maintained, no waits
   cfg.batch_threads = batch_threads;
   cfg.shard_bits = shard_bits;  // MLKV / FASTER scatter-gather fan-out
-  cfg.io_mode = rc.io_mode;
   cfg.io_threads = rc.io_threads;
   std::unique_ptr<net::KvServer> server;  // outlives the remote backend
   std::unique_ptr<KvBackend> backend;
@@ -486,7 +484,6 @@ std::unique_ptr<ServingTier> MakeServingTier(
     cfg.index_slots = rc.num_keys;
     cfg.staleness_bound = UINT32_MAX - 1;
     cfg.shard_bits = per_server_bits;
-    cfg.io_mode = rc.io_mode;
     cfg.io_threads = rc.io_threads;
     std::unique_ptr<KvBackend> engine;
     if (!MakeBackend(KindFor(engine_name), cfg, &engine).ok()) std::exit(1);
@@ -548,9 +545,9 @@ int main(int argc, char** argv) {
                 "  --cold_fraction=F  add a cold-working-set io sweep: the\n"
                 "                     buffer shrinks so ~F of the records\n"
                 "                     are disk-resident, and MLKV/FASTER\n"
-                "                     run io_mode=sync vs async x\n"
-                "                     io_threads with per-MultiGet p50/p99\n"
-                "  --io_mode=sync|async --io_threads=4  io mode for the\n"
+                "                     sweep io_threads 1, 2, 4, 8 with\n"
+                "                     per-MultiGet p50/p99\n"
+                "  --io_threads=4     AsyncIoEngine workers for the\n"
                 "                     regular batch sweep\n"
                 "  --cluster_addrs=self|a,b,...  cluster MultiGet sweep:\n"
                 "                     'self' hosts a 2-server loopback\n"
@@ -576,10 +573,6 @@ int main(int argc, char** argv) {
   rc.ops_per_thread = flags.Int("ops", 50000, 500);
   rc.threads = static_cast<int>(flags.Int("threads", 4, 2));
   rc.buffer_mb = flags.Int("buffer_mb", 8);
-  if (!ParseIoMode(flags.Str("io_mode", "sync"), &rc.io_mode)) {
-    std::fprintf(stderr, "bad --io_mode (sync|async)\n");
-    return 2;
-  }
   rc.io_threads = static_cast<size_t>(flags.Int("io_threads", 4));
 
   if (!flags.Has("no_suite")) {
@@ -651,8 +644,8 @@ int main(int argc, char** argv) {
 
   if (flags.Has("cold_fraction")) {
     // Cold-working-set io sweep: shrink the buffer so roughly
-    // cold_fraction of the records sit below the log head, then compare
-    // the blocking read path with the two-phase pending-read pipeline.
+    // cold_fraction of the records sit below the log head, then sweep the
+    // pending-read pipeline's io_threads.
     const double f =
         std::min(1.0, std::max(0.1, flags.Double("cold_fraction", 0.9)));
     RunConfig cold = rc;
@@ -664,26 +657,17 @@ int main(int argc, char** argv) {
     cold.threads = 1;  // isolate the per-batch pipeline, not caller fan-out
     const size_t batch =
         static_cast<size_t>(flags.Int("batch_size", 256, 128));
-    Banner("Cold-working-set 50r/50u: io_mode=sync vs async x io_threads");
+    Banner("Cold-working-set 50r/50u: io_threads sweep");
     std::printf("cold_fraction=%.2f (buffer=%llu KiB), batch=%zu, zipfian; "
                 "p50/p99 are per-MultiGet-call latencies\n\n",
                 f, (unsigned long long)(cold.buffer_bytes_override >> 10),
                 batch);
-    Table ct({"engine", "io_mode", "io_thr", "keys/s", "p50_ms", "p99_ms"});
+    Table ct({"engine", "io_thr", "keys/s", "p50_ms", "p99_ms"});
     ct.PrintHeader();
-    struct IoConfig {
-      IoMode mode;
-      size_t threads;
-    };
-    std::vector<IoConfig> io_configs = {{IoMode::kSync, 0}};
-    for (const size_t n : flags.Smoke() ? std::vector<size_t>{4}
-                                        : std::vector<size_t>{1, 4, 8}) {
-      io_configs.push_back({IoMode::kAsync, n});
-    }
     for (const char* engine : {"MLKV", "FASTER"}) {
-      for (const IoConfig& io : io_configs) {
-        cold.io_mode = io.mode;
-        cold.io_threads = io.threads;
+      for (const size_t n : flags.Smoke() ? std::vector<size_t>{1, 4}
+                                          : std::vector<size_t>{1, 2, 4, 8}) {
+        cold.io_threads = n;
         Histogram lat;
         const double kps = RunBatchedWorkload(
             engine, cold, batch,
@@ -691,19 +675,18 @@ int main(int argc, char** argv) {
             static_cast<uint32_t>(flags.Int("shard_bits", 2)),
             /*remote=*/false, &lat);
         ct.Cell(std::string(engine));
-        ct.Cell(std::string(IoModeName(io.mode)));
-        ct.Cell(io.mode == IoMode::kSync ? std::string("-")
-                                         : std::to_string(io.threads));
+        ct.Cell(static_cast<uint64_t>(n));
         ct.Cell(Human(kps));
         ct.Cell(static_cast<double>(lat.Percentile(0.50)) / 1000.0, "%.2f");
         ct.Cell(static_cast<double>(lat.Percentile(0.99)) / 1000.0, "%.2f");
         ct.EndRow();
       }
     }
-    std::printf("\nExpected shape: async hides the cold misses a zipfian "
-                "tail still takes, so the gap vs sync grows with "
-                "cold_fraction; the hot head of the distribution keeps the "
-                "gap smaller than the uniform-random fig9 --cold sweep.\n");
+    std::printf("\nExpected shape: more io_threads overlap more of the cold "
+                "misses a zipfian tail still takes, so the gap to "
+                "io_threads=1 grows with cold_fraction; the hot head of the "
+                "distribution keeps it smaller than the uniform-random fig9 "
+                "--cold sweep.\n");
   }
 
   if (flags.Has("metrics_overhead")) {

@@ -27,6 +27,7 @@
 // Demonstrates the operational surface of the library: the manifest
 // (OpenExistingTable), log scans, GC, export/import, checkpoints, and the
 // embedding server.
+#include <algorithm>
 #include <cctype>
 #include <chrono>
 #include <csignal>
@@ -74,7 +75,8 @@ int Usage() {
       "  checkpoint                          checkpoint every open table\n"
       "  serve --addr <h:p> --backend <kind> serve <dir> over TCP\n"
       "        [--dim N] [--workers N] [--staleness N]\n"
-      "        [--io_mode sync|async] [--io_threads N]\n"
+      "        [--io_threads N]       I/O engine workers (a batch's cold\n"
+      "                               reads go into flight together)\n"
       "        [--durability_mode sync|group] [--checkpoint_mode full|incremental]\n"
       "        [--group_commit_window_us N] [--group_commit_max_bytes N]\n"
       "        [--request_threads N]  offload storage phases off workers\n"
@@ -198,7 +200,25 @@ std::vector<std::string> SplitKeepEmpty(const std::string& csv) {
   return out;
 }
 
+// Every flag `serve` reads. Anything else is rejected, so a stale or
+// misspelled flag fails loudly instead of silently serving the defaults.
+constexpr const char* kServeFlags[] = {
+    "addr", "backend", "cache_admission", "checkpoint_mode", "cluster_addrs",
+    "cluster_epoch", "cluster_replicas", "cluster_self", "dim",
+    "durability_mode", "group_commit_max_bytes", "group_commit_window_us",
+    "io_threads", "metrics_addr", "read_preference", "replica_of",
+    "replica_poll_ms", "replica_state", "request_threads", "route_bits",
+    "serve_cache", "slow_request_us", "staleness", "workers",
+};
+
 int RunServe(const std::string& dir, ArgList& args) {
+  for (const auto& [name, value] : args.flags) {
+    if (std::find(std::begin(kServeFlags), std::end(kServeFlags), name) ==
+        std::end(kServeFlags)) {
+      std::fprintf(stderr, "error: unknown serve flag --%s\n", name.c_str());
+      return Usage();
+    }
+  }
   const std::string addr = args.Flag("addr", "127.0.0.1:0");
   BackendKind kind = BackendKind::kMlkv;
   if (!ParseBackendKind(args.Flag("backend", "mlkv"), &kind)) return Usage();
@@ -215,9 +235,6 @@ int RunServe(const std::string& dir, ArgList& args) {
   cfg.staleness_bound = static_cast<uint32_t>(std::strtoul(
       args.Flag("staleness", std::to_string(UINT32_MAX - 1)).c_str(), nullptr,
       10));
-  if (!ParseIoMode(args.Flag("io_mode", "sync"), &cfg.io_mode)) {
-    return Usage();
-  }
   cfg.io_threads = static_cast<size_t>(
       std::strtoul(args.Flag("io_threads", "4").c_str(), nullptr, 10));
   if (!ParseDurabilityMode(args.Flag("durability_mode", "sync"),

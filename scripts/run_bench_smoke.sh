@@ -50,10 +50,10 @@ if [[ -x "${bench_dir}/bench_ycsb_suite" ]]; then
     failed=1
   fi
 fi
-# One async cold-read smoke: the cold-working-set MultiGet sweep
-# (io_mode=sync vs async through the pending-read pipeline), so the async
-# disk path — io_uring where the runner's kernel admits it, thread-pool
-# fallback otherwise — is exercised on every merge.
+# One async cold-read smoke: the cold-working-set MultiGet sweep over the
+# pending-read pipeline's io_threads, so the async disk path — io_uring
+# where the runner's kernel admits it, thread-pool fallback otherwise — is
+# exercised on every merge.
 if [[ -x "${bench_dir}/bench_fig9_lookahead" ]]; then
   echo "=== bench_fig9_lookahead --smoke --cold"
   if ! "${bench_dir}/bench_fig9_lookahead" --smoke --cold \

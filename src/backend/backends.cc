@@ -414,7 +414,6 @@ class MlkvBackend : public KvBackend {
     o.lookahead_threads = config.lookahead_threads;
     o.skip_promote_if_in_memory = config.skip_promote_if_in_memory;
     o.busy_spin_limit = config.busy_spin_limit;
-    o.io_mode = config.io_mode;
     o.io_threads = config.io_threads;
     o.durability_mode = config.durability_mode;
     o.group_commit_window_us = config.group_commit_window_us;
@@ -540,11 +539,10 @@ class FasterBackend : public KvBackend {
     // batch_threads > 0 meant intra-batch fan-out before sharding; keep it
     // for the unsharded configuration too.
     o.chunk_single_shard = config.batch_threads > 0;
-    // Read waves stay gated on io_mode; the flush path uses the engine
-    // whenever one exists (group durability creates one even under kSync
-    // reads).
-    o.io = config.io_mode == IoMode::kAsync ? b->io_.get() : nullptr;
-    o.store.io = b->io_.get();
+    // One engine carries both the batched reads' cold misses and the log
+    // flush waves of every shard.
+    o.io = &b->io_;
+    o.store.io = &b->io_;
     o.store.durability_mode = config.durability_mode;
     o.store.group_commit_window_us = config.group_commit_window_us;
     o.store.group_commit_max_bytes = config.group_commit_max_bytes;
@@ -568,16 +566,20 @@ class FasterBackend : public KvBackend {
                                      BatchResult* part, size_t pi,
                                      PendingSink* sink) {
           float* dst = out + i * size_t{dim_};
-          // Rmw keeps a concurrent initializer from double-inserting: only
-          // the missing case writes, and losers adopt the winner.
+          // InsertIfAbsent keeps a concurrent initializer from
+          // double-inserting: only the missing case writes, and losers
+          // adopt the winner. The walk's chain head spares it a second
+          // walk of the disk chain.
           const uint32_t dim = dim_;
-          const auto init_missing = [shard, key, dst, bytes, dim]() {
+          const auto init_missing = [shard, key, dst, bytes,
+                                     dim](Address chain_head) {
             InitEmbedding(key, dim, dst);
-            return shard->Rmw(key, bytes,
-                              [dst, bytes](char* v, uint32_t, bool exists) {
-                                if (!exists) std::memcpy(v, dst, bytes);
-                                else std::memcpy(dst, v, bytes);
-                              });
+            return shard->InsertIfAbsent(
+                key, chain_head, bytes,
+                [dst, bytes](char* v, uint32_t, bool exists) {
+                  if (!exists) std::memcpy(v, dst, bytes);
+                  else std::memcpy(dst, v, bytes);
+                });
           };
           BatchReadOrPark(shard, key, dst, bytes, UINT32_MAX,
                           /*tracked=*/false, part, pi, sink,
@@ -659,14 +661,14 @@ class FasterBackend : public KvBackend {
  private:
   explicit FasterBackend(const BackendConfig& config)
       : dim_(config.dim),
-        group_(config.durability_mode == DurabilityMode::kGroup) {
+        group_(config.durability_mode == DurabilityMode::kGroup),
+        io_([&config] {
+          AsyncIoEngine::Options o;
+          o.io_threads = config.io_threads;
+          return o;
+        }()) {
     if (config.batch_threads > 0) {
       pool_ = std::make_unique<ThreadPool>(config.batch_threads);
-    }
-    if (config.io_mode == IoMode::kAsync || group_) {
-      AsyncIoEngine::Options o;
-      o.io_threads = config.io_threads;
-      io_ = std::make_unique<AsyncIoEngine>(o);
     }
   }
 
@@ -681,7 +683,7 @@ class FasterBackend : public KvBackend {
   const uint32_t dim_;
   const bool group_;
   std::unique_ptr<ThreadPool> pool_;  // declared before store_ (store uses it)
-  std::unique_ptr<AsyncIoEngine> io_;  // likewise shared by every shard
+  AsyncIoEngine io_;  // likewise shared by every shard
   ShardedStore store_;
 };
 

@@ -231,14 +231,11 @@ struct BackendConfig {
   // out across it. 0 runs batches inline. MLKV keeps its own async path
   // (Lookahead); the in-memory engine is lock-bound, not I/O-bound.
   size_t batch_threads = 0;
-  // Read-path mode for the hybrid-log engines (MLKV tables and the FASTER
-  // baseline): kAsync gives each backend a shared AsyncIoEngine so a
-  // batch's cold misses go into flight together (io/async_io.h); kSync
-  // (default) keeps the blocking path, byte-identical to before. The LSM's
-  // SSTable reads may opt into the same engine later; engines that do not
-  // participate ignore both fields.
-  IoMode io_mode = IoMode::kSync;
-  size_t io_threads = 4;  // AsyncIoEngine workers when io_mode == kAsync
+  // Workers of the AsyncIoEngine each hybrid-log backend (MLKV tables and
+  // the FASTER baseline) owns: a batch's cold misses go into flight
+  // together on it (io/async_io.h), and log page flushes leave as one wave.
+  // Engines without a hybrid log ignore it.
+  size_t io_threads = 4;
   // Write-durability mode for the hybrid-log engines (docs/DURABILITY.md):
   // kGroup makes every MultiPut/MultiApplyGradient durable before it
   // returns — dirty pages flush as one engine wave and concurrent batches

@@ -15,21 +15,6 @@
 
 namespace mlkv {
 
-const char* IoModeName(IoMode mode) {
-  return mode == IoMode::kAsync ? "async" : "sync";
-}
-
-bool ParseIoMode(const std::string& name, IoMode* out) {
-  if (name == "sync") {
-    *out = IoMode::kSync;
-  } else if (name == "async") {
-    *out = IoMode::kAsync;
-  } else {
-    return false;
-  }
-  return true;
-}
-
 const char* DurabilityModeName(DurabilityMode mode) {
   return mode == DurabilityMode::kGroup ? "group" : "sync";
 }
@@ -194,6 +179,18 @@ bool ProbeIoUring() {
 
 #endif  // MLKV_HAVE_IO_URING
 
+struct AsyncIoEngine::WorkerScratch {
+  std::vector<Request> burst;
+#ifdef MLKV_HAVE_IO_URING
+  struct InFlight {
+    Request req;
+    struct iovec iov;
+  };
+  std::vector<InFlight> flight;
+  std::vector<uint8_t> seen;
+#endif
+};
+
 AsyncIoEngine::AsyncIoEngine(const Options& options) : options_(options) {
   const size_t threads = std::max<size_t>(options.io_threads, 1);
   const size_t depth = std::max<size_t>(options.queue_depth, threads);
@@ -201,9 +198,23 @@ AsyncIoEngine::AsyncIoEngine(const Options& options) : options_(options) {
 #ifdef MLKV_HAVE_IO_URING
   if (options.try_io_uring) using_io_uring_ = ProbeIoUring();
 #endif
+  queue_.resize(depth);
+  // Every buffer a worker touches is sized here, on the constructing
+  // thread: a burst holds at most per_worker_depth_ requests.
+  scratch_.reserve(threads);
+  for (size_t i = 0; i < threads; ++i) {
+    auto s = std::make_unique<WorkerScratch>();
+    s->burst.reserve(per_worker_depth_);
+#ifdef MLKV_HAVE_IO_URING
+    s->flight.reserve(per_worker_depth_);
+    s->seen.reserve(per_worker_depth_);
+#endif
+    scratch_.push_back(std::move(s));
+  }
   workers_.reserve(threads);
   for (size_t i = 0; i < threads; ++i) {
-    workers_.emplace_back([this] { WorkerLoop(); });
+    WorkerScratch* s = scratch_[i].get();
+    workers_.emplace_back([this, s] { WorkerLoop(s); });
   }
 }
 
@@ -234,16 +245,23 @@ AsyncIoStats AsyncIoEngine::stats() const {
 Status AsyncIoEngine::Enqueue(const Request& req, Batch* batch) {
   {
     // Count the request against its batch before a worker can see it, so
-    // outstanding_ never lags a delivery.
+    // outstanding_ never lags a delivery, and reserve its completion slot
+    // here so the worker's Deliver never reallocates.
     std::lock_guard<std::mutex> lk(batch->mu_);
     ++batch->outstanding_;
+    std::vector<Completion>& done = batch->done_;
+    if (done.capacity() < batch->done_head_ + batch->outstanding_) {
+      done.erase(done.begin(),
+                 done.begin() + static_cast<long>(batch->done_head_));
+      batch->done_head_ = 0;
+      if (done.capacity() < batch->outstanding_) {
+        done.reserve(std::max(batch->outstanding_, 2 * done.capacity()));
+      }
+    }
   }
   {
     std::unique_lock<std::mutex> lk(mu_);
-    depth_cv_.wait(lk, [this] {
-      return stop_ || inflight_ < std::max<size_t>(options_.queue_depth,
-                                                   workers_.size());
-    });
+    depth_cv_.wait(lk, [this] { return stop_ || inflight_ < queue_.size(); });
     if (stop_) {
       lk.unlock();
       std::lock_guard<std::mutex> blk(batch->mu_);
@@ -251,7 +269,8 @@ Status AsyncIoEngine::Enqueue(const Request& req, Batch* batch) {
       return Status::Aborted("async io engine shut down");
     }
     ++inflight_;
-    queue_.push_back(req);
+    queue_[(queue_head_ + queued_) % queue_.size()] = req;
+    ++queued_;
   }
   if (req.is_write) {
     writes_submitted_.fetch_add(1, std::memory_order_relaxed);
@@ -280,11 +299,14 @@ Status AsyncIoEngine::Batch::SubmitWrite(FileDevice* dev, uint64_t offset,
 
 bool AsyncIoEngine::Batch::WaitOne(Completion* out) {
   std::unique_lock<std::mutex> lk(mu_);
-  if (outstanding_ == 0 && done_.empty()) return false;
-  cv_.wait(lk, [this] { return !done_.empty(); });
-  *out = done_.front();
-  done_.pop_front();
+  if (outstanding_ == 0) return false;
+  cv_.wait(lk, [this] { return done_head_ < done_.size(); });
+  *out = std::move(done_[done_head_++]);
   --outstanding_;
+  if (done_head_ == done_.size()) {
+    done_.clear();  // keeps the capacity: the reserved slots stay reserved
+    done_head_ = 0;
+  }
   return true;
 }
 
@@ -336,15 +358,20 @@ void AsyncIoEngine::Deliver(const Request& req, const Status& status) {
 
 bool AsyncIoEngine::NextBurst(std::vector<Request>* out, size_t max) {
   std::unique_lock<std::mutex> lk(mu_);
-  queue_cv_.wait(lk, [this] { return stop_ || !queue_.empty(); });
-  if (queue_.empty()) return false;  // stop with a drained queue
-  const size_t n = std::min(queue_.size(), max);
-  out->assign(queue_.begin(), queue_.begin() + static_cast<long>(n));
-  queue_.erase(queue_.begin(), queue_.begin() + static_cast<long>(n));
+  queue_cv_.wait(lk, [this] { return stop_ || queued_ > 0; });
+  if (queued_ == 0) return false;  // stop with a drained queue
+  const size_t n = std::min(queued_, max);
+  out->clear();
+  for (size_t i = 0; i < n; ++i) {
+    out->push_back(queue_[queue_head_]);
+    queue_head_ = (queue_head_ + 1) % queue_.size();
+  }
+  queued_ -= n;
   return true;
 }
 
-void AsyncIoEngine::WorkerLoop() {
+void AsyncIoEngine::WorkerLoop(WorkerScratch* scratch) {
+  std::vector<Request>& burst = scratch->burst;
 #ifdef MLKV_HAVE_IO_URING
   UringRing ring;
   bool ring_ok = false;
@@ -353,13 +380,10 @@ void AsyncIoEngine::WorkerLoop() {
     while (entries < per_worker_depth_) entries <<= 1;
     ring_ok = ring.Init(entries);
   }
-  struct InFlight {
-    Request req;
-    struct iovec iov;
-  };
-  std::vector<InFlight> flight;
+  using InFlight = WorkerScratch::InFlight;
+  std::vector<InFlight>& flight = scratch->flight;
+  std::vector<uint8_t>& seen = scratch->seen;
 #endif
-  std::vector<Request> burst;
   for (;;) {
 #ifdef MLKV_HAVE_IO_URING
     if (ring_ok) {
@@ -368,7 +392,6 @@ void AsyncIoEngine::WorkerLoop() {
       // decorated devices (fault injection, simulated costs) execute their
       // virtual ReadAt/WriteAt here instead.
       flight.clear();
-      flight.reserve(burst.size());
       for (const Request& r : burst) {
         const bool raw =
             r.is_write ? r.dev->AllowsRawWrites() : r.dev->AllowsRawReads();
@@ -393,7 +416,7 @@ void AsyncIoEngine::WorkerLoop() {
       }
       size_t reaped = 0;
       bool enter_failed = false;
-      std::vector<uint8_t> seen(prepped, 0);
+      seen.assign(prepped, 0);
       while (reaped < prepped && !enter_failed) {
         if (!ring.Flush(/*wait_nr=*/1)) {
           enter_failed = true;

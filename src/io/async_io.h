@@ -24,6 +24,9 @@
 //    every outstanding completion has been delivered.
 //  * The engine destructor drains: every accepted request completes (and
 //    is delivered to its batch) before the workers exit.
+//  * Workers never allocate: Submit reserves the batch's completion slot
+//    and each worker's burst scratch is sized at construction, so the
+//    worker threads never touch the heap (and never get a malloc arena).
 //
 // Writes carry no durability by themselves: a completed write is in the
 // page cache, not on media. Durability is the caller's fsync — see
@@ -33,7 +36,7 @@
 #include <atomic>
 #include <condition_variable>
 #include <cstdint>
-#include <deque>
+#include <memory>
 #include <mutex>
 #include <string>
 #include <thread>
@@ -44,18 +47,10 @@
 
 namespace mlkv {
 
-// Read-path selector plumbed from BackendConfig / MlkvOptions down to the
-// store: kSync is the classic blocking path (and stays byte-identical to
-// it); kAsync routes batched cold reads through a shared AsyncIoEngine.
-enum class IoMode { kSync, kAsync };
-
-const char* IoModeName(IoMode mode);
-bool ParseIoMode(const std::string& name, IoMode* out);
-
-// Write-durability selector plumbed the same way. kSync keeps the classic
-// behavior byte-identical: page flushes are blocking writes and each sync
-// point is its own fdatasync. kGroup makes batched writes durable per
-// call: the log flushes only dirty/undurable pages (as one async wave when
+// Write-durability selector plumbed from BackendConfig / MlkvOptions down
+// to the store. kSync keeps the classic behavior byte-identical on disk:
+// durability is the checkpoint, and each sync point is its own fdatasync.
+// kGroup makes batched writes durable per call: the log flushes only dirty/undurable pages (as one async wave when
 // an engine is configured) and concurrent committers share one fsync
 // through a GroupCommitter (io/group_committer.h).
 enum class DurabilityMode { kSync, kGroup };
@@ -131,8 +126,12 @@ class AsyncIoEngine {
     AsyncIoEngine* engine_;
     mutable std::mutex mu_;
     std::condition_variable cv_;
-    std::deque<Completion> done_;
-    size_t outstanding_ = 0;
+    // Delivered completions, collected from done_head_ on. Enqueue keeps
+    // the capacity at done_head_ + outstanding_, so a worker's push never
+    // reallocates.
+    std::vector<Completion> done_;
+    size_t done_head_ = 0;
+    size_t outstanding_ = 0;  // submitted and not yet collected
   };
 
   AsyncIoEngine() : AsyncIoEngine(Options()) {}
@@ -162,14 +161,19 @@ class AsyncIoEngine {
     bool is_write = false;
   };
 
+  // Per-worker burst buffers, sized on the constructing thread
+  // (io/async_io.cc).
+  struct WorkerScratch;
+
   Status Enqueue(const Request& req, Batch* batch);
   // Executes one request on the calling worker thread via the device's
   // virtual ReadAt/WriteAt (the non-ring path and the decorated-device /
   // short-transfer completion path).
   static Status RunBlocking(const Request& req);
-  void WorkerLoop();
+  void WorkerLoop(WorkerScratch* scratch);
   // Takes up to `max` queued requests (blocking for at least one unless
-  // stopping); returns false when the worker should exit.
+  // stopping) into `out`, whose capacity must cover `max`; returns false
+  // when the worker should exit.
   bool NextBurst(std::vector<Request>* out, size_t max);
   void Deliver(const Request& req, const Status& status);
 
@@ -180,7 +184,12 @@ class AsyncIoEngine {
   std::mutex mu_;
   std::condition_variable queue_cv_;   // workers: work available / stop
   std::condition_variable depth_cv_;   // submitters: depth slot available
-  std::deque<Request> queue_;
+  // Ring of accepted, not yet started requests. inflight_ never exceeds
+  // the ring's size (the depth limit), so Enqueue cannot overrun it and a
+  // worker's dequeue frees nothing.
+  std::vector<Request> queue_;
+  size_t queue_head_ = 0;
+  size_t queued_ = 0;
   size_t inflight_ = 0;  // accepted but not yet delivered
   bool stop_ = false;
 
@@ -191,6 +200,7 @@ class AsyncIoEngine {
   std::atomic<uint64_t> writes_completed_{0};
   std::atomic<uint64_t> write_failures_{0};
 
+  std::vector<std::unique_ptr<WorkerScratch>> scratch_;
   std::vector<std::thread> workers_;
 };
 

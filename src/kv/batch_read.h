@@ -1,21 +1,24 @@
 // BatchReadOrPark: the shared phase-1 body of every batched read op
 // (EmbeddingTable gets/peeks, FasterBackend::MultiGet). One place owns the
-// sync-vs-pipeline split and the miss-bootstrap contract:
+// blocking-vs-pipeline split and the miss-bootstrap contract:
 //
-//  * null `sink` — resolve synchronously (the unchanged blocking path);
+//  * null `sink` — resolve synchronously (the blocking path: single-key
+//    calls and the fail-fast contract);
 //  * memory-resident or absent key — resolve inline either way;
 //  * disk-resident key — park a primed PendingRead on the wave, with the
 //    same outcome handling deferred to its finish callback.
 //
 // `init_missing` (pass nullptr for plain reads) initializes the caller's
 // row and stores the bootstrap value when the key is absent; on success
-// the key records as initialized (code kOk, counted missing). It is a
-// templated callable so the warm path constructs no std::function — the
-// copy into the continuation happens only for parked (cold) keys.
+// the key records as initialized (code kOk, counted missing). It is called
+// with the chain head the read's walk observed (kInvalidAddress on the
+// blocking path), so it can insert through FasterStore::InsertIfAbsent
+// without walking the disk chain a second time. It is a templated callable
+// so the warm path constructs no std::function — the copy into the
+// continuation happens only for parked (cold) keys.
 #pragma once
 
 #include <functional>
-#include <memory>
 #include <utility>
 
 #include "common/batch_result.h"
@@ -29,9 +32,9 @@ inline void BatchReadOrPark(FasterStore* shard, Key key, void* dst,
                             uint32_t cap, uint32_t bound, bool tracked,
                             BatchResult* part, size_t part_index,
                             PendingSink* sink, const InitFn* init_missing) {
-  const auto resolve = [&](Status s) {
+  const auto resolve = [&](Status s, Address chain_head) {
     if (s.IsNotFound() && init_missing != nullptr) {
-      s = (*init_missing)();
+      s = (*init_missing)(chain_head);
       if (s.ok()) {
         part->RecordInitialized(part_index);
         return;
@@ -41,21 +44,22 @@ inline void BatchReadOrPark(FasterStore* shard, Key key, void* dst,
   };
   if (sink == nullptr) {
     resolve(tracked ? shard->Read(key, dst, cap, nullptr, bound)
-                    : shard->Peek(key, dst, cap));
+                    : shard->Peek(key, dst, cap),
+            kInvalidAddress);
     return;
   }
-  PendingRead scratch;  // heap-allocated only if the key actually parks
-  if (shard->StartRead(key, dst, cap, nullptr, bound, tracked, &scratch)) {
-    resolve(scratch.status);
+  PendingRead pending;
+  if (shard->StartRead(key, dst, cap, nullptr, bound, tracked, &pending)) {
+    resolve(pending.status, pending.chain_head);
     return;
   }
-  std::function<Status()> init;
+  std::function<Status(Address)> init;
   if (init_missing != nullptr) init = *init_missing;
-  sink->Park(shard, std::make_unique<PendingRead>(std::move(scratch)),
+  sink->Park(shard, std::move(pending),
              [init = std::move(init), part, part_index](PendingRead* done) {
                Status s = done->status;
                if (s.IsNotFound() && init) {
-                 s = init();
+                 s = init(done->chain_head);
                  if (s.ok()) {
                    part->RecordInitialized(part_index);
                    return;
@@ -70,9 +74,8 @@ inline void BatchReadOrPark(FasterStore* shard, Key key, void* dst,
                             uint32_t cap, uint32_t bound, bool tracked,
                             BatchResult* part, size_t part_index,
                             PendingSink* sink) {
-  BatchReadOrPark<std::function<Status()>>(shard, key, dst, cap, bound,
-                                           tracked, part, part_index, sink,
-                                           nullptr);
+  BatchReadOrPark<std::function<Status(Address)>>(
+      shard, key, dst, cap, bound, tracked, part, part_index, sink, nullptr);
 }
 
 }  // namespace mlkv

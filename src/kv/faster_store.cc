@@ -122,7 +122,7 @@ Status FasterStore::LoadValue(Address address, const RecordMeta& meta,
       }
     }
     RecordMeta disk_meta;
-    return log_.ReadFromDisk(address, &disk_meta, out, cap);
+    return log_.ReadFromDisk(address, &disk_meta, out, n);
   }
 }
 
@@ -362,6 +362,14 @@ restart:
   return WalkOutcome::kDisk;
 }
 
+Status FasterStore::PeekMeta(Key key, RecordMeta* meta) {
+  FindResult f;
+  MLKV_RETURN_NOT_OK(Find(key, &f));
+  if (!f.found) return Status::NotFound();
+  *meta = f.meta;
+  return Status::OK();
+}
+
 bool FasterStore::StartRead(Key key, void* out, uint32_t cap, uint32_t* size,
                             uint32_t bound, bool tracked,
                             PendingRead* pending) {
@@ -389,7 +397,7 @@ bool FasterStore::StartRead(Key key, void* out, uint32_t cap, uint32_t* size,
     case WalkOutcome::kDisk:
       break;
   }
-  p->buf.resize(sizeof(Record) + cap);
+  p->buf_len = static_cast<uint32_t>(sizeof(Record)) + cap;
   return false;
 }
 
@@ -417,7 +425,7 @@ Status FasterStore::StartPromote(Key key, uint32_t cap, PendingRead* pending,
     case WalkOutcome::kDisk:
       break;
   }
-  p->buf.resize(sizeof(Record) + cap);
+  p->buf_len = static_cast<uint32_t>(sizeof(Record)) + cap;
   *parked = true;
   return Status::OK();
 }
@@ -447,7 +455,7 @@ FasterStore::PendingStep FasterStore::CompletePendingRead(
     return PendingStep::kDone;
   }
   RecordMeta meta;
-  ParseRecordHeader(p->buf.data(), &meta);
+  ParseRecordHeader(p->buf, &meta);
   meta.control = ControlWord::Sanitize(meta.control);
   if ((meta.flags & kRecordValid) == 0 ||
       p->address < log_.begin_address()) {
@@ -483,7 +491,7 @@ FasterStore::PendingStep FasterStore::CompletePendingRead(
   }
   const uint32_t n = meta.value_size < p->cap ? meta.value_size : p->cap;
   if (p->out != nullptr && n > 0) {
-    std::memcpy(p->out, p->buf.data() + sizeof(Record), n);
+    std::memcpy(p->out, p->buf + sizeof(Record), n);
   }
   if (p->size != nullptr) *p->size = meta.value_size;
   p->meta = meta;
@@ -511,7 +519,7 @@ Status FasterStore::PromoteFromPending(const PendingRead& pending) {
   // Same contract as Promote's disk case: original control word and flags
   // carry over — promotion is not an update.
   Status s = AppendAndPublish(
-      pending.key, pending.buf.data() + sizeof(Record),
+      pending.key, pending.buf + sizeof(Record),
       pending.meta.value_size, ControlWord::Sanitize(pending.meta.control),
       pending.meta.flags, pending.chain_head, nullptr);
   if (s.IsBusy()) {
@@ -661,6 +669,28 @@ Status FasterStore::Rmw(Key key, uint32_t value_size,
     stats_.rcu_appends.fetch_add(1, std::memory_order_relaxed);
     return Status::OK();
   }
+}
+
+Status FasterStore::InsertIfAbsent(
+    Key key, Address chain_head, uint32_t value_size,
+    const std::function<void(char*, uint32_t, bool)>& modifier) {
+  // The slot still holding `chain_head` means the chain the caller's walk
+  // saw is the whole chain: no live version of `key` exists, so the insert
+  // needs no Find. A moved slot (or a failed CAS) means a writer got in
+  // between; Rmw then decides against the current chain.
+  if (index()->Load(key) == chain_head) {
+    std::vector<char> scratch(value_size, 0);
+    modifier(scratch.data(), value_size, /*exists=*/false);
+    const Status s =
+        AppendAndPublish(key, scratch.data(), value_size,
+                         ControlWord::Make(0, 0), 0, chain_head, nullptr);
+    if (s.ok()) {
+      stats_.inserts.fetch_add(1, std::memory_order_relaxed);
+      return s;
+    }
+    if (!s.IsBusy()) return s;
+  }
+  return Rmw(key, value_size, modifier);
 }
 
 Status FasterStore::Delete(Key key) {

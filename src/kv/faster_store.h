@@ -141,11 +141,27 @@ class FasterStore {
              const std::function<void(char* value, uint32_t size,
                                       bool exists)>& modifier);
 
+  // Rmw's insert half for a caller that already walked the chain: creates
+  // `key` (zeroed `value_size` bytes shaped by modifier(value, size,
+  // false)) by publishing against `chain_head`, the index slot value a
+  // lookup observed when it found no live version of `key` (absent or
+  // tombstoned). If the slot moved since, falls back to Rmw, so the
+  // outcome always equals Rmw's; `modifier` may then run a second time.
+  // kInvalidAddress (no observation) succeeds only on an empty slot.
+  Status InsertIfAbsent(Key key, Address chain_head, uint32_t value_size,
+                        const std::function<void(char* value, uint32_t size,
+                                                 bool exists)>& modifier);
+
   Status Delete(Key key);
 
   // Copies a cold record to the mutable tail (look-ahead prefetch target).
   // Returns OK whether promoted or skipped; inspect stats for which.
   Status Promote(Key key);
+
+  // Header of the newest version of `key` (tombstones included), read
+  // outside the staleness protocol: no wait, no increment. For tests and
+  // diagnostics that inspect a record's control word.
+  Status PeekMeta(Key key, RecordMeta* meta);
 
   // --- Two-phase pending-read pipeline (kv/pending_read.h) ---
 
@@ -154,8 +170,10 @@ class FasterStore {
   // output buffer are final — including NotFound and Busy, with the exact
   // synchronous semantics); returns false when the newest candidate record
   // is disk-resident, in which case *pending is primed (target address +
-  // landing buffer) for submission through a PendingReadWave. Never issues
-  // disk I/O itself. `bound == UINT32_MAX` uses the store-level bound.
+  // landing size) for submission through a PendingReadWave. Never issues
+  // disk I/O itself. Either way pending->chain_head is the index slot the
+  // walk observed — what InsertIfAbsent needs after a NotFound.
+  // `bound == UINT32_MAX` uses the store-level bound.
   bool StartRead(Key key, void* out, uint32_t cap, uint32_t* size,
                  uint32_t bound, bool tracked, PendingRead* pending);
 

@@ -3,6 +3,7 @@
 #include <cassert>
 #include <cstring>
 #include <thread>
+#include <vector>
 
 #include "common/spin_wait.h"
 
@@ -273,6 +274,18 @@ bool HybridLog::TryReadMemory(Address a, void* out, uint32_t n) const {
 
 Status HybridLog::ReadFromDisk(Address a, RecordMeta* meta, void* value_out,
                                uint32_t value_cap) const {
+  // One device read covers the header and up to `value_cap` value bytes:
+  // every ReadAt pays the full device latency, so a second one for the
+  // value would double a cold record's cost.
+  const size_t len = sizeof(Record) + (value_out != nullptr ? value_cap : 0);
+  char stack_buf[1024];
+  std::vector<char> heap_buf;
+  char* buf = stack_buf;
+  if (len > sizeof(stack_buf)) {
+    heap_buf.resize(len);
+    buf = heap_buf.data();
+  }
+  MLKV_RETURN_NOT_OK(file_->ReadAt(a, buf, len));
   struct RawHeader {
     uint64_t control;
     Address prev;
@@ -281,7 +294,7 @@ Status HybridLog::ReadFromDisk(Address a, RecordMeta* meta, void* value_out,
     uint32_t flags;
   } raw;
   static_assert(sizeof(RawHeader) == sizeof(Record));
-  MLKV_RETURN_NOT_OK(file_->ReadAt(a, &raw, sizeof(raw)));
+  std::memcpy(&raw, buf, sizeof(raw));
   meta->control = ControlWord::Sanitize(raw.control);
   meta->prev = raw.prev;
   meta->key = raw.key;
@@ -290,7 +303,7 @@ Status HybridLog::ReadFromDisk(Address a, RecordMeta* meta, void* value_out,
   stats_.disk_record_reads.fetch_add(1, std::memory_order_relaxed);
   if (value_out != nullptr && raw.value_size > 0) {
     const uint32_t n = raw.value_size < value_cap ? raw.value_size : value_cap;
-    MLKV_RETURN_NOT_OK(file_->ReadAt(a + sizeof(Record), value_out, n));
+    std::memcpy(value_out, buf + sizeof(Record), n);
   }
   return Status::OK();
 }

@@ -151,9 +151,11 @@ class HybridLog {
   // caller falls back to ReadFromDisk.
   bool TryReadMemory(Address a, void* out, uint32_t n) const;
 
-  // Reads a record (header + value) at `a` from the log file. `value_cap` is
-  // the size of `value_out`; values longer than the cap are truncated (the
-  // full size is reported in meta->value_size).
+  // Reads a record (header + value) at `a` from the log file in one device
+  // read of sizeof(Record) + value_cap bytes (the header alone when
+  // `value_out` is null). `value_cap` is the size of `value_out`; values
+  // longer than the cap are truncated (the full size is reported in
+  // meta->value_size), so callers that know the size pass exactly it.
   Status ReadFromDisk(Address a, RecordMeta* meta, void* value_out,
                       uint32_t value_cap) const;
 

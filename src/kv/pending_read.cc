@@ -10,7 +10,7 @@
 
 namespace mlkv {
 
-void PendingSink::Park(FasterStore* store, std::unique_ptr<PendingRead> read,
+void PendingSink::Park(FasterStore* store, PendingRead&& read,
                        std::function<void(PendingRead*)> finish) {
   entries_.push_back(Entry{store, std::move(read), std::move(finish)});
 }
@@ -26,6 +26,18 @@ void PendingReadWave::Adopt(PendingSink* sink) {
 
 void PendingReadWave::CompleteAll() {
   if (entries_.empty()) return;
+  // Carve every entry's landing area out of one buffer (8-byte aligned, so
+  // each header parses from an aligned address).
+  size_t total = 0;
+  for (const PendingSink::Entry& e : entries_) {
+    total += (e.read.buf_len + 7u) & ~size_t{7};
+  }
+  landing_.resize(total);
+  size_t offset = 0;
+  for (PendingSink::Entry& e : entries_) {
+    e.read.buf = landing_.data() + offset;
+    offset += (e.read.buf_len + 7u) & ~size_t{7};
+  }
   AsyncIoEngine::Batch batch(engine_);
 
   // Coalescing: duplicate cold keys in a batch — and distinct keys whose
@@ -44,15 +56,14 @@ void PendingReadWave::CompleteAll() {
   std::map<Target, size_t> by_target;
 
   for (size_t i = 0; i < entries_.size(); ++i) {
-    const Target target(entries_[i].store, entries_[i].read->address);
+    const Target target(entries_[i].store, entries_[i].read.address);
     const auto [it, fresh] = by_target.emplace(target, groups.size());
     if (fresh) {
       groups.push_back(Group{target, {i}, i});
     } else {
       Group& g = groups[it->second];
       g.members.push_back(i);
-      if (entries_[i].read->buf.size() >
-          entries_[g.leader].read->buf.size()) {
+      if (entries_[i].read.buf_len > entries_[g.leader].read.buf_len) {
         g.leader = i;  // pre-submission: the largest buffer leads
       }
     }
@@ -66,8 +77,8 @@ void PendingReadWave::CompleteAll() {
     entries_[groups[g].leader].store->CountAsyncCompleted();
     for (const size_t m : members) {
       PendingSink::Entry& e = entries_[m];
-      (void)e.store->CompletePendingRead(e.read.get(), s);  // always kDone
-      if (e.finish) e.finish(e.read.get());
+      (void)e.store->CompletePendingRead(&e.read, s);  // always kDone
+      if (e.finish) e.finish(&e.read);
     }
   };
 
@@ -75,9 +86,8 @@ void PendingReadWave::CompleteAll() {
     PendingSink::Entry& lead = entries_[groups[g].leader];
     lead.store->CountAsyncSubmitted();
     const Status s = batch.Submit(
-        lead.store->mutable_log()->device(), lead.read->address,
-        lead.read->buf.data(), static_cast<uint32_t>(lead.read->buf.size()),
-        g);
+        lead.store->mutable_log()->device(), lead.read.address, lead.read.buf,
+        lead.read.buf_len, g);
     if (!s.ok()) {
       const auto it = by_target.find(groups[g].target);
       if (it != by_target.end() && it->second == g) by_target.erase(it);
@@ -91,16 +101,15 @@ void PendingReadWave::CompleteAll() {
   // submits it immediately.
   const auto step = [&](size_t i, const Status& io_status) {
     PendingSink::Entry& e = entries_[i];
-    if (e.store->CompletePendingRead(e.read.get(), io_status) ==
+    if (e.store->CompletePendingRead(&e.read, io_status) ==
         FasterStore::PendingStep::kDone) {
-      if (e.finish) e.finish(e.read.get());
+      if (e.finish) e.finish(&e.read);
       return;
     }
-    const Target target(e.store, e.read->address);
+    const Target target(e.store, e.read.address);
     const auto it = by_target.find(target);
     if (it != by_target.end() &&
-        e.read->buf.size() <=
-            entries_[groups[it->second].leader].read->buf.size()) {
+        e.read.buf_len <= entries_[groups[it->second].leader].read.buf_len) {
       groups[it->second].members.push_back(i);  // rides the in-flight I/O
       return;
     }
@@ -137,9 +146,9 @@ void PendingReadWave::CompleteAll() {
     // reuse its buffer for a chain-hop resubmission.
     for (const size_t m : members) {
       if (m == leader) continue;
-      PendingRead* r = entries_[m].read.get();
-      const size_t n = std::min(r->buf.size(), lead.read->buf.size());
-      std::memcpy(r->buf.data(), lead.read->buf.data(), n);
+      PendingRead& r = entries_[m].read;
+      std::memcpy(r.buf, lead.read.buf,
+                  std::min(r.buf_len, lead.read.buf_len));
       step(m, c.status);
     }
     step(leader, c.status);

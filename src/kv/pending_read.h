@@ -19,7 +19,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <memory>
 #include <vector>
 
 #include "common/status.h"
@@ -43,7 +42,11 @@ struct PendingRead {
   uint32_t bound = UINT32_MAX;  // effective staleness bound
   bool tracked = false;
   uint32_t hops = 0;  // disk chain hops taken so far
-  std::vector<char> buf;  // header + value landing area
+  // Header + value landing area: buf_len bytes (sizeof(Record) + cap), set
+  // in phase 1; `buf` points into the wave's one landing buffer, carved
+  // out when the wave submits.
+  uint32_t buf_len = 0;
+  char* buf = nullptr;
 
   // Final state once the wave completes the key.
   Status status;
@@ -55,9 +58,9 @@ struct PendingRead {
 // (one sink per scatter task); merged into the wave after the fan-in.
 class PendingSink {
  public:
-  // Takes ownership of a primed pending read. `finish` runs on the wave
-  // owner's thread once `read->status` (and the output buffer) are final.
-  void Park(FasterStore* store, std::unique_ptr<PendingRead> read,
+  // Takes a primed pending read. `finish` runs on the wave owner's thread
+  // once `read->status` (and the output buffer) are final.
+  void Park(FasterStore* store, PendingRead&& read,
             std::function<void(PendingRead*)> finish);
 
   bool empty() const { return entries_.empty(); }
@@ -67,16 +70,16 @@ class PendingSink {
   friend class PendingReadWave;
   struct Entry {
     FasterStore* store = nullptr;
-    std::unique_ptr<PendingRead> read;
+    PendingRead read;
     std::function<void(PendingRead*)> finish;
   };
   std::vector<Entry> entries_;
 };
 
 // One submission wave: everything parked across a batch's sub-batches goes
-// to the engine in flight together; completions (and their continuations,
-// including chain-hop resubmissions and synchronous fallbacks) run on the
-// thread that calls CompleteAll.
+// to the engine in flight together, landing in one buffer the wave owns;
+// completions (and their continuations, including chain-hop resubmissions
+// and synchronous fallbacks) run on the thread that calls CompleteAll.
 class PendingReadWave {
  public:
   explicit PendingReadWave(AsyncIoEngine* engine) : engine_(engine) {}
@@ -92,6 +95,7 @@ class PendingReadWave {
  private:
   AsyncIoEngine* engine_;
   std::vector<PendingSink::Entry> entries_;
+  std::vector<char> landing_;  // every entry's buf, back to back
 };
 
 }  // namespace mlkv

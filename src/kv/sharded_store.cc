@@ -31,8 +31,8 @@ bool ShardedStore::CheckpointExists(const ShardedStoreOptions& options,
 
 FasterOptions ShardedStore::ShardOptions(size_t i) const {
   // Note options_.io (the batched-read wave engine) and options_.store.io
-  // (each shard's flush-wave engine) are set independently by the caller:
-  // group durability wants coalesced flushes even when reads stay blocking.
+  // (each shard's flush-wave engine) are set independently by the caller;
+  // MLKV and the FASTER backend point both at one engine.
   FasterOptions o = options_.store;
   if (options_.shard_bits == 0) return o;
   o.path = ShardFilePath(options_.store.path, static_cast<uint32_t>(i),

@@ -65,9 +65,10 @@ struct ShardedStoreOptions {
   // Two-phase read pipeline (kv/pending_read.h). Non-null routes batched
   // reads' cold misses through this engine: disk-resident keys across ALL
   // shard sub-batches go into flight together instead of blocking one
-  // ReadAt at a time. Null (the default) keeps the blocking path —
-  // byte-identical to the pre-pipeline behavior. Not owned; typically
-  // shared across every table/shard of a process (MLKV owns one per DB).
+  // ReadAt at a time. MLKV tables and the FASTER backend always set it;
+  // null keeps the blocking path, the reference the pipeline is tested
+  // against. Not owned; typically shared across every table/shard of a
+  // process (MLKV owns one per DB).
   AsyncIoEngine* io = nullptr;
 };
 

@@ -77,33 +77,16 @@ Status EmbeddingTable::Get(std::span<const Key> keys, float* out,
 
 Status EmbeddingTable::GetOrInit(std::span<const Key> keys, float* out,
                                  BatchResult* result) {
-  const uint32_t emb_bytes = value_bytes();
-  const uint32_t rec_bytes = record_bytes();
+  const uint32_t bytes = value_bytes();
   return ExecuteReadSpan(
       keys,
-      [this, out, emb_bytes, rec_bytes](FasterStore* shard, Key key, size_t i,
-                                        BatchResult* part, size_t pi,
-                                        PendingSink* sink) {
+      [this, out, bytes](FasterStore* shard, Key key, size_t i,
+                         BatchResult* part, size_t pi, PendingSink* sink) {
         float* dst = out + i * dim_;
-        // First touch of an absent key: the shared deterministic bootstrap,
-        // so all threads racing on the same key produce the same vector.
-        // Optimizer state starts all-zero — the correct initial value for
-        // every kind — which the zero-filled Rmw scratch provides for free.
-        // Rmw keeps a concurrent initializer from double-inserting: only
-        // the missing case writes, and losers observe the winner.
-        const auto init_missing = [this, shard, key, dst, rec_bytes]() {
-          InitEmbedding(key, dim_, dst);
-          return shard->Rmw(key, rec_bytes,
-                            [&](char* value, uint32_t, bool exists) {
-                              float* row = reinterpret_cast<float*>(value);
-                              if (!exists) {
-                                simd::CopyFloats(row, dst, dim_);
-                              } else {
-                                simd::CopyFloats(dst, row, dim_);
-                              }
-                            });
+        const auto init_missing = [this, shard, key, dst](Address head) {
+          return InitMissing(shard, key, dst, head);
         };
-        BatchReadOrPark(shard, key, dst, emb_bytes, staleness_bound_,
+        BatchReadOrPark(shard, key, dst, bytes, staleness_bound_,
                         /*tracked=*/true, part, pi, sink, &init_missing);
       },
       result);
@@ -124,32 +107,39 @@ Status EmbeddingTable::Peek(std::span<const Key> keys, float* out,
 
 Status EmbeddingTable::PeekOrInit(std::span<const Key> keys, float* out,
                                   BatchResult* result) {
-  const uint32_t emb_bytes = value_bytes();
-  const uint32_t rec_bytes = record_bytes();
+  const uint32_t bytes = value_bytes();
   return ExecuteReadSpan(
       keys,
-      [this, out, emb_bytes, rec_bytes](FasterStore* shard, Key key, size_t i,
-                                        BatchResult* part, size_t pi,
-                                        PendingSink* sink) {
+      [this, out, bytes](FasterStore* shard, Key key, size_t i,
+                         BatchResult* part, size_t pi, PendingSink* sink) {
         float* dst = out + i * dim_;
-        // Rmw creates the record if still absent; a concurrent creator
-        // wins and we adopt its value. No tracked read on this path.
-        const auto init_missing = [this, shard, key, dst, rec_bytes]() {
-          InitEmbedding(key, dim_, dst);
-          return shard->Rmw(key, rec_bytes,
-                            [&](char* value, uint32_t, bool exists) {
-                              float* row = reinterpret_cast<float*>(value);
-                              if (!exists) {
-                                simd::CopyFloats(row, dst, dim_);
-                              } else {
-                                simd::CopyFloats(dst, row, dim_);
-                              }
-                            });
+        const auto init_missing = [this, shard, key, dst](Address head) {
+          return InitMissing(shard, key, dst, head);
         };
-        BatchReadOrPark(shard, key, dst, emb_bytes, UINT32_MAX,
+        BatchReadOrPark(shard, key, dst, bytes, UINT32_MAX,
                         /*tracked=*/false, part, pi, sink, &init_missing);
       },
       result);
+}
+
+Status EmbeddingTable::InitMissing(FasterStore* shard, Key key, float* dst,
+                                   Address chain_head) {
+  // First touch of an absent key: the shared deterministic bootstrap, so
+  // all threads racing on the same key produce the same vector. Optimizer
+  // state starts all-zero — the correct initial value for every kind —
+  // which the zeroed insert scratch provides for free. Only the missing
+  // case writes: a concurrent initializer that got there first wins, and
+  // we adopt its row.
+  InitEmbedding(key, dim_, dst);
+  return shard->InsertIfAbsent(key, chain_head, record_bytes(),
+                               [&](char* value, uint32_t, bool exists) {
+                                 float* row = reinterpret_cast<float*>(value);
+                                 if (!exists) {
+                                   simd::CopyFloats(row, dst, dim_);
+                                 } else {
+                                   simd::CopyFloats(dst, row, dim_);
+                                 }
+                               });
 }
 
 Status EmbeddingTable::CommitIfGroup(Status s, BatchResult* result) {
@@ -268,31 +258,24 @@ Status EmbeddingTable::Lookahead(std::span<const Key> keys, LookaheadDest dest,
     const bool submitted = lookahead_pool_->TrySubmit([this, shard, batch,
                                                        dest, cache] {
       if (dest == LookaheadDest::kStorageBuffer) {
-        AsyncIoEngine* io = store_->options().io;
-        if (io != nullptr) {
-          // Pending-read pipeline: every cold key in this shard batch goes
-          // into flight together, and promotions complete from the landed
-          // record images instead of one blocking read at a time.
-          PendingSink sink;
-          for (const Key key : *batch) {
-            auto p = std::make_unique<PendingRead>();
-            bool parked = false;
-            // cap = the full stored value, so the copy never truncates.
-            shard->StartPromote(key, record_bytes(), p.get(), &parked).ok();
-            if (parked) {
-              sink.Park(shard, std::move(p), [shard](PendingRead* done) {
-                shard->PromoteFromPending(*done).ok();  // best-effort
-              });
-            }
-          }
-          PendingReadWave wave(io);
-          wave.Adopt(&sink);
-          wave.CompleteAll();
-        } else {
-          for (const Key key : *batch) {
-            shard->Promote(key).ok();  // NotFound: nothing to prefetch
+        // Pending-read pipeline: every cold key in this shard batch goes
+        // into flight together, and promotions complete from the landed
+        // record images instead of one blocking read at a time.
+        PendingSink sink;
+        for (const Key key : *batch) {
+          PendingRead p;
+          bool parked = false;
+          // cap = the full stored value, so the copy never truncates.
+          shard->StartPromote(key, record_bytes(), &p, &parked).ok();
+          if (parked) {
+            sink.Park(shard, std::move(p), [shard](PendingRead* done) {
+              shard->PromoteFromPending(*done).ok();  // best-effort
+            });
           }
         }
+        PendingReadWave wave(store_->options().io);
+        wave.Adopt(&sink);
+        wave.CompleteAll();
       } else {
         std::vector<float> value(dim_);
         for (const Key key : *batch) {

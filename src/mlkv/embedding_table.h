@@ -27,6 +27,9 @@ class EmbeddingTable {
   // memory buffer, or an application-side cache.
   enum class LookaheadDest { kStorageBuffer, kApplicationCache };
 
+  // `store` must carry an AsyncIoEngine (ShardedStoreOptions::io): batched
+  // reads and storage-buffer lookaheads submit their cold fetches to it.
+  // Mlkv::OpenTable always provides its per-DB engine.
   EmbeddingTable(std::string model_id, uint32_t dim, uint32_t staleness_bound,
                  std::unique_ptr<ShardedStore> store,
                  ThreadPool* lookahead_pool, OptimizerConfig optimizer = {})
@@ -142,11 +145,10 @@ class EmbeddingTable {
   // fail-fast; see the span-API comment above).
   Status ExecuteSpan(std::span<const Key> keys,
                      const ShardedStore::ShardOp& op, BatchResult* result);
-  // Read-flavored ExecuteSpan: with an AsyncIoEngine configured, cold
-  // misses across the whole batch go into flight together through the
-  // pending-read pipeline (kv/pending_read.h); without one this is
-  // exactly ExecuteSpan. The fail-fast (sink-less) contract always takes
-  // the blocking path.
+  // Read-flavored ExecuteSpan: cold misses across the whole batch go into
+  // flight together through the pending-read pipeline
+  // (kv/pending_read.h). The fail-fast (sink-less) contract and single-key
+  // calls take the blocking path.
   Status ExecuteReadSpan(std::span<const Key> keys,
                          const ShardedStore::ShardReadOp& op,
                          BatchResult* result);
@@ -160,6 +162,12 @@ class EmbeddingTable {
   // re-creates identically on the next access, and reads shouldn't pay
   // for fsyncs.
   Status CommitIfGroup(Status s, BatchResult* result);
+  // Miss bootstrap of GetOrInit/PeekOrInit: fills `dst` with the key's
+  // initial embedding and inserts it unless a concurrent initializer won
+  // (then `dst` gets the winner's row). `chain_head` is the index slot
+  // the read's walk observed (FasterStore::InsertIfAbsent).
+  Status InitMissing(FasterStore* shard, Key key, float* dst,
+                     Address chain_head);
 
   std::string model_id_;
   uint32_t dim_;

@@ -160,9 +160,10 @@ Status Mlkv::OpenTable(const std::string& model_id, uint32_t dim,
   so.store.staleness_bound = staleness_bound;
   so.store.busy_spin_limit = options_.busy_spin_limit;
   so.store.skip_promote_if_in_memory = options_.skip_promote_if_in_memory;
-  // Write pipeline: every shard log flushes through the shared engine (when
-  // one exists) and inherits the durability / checkpoint knobs.
-  so.store.io = io_engine_.get();
+  // Every shard log flushes through the shared engine and inherits the
+  // durability / checkpoint knobs; batched reads' cold misses ride the
+  // same engine (so.io below).
+  so.store.io = &io_engine_;
   so.store.durability_mode = options_.durability_mode;
   so.store.group_commit_window_us = options_.group_commit_window_us;
   so.store.group_commit_max_bytes = options_.group_commit_max_bytes;
@@ -173,9 +174,7 @@ Status Mlkv::OpenTable(const std::string& model_id, uint32_t dim,
                                              : options_.shard_bits;
   so.pool = &lookahead_pool_;
   so.parallel_min_keys = std::max<size_t>(options_.scatter_min_keys, 1);
-  // Read waves stay opt-in: the engine may exist purely for group
-  // durability, in which case batched reads keep the blocking path.
-  so.io = options_.io_mode == IoMode::kAsync ? io_engine_.get() : nullptr;
+  so.io = &io_engine_;
   auto store = std::make_unique<ShardedStore>();
   const std::string ckpt_prefix = options_.dir + "/" + model_id + ".ckpt";
   if (spec_it != manifest_.end() &&

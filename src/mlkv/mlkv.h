@@ -62,18 +62,14 @@ struct MlkvOptions {
   // Spin iterations before a bounded Get aborts with Busy (kv/record.h).
   uint64_t busy_spin_limit = kDefaultBusySpinLimit;
   bool skip_promote_if_in_memory = true;  // DESIGN.md ablation D2
-  // Read-path mode for every table's store. kAsync routes the cold misses
-  // of batched gets/peeks (and Lookahead promotions) through one shared
-  // per-DB AsyncIoEngine, so a batch's disk reads go into flight together;
-  // kSync (the default) keeps the blocking path, byte-identical to the
-  // pre-pipeline behavior.
-  IoMode io_mode = IoMode::kSync;
-  // AsyncIoEngine workers (and, with io_uring, rings) for kAsync.
+  // Workers (and, with io_uring, rings) of the per-DB AsyncIoEngine. The
+  // cold misses of every table's batched gets/peeks and Lookahead
+  // promotions go into flight together on it, and log page flushes leave
+  // as one wave through it.
   size_t io_threads = 4;
   // Write-durability mode for every table's store (io/async_io.h). kGroup
   // makes each batched Put/ApplyGradients durable before it returns: the
-  // shard logs flush only dirty pages (as one engine wave — kGroup implies
-  // the shared engine even under io_mode == kSync) and concurrent
+  // shard logs flush only dirty pages (as one engine wave) and concurrent
   // committers share fsyncs through per-shard GroupCommitters; recovery
   // replays group-committed records past the last checkpoint. kSync (the
   // default) keeps checkpoint-only durability, byte-identical on disk.
@@ -144,9 +140,8 @@ class Mlkv {
   std::vector<std::string> ListTables() const;
 
   ThreadPool* lookahead_pool() { return &lookahead_pool_; }
-  // Null unless options() ask for it: io_mode == kAsync (batched cold
-  // reads) or durability_mode == kGroup (coalesced flush waves).
-  AsyncIoEngine* io_engine() { return io_engine_.get(); }
+  // The per-DB engine every table's batched reads and flushes use.
+  AsyncIoEngine* io_engine() { return &io_engine_; }
   const MlkvOptions& options() const { return options_; }
 
  private:
@@ -163,14 +158,11 @@ class Mlkv {
 
   explicit Mlkv(const MlkvOptions& options)
       : options_(options),
-        io_engine_(options.io_mode == IoMode::kAsync ||
-                           options.durability_mode == DurabilityMode::kGroup
-                       ? std::make_unique<AsyncIoEngine>([&options] {
-                           AsyncIoEngine::Options o;
-                           o.io_threads = options.io_threads;
-                           return o;
-                         }())
-                       : nullptr),
+        io_engine_([&options] {
+          AsyncIoEngine::Options o;
+          o.io_threads = options.io_threads;
+          return o;
+        }()),
         lookahead_pool_(options.lookahead_threads) {}
 
   std::string ManifestPath() const { return options_.dir + "/MANIFEST"; }
@@ -178,9 +170,9 @@ class Mlkv {
   Status WriteManifest() const;
 
   MlkvOptions options_;
-  // Shared across every table/shard of this DB; destroyed after the
-  // lookahead pool is shut down (the destructor orders that explicitly).
-  std::unique_ptr<AsyncIoEngine> io_engine_;
+  // Shared across every table/shard of this DB; declared before the pool
+  // and the tables, so it is destroyed after both.
+  AsyncIoEngine io_engine_;
   ThreadPool lookahead_pool_;
   std::unordered_map<std::string, std::unique_ptr<EmbeddingTable>> tables_;
   // All tables ever created in this directory, including not-yet-reopened

@@ -410,18 +410,7 @@ TEST(GroupCommitterTest, FsyncFailureIsStickyAcrossTickets) {
   EXPECT_TRUE(committer.Wait(committer.StageWrite(1)).IsIOError());
 }
 
-TEST(IoModeTest, ParseAndName) {
-  IoMode m = IoMode::kAsync;
-  EXPECT_TRUE(ParseIoMode("sync", &m));
-  EXPECT_EQ(m, IoMode::kSync);
-  EXPECT_TRUE(ParseIoMode("async", &m));
-  EXPECT_EQ(m, IoMode::kAsync);
-  EXPECT_FALSE(ParseIoMode("uring", &m));
-  EXPECT_STREQ(IoModeName(IoMode::kSync), "sync");
-  EXPECT_STREQ(IoModeName(IoMode::kAsync), "async");
-}
-
-TEST(IoModeTest, DurabilityModeParseAndName) {
+TEST(ModeNameTest, DurabilityModeParseAndName) {
   DurabilityMode m = DurabilityMode::kGroup;
   EXPECT_TRUE(ParseDurabilityMode("sync", &m));
   EXPECT_EQ(m, DurabilityMode::kSync);
@@ -432,7 +421,7 @@ TEST(IoModeTest, DurabilityModeParseAndName) {
   EXPECT_STREQ(DurabilityModeName(DurabilityMode::kGroup), "group");
 }
 
-TEST(IoModeTest, CheckpointModeParseAndName) {
+TEST(ModeNameTest, CheckpointModeParseAndName) {
   CheckpointMode m = CheckpointMode::kIncremental;
   EXPECT_TRUE(ParseCheckpointMode("full", &m));
   EXPECT_EQ(m, CheckpointMode::kFull);

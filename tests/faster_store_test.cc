@@ -4,8 +4,11 @@
 #include <string>
 #include <vector>
 
+#include "common/hash.h"
+#include "io/faulty_file_device.h"
 #include "io/temp_dir.h"
 #include "kv/faster_store.h"
+#include "kv/log_iterator.h"
 
 namespace mlkv {
 namespace {
@@ -20,6 +23,145 @@ FasterOptions SmallStore(const TempDir& dir, const char* name = "store.log") {
   return o;
 }
 
+// Valid record images of `key` anywhere in the log (superseded versions
+// included; records abandoned by a lost publish CAS are not valid).
+size_t VersionsOf(FasterStore* store, Key key) {
+  size_t n = 0;
+  for (LogIterator it(store); it.Valid(); it.Next()) {
+    if (it.meta().key == key) ++n;
+  }
+  return n;
+}
+
+// Phase-1 lookup of an absent key: returns the chain head its walk saw.
+Address ObserveAbsent(FasterStore* store, Key key) {
+  char buf[8];
+  PendingRead p;
+  EXPECT_TRUE(store->StartRead(key, buf, sizeof(buf), nullptr, UINT32_MAX,
+                               /*tracked=*/false, &p));
+  EXPECT_TRUE(p.status.IsNotFound());
+  return p.chain_head;
+}
+
+// InsertIfAbsent modifier shaped like the embedding bootstrap: writes
+// `init` into a fresh record, or adopts an existing one into `*row`.
+auto Bootstrap(const char* init, std::string* row) {
+  return [init, row](char* v, uint32_t size, bool exists) {
+    if (!exists) {
+      std::memcpy(v, init, size);
+      row->assign(init, size);
+    } else {
+      row->assign(v, size);
+    }
+  };
+}
+
+TEST(FasterStoreTest, ColdPeekReadsHeaderAndValueInOneDeviceRead) {
+  // Find loads the cold header once; the value load then reads header and
+  // value together: two device reads per cold record, not three.
+  TempDir dir;
+  auto script = std::make_shared<FaultyFileDevice::Script>();  // counts only
+  FasterOptions o = SmallStore(dir);
+  o.index_slots = 1u << 20;  // key 0's chain holds key 0 alone
+  o.device_factory = [script] {
+    return std::make_unique<FaultyFileDevice>(script);
+  };
+  FasterStore store;
+  ASSERT_TRUE(store.Open(o).ok());
+  std::vector<char> value(32);
+  for (Key k = 0; k < 1000; ++k) {
+    std::memset(value.data(), static_cast<char>('a' + (k % 26)), 32);
+    ASSERT_TRUE(store.Upsert(k, value.data(), 32).ok());
+  }
+  ASSERT_FALSE(store.IsInMemory(0));
+
+  const uint64_t before = script->reads.load();
+  char out[32] = {0};
+  ASSERT_TRUE(store.Peek(0, out, sizeof(out)).ok());
+  EXPECT_EQ(script->reads.load() - before, 2u);
+  EXPECT_EQ(out[0], 'a');
+  EXPECT_EQ(out[31], 'a');
+}
+
+TEST(FasterStoreTest, InsertIfAbsentPublishesAgainstObservedHead) {
+  TempDir dir;
+  FasterStore store;
+  ASSERT_TRUE(store.Open(SmallStore(dir)).ok());
+  const Address head = ObserveAbsent(&store, 7);
+  std::string row;
+  ASSERT_TRUE(
+      store.InsertIfAbsent(7, head, 8, Bootstrap("initval!", &row)).ok());
+  EXPECT_EQ(row, "initval!");
+  EXPECT_EQ(store.stats().rmws, 0u);  // no fallback
+  EXPECT_EQ(store.stats().inserts, 1u);
+  std::string out;
+  ASSERT_TRUE(store.Read(7, &out).ok());
+  EXPECT_EQ(out, "initval!");
+}
+
+TEST(FasterStoreTest, InsertIfAbsentRacedBySameKeyFallsBackToRmw) {
+  TempDir dir;
+  FasterStore store;
+  ASSERT_TRUE(store.Open(SmallStore(dir)).ok());
+  const Address head = ObserveAbsent(&store, 7);
+  // A racer publishes the key between the walk and the insert.
+  ASSERT_TRUE(store.Upsert(7, "racer!!!", 8).ok());
+
+  std::string row;
+  ASSERT_TRUE(
+      store.InsertIfAbsent(7, head, 8, Bootstrap("initval!", &row)).ok());
+  EXPECT_EQ(store.stats().rmws, 1u);  // the stale head sent it to Rmw
+  EXPECT_EQ(row, "racer!!!");         // adopted the racer's row
+  EXPECT_EQ(VersionsOf(&store, 7), 1u);
+  std::string out;
+  ASSERT_TRUE(store.Read(7, &out).ok());
+  EXPECT_EQ(out, "racer!!!");
+}
+
+TEST(FasterStoreTest, InsertIfAbsentRacedBySlotNeighbourFallsBackToRmw) {
+  TempDir dir;
+  FasterStore store;
+  ASSERT_TRUE(store.Open(SmallStore(dir)).ok());
+  const Key key = 7;
+  const uint64_t mask = store.index_slots() - 1;
+  Key neighbour = key + 1;
+  while ((Hash64(neighbour) & mask) != (Hash64(key) & mask)) ++neighbour;
+
+  const Address head = ObserveAbsent(&store, key);
+  // Another key publishes into the same index slot: the slot moves although
+  // `key` is still absent.
+  ASSERT_TRUE(store.Upsert(neighbour, "neighbr!", 8).ok());
+
+  std::string row;
+  ASSERT_TRUE(
+      store.InsertIfAbsent(key, head, 8, Bootstrap("initval!", &row)).ok());
+  EXPECT_EQ(store.stats().rmws, 1u);
+  EXPECT_EQ(row, "initval!");
+  EXPECT_EQ(VersionsOf(&store, key), 1u);
+  std::string out;
+  ASSERT_TRUE(store.Read(key, &out).ok());
+  EXPECT_EQ(out, "initval!");
+  ASSERT_TRUE(store.Read(neighbour, &out).ok());
+  EXPECT_EQ(out, "neighbr!");
+}
+
+TEST(FasterStoreTest, InsertIfAbsentTreatsTombstoneAsAbsent) {
+  TempDir dir;
+  FasterStore store;
+  ASSERT_TRUE(store.Open(SmallStore(dir)).ok());
+  ASSERT_TRUE(store.Upsert(7, "deleted!", 8).ok());
+  ASSERT_TRUE(store.Delete(7).ok());
+  const Address head = ObserveAbsent(&store, 7);
+
+  std::string row;
+  ASSERT_TRUE(
+      store.InsertIfAbsent(7, head, 8, Bootstrap("initval!", &row)).ok());
+  EXPECT_EQ(store.stats().rmws, 0u);
+  EXPECT_EQ(row, "initval!");
+  std::string out;
+  ASSERT_TRUE(store.Read(7, &out).ok());
+  EXPECT_EQ(out, "initval!");
+}
 
 TEST(FasterStoreTest, ReadMissingKeyNotFound) {
   TempDir dir;

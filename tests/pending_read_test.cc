@@ -1,5 +1,5 @@
-// Two-phase pending-read pipeline tests (kv/pending_read.h): sync/async
-// byte-for-byte equivalence on a cold working set, duplicate-cold-key
+// Two-phase pending-read pipeline tests (kv/pending_read.h): byte-for-byte
+// equivalence with the blocking path on a cold working set, duplicate-cold-key
 // coalescing, a compaction deterministically racing an in-flight read,
 // staleness-bound fallbacks, injected device failures surfacing as per-key
 // codes without poisoning batch siblings, and drain-on-close.
@@ -16,6 +16,7 @@
 #include "io/temp_dir.h"
 #include "kv/faster_store.h"
 #include "kv/sharded_store.h"
+#include "mlkv/embedding_init.h"
 #include "mlkv/mlkv.h"
 
 namespace mlkv {
@@ -62,10 +63,10 @@ ShardedStore::ShardReadOp RawReadOp(char* out, uint32_t stride) {
       part->Record(pi, shard->Read(key, dst, stride));
       return;
     }
-    auto p = std::make_unique<PendingRead>();
+    PendingRead p;
     if (shard->StartRead(key, dst, stride, nullptr, UINT32_MAX,
-                         /*tracked=*/false, p.get())) {
-      part->Record(pi, p->status);
+                         /*tracked=*/false, &p)) {
+      part->Record(pi, p.status);
       return;
     }
     sink->Park(shard, std::move(p), [part, pi](PendingRead* done) {
@@ -170,25 +171,23 @@ TEST(PendingReadTest, CompactionRacingInFlightReadFallsBackToRefetch) {
   // Phase 1 parks a cold key...
   const Key victim = 3;
   char out[kValueBytes] = {0};
-  auto p = std::make_unique<PendingRead>();
+  PendingRead p;
   ASSERT_FALSE(store->StartRead(victim, out, kValueBytes, nullptr, UINT32_MAX,
-                                /*tracked=*/false, p.get()));
+                                /*tracked=*/false, &p));
   // ...then compaction reclaims the whole cold region before the "I/O"
   // completes: the parked address is now below the begin boundary and its
   // live version was republished at the tail.
   ASSERT_TRUE(sharded.CompactAll().ok());
-  ASSERT_GT(store->log().begin_address(), p->address);
+  ASSERT_GT(store->log().begin_address(), p.address);
 
   PendingSink sink;
   Status final_status;
-  PendingRead* raw = p.get();
   sink.Park(store, std::move(p), [&final_status](PendingRead* done) {
     final_status = done->status;
   });
   PendingReadWave wave(&engine);
   wave.Adopt(&sink);
   wave.CompleteAll();
-  (void)raw;
 
   ASSERT_TRUE(final_status.ok()) << final_status.ToString();
   char expected[kValueBytes];
@@ -210,12 +209,12 @@ TEST(PendingReadTest, PromotionInvalidatedInFlightSkipsCleanly) {
   LoadKeys(&sharded, kKeys);
   FasterStore* store = sharded.shard(0);
 
-  auto p = std::make_unique<PendingRead>();
+  PendingRead p;
   bool parked = false;
-  ASSERT_TRUE(store->StartPromote(5, kValueBytes, p.get(), &parked).ok());
+  ASSERT_TRUE(store->StartPromote(5, kValueBytes, &p, &parked).ok());
   ASSERT_TRUE(parked);
   ASSERT_TRUE(sharded.CompactAll().ok());
-  ASSERT_GT(store->log().begin_address(), p->address);
+  ASSERT_GT(store->log().begin_address(), p.address);
 
   const uint64_t skipped_before = store->stats().promotions_skipped;
   PendingSink sink;
@@ -276,10 +275,10 @@ TEST(PendingReadTest, StalenessBoundFallsBackToBlockingProtocol) {
           part->Record(pi, shard->Read(key, dst, kValueBytes));
           return;
         }
-        auto p = std::make_unique<PendingRead>();
+        PendingRead p;
         if (shard->StartRead(key, dst, kValueBytes, nullptr, UINT32_MAX,
-                             /*tracked=*/true, p.get())) {
-          part->Record(pi, p->status);
+                             /*tracked=*/true, &p)) {
+          part->Record(pi, p.status);
           return;
         }
         sink->Park(shard, std::move(p), [part, pi](PendingRead* done) {
@@ -343,76 +342,76 @@ TEST(PendingReadTest, InjectedFaultsFailOnlyTheirKeys) {
   script->fail_from.store(0);  // disarm
 }
 
-TEST(PendingReadTest, MlkvAsyncModeEquivalenceAndLookahead) {
-  // End-to-end through Mlkv/EmbeddingTable: async io_mode serves the same
-  // bytes as sync, Lookahead promotions ride the wave, and closing the DB
-  // right after issuing lookaheads drains cleanly.
+TEST(PendingReadTest, MlkvWaveServesPutRowsInitAndLookahead) {
+  // End-to-end through Mlkv/EmbeddingTable, whose batched reads always go
+  // through the wave: cold rows come back as they were Put, a never-stored
+  // key gets InitEmbedding's row, Lookahead promotions ride the same
+  // pipeline, and closing the DB right after issuing lookaheads drains
+  // cleanly.
   constexpr uint32_t kDim = 8;
   constexpr uint64_t kKeys = 1500;
-  TempDir sync_dir, async_dir;
+  TempDir dir;
+  MlkvOptions o;
+  o.dir = dir.path() + "/db";
+  o.mem_size = 1u << 16;
+  o.page_size = 1u << 12;
+  o.shard_bits = 2;
+  o.io_threads = 4;
+  std::unique_ptr<Mlkv> db;
+  ASSERT_TRUE(Mlkv::Open(o, &db).ok());
+  EmbeddingTable* table = nullptr;
+  ASSERT_TRUE(db->OpenTable("emb", kDim, kAspBound, &table).ok());
 
-  auto run = [&](const std::string& dir, IoMode mode, uint64_t* submitted,
-                 std::vector<float>* out) {
-    MlkvOptions o;
-    o.dir = dir;
-    o.mem_size = 1u << 16;
-    o.page_size = 1u << 12;
-    o.shard_bits = 2;
-    o.io_mode = mode;
-    o.io_threads = 4;
-    std::unique_ptr<Mlkv> db;
-    ASSERT_TRUE(Mlkv::Open(o, &db).ok());
-    EmbeddingTable* table = nullptr;
-    ASSERT_TRUE(db->OpenTable("emb", kDim, kAspBound, &table).ok());
-
-    std::vector<Key> keys(kKeys);
-    std::vector<float> rows(kKeys * kDim);
-    for (uint64_t k = 0; k < kKeys; ++k) {
-      keys[k] = k;
-      for (uint32_t d = 0; d < kDim; ++d) {
-        rows[k * kDim + d] = static_cast<float>(k * 100 + d);
-      }
-    }
-    BatchResult put;
-    ASSERT_TRUE(table->Put(keys, rows.data(), &put).ok());
-
-    // Cold batched gets: strided + duplicates + fresh keys.
-    std::vector<Key> batch;
-    for (uint64_t i = 0; i < 300; ++i) batch.push_back((i * 13) % kKeys);
-    batch.push_back(batch[0]);
-    batch.push_back(kKeys + 77);  // bootstrap path
-    out->assign(batch.size() * kDim, 0.0f);
-    BatchResult got;
-    ASSERT_TRUE(table->GetOrInit(batch, out->data(), &got).ok());
-    EXPECT_TRUE(got.AllOk());
-    EXPECT_EQ(got.missing, 1u);
-
-    // Lookahead promotion over cold keys rides the same pipeline.
-    std::vector<Key> ahead;
-    for (Key k = 0; k < 64; ++k) ahead.push_back(k);
-    ASSERT_TRUE(table->Lookahead(ahead).ok());
-    table->WaitLookahead();
-    *submitted = table->store()->stats().async_reads_submitted;
-    if (mode == IoMode::kAsync) {
-      EXPECT_GT(table->store()->stats().promotions, 0u);
-    }
-
-    // Drain-on-close: issue lookaheads and destroy immediately.
-    ASSERT_TRUE(table->Lookahead(ahead).ok());
-    db.reset();
+  const auto row_value = [](Key k, uint32_t d) {
+    return static_cast<float>(k * 100 + d);
   };
+  std::vector<Key> keys(kKeys);
+  std::vector<float> rows(kKeys * kDim);
+  for (uint64_t k = 0; k < kKeys; ++k) {
+    keys[k] = k;
+    for (uint32_t d = 0; d < kDim; ++d) rows[k * kDim + d] = row_value(k, d);
+  }
+  BatchResult put;
+  ASSERT_TRUE(table->Put(keys, rows.data(), &put).ok());
 
-  uint64_t sync_submitted = 1, async_submitted = 0;
-  std::vector<float> sync_out, async_out;
-  run(sync_dir.path() + "/db", IoMode::kSync, &sync_submitted, &sync_out);
-  run(async_dir.path() + "/db", IoMode::kAsync, &async_submitted,
-      &async_out);
-  EXPECT_EQ(sync_submitted, 0u);
-  EXPECT_GT(async_submitted, 0u);
-  ASSERT_EQ(sync_out.size(), async_out.size());
-  EXPECT_EQ(std::memcmp(sync_out.data(), async_out.data(),
-                        sync_out.size() * sizeof(float)),
+  // Cold batched gets: strided + duplicates + a fresh key.
+  const Key fresh = kKeys + 77;
+  std::vector<Key> batch;
+  for (uint64_t i = 0; i < 300; ++i) batch.push_back((i * 13) % kKeys);
+  batch.push_back(batch[0]);
+  batch.push_back(fresh);
+  std::vector<float> out(batch.size() * kDim, 0.0f);
+  BatchResult got;
+  ASSERT_TRUE(table->GetOrInit(batch, out.data(), &got).ok());
+  EXPECT_TRUE(got.AllOk());
+  EXPECT_EQ(got.missing, 1u);
+  EXPECT_GT(table->store()->stats().async_reads_submitted, 0u);
+  for (size_t i = 0; i + 1 < batch.size(); ++i) {
+    for (uint32_t d = 0; d < kDim; ++d) {
+      ASSERT_EQ(out[i * kDim + d], row_value(batch[i], d))
+          << "key " << batch[i] << " lane " << d;
+    }
+  }
+  std::vector<float> init(kDim);
+  InitEmbedding(fresh, kDim, init.data());
+  EXPECT_EQ(std::memcmp(&out[(batch.size() - 1) * kDim], init.data(),
+                        kDim * sizeof(float)),
             0);
+  // The bootstrap row was stored: a plain Get serves it now.
+  std::vector<float> again(kDim, 0.0f);
+  ASSERT_TRUE(table->Get({&fresh, 1}, again.data()).ok());
+  EXPECT_EQ(again, init);
+
+  // Lookahead promotion over cold keys rides the same pipeline.
+  std::vector<Key> ahead;
+  for (Key k = 0; k < 64; ++k) ahead.push_back(k);
+  ASSERT_TRUE(table->Lookahead(ahead).ok());
+  table->WaitLookahead();
+  EXPECT_GT(table->store()->stats().promotions, 0u);
+
+  // Drain-on-close: issue lookaheads and destroy immediately.
+  ASSERT_TRUE(table->Lookahead(ahead).ok());
+  db.reset();
 }
 
 }  // namespace

@@ -182,8 +182,10 @@ TEST(StalenessTest, GenerationAdvancesOnPuts) {
 
 TEST(StalenessTest, ConcurrentPipelineRespectsBound) {
   // Emulates an async training pipeline: a reader thread Gets key k and a
-  // writer thread Puts it back, with the reader allowed to run at most
-  // `bound` Gets ahead. Verify the observed lead never exceeds bound + 1.
+  // writer thread Puts it back. Get admits a read while the record's
+  // staleness is at most the bound and then increments it, so the counter
+  // itself never exceeds bound + 1. Both threads check that on the record's
+  // control word after every operation.
   TempDir dir;
   constexpr uint32_t kBound = 4;
   FasterStore store;
@@ -193,16 +195,21 @@ TEST(StalenessTest, ConcurrentPipelineRespectsBound) {
 
   constexpr int kOps = 3000;
   std::atomic<int> gets_done{0}, puts_done{0};
-  std::atomic<int> max_lead{0};
+  std::atomic<uint32_t> max_staleness{0};
+  const auto observe = [&] {
+    RecordMeta meta;
+    ASSERT_TRUE(store.PeekMeta(1, &meta).ok());
+    const uint32_t s = ControlWord::Staleness(meta.control);
+    uint32_t prev = max_staleness.load();
+    while (s > prev && !max_staleness.compare_exchange_weak(prev, s)) {
+    }
+  };
   std::thread reader([&] {
     double out;
     for (int i = 0; i < kOps; ++i) {
       ASSERT_TRUE(store.Read(1, &out, sizeof(out)).ok());
-      const int lead =
-          gets_done.fetch_add(1) + 1 - puts_done.load(std::memory_order_acquire);
-      int prev = max_lead.load();
-      while (lead > prev && !max_lead.compare_exchange_weak(prev, lead)) {
-      }
+      gets_done.fetch_add(1, std::memory_order_release);
+      observe();
     }
   });
   std::thread writer([&] {
@@ -218,13 +225,16 @@ TEST(StalenessTest, ConcurrentPipelineRespectsBound) {
       if (i % 64 == 0) std::this_thread::yield();
       ASSERT_TRUE(store.Upsert(1, &val, sizeof(val)).ok());
       puts_done.fetch_add(1, std::memory_order_release);
+      observe();
     }
   });
   reader.join();
   writer.join();
-  // The staleness counter allows at most kBound outstanding reads beyond
-  // writes at Get admission; measured lead adds one for the in-flight op.
-  EXPECT_LE(max_lead.load(), static_cast<int>(kBound) + 1);
+  EXPECT_LE(max_staleness.load(), kBound + 1);
+  // One Put per Get: the counter is back where it started.
+  RecordMeta meta;
+  ASSERT_TRUE(store.PeekMeta(1, &meta).ok());
+  EXPECT_EQ(ControlWord::Staleness(meta.control), 0u);
 }
 
 TEST(StalenessTest, UntrackedModeHasNoStalenessEffects) {

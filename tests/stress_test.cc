@@ -415,7 +415,6 @@ TEST(AsyncReadStressTest, ColdWavesVersusWritersAndCompaction) {
   opts.mem_size = 16 * 4096;  // tiny: most of the key space lives on disk
   opts.shard_bits = 2;
   opts.lookahead_threads = 2;
-  opts.io_mode = IoMode::kAsync;
   opts.io_threads = 3;
   std::unique_ptr<Mlkv> db;
   ASSERT_TRUE(Mlkv::Open(opts, &db).ok());
