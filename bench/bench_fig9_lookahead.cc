@@ -26,6 +26,7 @@
 #include "common/random.h"
 #include "io/file_device.h"
 #include "io/temp_dir.h"
+#include "obs/metrics.h"
 #include "train/ctr_trainer.h"
 #include "train/kge_trainer.h"
 
@@ -51,7 +52,7 @@ std::unique_ptr<KvBackend> Make(const TempDir& dir, BackendKind kind,
 struct ColdResult {
   double keys_per_sec = 0;
   uint64_t p50_us = 0, p99_us = 0;
-  BackendIoStats io;
+  uint64_t disk_reads = 0, submitted = 0, refetched = 0;  // mlkv_io_*
 };
 
 ColdResult RunColdConfig(BackendKind kind, uint64_t num_keys,
@@ -108,7 +109,15 @@ ColdResult RunColdConfig(BackendKind kind, uint64_t num_keys,
                      watch.ElapsedSeconds();
   res.p50_us = latency.Percentile(0.50);
   res.p99_us = latency.Percentile(0.99);
-  res.io = backend->io_stats();
+  // The engine's own mlkv_io_* families (docs/OBSERVABILITY.md).
+  obs::MetricsSink sink;
+  backend->CollectMetrics(&sink);
+  for (const obs::MetricsSink::Sample& x : sink.samples()) {
+    const auto v = static_cast<uint64_t>(x.value);
+    if (x.name == "mlkv_io_disk_record_reads_total") res.disk_reads = v;
+    if (x.name == "mlkv_io_async_reads_submitted_total") res.submitted = v;
+    if (x.name == "mlkv_io_async_reads_refetched_total") res.refetched = v;
+  }
   return res;
 }
 
@@ -150,9 +159,9 @@ int RunColdSweep(const Flags& flags) {
       t.Cell(Human(res.keys_per_sec));
       t.Cell(static_cast<double>(res.p50_us) / 1000.0, "%.2f");
       t.Cell(static_cast<double>(res.p99_us) / 1000.0, "%.2f");
-      t.Cell(res.io.disk_record_reads);
-      t.Cell(res.io.async_reads_submitted);
-      t.Cell(res.io.async_reads_refetched);
+      t.Cell(res.disk_reads);
+      t.Cell(res.submitted);
+      t.Cell(res.refetched);
       t.EndRow();
       if (kind != BackendKind::kMlkv) continue;
       if (threads == 1) one_kps = res.keys_per_sec;

@@ -31,6 +31,7 @@
 #include "io/temp_dir.h"
 #include "mlkv/mlkv.h"
 #include "net/kv_server.h"
+#include "obs/metrics.h"
 #include "serve/embedding_server.h"
 #include "serve/tinylfu.h"
 
@@ -171,11 +172,11 @@ void RunRemoteRow(const Setup& s, bool zipf, Table* t) {
   }
   for (auto& th : workers) th.join();
   const double secs = watch.ElapsedSeconds();
-  const net::StatsSnapshot st = server.stats();
+  const Histogram& latency = server.request_latency();
   t->Cell(zipf ? "zipfian" : "uniform");
   t->Cell(Human(static_cast<double>(lookups.load()) / secs));
-  t->Cell(st.latency_p50_us);
-  t->Cell(st.latency_p99_us);
+  t->Cell(latency.Percentile(0.50));
+  t->Cell(latency.Percentile(0.99));
   t->EndRow();
   remote.reset();
   server.Stop();
@@ -309,7 +310,15 @@ HedgeRowResult RunHedgeRow(const Setup& s, HedgeCluster* hc, uint64_t hedge_us,
   const double secs = watch.ElapsedSeconds();
 
   HedgeRowResult r;
-  r.rpcs = cb->io_stats().remote_requests;
+  // RPCs the cluster client issued (hedges included), summed over its
+  // endpoint clients by ClusterBackend::CollectMetrics.
+  obs::MetricsSink sink;
+  cb->CollectMetrics(&sink);
+  for (const obs::MetricsSink::Sample& x : sink.samples()) {
+    if (x.name == "mlkv_net_rpc_requests_total") {
+      r.rpcs += static_cast<uint64_t>(x.value);
+    }
+  }
   r.p50 = lat.Percentile(0.50);
   r.p99 = lat.Percentile(0.99);
   r.p999 = lat.Percentile(0.999);

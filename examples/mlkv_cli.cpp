@@ -22,6 +22,7 @@
 //                        [--cluster_self <addr>] [--replica_of <addr>]
 //   mlkv_cli - remote-get --addr <host:port> <key>
 //   mlkv_cli - remote-put --addr <host:port> <key> <v0,v1,...>
+//   mlkv_cli - stats --addr <host:port> [--watch N]
 //   mlkv_cli - cluster-status --addr <host:port>
 //
 // Demonstrates the operational surface of the library: the manifest
@@ -50,6 +51,7 @@
 #include "net/kv_server.h"
 #include "net/remote_backend.h"
 #include "net/socket.h"
+#include "obs/metrics.h"
 #include "obs/metrics_http.h"
 
 using namespace mlkv;
@@ -97,9 +99,9 @@ int Usage() {
       "        [--replica_poll_ms N] [--replica_state <path>]\n"
       "  remote-get --addr <h:p> <key>       read from a running server\n"
       "  remote-put --addr <h:p> <key> <csv> write to a running server\n"
-      "  stats --addr <h:p> [--watch N] [--metrics_addr h:p]\n"
-      "       counters of a running server (--watch repeats every N s;\n"
-      "       --metrics_addr also dumps its Prometheus exposition)\n"
+      "  stats --addr <h:p> [--watch N]      a running server's metrics as\n"
+      "       Prometheus text, the same as its /metrics (--watch repeats\n"
+      "       every N s)\n"
       "  cluster-status --addr <h:p>         map + per-endpoint health\n"
       "  (remote-*/stats/cluster-status ignore <dir>; pass '-')\n");
   return 2;
@@ -200,8 +202,9 @@ std::vector<std::string> SplitKeepEmpty(const std::string& csv) {
   return out;
 }
 
-// Every flag `serve` reads. Anything else is rejected, so a stale or
-// misspelled flag fails loudly instead of silently serving the defaults.
+// Every flag `serve` and `stats --addr` read. Anything else is rejected,
+// so a stale or misspelled flag fails loudly instead of silently running
+// the defaults.
 constexpr const char* kServeFlags[] = {
     "addr", "backend", "cache_admission", "checkpoint_mode", "cluster_addrs",
     "cluster_epoch", "cluster_replicas", "cluster_self", "dim",
@@ -210,15 +213,24 @@ constexpr const char* kServeFlags[] = {
     "replica_poll_ms", "replica_state", "request_threads", "route_bits",
     "serve_cache", "slow_request_us", "staleness", "workers",
 };
+constexpr const char* kStatsFlags[] = {"addr", "watch"};
 
-int RunServe(const std::string& dir, ArgList& args) {
+template <size_t N>
+bool OnlyKnownFlags(const ArgList& args, const char* cmd,
+                    const char* const (&known)[N]) {
   for (const auto& [name, value] : args.flags) {
-    if (std::find(std::begin(kServeFlags), std::end(kServeFlags), name) ==
-        std::end(kServeFlags)) {
-      std::fprintf(stderr, "error: unknown serve flag --%s\n", name.c_str());
-      return Usage();
+    if (std::find(std::begin(known), std::end(known), name) ==
+        std::end(known)) {
+      std::fprintf(stderr, "error: unknown %s flag --%s\n", cmd,
+                   name.c_str());
+      return false;
     }
   }
+  return true;
+}
+
+int RunServe(const std::string& dir, ArgList& args) {
+  if (!OnlyKnownFlags(args, "serve", kServeFlags)) return Usage();
   const std::string addr = args.Flag("addr", "127.0.0.1:0");
   BackendKind kind = BackendKind::kMlkv;
   if (!ParseBackendKind(args.Flag("backend", "mlkv"), &kind)) return Usage();
@@ -350,6 +362,7 @@ int RunServe(const std::string& dir, ArgList& args) {
   // Replica mode: tail a primary's committed-update feed into this
   // server's backend; the resume token survives restarts next to the data.
   std::unique_ptr<cluster::Replicator> replicator;
+  uint64_t replicator_collector = 0;
   const std::string replica_of = args.Flag("replica_of");
   if (!replica_of.empty()) {
     cluster::ReplicatorOptions ro;
@@ -358,18 +371,16 @@ int RunServe(const std::string& dir, ArgList& args) {
         args.Flag("replica_poll_ms", "20").c_str(), nullptr, 10);
     ro.state_path = args.Flag("replica_state", dir + "/replica.state");
     replicator = std::make_unique<cluster::Replicator>(server.backend(), ro);
-    cluster::Replicator* rep = replicator.get();
-    server.SetStatsSource([rep](net::StatsSnapshot* st) {
-      const cluster::ReplicationProgress p = rep->progress();
-      st->replicated_records = p.replicated_records;
-      st->replica_lag_records = p.replica_lag_records;
-      st->replication_reconnects = p.reconnects;
-    });
     s = replicator->Start();
     if (!s.ok()) {
       server.Stop();
       return Fail(s);
     }
+    // Registered under the registry mutex, so a concurrent scrape or
+    // kStats sees the replicator's families either fully or not at all.
+    cluster::Replicator* rep = replicator.get();
+    replicator_collector = server.metrics()->AddCollector(
+        [rep](obs::MetricsSink* sink) { rep->CollectMetrics(sink); });
     std::printf("replicating from %s (state: %s)\n", replica_of.c_str(),
                 ro.state_path.c_str());
   }
@@ -388,36 +399,44 @@ int RunServe(const std::string& dir, ArgList& args) {
     std::this_thread::sleep_for(std::chrono::milliseconds(100));
   }
   std::printf("\nstopping...\n");
-  if (replicator != nullptr) replicator->Stop();
-  const net::StatsSnapshot st = server.stats();
+  if (replicator != nullptr) {
+    server.metrics()->RemoveCollector(replicator_collector);
+    replicator->Stop();
+  }
+  // The summary reads the same exposition kStats and /metrics serve;
+  // families an engine does not emit print as 0.
+  const std::string text = server.metrics()->ExpositionText();
   server.Stop();
+  auto sample = [&text](const char* series) {
+    double v = 0;
+    obs::FindSample(text, series, &v);
+    return static_cast<unsigned long long>(v);
+  };
   std::printf("served %llu requests over %llu connections "
               "(p50=%lluus p99=%lluus)\n",
-              (unsigned long long)st.requests,
-              (unsigned long long)st.connections,
-              (unsigned long long)st.latency_p50_us,
-              (unsigned long long)st.latency_p99_us);
-  // The tier comes back through the stats snapshot (it is also on the
-  // wire for remote stats clients), not re-detected here.
+              sample("mlkv_server_handled_requests_total"),
+              sample("mlkv_server_connections_total"),
+              (unsigned long long)server.request_latency().Percentile(0.50),
+              (unsigned long long)server.request_latency().Percentile(0.99));
   std::printf("kernels: %s tier for fused optimizer updates and row "
               "copies\n",
-              simd::KernelTierName(
-                  static_cast<simd::KernelTier>(st.kernel_tier)));
+              simd::KernelTierName(static_cast<simd::KernelTier>(
+                  sample("mlkv_simd_kernel_tier"))));
   std::printf("storage io: %llu disk record reads, %llu pages flushed, "
               "%llu evicted; async reads %llu submitted / %llu completed / "
               "%llu refetched\n",
-              (unsigned long long)st.disk_record_reads,
-              (unsigned long long)st.pages_flushed,
-              (unsigned long long)st.pages_evicted,
-              (unsigned long long)st.async_reads_submitted,
-              (unsigned long long)st.async_reads_completed,
-              (unsigned long long)st.async_reads_refetched);
+              sample("mlkv_io_disk_record_reads_total"),
+              sample("mlkv_io_pages_flushed_total"),
+              sample("mlkv_io_pages_evicted_total"),
+              sample("mlkv_io_async_reads_submitted_total"),
+              sample("mlkv_io_async_reads_completed_total"),
+              sample("mlkv_io_async_reads_refetched_total"));
   std::printf("write pipeline: async writes %llu submitted / %llu completed; "
               "%llu fsyncs, %llu group commits\n",
-              (unsigned long long)st.async_writes_submitted,
-              (unsigned long long)st.async_writes_completed,
-              (unsigned long long)st.fsyncs,
-              (unsigned long long)st.group_commits);
+              sample("mlkv_io_async_writes_submitted_total"),
+              sample("mlkv_io_async_writes_completed_total"),
+              sample("mlkv_io_fsyncs_total"),
+              sample("mlkv_io_group_commits_total"));
   if (replicator != nullptr) {
     const cluster::ReplicationProgress p = replicator->progress();
     std::printf("replication: %llu records applied, %llu behind, "
@@ -431,52 +450,15 @@ int RunServe(const std::string& dir, ArgList& args) {
   return 0;
 }
 
-void PrintStatsSnapshot(const net::StatsSnapshot& st) {
-  std::printf("requests=%llu connections=%llu transport_errors=%llu "
-              "p50=%lluus p99=%lluus\n",
-              (unsigned long long)st.requests,
-              (unsigned long long)st.connections,
-              (unsigned long long)st.transport_errors,
-              (unsigned long long)st.latency_p50_us,
-              (unsigned long long)st.latency_p99_us);
-  std::printf("ops:");
-  for (uint8_t raw = 0; raw < net::kOpcodeSlots; ++raw) {
-    if (!net::ValidOpcode(raw) || st.op_counts[raw] == 0) continue;
-    std::printf(" %s=%llu", net::OpcodeName(static_cast<net::Opcode>(raw)),
-                (unsigned long long)st.op_counts[raw]);
-  }
-  std::printf("\n");
-  std::printf("io: disk_reads=%llu pages_flushed=%llu pages_evicted=%llu "
-              "async_reads=%llu/%llu (refetched=%llu)\n",
-              (unsigned long long)st.disk_record_reads,
-              (unsigned long long)st.pages_flushed,
-              (unsigned long long)st.pages_evicted,
-              (unsigned long long)st.async_reads_submitted,
-              (unsigned long long)st.async_reads_completed,
-              (unsigned long long)st.async_reads_refetched);
-  std::printf("writes: async=%llu/%llu fsyncs=%llu group_commits=%llu\n",
-              (unsigned long long)st.async_writes_submitted,
-              (unsigned long long)st.async_writes_completed,
-              (unsigned long long)st.fsyncs,
-              (unsigned long long)st.group_commits);
-  std::printf("replication: records=%llu lag=%llu reconnects=%llu\n",
-              (unsigned long long)st.replicated_records,
-              (unsigned long long)st.replica_lag_records,
-              (unsigned long long)st.replication_reconnects);
-  std::printf("kernels: %s\n",
-              simd::KernelTierName(
-                  static_cast<simd::KernelTier>(st.kernel_tier)));
-}
-
-// `mlkv_cli - stats --addr <h:p>`: the kStats snapshot of a running
-// server, optionally repeated (--watch N seconds) and paired with the
-// server's Prometheus exposition (--metrics_addr).
+// `mlkv_cli - stats --addr <h:p>`: a running server's metrics exposition
+// over kStats — the text its /metrics endpoint serves — optionally
+// repeated every --watch N seconds.
 int RunRemoteStats(ArgList& args) {
+  if (!OnlyKnownFlags(args, "stats", kStatsFlags)) return Usage();
   const std::string addr = args.Flag("addr");
   if (addr.empty()) return Usage();
   const uint64_t watch_s =
       std::strtoull(args.Flag("watch", "0").c_str(), nullptr, 10);
-  const std::string metrics_addr = args.Flag("metrics_addr");
 
   std::unique_ptr<net::RemoteBackend> remote;
   net::RemoteBackendOptions o;
@@ -488,17 +470,13 @@ int RunRemoteStats(ArgList& args) {
   std::signal(SIGINT, HandleStopSignal);
   std::signal(SIGTERM, HandleStopSignal);
   for (;;) {
-    net::StatsSnapshot st;
-    s = remote->FetchStats(&st);
+    std::string text;
+    s = remote->FetchStats(&text);
     if (!s.ok()) return Fail(s);
-    std::printf("--- %s ---\n", addr.c_str());
-    PrintStatsSnapshot(st);
-    if (!metrics_addr.empty()) {
-      std::string body;
-      s = obs::HttpGet(metrics_addr, "/metrics", &body);
-      if (!s.ok()) return Fail(s);
-      std::printf("%s", body.c_str());
-    }
+    // A lone fetch prints the bare exposition, so it can be piped to
+    // scripts/check_metrics.sh; --watch separates the repeats.
+    if (watch_s != 0) std::printf("--- %s ---\n", addr.c_str());
+    std::fwrite(text.data(), 1, text.size(), stdout);
     std::fflush(stdout);
     if (watch_s == 0 || g_stop_requested) break;
     for (uint64_t i = 0; i < watch_s * 10 && !g_stop_requested; ++i) {
@@ -556,22 +534,30 @@ int RunClusterStatus(ArgList& args) {
       continue;
     }
     const net::HandshakeInfo& hs = c->handshake_info();
-    net::StatsSnapshot st;
-    if (!c->FetchStats(&st).ok()) {
+    std::string text;
+    if (!c->FetchStats(&text).ok()) {
       std::printf("%-22s up, role %s (stats unavailable)\n", ep.c_str(),
                   kRoles[hs.cluster_role <= 2 ? hs.cluster_role : 0]);
       continue;
     }
-    std::printf("%-22s up, role %-10s epoch %-4llu %llu reqs "
-                "(p50=%lluus p99=%lluus) replicated=%llu lag=%llu\n",
+    // Replicator families exist only on replicas; absent reads as 0.
+    auto sample = [&text](const char* series) {
+      double v = 0;
+      obs::FindSample(text, series, &v);
+      return v;
+    };
+    const double n = sample("mlkv_server_request_latency_seconds_count");
+    const double mean_us =
+        n > 0 ? 1e6 * sample("mlkv_server_request_latency_seconds_sum") / n
+              : 0.0;
+    std::printf("%-22s up, role %-10s epoch %-4llu %.0f reqs "
+                "(mean=%.0fus) replicated=%.0f lag=%.0f\n",
                 ep.c_str(),
                 kRoles[hs.cluster_role <= 2 ? hs.cluster_role : 0],
                 (unsigned long long)hs.cluster_epoch,
-                (unsigned long long)st.requests,
-                (unsigned long long)st.latency_p50_us,
-                (unsigned long long)st.latency_p99_us,
-                (unsigned long long)st.replicated_records,
-                (unsigned long long)st.replica_lag_records);
+                sample("mlkv_server_handled_requests_total"), mean_us,
+                sample("mlkv_replicator_records_total"),
+                sample("mlkv_replicator_lag_records"));
   }
   return 0;
 }

@@ -134,12 +134,16 @@ fi
 # One observability smoke: serve a store with --metrics_addr, scrape
 # GET /metrics, keep the exposition as an artifact, and validate it with
 # scripts/check_metrics.sh (duplicate families, bad names, histogram
-# invariants). See docs/OBSERVABILITY.md for the metric catalog.
+# invariants). The same registry also answers the wire kStats opcode
+# (`mlkv_cli - stats --addr`): that text is validated too, and its
+# # TYPE family list must match the /metrics scrape's. See
+# docs/OBSERVABILITY.md for the metric catalog.
 cli="${build_dir}/examples/mlkv_cli"
 if [[ -x "${cli}" ]] && command -v curl > /dev/null; then
   echo "=== mlkv_cli serve --metrics_addr + /metrics scrape"
   obs_dir="$(mktemp -d)"
   trap 'rm -rf "${obs_dir}"' EXIT
+  rm -f "${log_dir}/metrics_stats.prom"
   "${cli}" "${obs_dir}/store" create smoke 8 16 adagrad \
     > "${log_dir}/metrics_scrape_serve.txt"
   "${cli}" "${obs_dir}/store" serve --addr 127.0.0.1:7399 --backend mlkv \
@@ -163,7 +167,8 @@ if [[ -x "${cli}" ]] && command -v curl > /dev/null; then
     "${cli}" - remote-get --addr 127.0.0.1:7399 1 \
       >> "${log_dir}/metrics_scrape_serve.txt"
     "${cli}" - stats --addr 127.0.0.1:7399 \
-      >> "${log_dir}/metrics_scrape_serve.txt"
+      > "${log_dir}/metrics_stats.prom" \
+      2>> "${log_dir}/metrics_scrape_serve.txt" || true
     curl -fsS --max-time 2 http://127.0.0.1:7398/nope \
       -o /dev/null 2> /dev/null || true  # 404 path: must not wedge serving
     curl -fsS http://127.0.0.1:7398/metrics \
@@ -176,6 +181,16 @@ if [[ -x "${cli}" ]] && command -v curl > /dev/null; then
     failed=1
   elif ! scripts/check_metrics.sh "${log_dir}/metrics_scrape.prom"; then
     echo "FAILED: check_metrics.sh rejected the exposition" >&2
+    failed=1
+  elif [[ ! -s "${log_dir}/metrics_stats.prom" ]]; then
+    echo "FAILED: mlkv_cli stats --addr printed no exposition" >&2
+    failed=1
+  elif ! scripts/check_metrics.sh "${log_dir}/metrics_stats.prom"; then
+    echo "FAILED: check_metrics.sh rejected the kStats exposition" >&2
+    failed=1
+  elif ! diff <(grep '^# TYPE ' "${log_dir}/metrics_scrape.prom") \
+      <(grep '^# TYPE ' "${log_dir}/metrics_stats.prom"); then
+    echo "FAILED: kStats and /metrics expose different families" >&2
     failed=1
   fi
 fi

@@ -44,21 +44,6 @@ namespace mlkv {
 
 namespace {
 
-BackendIoStats IoStatsFrom(const FasterStatsSnapshot& s) {
-  BackendIoStats io;
-  io.disk_record_reads = s.disk_record_reads;
-  io.pages_flushed = s.pages_flushed;
-  io.pages_evicted = s.pages_evicted;
-  io.async_reads_submitted = s.async_reads_submitted;
-  io.async_reads_completed = s.async_reads_completed;
-  io.async_reads_refetched = s.async_reads_refetched;
-  io.async_writes_submitted = s.async_writes_submitted;
-  io.async_writes_completed = s.async_writes_completed;
-  io.fsyncs = s.fsyncs;
-  io.group_commits = s.group_commits;
-  return io;
-}
-
 // Replication feed over a ShardedStore (shared by the MLKV and FASTER
 // adapters): one poll of shard `shard`'s committed-update stream. Persists
 // the shard first — replication is a durability consumer, and in
@@ -106,7 +91,7 @@ Status ApplyShardUpdate(ShardedStore* store, const UpdateEntry& e) {
 // Scrape-time families shared by the hybrid-log adapters (MLKV tables and
 // the FASTER baseline): per-shard op counts — the live load signal ROADMAP
 // item 3's shard balancing needs — plus aggregate store behavior and size
-// gauges. The io_* families come from the base CollectMetrics.
+// gauges, and the disk-path and I/O-pipeline (mlkv_io_*) counters.
 void EmitStoreMetrics(ShardedStore* store, obs::MetricsSink* sink) {
   for (size_t i = 0; i < store->num_shards(); ++i) {
     const FasterStatsSnapshot s = store->shard(i)->stats();
@@ -153,6 +138,31 @@ void EmitStoreMetrics(ShardedStore* store, obs::MetricsSink* sink) {
                  static_cast<double>(store->log_span_bytes()));
   sink->AddGauge("mlkv_store_index_slots", "Hash index slot count",
                  static_cast<double>(store->index_slots()));
+  sink->AddCounter("mlkv_io_disk_record_reads_total",
+                   "Record fetches served from disk", s.disk_record_reads);
+  sink->AddCounter("mlkv_io_pages_flushed_total",
+                   "Log pages flushed to disk", s.pages_flushed);
+  sink->AddCounter("mlkv_io_pages_evicted_total",
+                   "Log pages evicted from memory", s.pages_evicted);
+  sink->AddCounter("mlkv_io_async_reads_submitted_total",
+                   "Pending-read fetches handed to the AsyncIoEngine",
+                   s.async_reads_submitted);
+  sink->AddCounter("mlkv_io_async_reads_completed_total",
+                   "Pending-read fetches that landed",
+                   s.async_reads_completed);
+  sink->AddCounter("mlkv_io_async_reads_refetched_total",
+                   "Pending reads that fell back to a synchronous re-read",
+                   s.async_reads_refetched);
+  sink->AddCounter("mlkv_io_async_writes_submitted_total",
+                   "Flush-wave pages submitted to the AsyncIoEngine",
+                   s.async_writes_submitted);
+  sink->AddCounter("mlkv_io_async_writes_completed_total",
+                   "Flush-wave pages completed", s.async_writes_completed);
+  sink->AddCounter("mlkv_io_fsyncs_total", "fsyncs issued (flush + commit)",
+                   s.fsyncs);
+  sink->AddCounter("mlkv_io_group_commits_total",
+                   "Group commits batching more than one committer",
+                   s.group_commits);
 }
 
 // Deduplicated view of one batch: `unique` holds first occurrences in
@@ -482,9 +492,6 @@ class MlkvBackend : public KvBackend {
         ->store()
         ->device_bytes_written();
   }
-  BackendIoStats io_stats() const override {
-    return IoStatsFrom(const_cast<EmbeddingTable*>(table_)->store()->stats());
-  }
   void CollectMetrics(obs::MetricsSink* sink) const override {
     KvBackend::CollectMetrics(sink);
     EmitStoreMetrics(const_cast<EmbeddingTable*>(table_)->store(), sink);
@@ -634,9 +641,6 @@ class FasterBackend : public KvBackend {
   }
   uint64_t device_bytes_written() const override {
     return store_.device_bytes_written();
-  }
-  BackendIoStats io_stats() const override {
-    return IoStatsFrom(store_.stats());
   }
   void CollectMetrics(obs::MetricsSink* sink) const override {
     KvBackend::CollectMetrics(sink);
@@ -927,7 +931,6 @@ class CachingBackend : public KvBackend {
   uint64_t device_bytes_written() const override {
     return inner_->device_bytes_written();
   }
-  BackendIoStats io_stats() const override { return inner_->io_stats(); }
 
   void CollectMetrics(obs::MetricsSink* sink) const override {
     inner_->CollectMetrics(sink);
@@ -1024,52 +1027,13 @@ BatchResult KvBackend::MultiApplyGradient(std::span<const Key> keys,
   return result;
 }
 
-// Default scrape: every backend at least exposes its storage-I/O counters,
-// network-path counters, replication counters, and device byte totals —
-// zeros where a subsystem does not exist, so the family set is stable
-// across engines and scrapers never see families appear mid-run.
+// Default scrape: device byte totals, which every engine reports (zeros
+// where it has no device).
 void KvBackend::CollectMetrics(obs::MetricsSink* sink) const {
-  const BackendIoStats io = io_stats();
-  sink->AddCounter("mlkv_io_disk_record_reads_total",
-                   "Record fetches served from disk", io.disk_record_reads);
-  sink->AddCounter("mlkv_io_pages_flushed_total",
-                   "Log pages flushed to disk", io.pages_flushed);
-  sink->AddCounter("mlkv_io_pages_evicted_total",
-                   "Log pages evicted from memory", io.pages_evicted);
-  sink->AddCounter("mlkv_io_async_reads_submitted_total",
-                   "Pending-read fetches handed to the AsyncIoEngine",
-                   io.async_reads_submitted);
-  sink->AddCounter("mlkv_io_async_reads_completed_total",
-                   "Pending-read fetches that landed",
-                   io.async_reads_completed);
-  sink->AddCounter("mlkv_io_async_reads_refetched_total",
-                   "Pending reads that fell back to a synchronous re-read",
-                   io.async_reads_refetched);
-  sink->AddCounter("mlkv_io_async_writes_submitted_total",
-                   "Flush-wave pages submitted to the AsyncIoEngine",
-                   io.async_writes_submitted);
-  sink->AddCounter("mlkv_io_async_writes_completed_total",
-                   "Flush-wave pages completed", io.async_writes_completed);
-  sink->AddCounter("mlkv_io_fsyncs_total", "fsyncs issued (flush + commit)",
-                   io.fsyncs);
-  sink->AddCounter("mlkv_io_group_commits_total",
-                   "Group commits batching more than one committer",
-                   io.group_commits);
   sink->AddCounter("mlkv_io_device_read_bytes_total",
                    "Bytes read from storage devices", device_bytes_read());
   sink->AddCounter("mlkv_io_device_written_bytes_total",
                    "Bytes written to storage devices", device_bytes_written());
-  sink->AddCounter("mlkv_net_rpc_requests_total",
-                   "RPCs issued to remote KvServers", io.remote_requests);
-  sink->AddCounter("mlkv_net_rpc_retries_total",
-                   "Fresh-socket retries after a dead pooled connection",
-                   io.remote_retries);
-  sink->AddCounter("mlkv_replication_records_total",
-                   "Replicated update records applied",
-                   io.replicated_records);
-  sink->AddGauge("mlkv_replication_lag_records",
-                 "Update records the replica has not yet applied",
-                 static_cast<double>(io.replica_lag_records));
 }
 
 const char* BackendKindName(BackendKind kind) {

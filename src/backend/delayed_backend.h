@@ -63,7 +63,6 @@ class DelayedBackend : public KvBackend {
   uint64_t device_bytes_written() const override {
     return inner_->device_bytes_written();
   }
-  BackendIoStats io_stats() const override { return inner_->io_stats(); }
   void CollectMetrics(obs::MetricsSink* sink) const override {
     inner_->CollectMetrics(sink);
   }

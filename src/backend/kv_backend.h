@@ -56,34 +56,6 @@ class MetricsSink;
 // layout hint, so the hint cannot drift from the store's actual routing.
 inline constexpr uint32_t kAutoShardBits = UINT32_MAX;
 
-// Storage-I/O behavior counters aggregated across an engine's shards:
-// what the disk path did (record reads, page traffic) and how the
-// pending-read pipeline behaved (submissions, completions, fallback
-// re-reads). Engines without a disk pipeline report zeros. Served over the
-// wire by the kStats opcode so remote operators see the same numbers.
-struct BackendIoStats {
-  uint64_t disk_record_reads = 0;
-  uint64_t pages_flushed = 0;
-  uint64_t pages_evicted = 0;
-  uint64_t async_reads_submitted = 0;
-  uint64_t async_reads_completed = 0;
-  uint64_t async_reads_refetched = 0;
-  // Write pipeline: flush-wave submissions/completions through the
-  // AsyncIoEngine, fsyncs issued (flush + group commits), and how many
-  // group commits batched more than one committer behind a single fsync.
-  uint64_t async_writes_submitted = 0;
-  uint64_t async_writes_completed = 0;
-  uint64_t fsyncs = 0;
-  uint64_t group_commits = 0;
-  // Network-path counters (kRemote / kCluster adapters; zeros elsewhere):
-  // RPCs issued, transparent fresh-socket retries after a dead pooled
-  // connection, and replication records applied / pending (replica role).
-  uint64_t remote_requests = 0;
-  uint64_t remote_retries = 0;
-  uint64_t replicated_records = 0;
-  uint64_t replica_lag_records = 0;
-};
-
 struct MultiGetOptions {
   // Initialize absent keys deterministically from the key (the standard
   // embedding-table bootstrap, identical across engines so convergence
@@ -159,16 +131,13 @@ class KvBackend {
   virtual uint64_t device_bytes_read() const { return 0; }
   virtual uint64_t device_bytes_written() const { return 0; }
 
-  // Aggregated storage-I/O counters (see BackendIoStats); engines without
-  // a disk pipeline keep the zero default.
-  virtual BackendIoStats io_stats() const { return {}; }
-
   // Scrape-time metrics: writes this backend's families into `sink`
   // (Prometheus exposition via obs::MetricsRegistry collectors — see
   // docs/OBSERVABILITY.md for the catalog). The base implementation emits
-  // the io_stats() counters plus device byte totals; engines with richer
-  // state (per-shard ops, cache shards, per-endpoint RPC counters) extend
-  // it. Decorators and routing backends forward to their inner backends.
+  // the device byte totals; each engine adds the families whose counters
+  // it owns (the hybrid-log engines their store and disk-pipeline
+  // counters, RemoteBackend/ClusterBackend their RPC counters). Decorators
+  // forward to their inner backends.
   virtual void CollectMetrics(obs::MetricsSink* sink) const;
 
   // --- Replication feed (cluster mode; see docs/CLUSTER.md) ---

@@ -219,26 +219,22 @@ Status ClusterBackend::Lookahead(std::span<const Key> keys) {
   return Status::OK();
 }
 
-BackendIoStats ClusterBackend::io_stats() const {
-  BackendIoStats total;
+void ClusterBackend::CollectMetrics(obs::MetricsSink* sink) const {
+  KvBackend::CollectMetrics(sink);
   std::vector<Endpoint*> eps;
   {
     std::lock_guard<std::mutex> lock(ep_mu_);
     eps.reserve(endpoints_.size());
     for (const auto& e : endpoints_) eps.push_back(e.get());
   }
+  uint64_t rpc_requests = 0, rpc_retries = 0;
   for (Endpoint* ep : eps) {
     std::lock_guard<std::mutex> lock(ep->mu);
     if (!ep->client) continue;
-    const BackendIoStats s = ep->client->io_stats();
-    total.remote_requests += s.remote_requests;
-    total.remote_retries += s.remote_retries;
+    rpc_requests += ep->client->rpc_requests();
+    rpc_retries += ep->client->rpc_retries();
   }
-  return total;
-}
-
-void ClusterBackend::CollectMetrics(obs::MetricsSink* sink) const {
-  KvBackend::CollectMetrics(sink);
+  net::RemoteBackend::AddRpcMetrics(rpc_requests, rpc_retries, sink);
   for (const EndpointStats& s : endpoint_stats()) {
     sink->AddCounter("mlkv_cluster_endpoint_requests_total",
                      "Sub-batches routed to this cluster endpoint.",

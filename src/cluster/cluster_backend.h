@@ -121,10 +121,9 @@ class ClusterBackend : public KvBackend {
   // Best-effort: forwards the hint to each touched partition's primary.
   Status Lookahead(std::span<const Key> keys) override;
 
-  // Sums every endpoint client's counters (remote_requests/remote_retries).
-  BackendIoStats io_stats() const override;
-
-  // Base families plus the per-endpoint routing counters
+  // Base families, the RPC counters summed over every endpoint client
+  // (mlkv_net_rpc_requests_total / mlkv_net_rpc_retries_total), the
+  // per-endpoint routing counters
   // (mlkv_cluster_endpoint_requests_total{endpoint=} /
   // mlkv_cluster_endpoint_failovers_total{endpoint=}) and the client's
   // current map epoch.

@@ -5,6 +5,7 @@
 #include <fstream>
 
 #include "net/wire.h"
+#include "obs/metrics.h"
 
 namespace mlkv {
 namespace cluster {
@@ -49,6 +50,19 @@ ReplicationProgress Replicator::progress() const {
   p.connected = connected_.load(std::memory_order_acquire);
   p.caught_up = caught_up_.load(std::memory_order_acquire);
   return p;
+}
+
+void Replicator::CollectMetrics(obs::MetricsSink* sink) const {
+  sink->AddCounter("mlkv_replicator_records_total",
+                   "Update records fetched and applied by the replication "
+                   "tailer",
+                   replicated_.load(std::memory_order_relaxed));
+  sink->AddGauge("mlkv_replicator_lag_records",
+                 "Fetched-but-unapplied update records (0 = caught up)",
+                 static_cast<double>(lag_.load(std::memory_order_relaxed)));
+  sink->AddCounter("mlkv_replicator_reconnects_total",
+                   "Primary connection re-establishments",
+                   reconnects_.load(std::memory_order_relaxed));
 }
 
 bool Replicator::WaitCaughtUp(uint64_t timeout_ms) {

@@ -45,8 +45,8 @@ struct ReplicatorOptions {
   std::string state_path;
 };
 
-// Point-in-time replication counters (also fed into the replica server's
-// kStats via KvServer::SetStatsSource).
+// Point-in-time replication counters (the replica server's registry
+// scrapes them through Replicator::CollectMetrics).
 struct ReplicationProgress {
   uint64_t replicated_records = 0;  // entries applied locally
   uint64_t replica_lag_records = 0;  // fetched but not yet applied
@@ -73,6 +73,11 @@ class Replicator {
   void Stop();
 
   ReplicationProgress progress() const;
+  // Scrape-time families: mlkv_replicator_records_total,
+  // mlkv_replicator_lag_records, mlkv_replicator_reconnects_total. A
+  // replica KvServer registers this with metrics()->AddCollector and
+  // removes the collector before the replicator dies.
+  void CollectMetrics(obs::MetricsSink* sink) const;
   // Blocks until a round that started after this call found nothing left
   // to ship (or timeout) — i.e. the replica holds everything the primary
   // had committed before the wait began.

@@ -12,8 +12,10 @@ namespace mlkv {
 
 class Histogram {
  public:
-  static constexpr int kSubBits = 4;                 // 16 linear sub-buckets
-  static constexpr int kBuckets = 64 << kSubBits;    // covers full uint64
+  static constexpr int kSubBits = 4;  // 16 linear sub-buckets
+  // Exactly the range BucketFor can return (BucketFor(UINT64_MAX) is the
+  // last bucket), so every bucket's RepresentativeValue fits in a uint64.
+  static constexpr int kBuckets = (64 - kSubBits + 1) << kSubBits;
 
   Histogram() { Reset(); }
 

@@ -35,8 +35,8 @@
 
 namespace mlkv::simd {
 
-// Wire-stable: encoded as a u8 in StatsSnapshot (net/wire.h), so values
-// must not be renumbered.
+// Exposition-stable: the value of the mlkv_simd_kernel_tier gauge that
+// /metrics and kStats serve, so values must not be renumbered.
 enum class KernelTier : uint8_t {
   kScalar = 0,
   kAvx2Fma = 1,

@@ -159,23 +159,6 @@ void KvServer::CollectServerMetrics(obs::MetricsSink* sink) const {
                    "This endpoint's role (0 standalone, 1 primary, 2 replica)",
                    static_cast<double>(RoleUnder(*cv.map, cv.self)));
   }
-  if (stats_source_) {
-    // The Replicator's counters arrive through the same seam kStats uses;
-    // names are distinct from the backend's mlkv_replication_* (which
-    // count updates a backend applied, not what the tailer fetched).
-    StatsSnapshot s;
-    stats_source_(&s);
-    sink->AddCounter("mlkv_replicator_records_total",
-                     "Update records fetched and applied by the replication "
-                     "tailer",
-                     s.replicated_records);
-    sink->AddGauge("mlkv_replicator_lag_records",
-                   "Fetched-but-unapplied update records (0 = caught up)",
-                   static_cast<double>(s.replica_lag_records));
-    sink->AddCounter("mlkv_replicator_reconnects_total",
-                     "Primary connection re-establishments",
-                     s.replication_reconnects);
-  }
   backend_->CollectMetrics(sink);
 }
 
@@ -617,7 +600,9 @@ bool KvServer::HandleRequest(Socket* conn, const FrameHeader& hdr,
       break;
     }
     case Opcode::kStats: {
-      EncodeStatsSnapshot(stats(), &body);
+      // The registry's exposition, raw to the end of the frame.
+      const std::string text = metrics_->ExpositionText();
+      body.Bytes(reinterpret_cast<const uint8_t*>(text.data()), text.size());
       break;
     }
     case Opcode::kPing: {
@@ -744,39 +729,6 @@ void KvServer::FinishTrace(obs::RequestTrace* trace) {
   } else {
     std::fwrite(report.data(), 1, report.size(), stderr);
   }
-}
-
-StatsSnapshot KvServer::stats() const {
-  // A view over the registry cells — kStats and /metrics read the same
-  // storage, so they cannot disagree.
-  StatsSnapshot s;
-  for (size_t i = 0; i < kOpcodeSlots; ++i) {
-    s.op_counts[i] = op_cells_[i] != nullptr ? op_cells_[i]->value() : 0;
-  }
-  s.connections = connections_cell_->value();
-  s.requests = requests_cell_->value();
-  s.transport_errors = transport_errors_cell_->value();
-  const Histogram& latency = latency_cell_->histogram();
-  s.latency_p50_us = latency.Percentile(0.50);
-  s.latency_p99_us = latency.Percentile(0.99);
-  const BackendIoStats io = backend_->io_stats();
-  s.disk_record_reads = io.disk_record_reads;
-  s.pages_flushed = io.pages_flushed;
-  s.pages_evicted = io.pages_evicted;
-  s.async_reads_submitted = io.async_reads_submitted;
-  s.async_reads_completed = io.async_reads_completed;
-  s.async_reads_refetched = io.async_reads_refetched;
-  s.async_writes_submitted = io.async_writes_submitted;
-  s.async_writes_completed = io.async_writes_completed;
-  s.fsyncs = io.fsyncs;
-  s.group_commits = io.group_commits;
-  s.replicated_records = io.replicated_records;
-  s.replica_lag_records = io.replica_lag_records;
-  s.kernel_tier = static_cast<uint8_t>(simd::ActiveKernelTier());
-  // External counters last so a Replicator-fed snapshot wins over the
-  // backend's zeros (local engines know nothing about replication).
-  if (stats_source_) stats_source_(&s);
-  return s;
 }
 
 }  // namespace net

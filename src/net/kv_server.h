@@ -15,8 +15,8 @@
 // Stop() is graceful: it wakes the blocking accept, half-closes the read
 // side of every active connection so in-flight requests finish and get
 // their responses, then joins all threads. Per-opcode op counters and a
-// request-latency Histogram are served both in-process (stats()) and over
-// the wire (Opcode::kStats).
+// request-latency histogram live in the server's metrics registry, which
+// is served in-process (metrics()) and over the wire (Opcode::kStats).
 #pragma once
 
 #include <array>
@@ -114,15 +114,13 @@ class KvServer {
   std::string addr() const;
   KvBackend* backend() const { return backend_.get(); }
 
-  // The wire StatsSnapshot is now a view over the metrics registry: the
-  // op counters, connection/request/error counts, and latency percentiles
-  // are read back out of their cells, so kStats and /metrics can never
-  // disagree. (With SetMetricsEnabled(false) the cells freeze and so does
-  // this snapshot.)
-  StatsSnapshot stats() const;
   const Histogram& request_latency() const {
     return latency_cell_->histogram();
   }
+  // This server's registry: its own request/connection/latency cells plus
+  // collectors for the backend's families. kStats answers with its
+  // ExpositionText(), the same text /metrics serves. Owners of other
+  // counters (a replica's Replicator) add collectors here.
   obs::MetricsRegistry* metrics() const { return metrics_; }
 
   // Swaps the enforced cluster map (and this server's endpoint index under
@@ -131,13 +129,6 @@ class KvServer {
   void UpdateClusterMap(std::shared_ptr<const cluster::ClusterMap> map,
                         uint32_t self_endpoint);
   std::shared_ptr<const cluster::ClusterMap> cluster_map() const;
-
-  // Augments stats() snapshots with externally owned counters (a replica's
-  // Replicator feeds replicated_records / replica_lag_records through
-  // this). Set before Start(); not synchronized against concurrent stats().
-  void SetStatsSource(std::function<void(StatsSnapshot*)> source) {
-    stats_source_ = std::move(source);
-  }
 
  private:
   void AcceptLoop();
@@ -184,7 +175,6 @@ class KvServer {
   mutable std::mutex cluster_mu_;
   std::shared_ptr<const cluster::ClusterMap> cluster_;
   uint32_t self_endpoint_ = UINT32_MAX;
-  std::function<void(StatsSnapshot*)> stats_source_;
 
   ListenSocket listener_;
   std::thread accept_thread_;

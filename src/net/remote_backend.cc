@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <utility>
 
+#include "obs/metrics.h"
 #include "obs/trace.h"
 
 namespace mlkv {
@@ -182,11 +183,18 @@ Status RemoteBackend::CallRaw(Opcode op, const PayloadWriter& request,
   return Rpc(op, request, transport, body, body_off);
 }
 
-BackendIoStats RemoteBackend::io_stats() const {
-  BackendIoStats s;
-  s.remote_requests = requests_.load(std::memory_order_relaxed);
-  s.remote_retries = retries_.load(std::memory_order_relaxed);
-  return s;
+void RemoteBackend::CollectMetrics(obs::MetricsSink* sink) const {
+  KvBackend::CollectMetrics(sink);
+  AddRpcMetrics(rpc_requests(), rpc_retries(), sink);
+}
+
+void RemoteBackend::AddRpcMetrics(uint64_t requests, uint64_t retries,
+                                  obs::MetricsSink* sink) {
+  sink->AddCounter("mlkv_net_rpc_requests_total",
+                   "RPCs issued to remote KvServers", requests);
+  sink->AddCounter("mlkv_net_rpc_retries_total",
+                   "Fresh-socket retries after a dead pooled connection",
+                   retries);
 }
 
 BatchResult RemoteBackend::FailAll(size_t n, const Status& s) {
@@ -348,15 +356,15 @@ Status RemoteBackend::Ping() {
   return transport;
 }
 
-Status RemoteBackend::FetchStats(StatsSnapshot* out) {
+Status RemoteBackend::FetchStats(std::string* exposition) {
   PayloadWriter w;
   Status transport;
   std::vector<uint8_t> body;
   size_t off = 0;
   MLKV_RETURN_NOT_OK(Rpc(Opcode::kStats, w, &transport, &body, &off));
   MLKV_RETURN_NOT_OK(transport);
-  PayloadReader r(body.data() + off, body.size() - off);
-  return DecodeStatsSnapshot(&r, out);
+  exposition->assign(body.begin() + off, body.end());
+  return Status::OK();
 }
 
 }  // namespace net

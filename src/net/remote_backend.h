@@ -77,12 +77,26 @@ class RemoteBackend : public KvBackend {
                                  const float* grads, float lr) override;
   Status Lookahead(std::span<const Key> keys) override;
 
-  BackendIoStats io_stats() const override;
+  // Base families plus this client's RPC counters
+  // (mlkv_net_rpc_requests_total / mlkv_net_rpc_retries_total).
+  void CollectMetrics(obs::MetricsSink* sink) const override;
+  // Writes those two families (ClusterBackend sums them over its
+  // endpoint clients first).
+  static void AddRpcMetrics(uint64_t requests, uint64_t retries,
+                            obs::MetricsSink* sink);
+  uint64_t rpc_requests() const {
+    return requests_.load(std::memory_order_relaxed);
+  }
+  uint64_t rpc_retries() const {
+    return retries_.load(std::memory_order_relaxed);
+  }
 
-  // Liveness probe and remote server counters (exposed for tools/tests;
-  // not part of the KvBackend contract).
+  // Liveness probe, and the server's metrics registry as Prometheus text
+  // (kStats; the same exposition its /metrics endpoint serves — read
+  // series out of it with obs::FindSample). Not part of the KvBackend
+  // contract.
   Status Ping();
-  Status FetchStats(StatsSnapshot* out);
+  Status FetchStats(std::string* exposition);
 
   // --- extended surface for cluster mode ---
 

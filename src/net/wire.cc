@@ -437,59 +437,6 @@ Status DecodeMultiGetResponse(PayloadReader* r, size_t n_keys, uint32_t dim,
   return r->Finish("MultiGet response");
 }
 
-void EncodeStatsSnapshot(const StatsSnapshot& s, PayloadWriter* w) {
-  w->U32(kOpcodeSlots);
-  for (const uint64_t c : s.op_counts) w->U64(c);
-  w->U64(s.connections);
-  w->U64(s.requests);
-  w->U64(s.transport_errors);
-  w->U64(s.latency_p50_us);
-  w->U64(s.latency_p99_us);
-  w->U64(s.disk_record_reads);
-  w->U64(s.pages_flushed);
-  w->U64(s.pages_evicted);
-  w->U64(s.async_reads_submitted);
-  w->U64(s.async_reads_completed);
-  w->U64(s.async_reads_refetched);
-  w->U64(s.async_writes_submitted);
-  w->U64(s.async_writes_completed);
-  w->U64(s.fsyncs);
-  w->U64(s.group_commits);
-  w->U64(s.replicated_records);
-  w->U64(s.replica_lag_records);
-  w->U64(s.replication_reconnects);
-  w->U8(s.kernel_tier);
-}
-
-Status DecodeStatsSnapshot(PayloadReader* r, StatsSnapshot* out) {
-  uint32_t slots = 0;
-  r->U32(&slots);
-  if (!r->ok() || slots != kOpcodeSlots) {
-    return Status::Corruption("wire: stats slot count mismatch");
-  }
-  for (uint64_t& c : out->op_counts) r->U64(&c);
-  r->U64(&out->connections);
-  r->U64(&out->requests);
-  r->U64(&out->transport_errors);
-  r->U64(&out->latency_p50_us);
-  r->U64(&out->latency_p99_us);
-  r->U64(&out->disk_record_reads);
-  r->U64(&out->pages_flushed);
-  r->U64(&out->pages_evicted);
-  r->U64(&out->async_reads_submitted);
-  r->U64(&out->async_reads_completed);
-  r->U64(&out->async_reads_refetched);
-  r->U64(&out->async_writes_submitted);
-  r->U64(&out->async_writes_completed);
-  r->U64(&out->fsyncs);
-  r->U64(&out->group_commits);
-  r->U64(&out->replicated_records);
-  r->U64(&out->replica_lag_records);
-  r->U64(&out->replication_reconnects);
-  r->U8(&out->kernel_tier);
-  return r->Finish("stats");
-}
-
 // --- replication payloads ------------------------------------------------
 
 void EncodeSubscribeResponse(const SubscribeResponse& s, PayloadWriter* w) {

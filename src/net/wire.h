@@ -51,7 +51,10 @@ inline constexpr uint32_t kWireMagic = 0x564B4C4Du;
 // MultiGet response bytes are unchanged, but servers now gather the served
 // rows straight from the backend's buffer (see CollectServedRowRuns) instead
 // of copy-encoding them — byte-identical on the wire.
-inline constexpr uint8_t kWireVersion = 5;
+// v6: the kStats response body is the server's metrics exposition
+// (Prometheus text, raw bytes to the end of the frame) instead of a
+// fixed struct, so new metrics never change the protocol.
+inline constexpr uint8_t kWireVersion = 6;
 inline constexpr size_t kFrameHeaderSize = 20;
 // Upper bound on a single payload; a header announcing more is corrupt
 // (or hostile) and the connection is dropped before any allocation.
@@ -63,7 +66,7 @@ enum class Opcode : uint8_t {
   kMultiPut = 3,
   kMultiApplyGradient = 4,
   kLookahead = 5,
-  kStats = 6,
+  kStats = 6,      // the server's metrics exposition (Prometheus text)
   kPing = 7,
   kClusterMap = 8,  // fetch the current ClusterMap (routing table + epoch)
   kSubscribe = 9,   // replica: learn the primary's shard count + watermarks
@@ -245,42 +248,6 @@ void CollectServedRowRuns(std::span<const Status::Code> codes,
 // rows whose code is not kOk are left untouched.
 Status DecodeMultiGetResponse(PayloadReader* r, size_t n_keys, uint32_t dim,
                               BatchResult* result, float* out);
-
-struct StatsSnapshot {
-  uint64_t op_counts[kOpcodeSlots] = {};
-  uint64_t connections = 0;
-  uint64_t requests = 0;
-  uint64_t transport_errors = 0;
-  uint64_t latency_p50_us = 0;
-  uint64_t latency_p99_us = 0;
-  // Storage-I/O behavior of the served backend (KvBackend::io_stats();
-  // zeros for engines without a disk pipeline), so remote operators see
-  // disk-read and pending-pipeline counters without host access.
-  uint64_t disk_record_reads = 0;
-  uint64_t pages_flushed = 0;
-  uint64_t pages_evicted = 0;
-  uint64_t async_reads_submitted = 0;
-  uint64_t async_reads_completed = 0;
-  uint64_t async_reads_refetched = 0;
-  // Write pipeline (wire v3): flush-wave traffic, fsyncs, group commits.
-  uint64_t async_writes_submitted = 0;
-  uint64_t async_writes_completed = 0;
-  uint64_t fsyncs = 0;
-  uint64_t group_commits = 0;
-  // Replication (wire v4): records applied from a primary's feed, records
-  // fetched but not yet applied (0 when caught up), and primary-connection
-  // re-establishments. All zero on a non-replica server.
-  uint64_t replicated_records = 0;
-  uint64_t replica_lag_records = 0;
-  uint64_t replication_reconnects = 0;
-  // SIMD dispatch tier the server's kernels run on (wire v5): a
-  // simd::KernelTier value, so remote operators can confirm what the
-  // feature check picked without host access.
-  uint8_t kernel_tier = 0;
-};
-
-void EncodeStatsSnapshot(const StatsSnapshot& s, PayloadWriter* w);
-Status DecodeStatsSnapshot(PayloadReader* r, StatsSnapshot* out);
 
 // --- replication payloads (wire v4) --------------------------------------
 

@@ -4,6 +4,7 @@
 #include <cinttypes>
 #include <cmath>
 #include <cstdio>
+#include <cstdlib>
 #include <utility>
 
 namespace mlkv {
@@ -43,6 +44,25 @@ bool ValidLabelKey(std::string_view key) {
     if (!(alpha || c == '_' || (digit && i > 0))) return false;
   }
   return true;
+}
+
+bool FindSample(std::string_view exposition, std::string_view series,
+                double* value) {
+  size_t pos = 0;
+  while (pos < exposition.size()) {
+    size_t end = exposition.find('\n', pos);
+    if (end == std::string_view::npos) end = exposition.size();
+    const std::string_view line = exposition.substr(pos, end - pos);
+    pos = end + 1;
+    if (line.starts_with('#')) continue;  // # HELP / # TYPE headers
+    if (line.size() > series.size() && line.starts_with(series) &&
+        line[series.size()] == ' ') {
+      const std::string text(line.substr(series.size() + 1));
+      *value = std::strtod(text.c_str(), nullptr);
+      return true;
+    }
+  }
+  return false;
 }
 
 namespace {

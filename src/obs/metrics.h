@@ -8,13 +8,16 @@
 //    common/histogram.h's log-bucketed layout). Registration itself takes a
 //    mutex, so look cells up at wiring time, not per request.
 //
-//  * Collectors — subsystems that already aggregate their own snapshot
-//    structs (FasterStatsSnapshot, BackendIoStats, ReplicationProgress…)
-//    register a pull callback instead of migrating counter by counter. The
+//  * Collectors — subsystems that own their counters in their own structs
+//    (FasterStatsSnapshot via KvBackend::CollectMetrics, a RemoteBackend's
+//    RPC atomics, a Replicator's progress…) register a pull callback. The
 //    callback runs at scrape time and writes samples into a MetricsSink;
-//    the legacy snapshot stays the source of truth and the registry is a
-//    view over it (and vice versa for migrated counters, which legacy
-//    snapshots now read back out of their cells).
+//    the owning struct stays the source of truth and the registry is a
+//    view over it.
+//
+// Both the HTTP /metrics endpoint and the wire kStats opcode serve
+// ExpositionText(), so readers of either pick series out of the same text
+// (FindSample).
 //
 // SetMetricsEnabled(false) turns every native record path into a no-op —
 // the measurement mode behind bench_ycsb_suite --metrics_overhead. While
@@ -215,6 +218,13 @@ class MetricsSink {
 // names are [a-zA-Z_:][a-zA-Z0-9_:]*, label keys [a-zA-Z_][a-zA-Z0-9_]*.
 bool ValidMetricName(std::string_view name);
 bool ValidLabelKey(std::string_view key);
+
+// Looks up one sample in Prometheus text exposition. `series` is the
+// sample name plus its label set exactly as ExpositionText() renders it,
+// e.g. `mlkv_server_requests_total{op="MultiGet"}`; a name that is only a
+// prefix of another sample's name does not match. False when absent.
+bool FindSample(std::string_view exposition, std::string_view series,
+                double* value);
 
 // The registry. KvServer instances own a private registry each (so two
 // servers in one process — tests, loopback clusters — never merge their

@@ -41,9 +41,10 @@ class MetricsHttpServer {
   bool running_ = false;
 };
 
-// Tiny HTTP/1.0 GET client for tests and `mlkv_cli stats --metrics_addr`:
-// fetches http://host:port/path, returns the body (headers stripped).
-// Non-2xx statuses surface as IOError naming the status line.
+// Tiny HTTP/1.0 GET client for tests: fetches http://host:port/path,
+// returns the body (headers stripped). Non-2xx statuses surface as IOError
+// naming the status line. (Remote tools read the same exposition over
+// kStats, RemoteBackend::FetchStats.)
 Status HttpGet(const std::string& addr, const std::string& path,
                std::string* body);
 

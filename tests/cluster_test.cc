@@ -18,6 +18,7 @@
 #include "io/temp_dir.h"
 #include "net/kv_server.h"
 #include "net/remote_backend.h"
+#include "obs/metrics.h"
 
 namespace mlkv {
 namespace {
@@ -362,6 +363,54 @@ TEST(ReplicationTest, ReplicaConvergesToPrimaryAndResumes) {
 
 // --- failover ------------------------------------------------------------
 
+TEST(ReplicationTest, ReplicaRegistryRendersReplicatorFamilies) {
+  // The replica server's registry carries the tailer's counters through a
+  // collector, so kStats and /metrics on the replica report its progress.
+  TempDir dir;
+  TestServer primary = StartServer(dir.File("primary"), 1);
+  TestServer replica = StartServer(dir.File("replica"), 1);
+
+  net::RemoteBackendOptions wo;
+  wo.addr = primary.addr;
+  std::unique_ptr<KvBackend> writer;
+  ASSERT_TRUE(net::RemoteBackend::Connect(wo, &writer).ok());
+  constexpr size_t kN = 100;
+  std::vector<Key> keys(kN);
+  std::vector<float> values(kN * 8, 0.5f);
+  for (size_t i = 0; i < kN; ++i) keys[i] = i + 1;
+  ASSERT_TRUE(writer->MultiPut(keys, values.data()).AllOk());
+
+  cluster::ReplicatorOptions ropts;
+  ropts.primary_addr = primary.addr;
+  ropts.poll_interval_ms = 5;
+  Replicator rep(replica.server->backend(), ropts);
+  ASSERT_TRUE(rep.Start().ok());
+  obs::MetricsRegistry* reg = replica.server->metrics();
+  const uint64_t collector = reg->AddCollector(
+      [&rep](obs::MetricsSink* sink) { rep.CollectMetrics(sink); });
+  ASSERT_TRUE(rep.WaitCaughtUp(20000));
+
+  const std::string text = reg->ExpositionText();
+  double records = -1, lag = -1, reconnects = -1;
+  ASSERT_TRUE(obs::FindSample(text, "mlkv_replicator_records_total", &records));
+  ASSERT_TRUE(obs::FindSample(text, "mlkv_replicator_lag_records", &lag));
+  ASSERT_TRUE(
+      obs::FindSample(text, "mlkv_replicator_reconnects_total", &reconnects));
+  EXPECT_GE(records, static_cast<double>(kN));
+  EXPECT_EQ(lag, 0);
+  EXPECT_TRUE(text.find("mlkv_replicator_lag_records 0\n") !=
+              std::string::npos);
+
+  // Unregistered before the replicator stops: the families leave with it.
+  reg->RemoveCollector(collector);
+  rep.Stop();
+  EXPECT_EQ(reg->ExpositionText().find("mlkv_replicator_"), std::string::npos);
+
+  writer.reset();
+  replica.server->Stop();
+  primary.server->Stop();
+}
+
 TEST(ClusterFailoverTest, ReadsSurvivePrimaryLossWritesDegradePerKey) {
   TempDir dir;
   TestServer p0 = StartServer(dir.File("p0"), 1);
@@ -611,6 +660,17 @@ TEST(ClusterHedgeTest, WritesNeverHedge) {
   }
   EXPECT_EQ(client->hedge_stats().issued, 0u);
   EXPECT_EQ(client->hedge_stats().wins, 0u);
+  // The RPC counters scrape as one sum over the endpoint clients: at
+  // least one RPC per write call above.
+  obs::MetricsSink sink;
+  client->CollectMetrics(&sink);
+  int rpc_samples = 0;
+  for (const obs::MetricsSink::Sample& x : sink.samples()) {
+    if (x.name != "mlkv_net_rpc_requests_total") continue;
+    ++rpc_samples;
+    EXPECT_GE(x.value, 6);
+  }
+  EXPECT_EQ(rpc_samples, 1);
   client.reset();
   hc.s0.server->Stop();
   hc.s1.server->Stop();

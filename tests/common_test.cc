@@ -170,6 +170,11 @@ TEST(HistogramTest, CountAtOrBelowIsCumulative) {
   EXPECT_EQ(h.CountAtOrBelow(5), 1u);
   EXPECT_EQ(h.CountAtOrBelow(100), 2u);
   EXPECT_EQ(h.CountAtOrBelow(UINT64_MAX), 3u);
+  // The top of the range lands in the last bucket, with no shift past 63.
+  h.Record(UINT64_MAX);
+  EXPECT_EQ(h.Percentile(1.0), UINT64_MAX);
+  EXPECT_EQ(h.CountAtOrBelow(UINT64_MAX), 4u);
+  EXPECT_EQ(h.CountAtOrBelow(UINT64_MAX - 1), 3u);
 }
 
 TEST(HistogramTest, SnapshotStringCarriesTheSummary) {

@@ -10,20 +10,32 @@
 #include <cstring>
 #include <memory>
 #include <mutex>
+#include <string>
+#include <string_view>
 #include <thread>
 #include <vector>
 
 #include "backend/kv_backend.h"
 #include "common/clock.h"
+#include "common/simd.h"
 #include "io/temp_dir.h"
 #include "net/kv_server.h"
 #include "net/remote_backend.h"
 #include "net/socket.h"
 #include "net/wire.h"
+#include "obs/metrics.h"
 
 namespace mlkv {
 namespace net {
 namespace {
+
+// One series out of a metrics exposition (a kStats body or a server's
+// local scrape); a missing series fails the test and reads as -1.
+double Sample(const std::string& exposition, std::string_view series) {
+  double v = -1;
+  EXPECT_TRUE(obs::FindSample(exposition, series, &v)) << series;
+  return v;
+}
 
 // --- wire round-trips ----------------------------------------------------
 
@@ -342,19 +354,6 @@ TEST(WireTest, CollectServedRowRunsCoalescesAdjacentRows) {
   EXPECT_EQ(runs[0].data(), reinterpret_cast<const uint8_t*>(rows));
 }
 
-TEST(WireTest, StatsSnapshotCarriesKernelTier) {
-  StatsSnapshot s;
-  s.requests = 42;
-  s.kernel_tier = 1;  // avx2+fma
-  PayloadWriter w;
-  EncodeStatsSnapshot(s, &w);
-  PayloadReader r(w.bytes().data(), w.bytes().size());
-  StatsSnapshot d;
-  ASSERT_TRUE(DecodeStatsSnapshot(&r, &d).ok());
-  EXPECT_EQ(d.requests, 42u);
-  EXPECT_EQ(d.kernel_tier, 1u);
-}
-
 TEST(WireTest, HandshakeInfoRoundTrip) {
   HandshakeInfo h{16, 3, "MLKV"};
   PayloadWriter w;
@@ -491,6 +490,11 @@ class LoopbackServerTest : public ::testing::Test {
     ASSERT_NE(server_->port(), 0);
   }
 
+  // A series out of the server's own registry (what kStats would return).
+  double Local(std::string_view series) const {
+    return Sample(server_->metrics()->ExpositionText(), series);
+  }
+
   std::unique_ptr<KvServer> server_;
 };
 
@@ -527,17 +531,32 @@ TEST_F(LoopbackServerTest, PingStatsAndOpCounters) {
   remote->MultiGet(keys, buf.data());
   remote->MultiGet(keys, buf.data());
   remote->MultiPut(keys, buf.data());
-  StatsSnapshot s;
-  ASSERT_TRUE(rb->FetchStats(&s).ok());
-  EXPECT_EQ(s.op_counts[static_cast<size_t>(Opcode::kMultiGet)], 2u);
-  EXPECT_EQ(s.op_counts[static_cast<size_t>(Opcode::kMultiPut)], 1u);
-  EXPECT_EQ(s.op_counts[static_cast<size_t>(Opcode::kPing)], 1u);
-  EXPECT_GE(s.op_counts[static_cast<size_t>(Opcode::kHandshake)], 1u);
-  EXPECT_GE(s.requests, 5u);
+  std::string text;
+  ASSERT_TRUE(rb->FetchStats(&text).ok());
+  EXPECT_EQ(Sample(text, "mlkv_server_requests_total{op=\"MultiGet\"}"), 2);
+  EXPECT_EQ(Sample(text, "mlkv_server_requests_total{op=\"MultiPut\"}"), 1);
+  EXPECT_EQ(Sample(text, "mlkv_server_requests_total{op=\"Ping\"}"), 1);
+  EXPECT_GE(Sample(text, "mlkv_server_requests_total{op=\"Handshake\"}"), 1);
+  // The kStats request counts itself before the text is rendered.
+  EXPECT_EQ(Sample(text, "mlkv_server_requests_total{op=\"Stats\"}"), 1);
+  const double requests =
+      Sample(text, "mlkv_server_handled_requests_total");
+  EXPECT_GE(requests, 6);
   // The in-process view agrees with the wire view.
-  const StatsSnapshot local = server_->stats();
-  EXPECT_GE(local.requests, s.requests);
-  EXPECT_GE(server_->request_latency().count(), s.requests);
+  EXPECT_GE(Local("mlkv_server_handled_requests_total"), requests);
+  EXPECT_GE(static_cast<double>(server_->request_latency().count()),
+            requests);
+}
+
+TEST_F(LoopbackServerTest, StatsCarriesKernelTier) {
+  RemoteBackendOptions o;
+  o.addr = server_->addr();
+  std::unique_ptr<RemoteBackend> remote;
+  ASSERT_TRUE(RemoteBackend::Connect(o, &remote).ok());
+  std::string text;
+  ASSERT_TRUE(remote->FetchStats(&text).ok());
+  EXPECT_EQ(Sample(text, "mlkv_simd_kernel_tier"),
+            static_cast<double>(simd::ActiveKernelTier()));
 }
 
 TEST_F(LoopbackServerTest, LookaheadTravelsTheWire) {
@@ -547,8 +566,7 @@ TEST_F(LoopbackServerTest, LookaheadTravelsTheWire) {
   ASSERT_TRUE(RemoteBackend::Connect(o, &remote).ok());
   std::vector<Key> keys = {5, 6, 7};
   EXPECT_TRUE(remote->Lookahead(keys).ok());
-  const StatsSnapshot s = server_->stats();
-  EXPECT_EQ(s.op_counts[static_cast<size_t>(Opcode::kLookahead)], 1u);
+  EXPECT_EQ(Local("mlkv_server_requests_total{op=\"Lookahead\"}"), 1);
 }
 
 TEST_F(LoopbackServerTest, VersionMismatchHandshakeFails) {
@@ -606,7 +624,7 @@ TEST_F(LoopbackServerTest, CorruptMagicDropsConnectionServerSurvives) {
   std::unique_ptr<KvBackend> remote;
   ASSERT_TRUE(RemoteBackend::Connect(o, &remote).ok());
   ASSERT_TRUE(static_cast<RemoteBackend*>(remote.get())->Ping().ok());
-  EXPECT_GE(server_->stats().transport_errors, 1u);
+  EXPECT_GE(Local("mlkv_server_transport_errors_total"), 1);
 }
 
 TEST_F(LoopbackServerTest, UnknownOpcodeGetsErrorButKeepsConnection) {
@@ -717,8 +735,7 @@ TEST_F(LoopbackServerTest, OversizedBatchesChunkAcrossRpcs) {
     EXPECT_FLOAT_EQ(out[98 * 8 + d], values[98 * 8 + d]);
   }
   // The server really saw multiple MultiGet frames per call.
-  const StatsSnapshot s = server_->stats();
-  EXPECT_GE(s.op_counts[static_cast<size_t>(Opcode::kMultiGet)],
+  EXPECT_GE(Local("mlkv_server_requests_total{op=\"MultiGet\"}"),
             2 * ((kN + 6) / 7));
 }
 
@@ -977,13 +994,14 @@ TEST(KvServerIoStatsTest, ColdReadCountersTravelTheWire) {
   ASSERT_TRUE(remote->MultiGet(keys, out.data()).AllOk());
   EXPECT_EQ(out, rows);
 
-  StatsSnapshot s;
+  std::string text;
   ASSERT_TRUE(
-      static_cast<RemoteBackend*>(remote.get())->FetchStats(&s).ok());
-  EXPECT_GT(s.disk_record_reads, 0u);
-  EXPECT_GT(s.pages_flushed, 0u);
-  EXPECT_GT(s.async_reads_submitted, 0u);
-  EXPECT_EQ(s.async_reads_submitted, s.async_reads_completed);
+      static_cast<RemoteBackend*>(remote.get())->FetchStats(&text).ok());
+  EXPECT_GT(Sample(text, "mlkv_io_disk_record_reads_total"), 0);
+  EXPECT_GT(Sample(text, "mlkv_io_pages_flushed_total"), 0);
+  EXPECT_GT(Sample(text, "mlkv_io_async_reads_submitted_total"), 0);
+  EXPECT_EQ(Sample(text, "mlkv_io_async_reads_submitted_total"),
+            Sample(text, "mlkv_io_async_reads_completed_total"));
   server.Stop();
 }
 
@@ -1066,7 +1084,7 @@ TEST(KvServerRestartTest, StalePooledSocketRetriesOnFreshConnection) {
   std::vector<float> out(3 * 8, -1.0f);
   EXPECT_TRUE(remote->MultiGet(keys, out.data(), MultiGetOptions{}).AllOk());
   EXPECT_EQ(out, values);
-  EXPECT_GE(remote->io_stats().remote_retries, 1u)
+  EXPECT_GE(remote->rpc_retries(), 1u)
       << "the stale pooled socket should have been retried, not failed";
 
   remote.reset();

@@ -201,6 +201,42 @@ TEST(ExpositionTest, CollectorSamplesMergeUnderNativeFamily) {
 
 // --- /metrics endpoint ---------------------------------------------------
 
+TEST(FindSampleTest, GoldenLookups) {
+  const std::string text =
+      "# HELP a_total Things.\n"
+      "# TYPE a_total counter\n"
+      "a_total 3\n"
+      "# HELP a_total_x Other things.\n"
+      "# TYPE a_total_x counter\n"
+      "a_total_x 7\n"
+      "# HELP ops_total Ops.\n"
+      "# TYPE ops_total counter\n"
+      "ops_total{op=\"get\"} 5\n"
+      "ops_total{op=\"put\"} 2.5\n";
+  double v = 0;
+  // Unlabeled series.
+  ASSERT_TRUE(FindSample(text, "a_total", &v));
+  EXPECT_EQ(v, 3);
+  // Labeled series, named with its rendered label set.
+  ASSERT_TRUE(FindSample(text, "ops_total{op=\"put\"}", &v));
+  EXPECT_EQ(v, 2.5);
+  // A name that is a prefix of another matches only itself, either way.
+  ASSERT_TRUE(FindSample(text, "a_total_x", &v));
+  EXPECT_EQ(v, 7);
+  EXPECT_FALSE(FindSample(text, "a_tot", &v));
+  EXPECT_FALSE(FindSample(text, "ops_total", &v));  // only labeled samples
+  // Absent series (and header lines are never samples).
+  v = -1;
+  EXPECT_FALSE(FindSample(text, "missing_total", &v));
+  EXPECT_FALSE(FindSample(text, "# TYPE a_total", &v));
+  EXPECT_EQ(v, -1);
+  // The registry's own text round-trips through the lookup.
+  MetricsRegistry reg;
+  reg.CounterFamily("b_total", "Things.")->GetCounter()->Add(4);
+  ASSERT_TRUE(FindSample(reg.ExpositionText(), "b_total", &v));
+  EXPECT_EQ(v, 4);
+}
+
 TEST(MetricsHttpTest, ServesExpositionAnd404) {
   MetricsRegistry reg;
   reg.CounterFamily("http_total", "Hits.")->GetCounter()->Add(2);
@@ -298,13 +334,30 @@ std::unique_ptr<KvBackend> MakeInMemory(uint32_t dim = 8) {
   return b;
 }
 
-TEST(KvServerObsTest, StatsSnapshotIsViewOverRegistry) {
+// Family names from the # TYPE headers of an exposition, in order.
+std::vector<std::string> TypeFamilies(const std::string& text) {
+  std::vector<std::string> out;
+  size_t pos = 0;
+  while ((pos = text.find("# TYPE ", pos)) != std::string::npos) {
+    pos += 7;
+    out.push_back(text.substr(pos, text.find(' ', pos) - pos));
+  }
+  return out;
+}
+
+double Sample(const std::string& text, const std::string& series) {
+  double v = -1;
+  EXPECT_TRUE(FindSample(text, series, &v)) << series;
+  return v;
+}
+
+TEST(KvServerObsTest, FetchStatsServesTheRegistryExposition) {
   net::KvServer server(MakeInMemory());
   ASSERT_TRUE(server.Start().ok());
 
   net::RemoteBackendOptions o;
   o.addr = server.addr();
-  std::unique_ptr<KvBackend> remote;
+  std::unique_ptr<net::RemoteBackend> remote;
   ASSERT_TRUE(net::RemoteBackend::Connect(o, &remote).ok());
   const Key key = 9;
   std::vector<float> row(8, 1.0f);
@@ -313,24 +366,25 @@ TEST(KvServerObsTest, StatsSnapshotIsViewOverRegistry) {
   ASSERT_TRUE(
       remote->MultiGet({&key, 1}, out.data(), MultiGetOptions()).AllOk());
 
-  const net::StatsSnapshot st = server.stats();
-  EXPECT_EQ(st.op_counts[static_cast<uint8_t>(net::Opcode::kMultiGet)], 1u);
-  EXPECT_EQ(st.op_counts[static_cast<uint8_t>(net::Opcode::kMultiPut)], 1u);
-  EXPECT_GE(st.requests, 2u);
-  EXPECT_EQ(st.connections, 1u);
-
-  // The same numbers come out of the registry — snapshot and scrape can
-  // never disagree.
-  const std::string text = server.metrics()->ExpositionText();
-  EXPECT_TRUE(Contains(
-      text, "mlkv_server_requests_total{op=\"MultiGet\"} 1"));
-  EXPECT_TRUE(Contains(
-      text, "mlkv_server_requests_total{op=\"MultiPut\"} 1"));
-  EXPECT_TRUE(Contains(text, "mlkv_server_connections_total 1"));
+  // kStats answers with the text /metrics serves: the same families, and
+  // the same cells behind them.
+  std::string fetched;
+  ASSERT_TRUE(remote->FetchStats(&fetched).ok());
+  const std::string local = server.metrics()->ExpositionText();
+  EXPECT_FALSE(TypeFamilies(local).empty());
+  EXPECT_EQ(TypeFamilies(fetched), TypeFamilies(local));
+  for (const std::string& text : {fetched, local}) {
+    EXPECT_EQ(Sample(text, "mlkv_server_requests_total{op=\"MultiGet\"}"),
+              1);
+    EXPECT_EQ(Sample(text, "mlkv_server_requests_total{op=\"MultiPut\"}"),
+              1);
+    EXPECT_EQ(Sample(text, "mlkv_server_connections_total"), 1);
+  }
   // Base backend families ride along (InMemory has no sharded-store or
-  // disk counters to report beyond these).
-  EXPECT_TRUE(Contains(text, "mlkv_io_disk_record_reads_total"));
-  EXPECT_TRUE(Contains(text, "mlkv_request_stage_seconds_bucket"));
+  // disk counters to report beyond the device byte totals).
+  EXPECT_TRUE(Contains(local, "mlkv_io_device_read_bytes_total"));
+  EXPECT_FALSE(Contains(local, "mlkv_io_disk_record_reads_total"));
+  EXPECT_TRUE(Contains(local, "mlkv_request_stage_seconds_bucket"));
   server.Stop();
 }
 
@@ -344,8 +398,12 @@ TEST(KvServerObsTest, TwoServersKeepSeparateRegistries) {
   std::unique_ptr<KvBackend> remote;
   ASSERT_TRUE(net::RemoteBackend::Connect(o, &remote).ok());
   EXPECT_NE(a.metrics(), b.metrics());
-  EXPECT_EQ(b.stats().connections, 0u);
-  EXPECT_EQ(a.stats().connections, 1u);
+  EXPECT_EQ(Sample(b.metrics()->ExpositionText(),
+                   "mlkv_server_connections_total"),
+            0);
+  EXPECT_EQ(Sample(a.metrics()->ExpositionText(),
+                   "mlkv_server_connections_total"),
+            1);
   a.Stop();
   b.Stop();
 }

@@ -317,7 +317,7 @@ TEST(SimdDispatchTest, TierNamesStable) {
   EXPECT_STREQ(simd::KernelTierName(simd::KernelTier::kScalar), "scalar");
   EXPECT_STREQ(simd::KernelTierName(simd::KernelTier::kAvx2Fma), "avx2+fma");
   EXPECT_STREQ(simd::KernelTierName(simd::KernelTier::kNeon), "neon");
-  // Wire-stable values (StatsSnapshot encodes the tier as a u8).
+  // Stable values (the mlkv_simd_kernel_tier gauge exposes the tier).
   EXPECT_EQ(static_cast<uint8_t>(simd::KernelTier::kScalar), 0);
   EXPECT_EQ(static_cast<uint8_t>(simd::KernelTier::kAvx2Fma), 1);
   EXPECT_EQ(static_cast<uint8_t>(simd::KernelTier::kNeon), 2);
