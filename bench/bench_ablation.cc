@@ -2,7 +2,10 @@
 //
 //   D1  staleness bits in the lock word: overhead of tracking vs plain
 //       FASTER mode (paper §IV-E claims zero when disabled, <=10-20% when
-//       enabled).
+//       enabled). Tracked modes also copy every cold record they read to
+//       the tail (the read's staleness increment), so their reads warm the
+//       working set and grow the log where tracking_off leaves records
+//       cold.
 //   D2  look-ahead promotion skips records already in the immutable
 //       in-memory region (paper §III-C2): page-write savings.
 //   D3  promote-cold-reads (FASTER's read-copy-to-tail) vs leaving cold

@@ -116,10 +116,14 @@ void EmitStoreMetrics(ShardedStore* store, obs::MetricsSink* sink) {
   sink->AddCounter("mlkv_store_inserts_total",
                    "First-time key insertions", s.inserts);
   sink->AddCounter("mlkv_store_promotions_total",
-                   "Cold records copied to the log tail", s.promotions);
+                   "Cold records copied to the log tail by lookahead",
+                   s.promotions);
   sink->AddCounter("mlkv_store_promotions_skipped_total",
                    "Promotions skipped (already in memory or superseded)",
                    s.promotions_skipped);
+  sink->AddCounter("mlkv_store_read_copies_total",
+                   "Cold records copied to the tail by tracked reads",
+                   s.read_copies);
   sink->AddCounter("mlkv_store_staleness_waits_total",
                    "Reads that waited out the staleness bound",
                    s.staleness_waits);
@@ -588,7 +592,7 @@ class FasterBackend : public KvBackend {
                   else std::memcpy(dst, v, bytes);
                 });
           };
-          BatchReadOrPark(shard, key, dst, bytes, UINT32_MAX,
+          BatchReadOrPark(shard, key, dst, bytes, bytes, UINT32_MAX,
                           /*tracked=*/false, part, pi, sink,
                           options.init_missing ? &init_missing : nullptr);
         },

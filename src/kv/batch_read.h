@@ -6,7 +6,10 @@
 //    calls and the fail-fast contract);
 //  * memory-resident or absent key — resolve inline either way;
 //  * disk-resident key — park a primed PendingRead on the wave, with the
-//    same outcome handling deferred to its finish callback.
+//    same outcome handling deferred to its finish callback. It lands
+//    `fetch` value bytes (>= `cap`; FasterStore::StartRead): a tracked
+//    read passes the full stored value size so its tail copy can carry
+//    the whole record, and copies `cap` bytes out.
 //
 // `init_missing` (pass nullptr for plain reads) initializes the caller's
 // row and stores the bootstrap value when the key is absent; on success
@@ -29,9 +32,10 @@ namespace mlkv {
 
 template <typename InitFn>
 inline void BatchReadOrPark(FasterStore* shard, Key key, void* dst,
-                            uint32_t cap, uint32_t bound, bool tracked,
-                            BatchResult* part, size_t part_index,
-                            PendingSink* sink, const InitFn* init_missing) {
+                            uint32_t cap, uint32_t fetch, uint32_t bound,
+                            bool tracked, BatchResult* part,
+                            size_t part_index, PendingSink* sink,
+                            const InitFn* init_missing) {
   const auto resolve = [&](Status s, Address chain_head) {
     if (s.IsNotFound() && init_missing != nullptr) {
       s = (*init_missing)(chain_head);
@@ -49,7 +53,8 @@ inline void BatchReadOrPark(FasterStore* shard, Key key, void* dst,
     return;
   }
   PendingRead pending;
-  if (shard->StartRead(key, dst, cap, nullptr, bound, tracked, &pending)) {
+  if (shard->StartRead(key, dst, cap, nullptr, bound, tracked, &pending,
+                       fetch)) {
     resolve(pending.status, pending.chain_head);
     return;
   }
@@ -71,11 +76,12 @@ inline void BatchReadOrPark(FasterStore* shard, Key key, void* dst,
 
 // Plain read (no miss bootstrap).
 inline void BatchReadOrPark(FasterStore* shard, Key key, void* dst,
-                            uint32_t cap, uint32_t bound, bool tracked,
-                            BatchResult* part, size_t part_index,
-                            PendingSink* sink) {
+                            uint32_t cap, uint32_t fetch, uint32_t bound,
+                            bool tracked, BatchResult* part,
+                            size_t part_index, PendingSink* sink) {
   BatchReadOrPark<std::function<Status(Address)>>(
-      shard, key, dst, cap, bound, tracked, part, part_index, sink, nullptr);
+      shard, key, dst, cap, fetch, bound, tracked, part, part_index, sink,
+      nullptr);
 }
 
 }  // namespace mlkv

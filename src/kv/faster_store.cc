@@ -1,5 +1,6 @@
 #include "kv/faster_store.h"
 
+#include <algorithm>
 #include <cstring>
 #include <filesystem>
 #include <thread>
@@ -191,6 +192,18 @@ Status FasterStore::AppendAndPublish(Key key, const void* value,
   return Status::OK();
 }
 
+Status FasterStore::PublishReadCopy(Key key, const void* value,
+                                    const RecordMeta& meta, Address address,
+                                    Address chain_head) {
+  const uint64_t control =
+      ControlWord::IncrStaleness(ControlWord::Sanitize(meta.control));
+  MLKV_RETURN_NOT_OK(AppendAndPublish(key, value, meta.value_size, control,
+                                      meta.flags, chain_head, nullptr));
+  MarkReplaced(address);
+  stats_.read_copies.fetch_add(1, std::memory_order_relaxed);
+  return Status::OK();
+}
+
 void FasterStore::MarkReplaced(Address address) {
   // Pin the frame so the pointer stays valid; if the record went cold this
   // is a no-op — read-only / disk images are superseded via the index, and
@@ -240,9 +253,9 @@ Status FasterStore::ReadInternal(Key key, void* out, uint32_t cap,
     if (size != nullptr) *size = f.meta.value_size;
 
     if (f.address < log_.read_only_address()) {
-      // Cold record (read-only region or disk): no in-place vector clock to
-      // maintain. Check the frozen staleness value against the bound, copy
-      // the value out, and optionally promote.
+      // Cold record (read-only region or disk): its control word is frozen.
+      // Check the frozen staleness value against the bound; a tracked read
+      // then counts by copying the record to the tail with staleness+1.
       if (tracked && ControlWord::Staleness(f.meta.control) > effective_bound) {
         // The counter can only drop via a Put, which will supersede this
         // version through the index; re-find until it does.
@@ -254,17 +267,45 @@ Status FasterStore::ReadInternal(Key key, void* out, uint32_t cap,
         std::this_thread::yield();
         continue;
       }
-      MLKV_RETURN_NOT_OK(LoadValue(f.address, f.meta, out, cap));
-      if (options_.promote_cold_reads && !f.in_memory) {
-        // Carry the read's increment onto the promoted copy.
-        const uint64_t control =
-            tracked ? ControlWord::IncrStaleness(f.meta.control)
-                    : f.meta.control;
-        AppendAndPublish(key, out,
-                         f.meta.value_size < cap ? f.meta.value_size : cap,
-                         control, f.meta.flags, f.chain_head, nullptr)
-            .ok();  // best-effort; a racing writer supersedes us anyway
+      const bool copy = tracked && options_.track_staleness;
+      const bool promote =
+          !copy && options_.promote_cold_reads && !f.in_memory;
+      if (!copy && !promote) {
+        return LoadValue(f.address, f.meta, out, cap);
       }
+      if (copy && f.in_memory) {
+        // An in-place writer that registered before the boundary moved may
+        // still be updating this record; once it finishes the bytes are
+        // final, and a changed word means the copy would drop its update.
+        log_.AwaitInPlaceWriters(f.address);
+        RecordMeta now;
+        bool in_memory = false;
+        MLKV_RETURN_NOT_OK(LoadMeta(f.address, &now, &in_memory));
+        if (now.control != f.meta.control) continue;
+      }
+      // The copy carries the whole stored value (fused optimizer state
+      // included), never just the caller's `cap` bytes.
+      std::vector<char> scratch;
+      char* value = static_cast<char*>(out);
+      if (cap < f.meta.value_size) {
+        scratch.resize(f.meta.value_size);
+        value = scratch.data();
+      }
+      MLKV_RETURN_NOT_OK(
+          LoadValue(f.address, f.meta, value, f.meta.value_size));
+      if (value != out) std::memcpy(out, value, cap);
+      if (copy) {
+        const Status s =
+            PublishReadCopy(key, value, f.meta, f.address, f.chain_head);
+        if (s.IsBusy()) continue;  // slot moved: count on the live version
+        return s;
+      }
+      // Untracked promotion keeps the original control word; best-effort,
+      // since a racing writer supersedes the record anyway.
+      AppendAndPublish(key, value, f.meta.value_size,
+                       ControlWord::Sanitize(f.meta.control), f.meta.flags,
+                       f.chain_head, nullptr)
+          .ok();
       return Status::OK();
     }
 
@@ -362,17 +403,18 @@ restart:
   return WalkOutcome::kDisk;
 }
 
-Status FasterStore::PeekMeta(Key key, RecordMeta* meta) {
+Status FasterStore::PeekMeta(Key key, RecordMeta* meta, Address* address) {
   FindResult f;
   MLKV_RETURN_NOT_OK(Find(key, &f));
   if (!f.found) return Status::NotFound();
   *meta = f.meta;
+  if (address != nullptr) *address = f.address;
   return Status::OK();
 }
 
 bool FasterStore::StartRead(Key key, void* out, uint32_t cap, uint32_t* size,
                             uint32_t bound, bool tracked,
-                            PendingRead* pending) {
+                            PendingRead* pending, uint32_t fetch) {
   stats_.reads.fetch_add(1, std::memory_order_relaxed);
   PendingRead* p = pending;
   p->key = key;
@@ -397,7 +439,7 @@ bool FasterStore::StartRead(Key key, void* out, uint32_t cap, uint32_t* size,
     case WalkOutcome::kDisk:
       break;
   }
-  p->buf_len = static_cast<uint32_t>(sizeof(Record)) + cap;
+  p->buf_len = static_cast<uint32_t>(sizeof(Record)) + std::max(cap, fetch);
   return false;
 }
 
@@ -489,21 +531,40 @@ FasterStore::PendingStep FasterStore::CompletePendingRead(
     RefetchPending(p);
     return PendingStep::kDone;
   }
-  const uint32_t n = meta.value_size < p->cap ? meta.value_size : p->cap;
-  if (p->out != nullptr && n > 0) {
-    std::memcpy(p->out, p->buf + sizeof(Record), n);
+  const char* value = p->buf + sizeof(Record);
+  const bool landed_whole =
+      meta.value_size <= p->buf_len - static_cast<uint32_t>(sizeof(Record));
+  if (p->tracked && options_.track_staleness) {
+    // The read counts through a tail copy of the whole record. A value the
+    // landing buffer truncated, or a lost publish CAS, goes to the blocking
+    // path, which copies the whole value and counts on the live version.
+    if (!landed_whole) {
+      RefetchPending(p);
+      return PendingStep::kDone;
+    }
+    const Status s =
+        PublishReadCopy(p->key, value, meta, p->address, p->chain_head);
+    if (s.IsBusy()) {
+      RefetchPending(p);
+      return PendingStep::kDone;
+    }
+    if (!s.ok()) {
+      p->status = s;
+      return PendingStep::kDone;
+    }
+  } else if (options_.promote_cold_reads && p->out != nullptr &&
+             landed_whole) {
+    // Untracked promotion (sync parity): original control word, and only
+    // from a whole landed value. Best-effort: a racing writer supersedes.
+    AppendAndPublish(p->key, value, meta.value_size, meta.control,
+                     meta.flags, p->chain_head, nullptr)
+        .ok();
   }
+  const uint32_t n = meta.value_size < p->cap ? meta.value_size : p->cap;
+  if (p->out != nullptr && n > 0) std::memcpy(p->out, value, n);
   if (p->size != nullptr) *p->size = meta.value_size;
   p->meta = meta;
   p->served_from_disk = true;
-  if (options_.promote_cold_reads && p->out != nullptr) {
-    // Carry the read's increment onto the promoted copy (sync parity).
-    const uint64_t control =
-        p->tracked ? ControlWord::IncrStaleness(meta.control) : meta.control;
-    AppendAndPublish(p->key, p->out, n, control, meta.flags, p->chain_head,
-                     nullptr)
-        .ok();  // best-effort; a racing writer supersedes us anyway
-  }
   p->status = Status::OK();
   return PendingStep::kDone;
 }
@@ -1160,6 +1221,7 @@ FasterStatsSnapshot FasterStore::stats() const {
   s.promotions = stats_.promotions.load(std::memory_order_relaxed);
   s.promotions_skipped =
       stats_.promotions_skipped.load(std::memory_order_relaxed);
+  s.read_copies = stats_.read_copies.load(std::memory_order_relaxed);
   s.staleness_waits = stats_.staleness_waits.load(std::memory_order_relaxed);
   s.busy_aborts = stats_.busy_aborts.load(std::memory_order_relaxed);
   s.compactions = stats_.compactions.load(std::memory_order_relaxed);
@@ -1198,6 +1260,7 @@ void FasterStore::ResetStats() {
   stats_.rcu_appends.store(0);
   stats_.promotions.store(0);
   stats_.promotions_skipped.store(0);
+  stats_.read_copies.store(0);
   stats_.staleness_waits.store(0);
   stats_.busy_aborts.store(0);
   stats_.async_reads_submitted.store(0);

@@ -6,7 +6,11 @@
 //    counter in its control word. Get spins until `staleness <= bound`,
 //    then lock-CASes the word with staleness+1; Put never waits and
 //    releases with staleness-1 and generation+1. Bound 0 = BSP, huge bound
-//    = ASP, anything between = SSP.
+//    = ASP, anything between = SSP. A tracked Get of a cold record (read-
+//    only memory or disk) has no lockable word to bump, so it copies the
+//    whole record to the mutable tail carrying staleness+1 (FASTER's copy-
+//    to-tail, published by the same index CAS as every write). Every
+//    admitted Get thus counts, and the Put that follows updates in place.
 //
 //  * Promotion (the storage half of look-ahead prefetching, §III-C2).
 //    Promote(key) copies a disk-resident record — with its original
@@ -50,8 +54,10 @@ struct FasterOptions {
   // default is shared across layers (kv/record.h).
   uint64_t busy_spin_limit = kDefaultBusySpinLimit;
 
-  // Promote records touched by cold Gets to the tail (FASTER's
-  // "copy reads to tail"). Off by default; Lookahead drives promotion.
+  // Promote disk records touched by untracked cold reads (Peek, serving,
+  // the FASTER baseline) to the tail with their control word unchanged.
+  // Tracked reads under track_staleness always copy cold records, so this
+  // knob does not affect them. Off by default; Lookahead drives promotion.
   bool promote_cold_reads = false;
   // Ablation knob (DESIGN.md D2): when false, Promote() also copies records
   // from the immutable in-memory region, re-dirtying pages.
@@ -81,6 +87,9 @@ struct FasterStatsSnapshot {
   uint64_t reads = 0, upserts = 0, rmws = 0, deletes = 0;
   uint64_t inplace_updates = 0, rcu_appends = 0, inserts = 0;
   uint64_t promotions = 0, promotions_skipped = 0;
+  // Cold records copied to the tail by tracked reads (staleness+1 copies).
+  // Lookahead promotions are counted separately, above.
+  uint64_t read_copies = 0;
   uint64_t staleness_waits = 0, busy_aborts = 0;
   uint64_t disk_record_reads = 0, pages_flushed = 0, pages_evicted = 0;
   uint64_t compactions = 0, compaction_live_copied = 0;
@@ -119,7 +128,9 @@ class FasterStore {
   // Reads the value for `key` into `out` (at most `cap` bytes); the full
   // value size is returned via `size` when non-null. Under staleness
   // tracking, waits until the record's staleness is within `bound` and
-  // increments it. `bound == UINT32_MAX` uses the store-level bound.
+  // increments it — in place for a mutable record, by a tail copy of the
+  // whole record for a cold one. `bound == UINT32_MAX` uses the
+  // store-level bound.
   Status Read(Key key, void* out, uint32_t cap, uint32_t* size = nullptr,
               uint32_t bound = UINT32_MAX);
   Status Read(Key key, std::string* out, uint32_t bound = UINT32_MAX);
@@ -160,8 +171,9 @@ class FasterStore {
 
   // Header of the newest version of `key` (tombstones included), read
   // outside the staleness protocol: no wait, no increment. For tests and
-  // diagnostics that inspect a record's control word.
-  Status PeekMeta(Key key, RecordMeta* meta);
+  // diagnostics that inspect a record's control word; `address`, when
+  // non-null, receives the version's log address (which region holds it).
+  Status PeekMeta(Key key, RecordMeta* meta, Address* address = nullptr);
 
   // --- Two-phase pending-read pipeline (kv/pending_read.h) ---
 
@@ -173,9 +185,14 @@ class FasterStore {
   // landing size) for submission through a PendingReadWave. Never issues
   // disk I/O itself. Either way pending->chain_head is the index slot the
   // walk observed — what InsertIfAbsent needs after a NotFound.
-  // `bound == UINT32_MAX` uses the store-level bound.
+  // `bound == UINT32_MAX` uses the store-level bound. `fetch` is the value
+  // bytes a parked read lands (at least `cap`; 0 means `cap`): a tracked
+  // read copies the whole record to the tail, so it passes the full stored
+  // value size — a record larger than its landing buffer falls back to the
+  // blocking path rather than being copied truncated.
   bool StartRead(Key key, void* out, uint32_t cap, uint32_t* size,
-                 uint32_t bound, bool tracked, PendingRead* pending);
+                 uint32_t bound, bool tracked, PendingRead* pending,
+                 uint32_t fetch = 0);
 
   // Phase 1 of a Lookahead promotion: memory-resident and absent keys run
   // the classic Promote inline (its status is returned, *parked stays
@@ -193,7 +210,9 @@ class FasterStore {
   // I/O caught mid-move (compaction invalidated the address, eviction beat
   // the classification) or whose frozen staleness fails the bound falls
   // back to a synchronous re-read internally, preserving exact blocking-
-  // path semantics; a failed I/O becomes the key's status as-is.
+  // path semantics; a failed I/O becomes the key's status as-is. A tracked
+  // read publishes its tail copy from the landed image; a lost publish CAS
+  // also falls back, so the increment lands on the live version.
   PendingStep CompletePendingRead(PendingRead* pending,
                                   const Status& io_status);
 
@@ -331,6 +350,14 @@ class FasterStore {
   // Marks the in-memory record at `address` replaced (no-op if evicted).
   void MarkReplaced(Address address);
 
+  // A tracked read's tail copy of the cold record at `address`: the whole
+  // stored `value` (meta.value_size bytes) with the read's increment on
+  // the original control word, published against `chain_head`. Busy means
+  // the slot moved since the walk; the caller re-resolves the key so the
+  // increment lands on the live version.
+  Status PublishReadCopy(Key key, const void* value, const RecordMeta& meta,
+                         Address address, Address chain_head);
+
   Record* MutableRecord(Address address) {
     return reinterpret_cast<Record*>(log_.MutablePointer(address));
   }
@@ -339,6 +366,7 @@ class FasterStore {
     std::atomic<uint64_t> reads{0}, upserts{0}, rmws{0}, deletes{0};
     std::atomic<uint64_t> inplace_updates{0}, rcu_appends{0}, inserts{0};
     std::atomic<uint64_t> promotions{0}, promotions_skipped{0};
+    std::atomic<uint64_t> read_copies{0};
     std::atomic<uint64_t> staleness_waits{0}, busy_aborts{0};
     std::atomic<uint64_t> compactions{0}, compaction_live_copied{0};
     std::atomic<uint64_t> async_reads_submitted{0}, async_reads_completed{0};

@@ -339,6 +339,13 @@ void HybridLog::EndInPlaceWrite(Address a) {
   frame_writers_[f].fetch_sub(1, std::memory_order_acq_rel);
 }
 
+void HybridLog::AwaitInPlaceWriters(Address a) const {
+  const uint64_t f = FrameOf(PageOf(a));
+  SpinWaitUntil([this, f]() {
+    return frame_writers_[f].load(std::memory_order_acquire) == 0;
+  });
+}
+
 Address HybridLog::SealMutableRegion() {
   const Address t = tail_.load(std::memory_order_acquire);
   Address cur = read_only_.load(std::memory_order_acquire);

@@ -170,6 +170,12 @@ class HybridLog {
   bool BeginInPlaceWrite(Address a);
   void EndInPlaceWrite(Address a);
 
+  // Waits until no in-place writer is registered on the frame holding `a`.
+  // For `a` below the read-only boundary this is the point after which its
+  // in-memory bytes are final: writers that registered before the boundary
+  // moved have finished, and later ones fail BeginInPlaceWrite's re-check.
+  void AwaitInPlaceWriters(Address a) const;
+
   // Advances the read-only boundary to the current tail and drains writers
   // already registered on the frames, then returns that tail. Afterwards
   // every update to a pre-seal record must RCU-append a fresh log record

@@ -14,7 +14,9 @@
 // evicted, compacted, hash chain continuing at another cold address past
 // the hop budget, or a staleness bound the frozen record fails — falls
 // back to the synchronous read path, so per-key results are always exactly
-// what the blocking path would have produced.
+// what the blocking path would have produced. A tracked read lands the
+// whole record and publishes its tail copy (the read's staleness
+// increment) from the landed image; a lost publish falls back the same way.
 #pragma once
 
 #include <cstdint>

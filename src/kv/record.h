@@ -9,6 +9,15 @@
 // lock; MLKV "steals" the remaining 32 bits for a per-record vector clock
 // (staleness counter) to implement bounded staleness consistency. All state
 // transitions are single compare-and-swap operations on this word.
+//
+// The contract (SSP; Ho et al., NIPS'13): a tracked Get is admitted while
+// the newest version's counter is <= the bound b and then increments it; a
+// Put decrements it (saturating at 0) and never waits. So at most b+1 Gets
+// of a key are outstanding ahead of its Puts, and every admitted Get
+// counts: on a mutable record the increment is a CAS on this word, on a
+// cold (read-only or disk) record it is a tail copy of the record whose
+// word carries counter+1, published by an index CAS against the chain head
+// the read observed.
 #pragma once
 
 #include <atomic>

@@ -406,6 +406,7 @@ FasterStatsSnapshot ShardedStore::stats() const {
     total.inserts += s.inserts;
     total.promotions += s.promotions;
     total.promotions_skipped += s.promotions_skipped;
+    total.read_copies += s.read_copies;
     total.staleness_waits += s.staleness_waits;
     total.busy_aborts += s.busy_aborts;
     total.disk_record_reads += s.disk_record_reads;

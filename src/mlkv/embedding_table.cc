@@ -62,15 +62,20 @@ Status EmbeddingTable::ExecuteReadSpan(std::span<const Key> keys,
   return ReconcileSpanResult(*r, result != nullptr);
 }
 
+// Tracked reads land the whole record (embedding plus fused optimizer
+// state): a cold record's tail copy carries all of it, while only the
+// embedding is copied out.
 Status EmbeddingTable::Get(std::span<const Key> keys, float* out,
                            BatchResult* result) {
   const uint32_t bytes = value_bytes();
+  const uint32_t fetch = record_bytes();
   return ExecuteReadSpan(
       keys,
-      [this, out, bytes](FasterStore* shard, Key key, size_t i,
-                         BatchResult* part, size_t pi, PendingSink* sink) {
-        BatchReadOrPark(shard, key, out + i * dim_, bytes, staleness_bound_,
-                        /*tracked=*/true, part, pi, sink);
+      [this, out, bytes, fetch](FasterStore* shard, Key key, size_t i,
+                                BatchResult* part, size_t pi,
+                                PendingSink* sink) {
+        BatchReadOrPark(shard, key, out + i * dim_, bytes, fetch,
+                        staleness_bound_, /*tracked=*/true, part, pi, sink);
       },
       result);
 }
@@ -78,15 +83,17 @@ Status EmbeddingTable::Get(std::span<const Key> keys, float* out,
 Status EmbeddingTable::GetOrInit(std::span<const Key> keys, float* out,
                                  BatchResult* result) {
   const uint32_t bytes = value_bytes();
+  const uint32_t fetch = record_bytes();
   return ExecuteReadSpan(
       keys,
-      [this, out, bytes](FasterStore* shard, Key key, size_t i,
-                         BatchResult* part, size_t pi, PendingSink* sink) {
+      [this, out, bytes, fetch](FasterStore* shard, Key key, size_t i,
+                                BatchResult* part, size_t pi,
+                                PendingSink* sink) {
         float* dst = out + i * dim_;
         const auto init_missing = [this, shard, key, dst](Address head) {
           return InitMissing(shard, key, dst, head);
         };
-        BatchReadOrPark(shard, key, dst, bytes, staleness_bound_,
+        BatchReadOrPark(shard, key, dst, bytes, fetch, staleness_bound_,
                         /*tracked=*/true, part, pi, sink, &init_missing);
       },
       result);
@@ -99,7 +106,7 @@ Status EmbeddingTable::Peek(std::span<const Key> keys, float* out,
       keys,
       [this, out, bytes](FasterStore* shard, Key key, size_t i,
                          BatchResult* part, size_t pi, PendingSink* sink) {
-        BatchReadOrPark(shard, key, out + i * dim_, bytes, UINT32_MAX,
+        BatchReadOrPark(shard, key, out + i * dim_, bytes, bytes, UINT32_MAX,
                         /*tracked=*/false, part, pi, sink);
       },
       result);
@@ -116,7 +123,7 @@ Status EmbeddingTable::PeekOrInit(std::span<const Key> keys, float* out,
         const auto init_missing = [this, shard, key, dst](Address head) {
           return InitMissing(shard, key, dst, head);
         };
-        BatchReadOrPark(shard, key, dst, bytes, UINT32_MAX,
+        BatchReadOrPark(shard, key, dst, bytes, bytes, UINT32_MAX,
                         /*tracked=*/false, part, pi, sink, &init_missing);
       },
       result);

@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "common/hash.h"
+#include "io/async_io.h"
 #include "io/faulty_file_device.h"
 #include "io/temp_dir.h"
 #include "kv/faster_store.h"
@@ -318,6 +319,66 @@ TEST(FasterStoreTest, PromoteMovesDiskRecordToMemory) {
   std::string out;
   ASSERT_TRUE(store.Read(7, &out).ok());
   EXPECT_EQ(out[0], 'p');
+}
+
+TEST(FasterStoreTest, PromotedColdReadKeepsTheFullValue) {
+  // promote_cold_reads copies what an untracked read fetched. A read whose
+  // buffer holds only a prefix of the value must never publish that prefix
+  // as the record: the blocking path loads the whole value for the copy,
+  // and the pipeline promotes only from a landing buffer that holds it all.
+  TempDir dir;
+  FasterOptions o = SmallStore(dir);
+  o.promote_cold_reads = true;
+  FasterStore store;
+  ASSERT_TRUE(store.Open(o).ok());
+  std::vector<char> value(64);
+  for (size_t i = 0; i < value.size(); ++i) value[i] = static_cast<char>(i);
+  for (Key k = 1; k <= 3; ++k) {
+    ASSERT_TRUE(store.Upsert(k, value.data(), 64).ok());
+  }
+  std::vector<char> filler(128, 'f');
+  for (Key k = 100; k < 700; ++k) {
+    ASSERT_TRUE(store.Upsert(k, filler.data(), 128).ok());
+  }
+  const auto expect_whole = [&](Key k) {
+    RecordMeta meta;
+    ASSERT_TRUE(store.PeekMeta(k, &meta).ok());
+    EXPECT_EQ(meta.value_size, 64u) << "key " << k;
+    std::string out;
+    ASSERT_TRUE(store.Read(k, &out).ok());
+    EXPECT_EQ(out, std::string(value.begin(), value.end())) << "key " << k;
+  };
+  char prefix[16];
+
+  // Blocking path: a 16-byte read of a 64-byte disk record promotes it
+  // whole.
+  ASSERT_FALSE(store.IsInMemory(1));
+  uint32_t size = 0;
+  ASSERT_TRUE(store.Peek(1, prefix, sizeof(prefix), &size).ok());
+  EXPECT_EQ(size, 64u);
+  EXPECT_EQ(std::memcmp(prefix, value.data(), sizeof(prefix)), 0);
+  EXPECT_TRUE(store.IsInMemory(1));
+  expect_whole(1);
+
+  // Pipeline: a landing buffer of 16 value bytes skips the promotion; one
+  // that covers the value (fetch = 64) promotes it whole.
+  AsyncIoEngine engine;
+  for (const Key k : {Key{2}, Key{3}}) {
+    ASSERT_FALSE(store.IsInMemory(k));
+    PendingRead p;
+    ASSERT_FALSE(store.StartRead(k, prefix, sizeof(prefix), nullptr,
+                                 UINT32_MAX, /*tracked=*/false, &p,
+                                 /*fetch=*/k == 2 ? 0 : 64));
+    PendingSink sink;
+    sink.Park(&store, std::move(p),
+              [](PendingRead* done) { EXPECT_TRUE(done->status.ok()); });
+    PendingReadWave wave(&engine);
+    wave.Adopt(&sink);
+    wave.CompleteAll();
+    EXPECT_EQ(std::memcmp(prefix, value.data(), sizeof(prefix)), 0);
+    EXPECT_EQ(store.IsInMemory(k), k == 3) << "key " << k;
+    expect_whole(k);
+  }
 }
 
 TEST(FasterStoreTest, PromoteSkipsImmutableInMemoryRecords) {

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <vector>
 
 #include "io/temp_dir.h"
@@ -205,6 +206,99 @@ TEST(FusedOptimizerTableTest, LegacySgdOverloadIgnoresConfig) {
   ASSERT_TRUE(f.table->ApplyGradients({&key, 1}, grad.data(), 0.5f).ok());
   ASSERT_TRUE(f.table->Get({&key, 1}, w.data()).ok());
   EXPECT_FLOAT_EQ(w[0], -0.5f);  // plain SGD with the explicit lr
+}
+
+TEST(FusedOptimizerTableTest, ColdTrackedReadsKeepFusedState) {
+  // A tracked Get of a disk-resident row copies the whole record to the
+  // tail, fused optimizer state included. Two Get + ApplyGradients steps
+  // over rows pushed to disk (first through the pending-read wave, then
+  // the blocking path) must leave every record bitwise equal to the same
+  // steps on a table that never leaves memory.
+  constexpr uint32_t kDim = 8;
+  constexpr Key kKeys = 32;
+  for (const OptimizerKind kind :
+       {OptimizerKind::kAdagrad, OptimizerKind::kAdam}) {
+    SCOPED_TRACE(OptimizerKindName(kind));
+    OptimizerConfig cfg;
+    cfg.kind = kind;
+    cfg.lr = 0.1f;
+    TempDir dir;
+    const auto open = [&](const char* name, uint64_t mem_size,
+                          std::unique_ptr<Mlkv>* db, EmbeddingTable** t) {
+      MlkvOptions opts;
+      opts.dir = dir.path() + "/" + name;
+      opts.index_slots = 4096;
+      opts.page_size = 4096;
+      opts.mem_size = mem_size;
+      ASSERT_TRUE(Mlkv::Open(opts, db).ok());
+      ASSERT_TRUE((*db)->OpenTable("t", kDim, 16, t, cfg).ok());
+    };
+    std::unique_ptr<Mlkv> cold_db, warm_db;
+    EmbeddingTable* cold = nullptr;
+    EmbeddingTable* warm = nullptr;
+    open("cold", 16 * 4096, &cold_db, &cold);
+    open("warm", 4u << 20, &warm_db, &warm);
+
+    std::vector<Key> keys(kKeys);
+    std::vector<float> rows(kKeys * kDim);
+    for (Key k = 0; k < kKeys; ++k) {
+      keys[k] = k;
+      for (uint32_t d = 0; d < kDim; ++d) {
+        rows[k * kDim + d] =
+            0.01f * static_cast<float>(k) + static_cast<float>(d);
+      }
+    }
+    ASSERT_TRUE(cold->Put(keys, rows.data()).ok());
+    ASSERT_TRUE(warm->Put(keys, rows.data()).ok());
+
+    Key filler = 1000;
+    const auto bury = [&] {
+      const std::vector<float> junk(kDim, 1.0f);
+      for (Key k = 0; k < kKeys; ++k) {
+        while (cold->store()->IsInMemory(k)) {
+          ASSERT_TRUE(cold->Put({&filler, 1}, junk.data()).ok());
+          ++filler;
+        }
+      }
+    };
+    for (int step = 0; step < 2; ++step) {
+      bury();
+      std::vector<float> got_cold(kKeys * kDim), got_warm(kKeys * kDim);
+      if (step == 0) {  // batched with a sink: the pending-read wave
+        BatchResult rc, rw;
+        ASSERT_TRUE(cold->Get(keys, got_cold.data(), &rc).ok());
+        ASSERT_TRUE(warm->Get(keys, got_warm.data(), &rw).ok());
+        ASSERT_TRUE(rc.AllOk());
+        ASSERT_TRUE(rw.AllOk());
+      } else {  // fail-fast: the blocking path
+        ASSERT_TRUE(cold->Get(keys, got_cold.data()).ok());
+        ASSERT_TRUE(warm->Get(keys, got_warm.data()).ok());
+      }
+      EXPECT_EQ(got_cold, got_warm) << "step " << step;
+      std::vector<float> grads(kKeys * kDim);
+      for (size_t i = 0; i < grads.size(); ++i) {
+        grads[i] = 0.05f * static_cast<float>(i % 7) -
+                   0.1f * static_cast<float>(step);
+      }
+      ASSERT_TRUE(cold->ApplyGradients(keys, grads.data()).ok());
+      ASSERT_TRUE(warm->ApplyGradients(keys, grads.data()).ok());
+    }
+    EXPECT_EQ(cold->store()->stats().read_copies, 2 * kKeys);
+    EXPECT_EQ(warm->store()->stats().read_copies, 0u);
+
+    const uint32_t bytes = cold->record_bytes();
+    for (const Key k : keys) {
+      std::vector<char> a(bytes), b(bytes);
+      uint32_t size_a = 0, size_b = 0;
+      ASSERT_TRUE(
+          cold->store()->ShardFor(k)->Peek(k, a.data(), bytes, &size_a).ok());
+      ASSERT_TRUE(
+          warm->store()->ShardFor(k)->Peek(k, b.data(), bytes, &size_b).ok());
+      EXPECT_EQ(size_a, bytes) << "key " << k;
+      EXPECT_EQ(size_b, bytes) << "key " << k;
+      EXPECT_EQ(std::memcmp(a.data(), b.data(), bytes), 0) << "key " << k;
+    }
+  }
 }
 
 TEST(FusedOptimizerTableTest, StateSurvivesCheckpointRecover) {

@@ -7,10 +7,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstring>
 #include <memory>
 #include <vector>
 
+#include "backend/kv_backend.h"
 #include "io/async_io.h"
 #include "io/faulty_file_device.h"
 #include "io/temp_dir.h"
@@ -18,6 +20,7 @@
 #include "kv/sharded_store.h"
 #include "mlkv/embedding_init.h"
 #include "mlkv/mlkv.h"
+#include "obs/metrics.h"
 
 namespace mlkv {
 namespace {
@@ -412,6 +415,65 @@ TEST(PendingReadTest, MlkvWaveServesPutRowsInitAndLookahead) {
   // Drain-on-close: issue lookaheads and destroy immediately.
   ASSERT_TRUE(table->Lookahead(ahead).ok());
   db.reset();
+}
+
+TEST(PendingReadTest, TrackedColdGetLeavesThePutNothingToRead) {
+  // A training step: tracked MultiGet of cold rows, then MultiPut of the
+  // same rows. The Get copies each cold record to the mutable tail with
+  // its staleness increment, so the Put updates every row in place and
+  // issues no device read (the store's own exposition shows both).
+  constexpr uint32_t kDim = 8;
+  constexpr size_t kLoad = 2000, kStep = 64;
+  constexpr double kStepRows = kStep;
+  TempDir dir;
+  BackendConfig cfg;
+  cfg.dir = dir.File("m");
+  cfg.dim = kDim;
+  cfg.buffer_bytes = 1u << 16;
+  cfg.index_slots = 4096;
+  cfg.io_threads = 2;
+  std::unique_ptr<KvBackend> backend;
+  ASSERT_TRUE(MakeBackend(BackendKind::kMlkv, cfg, &backend).ok());
+  const auto sample = [&](const char* name) {
+    obs::MetricsSink sink;
+    backend->CollectMetrics(&sink);
+    double total = 0;
+    for (const obs::MetricsSink::Sample& s : sink.samples()) {
+      if (s.name == name) total += s.value;
+    }
+    return total;
+  };
+
+  std::vector<Key> keys(kLoad);
+  std::vector<float> rows(kLoad * kDim);
+  for (size_t i = 0; i < kLoad; ++i) {
+    keys[i] = i;
+    for (uint32_t d = 0; d < kDim; ++d) {
+      rows[i * kDim + d] = static_cast<float>(i) + 0.5f * static_cast<float>(d);
+    }
+  }
+  ASSERT_TRUE(backend->MultiPut(keys, rows.data()).AllOk());
+
+  // The first rows written are the coldest.
+  const std::vector<Key> step(keys.begin(), keys.begin() + kStep);
+  const double reads_before_get = sample("mlkv_io_disk_record_reads_total");
+  std::vector<float> got(kStep * kDim);
+  ASSERT_TRUE(backend->MultiGet(step, got.data()).AllOk());
+  EXPECT_TRUE(std::equal(got.begin(), got.end(), rows.begin()));
+  const double reads_before_put = sample("mlkv_io_disk_record_reads_total");
+  EXPECT_GE(reads_before_put - reads_before_get, kStepRows) << "rows warm";
+  EXPECT_EQ(sample("mlkv_store_read_copies_total"), kStepRows);
+
+  const double inplace_before = sample("mlkv_store_inplace_updates_total");
+  for (float& v : got) v += 1.0f;
+  ASSERT_TRUE(backend->MultiPut(step, got.data()).AllOk());
+  EXPECT_EQ(sample("mlkv_io_disk_record_reads_total"), reads_before_put);
+  EXPECT_EQ(sample("mlkv_store_inplace_updates_total") - inplace_before,
+            kStepRows);
+
+  std::vector<float> again(kStep * kDim);
+  ASSERT_TRUE(backend->MultiGet(step, again.data()).AllOk());
+  EXPECT_EQ(again, got);
 }
 
 }  // namespace

@@ -1,16 +1,25 @@
 // Tests for MLKV's bounded staleness consistency protocol (paper §III-C1):
 // Get increments the record's staleness counter and waits while it exceeds
 // the bound; Put decrements it and never waits; bound 0 = BSP, huge = ASP.
+// The contract matrix checks it for cold records (read-only memory and
+// disk), whose reads count through a tail copy, on both read paths.
 #include <gtest/gtest.h>
 
 #include <atomic>
 #include <chrono>
 #include <cstring>
+#include <initializer_list>
+#include <memory>
+#include <string>
 #include <thread>
+#include <tuple>
 #include <vector>
 
+#include "io/async_io.h"
 #include "io/temp_dir.h"
 #include "kv/faster_store.h"
+#include "kv/pending_read.h"
+#include "mlkv/mlkv.h"
 
 namespace mlkv {
 namespace {
@@ -251,6 +260,208 @@ TEST(StalenessTest, UntrackedModeHasNoStalenessEffects) {
   }
   EXPECT_EQ(store.stats().staleness_waits, 0u);
   EXPECT_EQ(store.stats().busy_aborts, 0u);
+}
+
+// --- Cold-record contract matrix ------------------------------------------
+
+enum class Residency { kDisk, kReadOnlyMemory };
+enum class ReadPath { kBlocking, kPipeline };
+
+constexpr uint32_t kDim = 8;
+constexpr uint32_t kRowBytes = kDim * sizeof(float);
+constexpr Key kTarget = 7;
+constexpr Key kFirstFiller = 1000;
+
+std::vector<float> Row(Key key) {
+  std::vector<float> row(kDim);
+  for (uint32_t d = 0; d < kDim; ++d) row[d] = static_cast<float>(key + d);
+  return row;
+}
+
+// One-shard MLKV table over a 64 KiB log buffer, so a few hundred filler
+// rows push any record out of the mutable region.
+struct ColdTable {
+  TempDir dir;
+  std::unique_ptr<Mlkv> db;
+  EmbeddingTable* table = nullptr;
+  FasterStore* shard = nullptr;
+  Key next_filler = kFirstFiller;
+  Key next_companion = 0;  // set by Bury
+
+  explicit ColdTable(uint32_t bound) {
+    MlkvOptions o;
+    o.dir = dir.File("db");
+    o.index_slots = 4096;
+    o.page_size = 4096;
+    o.mem_size = 16 * 4096;
+    o.shard_bits = 0;
+    o.busy_spin_limit = 16;  // an over-bound read gives up at once
+    EXPECT_TRUE(Mlkv::Open(o, &db).ok());
+    EXPECT_TRUE(db->OpenTable("emb", kDim, bound, &table).ok());
+    shard = table->store()->shard(0);
+  }
+
+  // Where `key`'s newest version sits: 0 mutable, 1 read-only memory,
+  // 2 disk.
+  int RegionOf(Key key) {
+    RecordMeta meta;
+    Address a = kInvalidAddress;
+    EXPECT_TRUE(shard->PeekMeta(key, &meta, &a).ok());
+    if (a >= shard->log().read_only_address()) return 0;
+    return a >= shard->log().head_address() ? 1 : 2;
+  }
+
+  // Writes filler rows until every key's newest version sits in `where`,
+  // then writes `companions` rows that stay mutable (see TrackedRead).
+  void Bury(std::initializer_list<Key> keys, Residency where,
+            uint32_t companions) {
+    const int target = where == Residency::kDisk ? 2 : 1;
+    for (const Key key : keys) {
+      while (RegionOf(key) < target) {
+        const Key filler = next_filler++;
+        ASSERT_TRUE(table->Put({&filler, 1}, Row(filler).data()).ok());
+      }
+    }
+    next_companion = next_filler;
+    for (uint32_t i = 0; i < companions; ++i) {
+      const Key filler = next_filler++;
+      ASSERT_TRUE(table->Put({&filler, 1}, Row(filler).data()).ok());
+    }
+    for (const Key key : keys) ASSERT_EQ(RegionOf(key), target) << key;
+  }
+
+  // One tracked read of `key`. The pipeline path batches it with a fresh
+  // mutable companion so the read goes through the pending-read wave
+  // (single-key batches take the blocking path) without copying anything
+  // but `key`.
+  Status TrackedRead(Key key, ReadPath path, std::vector<float>* out) {
+    out->assign(kDim, 0.0f);
+    if (path == ReadPath::kBlocking) {
+      return shard->Read(key, out->data(), kRowBytes);
+    }
+    const Key companion = next_companion++;
+    const Key keys[2] = {key, companion};
+    std::vector<float> rows(2 * kDim);
+    BatchResult r;
+    table->Get(keys, rows.data(), &r);
+    EXPECT_EQ(r.codes[1], Status::Code::kOk) << "companion " << companion;
+    std::memcpy(out->data(), rows.data(), kRowBytes);
+    return r.StatusAt(0);
+  }
+};
+
+class ColdStalenessTest
+    : public ::testing::TestWithParam<
+          std::tuple<uint32_t, Residency, ReadPath>> {};
+
+TEST_P(ColdStalenessTest, AdmitsBoundPlusOneThenBusy) {
+  const auto [bound, where, path] = GetParam();
+  ColdTable t(bound);
+  // Three keys go cold with counters 0, b and b+1 (Gets taken while they
+  // were mutable), so the cold admission check runs inside, exactly at,
+  // and just past the bound.
+  constexpr Key kFresh = kTarget, kAtBound = kTarget + 1,
+                kOverBound = kTarget + 2;
+  const auto frozen = [bound = bound](Key k) {
+    return k == kFresh ? 0 : k == kAtBound ? bound : bound + 1;
+  };
+  std::vector<float> out(kDim);
+  for (const Key k : {kFresh, kAtBound, kOverBound}) {
+    ASSERT_TRUE(t.table->Put({&k, 1}, Row(k).data()).ok());
+    for (uint32_t i = 0; i < frozen(k); ++i) {
+      ASSERT_TRUE(t.shard->Read(k, out.data(), kRowBytes).ok());
+    }
+  }
+  t.Bury({kFresh, kAtBound, kOverBound}, where,
+         /*companions=*/3 * bound + 8);
+  const uint64_t submitted_before = t.shard->stats().async_reads_submitted;
+
+  // An admitted Get of a cold key counts through its tail copy; later ones
+  // count in place on that copy. Bound b admits b+1 outstanding Gets: the
+  // rest of the b+1 for each key, then Busy.
+  for (const Key k : {kFresh, kAtBound, kOverBound}) {
+    const uint32_t admitted = bound + 1 - frozen(k);
+    for (uint32_t i = 0; i < admitted; ++i) {
+      ASSERT_TRUE(t.TrackedRead(k, path, &out).ok())
+          << "key " << k << " read " << i;
+      EXPECT_EQ(out, Row(k)) << "key " << k << " read " << i;
+    }
+    EXPECT_TRUE(t.TrackedRead(k, path, &out).IsBusy()) << "key " << k;
+
+    RecordMeta meta;
+    Address a = kInvalidAddress;
+    ASSERT_TRUE(t.shard->PeekMeta(k, &meta, &a).ok());
+    EXPECT_EQ(ControlWord::Staleness(meta.control), bound + 1) << "key " << k;
+    // A refused Get leaves the record where it was; an admitted one left a
+    // mutable copy.
+    EXPECT_EQ(a >= t.shard->log().read_only_address(), admitted > 0)
+        << "key " << k;
+  }
+  EXPECT_EQ(t.shard->stats().read_copies, 2u);
+  if (where == Residency::kDisk && path == ReadPath::kPipeline) {
+    EXPECT_GT(t.shard->stats().async_reads_submitted, submitted_before);
+  }
+
+  // A Put releases one slot: exactly one more Get is admitted.
+  ASSERT_TRUE(t.table->Put({&kFresh, 1}, Row(kFresh).data()).ok());
+  EXPECT_TRUE(t.TrackedRead(kFresh, path, &out).ok());
+  EXPECT_TRUE(t.TrackedRead(kFresh, path, &out).IsBusy());
+}
+
+std::string MatrixName(
+    const ::testing::TestParamInfo<ColdStalenessTest::ParamType>& info) {
+  const auto [bound, where, path] = info.param;
+  return "Bound" + std::to_string(bound) +
+         (where == Residency::kDisk ? "_Disk" : "_ReadOnlyMemory") +
+         (path == ReadPath::kBlocking ? "_Blocking" : "_Pipeline");
+}
+
+INSTANTIATE_TEST_SUITE_P(
+    Matrix, ColdStalenessTest,
+    ::testing::Combine(::testing::Values(0u, 1u, 4u),
+                       ::testing::Values(Residency::kDisk,
+                                         Residency::kReadOnlyMemory),
+                       ::testing::Values(ReadPath::kBlocking,
+                                         ReadPath::kPipeline)),
+    MatrixName);
+
+TEST(StalenessTest, ParkedColdReadLosingToAPutCountsOnTheLiveVersion) {
+  // A tracked read parks on a disk record; a Put supersedes the record
+  // while the fetch is in flight. The read's tail copy loses its publish
+  // CAS, so the read falls back and its increment lands on the Put's
+  // version, serving the Put's value.
+  ColdTable t(/*bound=*/8);
+  ASSERT_TRUE(t.table->Put({&kTarget, 1}, Row(kTarget).data()).ok());
+  std::vector<float> out(kDim);
+  for (int i = 0; i < 2; ++i) {  // counter 2 while mutable
+    ASSERT_TRUE(t.shard->Read(kTarget, out.data(), kRowBytes).ok());
+  }
+  t.Bury({kTarget}, Residency::kDisk, /*companions=*/0);
+
+  std::vector<float> got(kDim, 0.0f);
+  PendingRead p;
+  ASSERT_FALSE(t.shard->StartRead(kTarget, got.data(), kRowBytes, nullptr,
+                                  UINT32_MAX, /*tracked=*/true, &p));
+  const std::vector<float> newer = Row(kTarget + 100);
+  ASSERT_TRUE(t.shard->Upsert(kTarget, newer.data(), kRowBytes).ok());
+
+  AsyncIoEngine engine;
+  PendingSink sink;
+  Status status;
+  sink.Park(t.shard, std::move(p),
+            [&status](PendingRead* done) { status = done->status; });
+  PendingReadWave wave(&engine);
+  wave.Adopt(&sink);
+  wave.CompleteAll();
+
+  ASSERT_TRUE(status.ok()) << status.ToString();
+  EXPECT_EQ(got, newer);
+  RecordMeta meta;
+  ASSERT_TRUE(t.shard->PeekMeta(kTarget, &meta).ok());
+  // 2 on disk, the Put releases one, the read takes it back.
+  EXPECT_EQ(ControlWord::Staleness(meta.control), 2u);
+  EXPECT_EQ(t.shard->stats().read_copies, 0u);
+  EXPECT_GE(t.shard->stats().async_reads_refetched, 1u);
 }
 
 }  // namespace
