@@ -1,9 +1,10 @@
 // Serving bench (extension): batched embedding-lookup throughput and tail
-// latency of the inference path (EmbeddingServer) over an out-of-core
-// table, sweeping serving-cache capacity, admission policy, and key skew —
-// the trade-off HugeCTR's hierarchical parameter server navigates with
-// RocksDB as the bottom tier (paper §II-B). The zipfian sweep pits plain
-// LRU against TinyLFU admission (docs/SERVING.md): under skew with a cache
+// latency of the inference path (the MakeCachingBackend decorator over
+// MLKV, read untracked) over an out-of-core table, sweeping serving-cache
+// capacity, admission policy, and key skew — the trade-off HugeCTR's
+// hierarchical parameter server navigates with RocksDB as the bottom tier
+// (paper §II-B). The zipfian sweep pits plain LRU against TinyLFU
+// admission (docs/SERVING.md): under skew with a cache
 // a fraction of the keyspace, the frequency sketch keeps the hot head
 // resident while LRU churns it out on the one-hit tail.
 //
@@ -29,10 +30,8 @@
 #include "common/random.h"
 #include "io/file_device.h"
 #include "io/temp_dir.h"
-#include "mlkv/mlkv.h"
 #include "net/kv_server.h"
 #include "obs/metrics.h"
-#include "serve/embedding_server.h"
 #include "serve/tinylfu.h"
 
 using namespace mlkv;
@@ -49,31 +48,47 @@ struct Setup {
   int threads = 4;
 };
 
+// An MLKV backend under `dir` holding rows 0..rows-1 (row k's first float
+// is k), preloaded in MultiPut chunks.
+std::unique_ptr<KvBackend> MakeLoadedMlkv(const Setup& s,
+                                          const std::string& dir) {
+  BackendConfig cfg;
+  cfg.dir = dir;
+  cfg.dim = s.dim;
+  cfg.buffer_bytes = s.buffer_mb << 20;
+  cfg.index_slots = s.rows;
+  std::unique_ptr<KvBackend> engine;
+  if (!MakeBackend(BackendKind::kMlkv, cfg, &engine).ok()) std::exit(1);
+  constexpr size_t kChunk = 1024;
+  std::vector<Key> keys(kChunk);
+  std::vector<float> values(kChunk * s.dim, 0.5f);
+  for (Key base = 0; base < s.rows; base += kChunk) {
+    const size_t n =
+        static_cast<size_t>(std::min<uint64_t>(kChunk, s.rows - base));
+    for (size_t i = 0; i < n; ++i) {
+      keys[i] = base + i;
+      values[i * s.dim] = static_cast<float>(keys[i]);
+    }
+    if (engine->MultiPut({keys.data(), n}, values.data()).failed > 0) {
+      std::exit(1);
+    }
+  }
+  return engine;
+}
+
 // One admission-sweep row: theta < 0 means uniform traffic.
 void RunRow(const Setup& s, size_t cache_capacity, double theta,
             CacheAdmission admission, Table* t) {
   TempDir dir;
-  MlkvOptions opts;
-  opts.dir = dir.path() + "/db";
-  opts.index_slots = s.rows;
-  opts.mem_size = s.buffer_mb << 20;
-  std::unique_ptr<Mlkv> db;
-  if (!Mlkv::Open(opts, &db).ok()) std::exit(1);
-  EmbeddingTable* table = nullptr;
-  if (!db->OpenTable("emb", s.dim, 8, &table).ok()) std::exit(1);
-  {
-    std::vector<float> v(s.dim, 0.5f);
-    for (Key k = 0; k < s.rows; ++k) {
-      v[0] = static_cast<float>(k);
-      if (!table->Put({&k, 1}, v.data()).ok()) std::exit(1);
-    }
+  std::unique_ptr<KvBackend> server;
+  if (!MakeCachingBackend(MakeLoadedMlkv(s, dir.path() + "/backend"),
+                          cache_capacity, admission, &server)
+           .ok()) {
+    std::exit(1);
   }
 
-  ServeOptions so;
-  so.cache_capacity = cache_capacity;
-  so.cache_admission = admission;
-  EmbeddingServer server(table, so);
-
+  Histogram lat;
+  std::atomic<uint64_t> lookups{0};
   StopWatch watch;
   std::vector<std::thread> workers;
   for (int w = 0; w < s.threads; ++w) {
@@ -82,30 +97,39 @@ void RunRow(const Setup& s, size_t cache_capacity, double theta,
       ZipfianGenerator zg(s.rows, theta < 0 ? 0.99 : theta, 2000 + w);
       std::vector<Key> keys(s.batch);
       std::vector<float> out(s.batch * s.dim);
+      MultiGetOptions serve;
+      serve.init_missing = false;
+      serve.untracked = true;
       for (uint64_t b = 0; b < s.batches / s.threads; ++b) {
         for (auto& k : keys) {
           k = theta < 0 ? rng.Uniform(s.rows) : zg.NextScrambled();
         }
-        if (!server.Lookup(keys, out.data()).ok()) std::exit(1);
+        const StopWatch batch_watch;
+        if (server->MultiGet(keys, out.data(), serve).failed > 0) {
+          std::exit(1);
+        }
+        lat.Record(batch_watch.ElapsedMicros());
+        lookups.fetch_add(keys.size());
       }
     });
   }
   for (auto& th : workers) th.join();
   const double secs = watch.ElapsedSeconds();
-  const auto st = server.stats();
+  obs::MetricsSink sink;
+  server->CollectMetrics(&sink);
+  const double n = static_cast<double>(lookups.load());
   char dist[32];
   std::snprintf(dist, sizeof(dist), "zipf %.2f", theta);
   t->Cell(theta < 0 ? std::string("uniform") : std::string(dist));
   t->Cell(static_cast<uint64_t>(cache_capacity));
   t->Cell(admission == CacheAdmission::kTinyLfu ? "tinylfu" : "lru");
-  t->Cell(Human(static_cast<double>(st.lookups) / secs));
-  t->Cell(100.0 * static_cast<double>(st.cache_hits) /
-              static_cast<double>(st.lookups),
-          "%.1f%%");
-  t->Cell(st.admission_rejects);
-  t->Cell(st.batch_p50_us);
-  t->Cell(st.batch_p99_us);
-  t->Cell(st.batch_p999_us);
+  t->Cell(Human(n / secs));
+  t->Cell(100.0 * sink.Sum("mlkv_cache_hits_total") / n, "%.1f%%");
+  t->Cell(static_cast<uint64_t>(
+      sink.Sum("mlkv_cache_admission_rejects_total")));
+  t->Cell(lat.Percentile(0.50));
+  t->Cell(lat.Percentile(0.99));
+  t->Cell(lat.Percentile(0.999));
   t->EndRow();
 }
 
@@ -116,32 +140,9 @@ void RunRow(const Setup& s, size_t cache_capacity, double theta,
 // from the KvServer histogram.
 void RunRemoteRow(const Setup& s, bool zipf, Table* t) {
   TempDir dir;
-  BackendConfig cfg;
-  cfg.dir = dir.path() + "/backend";
-  cfg.dim = s.dim;
-  cfg.buffer_bytes = s.buffer_mb << 20;
-  cfg.index_slots = s.rows;
-  std::unique_ptr<KvBackend> engine;
-  if (!MakeBackend(BackendKind::kMlkv, cfg, &engine).ok()) std::exit(1);
-  {
-    constexpr size_t kChunk = 1024;
-    std::vector<Key> keys(kChunk);
-    std::vector<float> values(kChunk * s.dim, 0.5f);
-    for (Key base = 0; base < s.rows; base += kChunk) {
-      const size_t n =
-          static_cast<size_t>(std::min<uint64_t>(kChunk, s.rows - base));
-      for (size_t i = 0; i < n; ++i) {
-        keys[i] = base + i;
-        values[i * s.dim] = static_cast<float>(keys[i]);
-      }
-      if (engine->MultiPut({keys.data(), n}, values.data()).failed > 0) {
-        std::exit(1);
-      }
-    }
-  }
   net::KvServerOptions so;
   so.num_workers = static_cast<size_t>(s.threads);
-  net::KvServer server(std::move(engine), so);
+  net::KvServer server(MakeLoadedMlkv(s, dir.path() + "/backend"), so);
   if (!server.Start().ok()) std::exit(1);
   BackendConfig rcfg;
   rcfg.remote_addr = server.addr();
@@ -197,27 +198,8 @@ struct HedgeCluster {
 
   bool Start(const Setup& s, uint64_t delay_us, uint64_t every_nth) {
     for (int i = 0; i < 2; ++i) {
-      BackendConfig cfg;
-      cfg.dir = dir.path() + "/ep" + std::to_string(i);
-      cfg.dim = s.dim;
-      cfg.buffer_bytes = s.buffer_mb << 20;
-      cfg.index_slots = s.rows;
-      std::unique_ptr<KvBackend> engine;
-      if (!MakeBackend(BackendKind::kMlkv, cfg, &engine).ok()) return false;
-      constexpr size_t kChunk = 1024;
-      std::vector<Key> keys(kChunk);
-      std::vector<float> values(kChunk * s.dim, 0.5f);
-      for (Key base = 0; base < s.rows; base += kChunk) {
-        const size_t n =
-            static_cast<size_t>(std::min<uint64_t>(kChunk, s.rows - base));
-        for (size_t j = 0; j < n; ++j) {
-          keys[j] = base + j;
-          values[j * s.dim] = static_cast<float>(keys[j]);
-        }
-        if (engine->MultiPut({keys.data(), n}, values.data()).failed > 0) {
-          return false;
-        }
-      }
+      std::unique_ptr<KvBackend> engine =
+          MakeLoadedMlkv(s, dir.path() + "/ep" + std::to_string(i));
       if (i == 0) {
         DelayedBackend::Options dopt;
         dopt.delay_us = delay_us;
@@ -311,25 +293,24 @@ HedgeRowResult RunHedgeRow(const Setup& s, HedgeCluster* hc, uint64_t hedge_us,
 
   HedgeRowResult r;
   // RPCs the cluster client issued (hedges included), summed over its
-  // endpoint clients by ClusterBackend::CollectMetrics.
+  // endpoint clients by ClusterBackend::CollectMetrics. A client with
+  // hedging or hot replication off emits no such family: 0.
   obs::MetricsSink sink;
   cb->CollectMetrics(&sink);
-  for (const obs::MetricsSink::Sample& x : sink.samples()) {
-    if (x.name == "mlkv_net_rpc_requests_total") {
-      r.rpcs += static_cast<uint64_t>(x.value);
-    }
-  }
+  auto count = [&](const char* name) {
+    return static_cast<uint64_t>(sink.Sum(name));
+  };
+  r.rpcs = count("mlkv_net_rpc_requests_total");
   r.p50 = lat.Percentile(0.50);
   r.p99 = lat.Percentile(0.99);
   r.p999 = lat.Percentile(0.999);
-  const cluster::HedgeStats hs = cb->hedge_stats();
   t->Cell(label);
   t->Cell(Human(static_cast<double>(lookups.load()) / secs));
   t->Cell(r.p50);
   t->Cell(r.p99);
   t->Cell(r.p999);
-  t->Cell(hs.issued);
-  t->Cell(hs.wins);
+  t->Cell(count("mlkv_cluster_hedge_issued_total"));
+  t->Cell(count("mlkv_cluster_hedge_wins_total"));
   if (hot_top_k != 0) {
     // Read split across the endpoints: without hot replication the hot
     // head pins to its primary; with it the split approaches 50/50.
@@ -342,7 +323,8 @@ HedgeRowResult RunHedgeRow(const Setup& s, HedgeCluster* hc, uint64_t hedge_us,
     std::snprintf(split, sizeof(split), "%llu/%llu hot=%llu",
                   static_cast<unsigned long long>(reqs[0]),
                   static_cast<unsigned long long>(reqs[1]),
-                  static_cast<unsigned long long>(cb->hot_reads()));
+                  static_cast<unsigned long long>(
+                      count("mlkv_cluster_hot_reads_total")));
     t->Cell(std::string(split));
   } else {
     t->Cell("-");

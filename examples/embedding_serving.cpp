@@ -6,17 +6,21 @@
 //
 // Phase 1 trains a small CTR-style embedding table and checkpoints it.
 // Phase 2 simulates a serving replica: a fresh Mlkv instance recovers the
-// directory, warms the head of the popularity distribution into the
-// serving cache, and answers zipfian batched lookups, printing hit rates
-// and tail latency.
+// directory and serves the table through the caching decorator
+// (MakeCachingBackend over MakeTableBackend). It warms the head of the
+// popularity distribution into the serving cache and answers zipfian
+// batched lookups, printing hit rates and tail latency.
 #include <cstdio>
 #include <memory>
 #include <vector>
 
+#include "backend/kv_backend.h"
+#include "common/clock.h"
+#include "common/histogram.h"
 #include "common/random.h"
 #include "io/temp_dir.h"
 #include "mlkv/mlkv.h"
-#include "serve/embedding_server.h"
+#include "obs/metrics.h"
 
 using namespace mlkv;
 
@@ -61,35 +65,64 @@ int main() {
   EmbeddingTable* table = nullptr;
   if (!db->OpenExistingTable("ctr_emb", &table).ok()) return 1;
 
-  ServeOptions so;
-  so.cache_capacity = 1 << 14;
-  EmbeddingServer server(table, so);
+  std::unique_ptr<KvBackend> backend, server;
+  if (!MakeTableBackend(table, &backend).ok()) return 1;
+  if (!MakeCachingBackend(std::move(backend), 1 << 14, CacheAdmission::kLru,
+                          &server)
+           .ok()) {
+    return 1;
+  }
+  // The serving read: untracked (never touches the trainer's staleness
+  // state), and never-stored keys come back kNotFound instead of being
+  // initialized.
+  MultiGetOptions serve;
+  serve.init_missing = false;
+  serve.untracked = true;
 
-  // Deploy-time warmup: the head of the id distribution is known.
+  // Deploy-time warmup: the head of the id distribution is known. One
+  // serving read fills the cache; missing keys are skipped.
   std::vector<Key> head(1 << 13);
   for (size_t i = 0; i < head.size(); ++i) head[i] = i;
-  if (!server.Warm(head).ok()) return 1;
+  std::vector<float> rows(head.size() * kDim);
+  if (server->MultiGet(head, rows.data(), serve).failed > 0) return 1;
   std::printf("phase2: recovered table, warmed %zu hot rows\n", head.size());
+
+  auto cache_count = [&](const char* name) {
+    obs::MetricsSink sink;
+    server->CollectMetrics(&sink);
+    return static_cast<uint64_t>(sink.Sum(name));
+  };
+  const uint64_t warm_hits = cache_count("mlkv_cache_hits_total");
+  const uint64_t warm_misses = cache_count("mlkv_cache_misses_total");
 
   // Serve zipfian traffic.
   ZipfianGenerator zipf(kRows, 0.99, 99);
   std::vector<Key> batch(256);
   std::vector<float> out(batch.size() * kDim);
-  for (int b = 0; b < 500; ++b) {
+  Histogram latency_us;
+  uint64_t lookups = 0, missing = 0;
+  constexpr int kBatches = 500;
+  for (int b = 0; b < kBatches; ++b) {
     for (auto& k : batch) k = zipf.NextScrambled();
-    if (!server.Lookup(batch, out.data()).ok()) return 1;
+    const StopWatch watch;
+    const BatchResult r = server->MultiGet(batch, out.data(), serve);
+    if (r.failed > 0) return 1;
+    latency_us.Record(watch.ElapsedMicros());
+    lookups += batch.size();
+    missing += r.missing;
   }
-  const auto st = server.stats();
-  std::printf("served %llu lookups in %llu batches\n",
-              static_cast<unsigned long long>(st.lookups),
-              static_cast<unsigned long long>(st.batches));
+  const uint64_t cache_hits = cache_count("mlkv_cache_hits_total") - warm_hits;
+  const uint64_t store_hits =
+      cache_count("mlkv_cache_misses_total") - warm_misses - missing;
+  std::printf("served %llu lookups in %d batches\n",
+              static_cast<unsigned long long>(lookups), kBatches);
   std::printf("cache hits %.1f%%  store hits %.1f%%  missing %llu\n",
-              100.0 * st.cache_hits / static_cast<double>(st.lookups),
-              100.0 * st.store_hits / static_cast<double>(st.lookups),
-              static_cast<unsigned long long>(st.missing));
+              100.0 * cache_hits / static_cast<double>(lookups),
+              100.0 * store_hits / static_cast<double>(lookups),
+              static_cast<unsigned long long>(missing));
   std::printf("batch latency p50 %llu us  p95 %llu us  p99 %llu us\n",
-              static_cast<unsigned long long>(st.batch_p50_us),
-              static_cast<unsigned long long>(st.batch_p95_us),
-              static_cast<unsigned long long>(st.batch_p99_us));
-  return st.missing == 0 && st.cache_hits > 0 ? 0 : 1;
+              static_cast<unsigned long long>(latency_us.Percentile(0.50)),
+              static_cast<unsigned long long>(latency_us.Percentile(0.95)),
+              static_cast<unsigned long long>(latency_us.Percentile(0.99)));
+  return missing == 0 && cache_hits > 0 ? 0 : 1;
 }

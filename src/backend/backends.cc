@@ -416,9 +416,11 @@ class BatchedEngineBackend : public KvBackend {
 // protocol) and the store is latch-free, so no adapter-level fan-out.
 class MlkvBackend : public KvBackend {
  public:
+  // Borrows `table` (must outlive the backend).
+  explicit MlkvBackend(EmbeddingTable* table) : table_(table) {}
+
   static Status Make(const BackendConfig& config,
                      std::unique_ptr<KvBackend>* out) {
-    auto b = std::unique_ptr<MlkvBackend>(new MlkvBackend(config.dim));
     MlkvOptions o;
     o.dir = config.dir + "/mlkv";
     o.index_slots = config.index_slots;
@@ -433,15 +435,19 @@ class MlkvBackend : public KvBackend {
     o.group_commit_window_us = config.group_commit_window_us;
     o.group_commit_max_bytes = config.group_commit_max_bytes;
     o.checkpoint_mode = config.checkpoint_mode;
-    MLKV_RETURN_NOT_OK(Mlkv::Open(o, &b->db_));
-    MLKV_RETURN_NOT_OK(b->db_->OpenTable("emb", config.dim,
-                                         config.staleness_bound, &b->table_));
+    std::unique_ptr<Mlkv> db;
+    MLKV_RETURN_NOT_OK(Mlkv::Open(o, &db));
+    EmbeddingTable* table = nullptr;
+    MLKV_RETURN_NOT_OK(
+        db->OpenTable("emb", config.dim, config.staleness_bound, &table));
+    auto b = std::make_unique<MlkvBackend>(table);
+    b->db_ = std::move(db);
     *out = std::move(b);
     return Status::OK();
   }
 
   std::string name() const override { return "MLKV"; }
-  uint32_t dim() const override { return dim_; }
+  uint32_t dim() const override { return table_->dim(); }
   uint32_t shard_bits() const override {
     return const_cast<EmbeddingTable*>(table_)->store()->shard_bits();
   }
@@ -518,10 +524,8 @@ class MlkvBackend : public KvBackend {
   }
 
  private:
-  explicit MlkvBackend(uint32_t dim) : dim_(dim) {}
-  uint32_t dim_;
-  std::unique_ptr<Mlkv> db_;
-  EmbeddingTable* table_ = nullptr;
+  EmbeddingTable* table_;
+  std::unique_ptr<Mlkv> db_;  // owns table_ when Make opened it
 };
 
 // Plain FASTER (staleness tracking off, no promotion): the strongest
@@ -894,20 +898,24 @@ class CachingBackend : public KvBackend {
     if (miss_keys.empty()) return result;
     std::vector<float> rows(miss_keys.size() * size_t{d});
     const BatchResult got = inner_->MultiGet(miss_keys, rows.data(), options);
+    size_t not_found = 0;
     for (size_t m = 0; m < miss_keys.size(); ++m) {
       const size_t i = miss_pos[m];
       if (got.codes[m] == Status::Code::kOk) {
         const float* row = rows.data() + m * size_t{d};
         simd::CopyFloats(out + i * size_t{d}, row, d);
         cache_.Put(miss_keys[m], row);
+      } else if (got.codes[m] == Status::Code::kNotFound) {
+        ++not_found;
       }
       result.Record(i, got.StatusAt(m));
     }
-    // Fresh keys the engine initialized were recorded kOk above (per-key
-    // codes carry no initialized flag); move them found -> missing so the
-    // summary counts match what the engine reported.
-    result.found -= got.missing;
-    result.missing += got.missing;
+    // The engine's `missing` also counts keys it initialized, which were
+    // recorded kOk above (per-key codes carry no initialized flag); move
+    // just those found -> missing. kNotFound keys are already missing.
+    const size_t initialized = got.missing - not_found;
+    result.found -= initialized;
+    result.missing += initialized;
     return result;
   }
 
@@ -1091,10 +1099,13 @@ Status MakeBackend(BackendKind kind, const BackendConfig& config,
   return Status::InvalidArgument("unknown backend kind");
 }
 
-Status MakeCachingBackend(std::unique_ptr<KvBackend> inner, size_t capacity,
-                          std::unique_ptr<KvBackend>* out) {
-  return MakeCachingBackend(std::move(inner), capacity, CacheAdmission::kLru,
-                            out);
+Status MakeTableBackend(EmbeddingTable* table,
+                        std::unique_ptr<KvBackend>* out) {
+  if (table == nullptr) {
+    return Status::InvalidArgument("table backend needs a table");
+  }
+  *out = std::make_unique<MlkvBackend>(table);
+  return Status::OK();
 }
 
 Status MakeCachingBackend(std::unique_ptr<KvBackend> inner, size_t capacity,

@@ -47,6 +47,8 @@
 
 namespace mlkv {
 
+class EmbeddingTable;
+
 namespace obs {
 class MetricsSink;
 }  // namespace obs
@@ -267,16 +269,26 @@ const char* BackendKindName(BackendKind kind);
 Status MakeBackend(BackendKind kind, const BackendConfig& config,
                    std::unique_ptr<KvBackend>* out);
 
+// The MLKV backend over a table the caller already owns (recovered from a
+// checkpoint, or being written by a trainer); `table` must outlive `*out`.
+// MakeBackend(kMlkv) is this over a table it opens itself.
+Status MakeTableBackend(EmbeddingTable* table,
+                        std::unique_ptr<KvBackend>* out);
+
 // Wraps `inner` in a serving-side EmbeddingCache decorator: untracked
-// MultiGets probe a sharded LRU of `capacity` rows and only miss through to
-// the engine; writes invalidate. Tracked (training) reads bypass the cache
-// entirely — caching them would break the staleness protocol. Reads may
-// observe a bounded-stale row when a fill races an invalidate, which the
-// untracked read contract already permits. capacity == 0 is rejected.
-Status MakeCachingBackend(std::unique_ptr<KvBackend> inner, size_t capacity,
-                          std::unique_ptr<KvBackend>* out);
-// As above with an explicit admission policy: kTinyLfu guards eviction with
-// a per-shard frequency sketch (see serve/tinylfu.h and docs/SERVING.md).
+// MultiGets probe a sharded cache of `capacity` rows and only miss through
+// to the engine, in one batched read whose rows fill the cache through
+// `admission` (kTinyLfu guards eviction with a per-shard frequency
+// sketch; see serve/tinylfu.h and docs/SERVING.md); writes invalidate.
+// Tracked (training) reads bypass the cache entirely — caching them would
+// break the staleness protocol. Reads may observe a bounded-stale row when
+// a fill races an invalidate, which the untracked read contract already
+// permits. capacity == 0 is rejected.
+//
+// In-process serving is this over MakeTableBackend, read with
+// {init_missing = false, untracked = true}: never-stored keys come back
+// kNotFound (zero their rows for the DLRM convention), and a warm-up is
+// one such MultiGet of the head keys.
 Status MakeCachingBackend(std::unique_ptr<KvBackend> inner, size_t capacity,
                           CacheAdmission admission,
                           std::unique_ptr<KvBackend>* out);

@@ -92,12 +92,6 @@ struct EndpointStats {
   uint64_t latency_p99_us = 0;   // trailing read p99 (hedge-delay signal)
 };
 
-// Client-side hedging counters (tests / cluster-status).
-struct HedgeStats {
-  uint64_t issued = 0;  // hedge attempts that actually hit the wire
-  uint64_t wins = 0;    // hedges whose response was used
-};
-
 class ClusterBackend : public KvBackend {
  public:
   static Status Connect(const ClusterBackendOptions& options,
@@ -126,7 +120,8 @@ class ClusterBackend : public KvBackend {
   // per-endpoint routing counters
   // (mlkv_cluster_endpoint_requests_total{endpoint=} /
   // mlkv_cluster_endpoint_failovers_total{endpoint=}) and the client's
-  // current map epoch.
+  // current map epoch; with hedging on, mlkv_cluster_hedge_{issued,wins}_total,
+  // and with hot-key replication on, mlkv_cluster_hot_{reads,refreshes}_total.
   void CollectMetrics(obs::MetricsSink* sink) const override;
 
   // Current routing map snapshot (immutable; swapped whole on refresh).
@@ -135,13 +130,6 @@ class ClusterBackend : public KvBackend {
   // epoch is newer than the current one.
   Status RefreshMap();
   std::vector<EndpointStats> endpoint_stats() const;
-  HedgeStats hedge_stats() const {
-    return {hedges_.load(std::memory_order_relaxed),
-            hedge_wins_.load(std::memory_order_relaxed)};
-  }
-  uint64_t hot_reads() const {
-    return hot_reads_.load(std::memory_order_relaxed);
-  }
   // Current hot-key snapshot (null when hot replication is off).
   std::shared_ptr<const HotKeySet> hot_keys() const {
     return hot_tracker_ ? hot_tracker_->hot() : nullptr;

@@ -8,7 +8,7 @@
 // eviction pressure a new key is inserted only if its sketch frequency
 // strictly beats the LRU victim's — zipfian one-hit-wonders bounce off the
 // doorkeeper instead of washing out the hot working set. Admission applies
-// to every fill (including Warm/prefetch Puts into a full cache): an
+// to every fill (including warm-up/prefetch Puts into a full cache): an
 // unproven key never displaces a proven one.
 //
 // Eviction reuses the victim's storage: the map node is extracted and
@@ -162,16 +162,6 @@ class EmbeddingCache {
       c.admission_agings += cs.admission_agings;
     }
     return c;
-  }
-
-  // Zeroes the hit/miss/eviction/admission counters (owners expose these
-  // as the single source of truth — see EmbeddingServer::ResetStats).
-  // Cached rows and sketch frequencies are untouched.
-  void ResetStats() {
-    for (auto& s : shard_data_) {
-      std::lock_guard<std::mutex> lk(s.mu);
-      s.hits = s.misses = s.evictions = s.admission_rejects = 0;
-    }
   }
 
  private:

@@ -208,6 +208,14 @@ void MetricsSink::AddGauge(std::string_view name, std::string_view help,
   Push(name, help, MetricKind::kGauge, value, labels);
 }
 
+double MetricsSink::Sum(std::string_view name) const {
+  double total = 0;
+  for (const Sample& s : samples_) {
+    if (s.name == name) total += s.value;
+  }
+  return total;
+}
+
 // ---- MetricsRegistry ----------------------------------------------------
 
 MetricsRegistry* MetricsRegistry::Default() {

@@ -207,6 +207,9 @@ class MetricsSink {
                 std::initializer_list<Label> labels = {});
 
   const std::vector<Sample>& samples() const { return samples_; }
+  // Sum of the samples named `name` across their label sets; 0 when the
+  // family was not emitted.
+  double Sum(std::string_view name) const;
 
  private:
   void Push(std::string_view name, std::string_view help, MetricKind kind,

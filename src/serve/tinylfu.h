@@ -28,9 +28,8 @@
 namespace mlkv {
 
 // How a cache under eviction pressure decides whether a new key may
-// displace the LRU victim. Lives here (not in the cache header) so config
-// seams (ServeOptions, MakeCachingBackend, BackendConfig) can name it
-// without pulling in the cache itself.
+// displace the LRU victim. Lives here (not in the cache header) so the
+// MakeCachingBackend seam can name it without pulling in the cache itself.
 enum class CacheAdmission : uint8_t {
   kLru,      // classic: every insert evicts the LRU victim
   kTinyLfu,  // insert only if the candidate's sketch frequency wins

@@ -725,5 +725,47 @@ TEST(RemoteBusyPropagationTest, BusyCodesCrossTheWire) {
   server.Stop();
 }
 
+// The serving read through the caching decorator: untracked, and absent
+// keys stay kNotFound. Each absent key counts missing exactly once, on the
+// cold call (every key goes to the engine) and on the repeat (present keys
+// hit the cache), and never leaves `found` short.
+TEST(CachingBackendCountsTest, UninitializedMissesCountOnce) {
+  TempDir dir;
+  BackendConfig cfg;
+  cfg.dir = dir.File("backend");
+  cfg.dim = 8;
+  cfg.buffer_bytes = 4ull << 20;
+  std::unique_ptr<KvBackend> engine, cached;
+  ASSERT_TRUE(MakeBackend(BackendKind::kMlkv, cfg, &engine).ok());
+  ASSERT_TRUE(MakeCachingBackend(std::move(engine), /*capacity=*/64,
+                                 CacheAdmission::kLru, &cached)
+                  .ok());
+  const Key present = 7, absent = 8;
+  std::vector<float> v(8, 1.0f);
+  ASSERT_TRUE(cached->PutEmbedding(present, v.data()).ok());
+
+  MultiGetOptions serve;
+  serve.init_missing = false;
+  serve.untracked = true;
+  std::vector<float> out(2 * 8);
+  for (int pass = 0; pass < 2; ++pass) {
+    const std::vector<Key> both = {present, absent};
+    const BatchResult r = cached->MultiGet(both, out.data(), serve);
+    EXPECT_EQ(r.found, 1u) << "pass " << pass;
+    EXPECT_EQ(r.missing, 1u) << "pass " << pass;
+    EXPECT_EQ(r.codes[1], Status::Code::kNotFound) << "pass " << pass;
+    const BatchResult only = cached->MultiGet({&absent, 1}, out.data(), serve);
+    EXPECT_EQ(only.found, 0u) << "pass " << pass;
+    EXPECT_EQ(only.missing, 1u) << "pass " << pass;
+  }
+  // An initializing read still moves the fresh key found -> missing.
+  const Key fresh = 9;
+  serve.init_missing = true;
+  const BatchResult init = cached->MultiGet({&fresh, 1}, out.data(), serve);
+  EXPECT_TRUE(init.AllOk());
+  EXPECT_EQ(init.found, 0u);
+  EXPECT_EQ(init.missing, 1u);
+}
+
 }  // namespace
 }  // namespace mlkv

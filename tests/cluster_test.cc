@@ -630,9 +630,10 @@ TEST(ClusterHedgeTest, HedgingRecoversSlowEndpointReads) {
     // written rows — whichever side served them.
     EXPECT_EQ(out, hc.values);
   }
-  const cluster::HedgeStats hs = client->hedge_stats();
-  EXPECT_GT(hs.issued, 0u);
-  EXPECT_GT(hs.wins, 0u);
+  obs::MetricsSink sink;
+  client->CollectMetrics(&sink);
+  EXPECT_GT(sink.Sum("mlkv_cluster_hedge_issued_total"), 0);
+  EXPECT_GT(sink.Sum("mlkv_cluster_hedge_wins_total"), 0);
   EXPECT_GT(hc.slow->delays(), 0u);
   client.reset();
   hc.s0.server->Stop();
@@ -658,12 +659,12 @@ TEST(ClusterHedgeTest, WritesNeverHedge) {
     ASSERT_TRUE(
         client->MultiApplyGradient(hc.keys, grads.data(), 0.0f).AllOk());
   }
-  EXPECT_EQ(client->hedge_stats().issued, 0u);
-  EXPECT_EQ(client->hedge_stats().wins, 0u);
-  // The RPC counters scrape as one sum over the endpoint clients: at
-  // least one RPC per write call above.
   obs::MetricsSink sink;
   client->CollectMetrics(&sink);
+  EXPECT_EQ(sink.Sum("mlkv_cluster_hedge_issued_total"), 0);
+  EXPECT_EQ(sink.Sum("mlkv_cluster_hedge_wins_total"), 0);
+  // The RPC counters scrape as one sum over the endpoint clients: at
+  // least one RPC per write call above.
   int rpc_samples = 0;
   for (const obs::MetricsSink::Sample& x : sink.samples()) {
     if (x.name != "mlkv_net_rpc_requests_total") continue;
@@ -699,7 +700,9 @@ TEST(ClusterHotKeyTest, HotKeyReadsSpreadAcrossPrimaryAndReplica) {
       ASSERT_FLOAT_EQ(out[dd], hc.values[dd]) << "iter " << i;
     }
   }
-  EXPECT_GT(client->hot_reads(), 0u);
+  obs::MetricsSink sink;
+  client->CollectMetrics(&sink);
+  EXPECT_GT(sink.Sum("mlkv_cluster_hot_reads_total"), 0);
   auto hotset = client->hot_keys();
   ASSERT_NE(hotset, nullptr);
   EXPECT_TRUE(hotset->contains(hot));

@@ -563,7 +563,9 @@ TEST(KvServerObsTest, ClusterHopStitchesRequestIds) {
 TEST(CachingBackendTest, HitsMissesAndWriteInvalidation) {
   std::unique_ptr<KvBackend> cached;
   ASSERT_TRUE(
-      MakeCachingBackend(MakeInMemory(), /*capacity=*/256, &cached).ok());
+      MakeCachingBackend(MakeInMemory(), /*capacity=*/256,
+                         CacheAdmission::kLru, &cached)
+          .ok());
   EXPECT_EQ(cached->name(), "Cached(InMemory)");
 
   const Key key = 11;
@@ -582,11 +584,7 @@ TEST(CachingBackendTest, HitsMissesAndWriteInvalidation) {
   auto count = [&](const std::string& name) {
     MetricsSink sink;
     cached->CollectMetrics(&sink);
-    uint64_t total = 0;
-    for (const MetricsSink::Sample& s : sink.samples()) {
-      if (s.name == name) total += static_cast<uint64_t>(s.value);
-    }
-    return total;
+    return static_cast<uint64_t>(sink.Sum(name));
   };
   EXPECT_EQ(count("mlkv_cache_hits_total"), 1u);
   EXPECT_EQ(count("mlkv_cache_misses_total"), 1u);

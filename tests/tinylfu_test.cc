@@ -154,12 +154,7 @@ TEST(TinyLfuCacheTest, EvictionRecyclesNodesAndKeepsValuesIntact) {
     EXPECT_FLOAT_EQ(out[0], static_cast<float>(k));
     EXPECT_FLOAT_EQ(out[2], -1.0f);
   }
-  cache.ResetStats();
-  const auto st = cache.stats();
-  EXPECT_EQ(st.hits, 0u);
-  EXPECT_EQ(st.misses, 0u);
-  EXPECT_EQ(st.evictions, 0u);
-  // Cached rows survive a stats reset.
+  EXPECT_EQ(cache.stats().hits, kCap);
   EXPECT_EQ(cache.size(), kCap);
 }
 
