@@ -129,6 +129,9 @@ void EmitStoreMetrics(ShardedStore* store, obs::MetricsSink* sink) {
                    s.staleness_waits);
   sink->AddCounter("mlkv_store_busy_aborts_total",
                    "Reads that gave up waiting with Busy", s.busy_aborts);
+  sink->AddCounter("mlkv_store_chain_hops_total",
+                   "Device record reads of another key sharing the chain",
+                   s.chain_hops);
   sink->AddCounter("mlkv_store_compactions_total",
                    "Log compaction passes", s.compactions);
   sink->AddCounter("mlkv_store_compaction_live_copied_total",

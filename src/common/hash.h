@@ -9,8 +9,10 @@
 
 namespace mlkv {
 
-// SplitMix64 finalizer: bijective, full avalanche. Good enough to drive the
-// latch-free hash index (tag bits come from the high bits).
+// SplitMix64 finalizer: bijective, full avalanche. Its bits are split three
+// ways so no two consumers correlate: HashIndex takes its bucket from the
+// low bits and its 15-bit tag from bits 32..46 (kv/hash_index.h, after
+// FASTER's tagged buckets), and ShardOf takes the top 16 bits.
 inline uint64_t Hash64(uint64_t x) {
   x += 0x9E3779B97F4A7C15ull;
   x = (x ^ (x >> 30)) * 0xBF58476D1CE4E5B9ull;
@@ -29,9 +31,9 @@ inline uint64_t RoundUpPow2(uint64_t v) {
 // Shard routing shared by every sharded structure (ShardedStore, the
 // embedding/block caches): `mask` is (power-of-two shard count) - 1 and
 // must fit in 16 bits (at most 65536 shards — callers clamp). Takes the
-// TOP hash bits on purpose: HashIndex consumes the low bits for slot
+// TOP hash bits on purpose: HashIndex consumes the low bits for bucket
 // selection, so a shard choice made from the same low bits would leave
-// each shard's index using only 1/num_shards of its slots.
+// each shard's index using only 1/num_shards of its buckets.
 inline uint64_t ShardOf(uint64_t hash, uint64_t mask) {
   return (hash >> 48) & mask;
 }

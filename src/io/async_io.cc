@@ -360,13 +360,24 @@ bool AsyncIoEngine::NextBurst(std::vector<Request>* out, size_t max) {
   std::unique_lock<std::mutex> lk(mu_);
   queue_cv_.wait(lk, [this] { return stop_ || queued_ > 0; });
   if (queued_ == 0) return false;  // stop with a drained queue
-  const size_t n = std::min(queued_, max);
+  // A burst is a run of raw-eligible requests for one ring submission. A
+  // request that must run blocking through the device's virtual call (a
+  // simulated-cost or decorated device) is taken alone, as the thread-pool
+  // backend does, so blocking requests spread across the workers instead
+  // of running one after another on whichever worker dequeued them.
   out->clear();
-  for (size_t i = 0; i < n; ++i) {
-    out->push_back(queue_[queue_head_]);
+  while (queued_ > 0 && out->size() < max) {
+    const Request& r = queue_[queue_head_];
+    const bool raw =
+        r.is_write ? r.dev->AllowsRawWrites() : r.dev->AllowsRawReads();
+    if (!raw && !out->empty()) break;
+    out->push_back(r);
     queue_head_ = (queue_head_ + 1) % queue_.size();
+    --queued_;
+    if (!raw) break;
   }
-  queued_ -= n;
+  // Hand what is left to another idle worker.
+  if (queued_ > 0) queue_cv_.notify_one();
   return true;
 }
 

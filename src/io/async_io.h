@@ -172,8 +172,9 @@ class AsyncIoEngine {
   static Status RunBlocking(const Request& req);
   void WorkerLoop(WorkerScratch* scratch);
   // Takes up to `max` queued requests (blocking for at least one unless
-  // stopping) into `out`, whose capacity must cover `max`; returns false
-  // when the worker should exit.
+  // stopping) into `out`, whose capacity must cover `max`; a request the
+  // ring cannot take raw is always taken alone. Returns false when the
+  // worker should exit.
   bool NextBurst(std::vector<Request>* out, size_t max);
   void Deliver(const Request& req, const Status& status);
 

@@ -4,18 +4,21 @@
 #include <cstring>
 #include <filesystem>
 #include <thread>
+#include <unordered_set>
+#include <utility>
 #include <vector>
 
 namespace mlkv {
 
 namespace {
 
-// Checkpoint metadata block. The v1 layout ("MLKV3CHK", no delta_count
-// field) is what full checkpoints still write — byte-identical to every
-// prior release; incremental checkpoints write the extended v2 block
-// ("MLKV4CHK") committed via write-tmp-then-rename. Recovery accepts both.
+// Checkpoint metadata block. v3 ("MLKV5CHK") is the only layout written:
+// its index files hold raw tagged entries (kv/hash_index.h). The legacy
+// layouts name untagged slot arrays and are still recovered: v1
+// ("MLKV3CHK", full checkpoints; no delta_count field) and v2 ("MLKV4CHK",
+// incremental). docs/DURABILITY.md describes the formats.
 struct CheckpointMeta {
-  uint64_t magic = 0x4D4C4B563343484Bull;  // "MLKV3CHK"
+  uint64_t magic = 0x4D4C4B563543484Bull;  // "MLKV5CHK"
   uint64_t tail = 0;
   uint64_t index_slots = 0;
   uint64_t num_inserts = 0;
@@ -23,18 +26,45 @@ struct CheckpointMeta {
   // Effective page size (Open may shrink the configured one for small
   // buffers); recovery must parse the log with the same geometry.
   uint64_t page_size = 0;
-  // --- v2 only ---
-  // Number of <prefix>.idx.d<k> delta files (k = 1..delta_count) to apply,
-  // in order, on top of the <prefix>.idx base.
+  // --- v2 and v3 ---
+  // Number of delta files (IndexPath + ".d<k>", k = 1..delta_count) to
+  // apply, in order, on top of the base index file.
   uint64_t delta_count = 0;
 };
 
 constexpr uint64_t kMetaMagicV1 = 0x4D4C4B563343484Bull;  // "MLKV3CHK"
 constexpr uint64_t kMetaMagicV2 = 0x4D4C4B563443484Bull;  // "MLKV4CHK"
-constexpr size_t kMetaSizeV1 = sizeof(CheckpointMeta) - sizeof(uint64_t);
+constexpr uint64_t kMetaMagicV3 = 0x4D4C4B563543484Bull;  // "MLKV5CHK"
 
-std::string DeltaPath(const std::string& prefix, uint64_t k) {
-  return prefix + ".idx.d" + std::to_string(k);
+// A v3 checkpoint keeps its index in <prefix>.idx3 (+ .idx3.d<k> deltas), a
+// legacy one in <prefix>.idx (+ .idx.d<k>). Writing a v3 checkpoint thus
+// never touches a file a legacy meta names: upgrading one in place is
+// committed by the meta rename alone.
+std::string IndexPath(const std::string& prefix, bool legacy) {
+  return prefix + (legacy ? ".idx" : ".idx3");
+}
+
+std::string DeltaPath(const std::string& index_path, uint64_t k) {
+  return index_path + ".d" + std::to_string(k);
+}
+
+// Commit point of every checkpoint: the meta names the index files, and it
+// appears atomically via rename. A crash before the rename keeps the
+// previous meta; after it, the files it names are complete.
+Status CommitMeta(const std::string& prefix, const CheckpointMeta& meta) {
+  const std::string tmp = prefix + ".meta.tmp";
+  {
+    FileDevice meta_dev;
+    MLKV_RETURN_NOT_OK(meta_dev.Open(tmp));
+    MLKV_RETURN_NOT_OK(meta_dev.WriteAt(0, &meta, sizeof(meta)));
+    MLKV_RETURN_NOT_OK(meta_dev.Sync());
+  }
+  std::error_code ec;
+  std::filesystem::rename(tmp, prefix + ".meta", ec);
+  if (ec) {
+    return Status::IOError("commit checkpoint meta: " + ec.message());
+  }
+  return Status::OK();
 }
 
 // Applies `transform` to the control word with a CAS loop. Only the lock
@@ -151,6 +181,7 @@ restart:
       out->found = true;
       return Status::OK();
     }
+    if (!in_memory) stats_.chain_hops.fetch_add(1, std::memory_order_relaxed);
     a = meta.prev;
   }
   out->found = false;
@@ -297,7 +328,7 @@ Status FasterStore::ReadInternal(Key key, void* out, uint32_t cap,
       if (copy) {
         const Status s =
             PublishReadCopy(key, value, f.meta, f.address, f.chain_head);
-        if (s.IsBusy()) continue;  // slot moved: count on the live version
+        if (s.IsBusy()) continue;  // head moved: count on the live version
         return s;
       }
       // Untracked promotion keeps the original control word; best-effort,
@@ -508,6 +539,7 @@ FasterStore::PendingStep FasterStore::CompletePendingRead(
   }
   if (meta.key != p->key) {
     // Collision: the chain continues below the fetched record.
+    stats_.chain_hops.fetch_add(1, std::memory_order_relaxed);
     const Address prev = meta.prev;
     if (prev == kInvalidAddress || prev < log_.begin_address()) {
       p->status = Status::NotFound();
@@ -719,9 +751,12 @@ Status FasterStore::Rmw(Key key, uint32_t value_size,
         f.meta.value_size < value_size ? f.meta.value_size : value_size;
     MLKV_RETURN_NOT_OK(LoadValue(f.address, f.meta, scratch.data(), copy_n));
     modifier(scratch.data(), value_size, /*exists=*/true);
-    uint64_t control = ControlWord::IncrGeneration(
-        tracked ? ControlWord::DecrStaleness(f.meta.control)
-                : f.meta.control);
+    // Sanitized like Upsert's RCU: a lock bit observed on the old version
+    // (a concurrent reader holding it) must not be born into the new one,
+    // which nothing would ever unlock.
+    uint64_t control = ControlWord::Sanitize(f.meta.control);
+    control = ControlWord::IncrGeneration(
+        tracked ? ControlWord::DecrStaleness(control) : control);
     Status s = AppendAndPublish(key, scratch.data(), value_size, control, 0,
                                 f.chain_head, nullptr);
     if (s.IsBusy()) continue;
@@ -735,9 +770,9 @@ Status FasterStore::Rmw(Key key, uint32_t value_size,
 Status FasterStore::InsertIfAbsent(
     Key key, Address chain_head, uint32_t value_size,
     const std::function<void(char*, uint32_t, bool)>& modifier) {
-  // The slot still holding `chain_head` means the chain the caller's walk
+  // The entry still holding `chain_head` means the chain the caller's walk
   // saw is the whole chain: no live version of `key` exists, so the insert
-  // needs no Find. A moved slot (or a failed CAS) means a writer got in
+  // needs no Find. A moved head (or a failed CAS) means a writer got in
   // between; Rmw then decides against the current chain.
   if (index()->Load(key) == chain_head) {
     std::vector<char> scratch(value_size, 0);
@@ -762,9 +797,10 @@ Status FasterStore::Delete(Key key) {
     if (!f.found || (f.meta.flags & kRecordTombstone)) {
       return Status::NotFound();
     }
-    Status s = AppendAndPublish(key, nullptr, 0,
-                                ControlWord::IncrGeneration(f.meta.control),
-                                kRecordTombstone, f.chain_head, nullptr);
+    Status s = AppendAndPublish(
+        key, nullptr, 0,
+        ControlWord::IncrGeneration(ControlWord::Sanitize(f.meta.control)),
+        kRecordTombstone, f.chain_head, nullptr);
     if (s.IsBusy()) continue;
     MLKV_RETURN_NOT_OK(s);
     MarkReplaced(f.address);
@@ -894,7 +930,7 @@ Status FasterStore::Compact(Address until, CompactionResult* result) {
       ++r->scanned;
 
       // Liveness: the record is live iff the index still resolves its key
-      // to exactly this address. Fast path: the slot head IS this address
+      // to exactly this address. Fast path: the chain head IS this address
       // (no chain walk, no I/O) — true for most live records.
       for (;;) {
         Address expected = index()->Load(meta.key);
@@ -984,22 +1020,17 @@ Status FasterStore::Checkpoint(const std::string& prefix) {
 
 Status FasterStore::CheckpointFull(const std::string& prefix) {
   MLKV_RETURN_NOT_OK(log_.FlushAll());
-  FileDevice meta_dev;
-  MLKV_RETURN_NOT_OK(meta_dev.Open(prefix + ".meta"));
   CheckpointMeta meta;
   meta.tail = log_.tail();
   meta.index_slots = index()->num_slots();
   meta.num_inserts = stats_.inserts.load(std::memory_order_relaxed);
   meta.begin = log_.begin_address();
   meta.page_size = options_.page_size;
-  // v1 length: a full checkpoint stays byte-identical to prior releases
-  // (delta_count is implicitly 0 — recovery's past-EOF read zero-fills it).
-  MLKV_RETURN_NOT_OK(meta_dev.WriteAt(0, &meta, kMetaSizeV1));
-  MLKV_RETURN_NOT_OK(meta_dev.Sync());
   FileDevice idx_dev;
-  MLKV_RETURN_NOT_OK(idx_dev.Open(prefix + ".idx"));
+  MLKV_RETURN_NOT_OK(idx_dev.Open(IndexPath(prefix, /*legacy=*/false)));
   MLKV_RETURN_NOT_OK(index()->WriteTo(&idx_dev, 0));
   MLKV_RETURN_NOT_OK(idx_dev.Sync());
+  MLKV_RETURN_NOT_OK(CommitMeta(prefix, meta));
   // A full dump supersedes any incremental chain under this prefix.
   ckpt_.prefix = prefix;
   ckpt_.tail = meta.tail;
@@ -1019,7 +1050,6 @@ Status FasterStore::CheckpointIncremental(const std::string& prefix) {
                        ckpt_.deltas < kMaxCheckpointDeltas;
 
   CheckpointMeta meta;
-  meta.magic = kMetaMagicV2;
   meta.tail = tail;
   meta.index_slots = index()->num_slots();
   meta.num_inserts = stats_.inserts.load(std::memory_order_relaxed);
@@ -1029,26 +1059,29 @@ Status FasterStore::CheckpointIncremental(const std::string& prefix) {
   if (!chained) {
     // Fresh base: full index dump, zero deltas.
     FileDevice idx_dev;
-    MLKV_RETURN_NOT_OK(idx_dev.Open(prefix + ".idx"));
+    MLKV_RETURN_NOT_OK(idx_dev.Open(IndexPath(prefix, /*legacy=*/false)));
     MLKV_RETURN_NOT_OK(index()->WriteTo(&idx_dev, 0));
     MLKV_RETURN_NOT_OK(idx_dev.Sync());
     meta.delta_count = 0;
   } else {
-    // Delta: (slot, head) pairs for slots whose head moved at or past the
-    // previous checkpoint's tail. Publishes only ever install addresses at
-    // the then-current tail, so every head changed since that checkpoint —
-    // and no head captured by it — satisfies the predicate.
+    // Delta: (slot, entry) pairs for entries whose head moved at or past
+    // the previous checkpoint's tail. Publishes only ever install addresses
+    // at the then-current tail, so every head changed since that
+    // checkpoint — and no head captured by it — satisfies the predicate
+    // (a claim is a head change too; tags never change on their own).
     std::vector<uint64_t> pairs;
     const uint64_t n = index()->num_slots();
     for (uint64_t s = 0; s < n; ++s) {
-      const Address a = index()->LoadSlot(s);
+      const uint64_t entry = index()->LoadSlot(s);
+      const Address a = HashIndex::EntryAddress(entry);
       if (a == kInvalidAddress || a < ckpt_.tail) continue;
       pairs.push_back(s);
-      pairs.push_back(a);
+      pairs.push_back(entry);
     }
     meta.delta_count = ckpt_.deltas + 1;
     FileDevice delta_dev;
-    MLKV_RETURN_NOT_OK(delta_dev.Open(DeltaPath(prefix, meta.delta_count)));
+    MLKV_RETURN_NOT_OK(delta_dev.Open(
+        DeltaPath(IndexPath(prefix, /*legacy=*/false), meta.delta_count)));
     const uint64_t count = pairs.size() / 2;
     MLKV_RETURN_NOT_OK(delta_dev.WriteAt(0, &count, sizeof(count)));
     if (!pairs.empty()) {
@@ -1058,21 +1091,8 @@ Status FasterStore::CheckpointIncremental(const std::string& prefix) {
     MLKV_RETURN_NOT_OK(delta_dev.Sync());
   }
 
-  // Commit point: the v2 meta names the base + delta set, and it appears
-  // atomically via rename — a crash before this keeps the previous
-  // checkpoint fully intact, after it the new chain is complete.
-  const std::string tmp = prefix + ".meta.tmp";
-  {
-    FileDevice meta_dev;
-    MLKV_RETURN_NOT_OK(meta_dev.Open(tmp));
-    MLKV_RETURN_NOT_OK(meta_dev.WriteAt(0, &meta, sizeof(meta)));
-    MLKV_RETURN_NOT_OK(meta_dev.Sync());
-  }
-  std::error_code ec;
-  std::filesystem::rename(tmp, prefix + ".meta", ec);
-  if (ec) {
-    return Status::IOError("commit checkpoint meta: " + ec.message());
-  }
+  // A new delta keeps the previous checkpoint intact until the commit.
+  MLKV_RETURN_NOT_OK(CommitMeta(prefix, meta));
   ckpt_.prefix = prefix;
   ckpt_.tail = tail;
   ckpt_.deltas = meta.delta_count;
@@ -1086,20 +1106,32 @@ Status FasterStore::Recover(const FasterOptions& options,
   FileDevice meta_dev;
   MLKV_RETURN_NOT_OK(meta_dev.Open(prefix + ".meta", /*truncate=*/false));
   CheckpointMeta meta;
-  // One read serves both versions: a v1 file is sizeof(uint64_t) shorter
+  // One read serves every version: a v1 file is sizeof(uint64_t) shorter
   // and the past-EOF zero-fill leaves delta_count == 0.
   MLKV_RETURN_NOT_OK(meta_dev.ReadAt(0, &meta, sizeof(meta)));
-  if (meta.magic != kMetaMagicV1 && meta.magic != kMetaMagicV2) {
+  const bool legacy =
+      meta.magic == kMetaMagicV1 || meta.magic == kMetaMagicV2;
+  if (!legacy && meta.magic != kMetaMagicV3) {
     return Status::Corruption("bad checkpoint magic");
   }
   if (meta.page_size != 0) options_.page_size = meta.page_size;
   index_.reset(new HashIndex(meta.index_slots));
+  const uint64_t n = index()->num_slots();
+  // A legacy checkpoint names untagged chain heads, one per slot (hash &
+  // (n - 1)); they are loaded aside and turned into tagged entries below.
+  std::vector<Address> legacy_heads(legacy ? n : 0);
+  const std::string index_path = IndexPath(prefix, legacy);
   FileDevice idx_dev;
-  MLKV_RETURN_NOT_OK(idx_dev.Open(prefix + ".idx", /*truncate=*/false));
-  MLKV_RETURN_NOT_OK(index()->ReadFrom(idx_dev, 0));
+  MLKV_RETURN_NOT_OK(idx_dev.Open(index_path, /*truncate=*/false));
+  if (legacy) {
+    MLKV_RETURN_NOT_OK(
+        idx_dev.ReadAt(0, legacy_heads.data(), n * sizeof(Address)));
+  } else {
+    MLKV_RETURN_NOT_OK(index()->ReadFrom(idx_dev, 0));
+  }
   for (uint64_t k = 1; k <= meta.delta_count; ++k) {
     FileDevice delta_dev;
-    MLKV_RETURN_NOT_OK(delta_dev.Open(DeltaPath(prefix, k),
+    MLKV_RETURN_NOT_OK(delta_dev.Open(DeltaPath(index_path, k),
                                       /*truncate=*/false));
     uint64_t count = 0;
     MLKV_RETURN_NOT_OK(delta_dev.ReadAt(0, &count, sizeof(count)));
@@ -1110,10 +1142,14 @@ Status FasterStore::Recover(const FasterOptions& options,
     }
     for (uint64_t i = 0; i < count; ++i) {
       const uint64_t slot = pairs[2 * i];
-      if (slot >= index()->num_slots()) {
+      if (slot >= n) {
         return Status::Corruption("checkpoint delta slot out of range");
       }
-      index()->StoreSlot(slot, pairs[2 * i + 1]);
+      if (legacy) {
+        legacy_heads[slot] = pairs[2 * i + 1];
+      } else {
+        index()->StoreSlot(slot, pairs[2 * i + 1]);
+      }
     }
   }
 
@@ -1122,12 +1158,32 @@ Status FasterStore::Recover(const FasterOptions& options,
   Address recovered = meta.tail;
   if (options_.durability_mode == DurabilityMode::kGroup) {
     // Group-committed records past the checkpoint tail are durable without
-    // being in any checkpoint; replay them, then cut the file at the last
-    // valid record so torn bytes cannot resurface.
-    MLKV_RETURN_NOT_OK(ReplayTail(meta.tail, &recovered));
+    // being in any checkpoint; replay them against the heads they were
+    // published on, then cut the file at the last valid record so torn
+    // bytes cannot resurface.
+    auto publish = [&](Key key, Address prev, Address addr) {
+      if (legacy) {
+        Address& head = legacy_heads[Hash64(key) & (n - 1)];
+        if (head != prev) return false;
+        head = addr;
+        return true;
+      }
+      return index()->CompareExchange(key, prev, addr);
+    };
+    MLKV_RETURN_NOT_OK(ReplayTail(meta.tail, publish, &recovered));
     MLKV_RETURN_NOT_OK(log_.DiscardDiskBeyond(recovered));
   }
   MLKV_RETURN_NOT_OK(log_.RestoreBoundaries(recovered, meta.begin));
+  if (legacy) {
+    // Upgrade: rebuild tagged entries, then checkpoint them as v3 under the
+    // same prefix, so later recoveries — and the group-commit replay of
+    // records published against the tagged heads — start from them. The
+    // v3 files sit beside the legacy ones and the meta rename commits the
+    // upgrade: a crash before it leaves the legacy checkpoint intact.
+    MLKV_RETURN_NOT_OK(AdoptLegacyIndex(legacy_heads));
+    ckpt_ = CheckpointChain();
+    return Checkpoint(prefix);
+  }
   ckpt_.prefix = prefix;
   ckpt_.tail = meta.tail;
   ckpt_.deltas = meta.delta_count;
@@ -1135,7 +1191,58 @@ Status FasterStore::Recover(const FasterOptions& options,
   return Status::OK();
 }
 
-Status FasterStore::ReplayTail(Address from, Address* recovered) {
+Status FasterStore::AdoptLegacyIndex(const std::vector<Address>& heads) {
+  // Each slot's chain is walked once, newest first, visiting only the keys
+  // that hash to that slot (after a legacy Grow a chain also holds stale
+  // versions of keys whose live chain is a refined slot's). A key's first
+  // record in its walk is its newest version; it becomes its tag's head
+  // when the tag has no entry yet. Later keys of the same walk whose entry
+  // was claimed earlier in this walk are reachable from that head (the
+  // walk only moves to older records); every other key is an orphan —
+  // its entry heads a different chain — and gets its newest version
+  // copied to the tail on top of that entry, control word and flags
+  // unchanged, like a compaction copy. Tombstoned orphans are simply
+  // dropped: unreachable reads as NotFound.
+  const uint64_t mask = heads.size() - 1;
+  std::vector<std::pair<Key, Address>> orphans;
+  std::unordered_set<Key> seen;
+  std::unordered_set<Address> claimed;
+  for (uint64_t slot = 0; slot < heads.size(); ++slot) {
+    seen.clear();
+    claimed.clear();
+    Address a = heads[slot];
+    while (a != kInvalidAddress && a >= log_.begin_address()) {
+      RecordMeta meta;
+      bool in_memory = false;
+      MLKV_RETURN_NOT_OK(LoadMeta(a, &meta, &in_memory));
+      if ((Hash64(meta.key) & mask) == slot && seen.insert(meta.key).second) {
+        Address head = index()->Load(meta.key);
+        if (head == kInvalidAddress &&
+            index()->CompareExchange(meta.key, head, a)) {
+          claimed.insert(a);
+        } else if (claimed.count(head) == 0) {
+          orphans.emplace_back(meta.key, a);
+        }
+      }
+      a = meta.prev;
+    }
+  }
+  std::vector<char> value;
+  for (const auto& [key, address] : orphans) {
+    RecordMeta meta;
+    MLKV_RETURN_NOT_OK(ReadRecordAt(address, &meta, &value));
+    if (meta.flags & kRecordTombstone) continue;
+    MLKV_RETURN_NOT_OK(AppendAndPublish(key, value.data(), meta.value_size,
+                                        meta.control, meta.flags,
+                                        index()->Load(key), nullptr));
+  }
+  return Status::OK();
+}
+
+Status FasterStore::ReplayTail(
+    Address from,
+    const std::function<bool(Key, Address, Address)>& publish,
+    Address* recovered) {
   struct TailRecord {
     Address addr = kInvalidAddress;
     Address prev = kInvalidAddress;
@@ -1189,15 +1296,15 @@ Status FasterStore::ReplayTail(Address from, Address* recovered) {
   // Republish in passes to a fixpoint: a record goes live only when its
   // prev equals the key's current chain head — exactly the CAS it won in
   // the original run, so replay reconstructs the same publish order even
-  // though allocation order (address order) can differ from it.
+  // though allocation order (address order) can differ from it. New tags
+  // may claim different entries than they did originally; a full bucket's
+  // routes depend only on its set of tags (kv/hash_index.h), so every
+  // key still meets the chain head it was published on.
   bool progress = true;
   while (progress) {
     progress = false;
     for (TailRecord& r : records) {
-      if (r.published) continue;
-      Address e = index()->Load(r.key);
-      if (e != r.prev) continue;
-      if (!index()->CompareExchange(r.key, e, r.addr)) continue;
+      if (r.published || !publish(r.key, r.prev, r.addr)) continue;
       r.published = true;
       progress = true;
       if ((r.flags & kRecordTombstone) == 0 && r.prev == kInvalidAddress) {
@@ -1233,6 +1340,7 @@ FasterStatsSnapshot FasterStore::stats() const {
       stats_.async_reads_completed.load(std::memory_order_relaxed);
   s.async_reads_refetched =
       stats_.async_reads_refetched.load(std::memory_order_relaxed);
+  s.chain_hops = stats_.chain_hops.load(std::memory_order_relaxed);
   const auto& ls = log_.stats();
   s.disk_record_reads = ls.disk_record_reads.load(std::memory_order_relaxed);
   s.pages_flushed = ls.pages_flushed.load(std::memory_order_relaxed);
@@ -1266,6 +1374,7 @@ void FasterStore::ResetStats() {
   stats_.async_reads_submitted.store(0);
   stats_.async_reads_completed.store(0);
   stats_.async_reads_refetched.store(0);
+  stats_.chain_hops.store(0);
 }
 
 }  // namespace mlkv

@@ -38,7 +38,8 @@ namespace mlkv {
 
 struct FasterOptions {
   std::string path;                    // backing log file
-  uint64_t index_slots = 1ull << 20;   // hash index size (rounded to pow2)
+  // Hash index entries (rounded to pow2; 8 per 64-byte bucket).
+  uint64_t index_slots = 1ull << 20;
   // Log page size. Open() halves it (down to 4 KiB) until at least four
   // pages fit in mem_size, so tiny buffer budgets work out of the box.
   uint64_t page_size = 1ull << 20;
@@ -98,6 +99,10 @@ struct FasterStatsSnapshot {
   // (record moved mid-flight / staleness wait).
   uint64_t async_reads_submitted = 0, async_reads_completed = 0;
   uint64_t async_reads_refetched = 0;
+  // Device record reads (blocking walk or pending fetch) that landed
+  // another key's record sharing the hash chain, read only to follow its
+  // prev pointer.
+  uint64_t chain_hops = 0;
   // Write pipeline: pages submitted to / completed by async flush waves,
   // fdatasyncs issued (log's own plus the GroupCommitter's), and fsyncs
   // that covered more than one committer (the group-commit win).
@@ -154,11 +159,12 @@ class FasterStore {
 
   // Rmw's insert half for a caller that already walked the chain: creates
   // `key` (zeroed `value_size` bytes shaped by modifier(value, size,
-  // false)) by publishing against `chain_head`, the index slot value a
-  // lookup observed when it found no live version of `key` (absent or
-  // tombstoned). If the slot moved since, falls back to Rmw, so the
+  // false)) by publishing against `chain_head`, the chain head a lookup
+  // observed when it found no live version of `key` (absent or
+  // tombstoned). If the head moved since, falls back to Rmw, so the
   // outcome always equals Rmw's; `modifier` may then run a second time.
-  // kInvalidAddress (no observation) succeeds only on an empty slot.
+  // kInvalidAddress (no observation) succeeds only while the key's tag
+  // has no index entry.
   Status InsertIfAbsent(Key key, Address chain_head, uint32_t value_size,
                         const std::function<void(char* value, uint32_t size,
                                                  bool exists)>& modifier);
@@ -183,7 +189,7 @@ class FasterStore {
   // synchronous semantics); returns false when the newest candidate record
   // is disk-resident, in which case *pending is primed (target address +
   // landing size) for submission through a PendingReadWave. Never issues
-  // disk I/O itself. Either way pending->chain_head is the index slot the
+  // disk I/O itself. Either way pending->chain_head is the chain head the
   // walk observed — what InsertIfAbsent needs after a NotFound.
   // `bound == UINT32_MAX` uses the store-level bound. `fetch` is the value
   // bytes a parked read lands (at least `cap`; 0 means `cap`): a tracked
@@ -256,12 +262,12 @@ class FasterStore {
 
   // Doubles the hash index `factor_log2` times. Existing chains stay
   // reachable immediately; they thin out as subsequent publishes use the
-  // refined slots. Quiesced operation: callers must ensure no concurrent
+  // refined buckets. Quiesced operation: callers must ensure no concurrent
   // store operations (same contract as Checkpoint).
   Status GrowIndex(uint32_t factor_log2 = 1);
 
   // Quiesced maintenance policy: grows the index (doubling as many times as
-  // needed) whenever live keys exceed `max_load` keys per slot.
+  // needed) whenever live keys exceed `max_load` keys per index entry.
   Status MaybeGrowIndex(double max_load = 1.5);
 
   // Durability point: makes every operation that completed before this call
@@ -274,18 +280,23 @@ class FasterStore {
   Address durable_address() const { return log_.durable_address(); }
 
   // Quiesced checkpoint under `prefix`; callers must ensure no concurrent
-  // operations. checkpoint_mode == kFull writes the classic pair
-  // (<prefix>.meta, <prefix>.idx: full log flush + full index dump).
-  // kIncremental persists only dirty/undurable pages and appends an index
-  // delta (<prefix>.idx.d<N>: slots whose head moved since the previous
-  // checkpoint) onto the chain under the same prefix, committing by
-  // atomically renaming the v2 .meta into place; a fresh base (full .idx)
-  // is forced on a new prefix, after index growth, or past the delta cap.
+  // operations. checkpoint_mode == kFull writes a full log flush and a
+  // full index dump (<prefix>.idx3). kIncremental persists only
+  // dirty/undurable pages and appends an index delta (<prefix>.idx3.d<N>:
+  // entries whose head moved since the previous checkpoint) onto the chain
+  // under the same prefix; a fresh base (full .idx3) is forced on a new
+  // prefix, after index growth, or past the delta cap. Either mode commits
+  // by atomically renaming <prefix>.meta into place.
   Status Checkpoint(const std::string& prefix);
   // Reopens the store from a checkpoint taken with the same options: base
   // index plus deltas in order, then — in durability_mode == kGroup — a
   // replay of valid group-committed records found past the checkpoint tail
   // (stopping at the first torn record and truncating the log there).
+  // A legacy checkpoint (untagged v1/v2 index in <prefix>.idx) is rebuilt
+  // into tagged entries by one walk of each slot's chain and checkpointed
+  // as v3 under the same prefix; the legacy files are left untouched, so a
+  // crash before the new meta commits recovers from them again
+  // (docs/DURABILITY.md).
   Status Recover(const FasterOptions& options, const std::string& prefix);
 
   // True if `key` currently resolves to an in-memory record.
@@ -309,9 +320,9 @@ class FasterStore {
  private:
   struct FindResult {
     Address address = kInvalidAddress;  // the matching record (if found)
-    // Chain head observed in the index slot at lookup time. All publishes
-    // CAS the slot from this value and link the new record's prev to it, so
-    // colliding keys in one slot keep a single consistent chain.
+    // Chain head observed in the key's index entry at lookup time. All
+    // publishes CAS the entry from this value and link the new record's
+    // prev to it, so keys sharing an entry keep a single consistent chain.
     Address chain_head = kInvalidAddress;
     RecordMeta meta;
     bool in_memory = false;
@@ -337,7 +348,8 @@ class FasterStore {
   // Copies the value bytes of the record at `address`.
   Status LoadValue(Address address, const RecordMeta& meta, void* out,
                    uint32_t cap);
-  // Walks the hash chain from the index slot looking for `key`.
+  // Walks the hash chain from the key's index entry looking for `key`;
+  // every disk-resident record of another key on the way is a chain hop.
   Status Find(Key key, FindResult* out);
 
   // Appends a record and publishes it via index CAS against `expected`.
@@ -353,7 +365,7 @@ class FasterStore {
   // A tracked read's tail copy of the cold record at `address`: the whole
   // stored `value` (meta.value_size bytes) with the read's increment on
   // the original control word, published against `chain_head`. Busy means
-  // the slot moved since the walk; the caller re-resolves the key so the
+  // the head moved since the walk; the caller re-resolves the key so the
   // increment lands on the live version.
   Status PublishReadCopy(Key key, const void* value, const RecordMeta& meta,
                          Address address, Address chain_head);
@@ -371,6 +383,7 @@ class FasterStore {
     std::atomic<uint64_t> compactions{0}, compaction_live_copied{0};
     std::atomic<uint64_t> async_reads_submitted{0}, async_reads_completed{0};
     std::atomic<uint64_t> async_reads_refetched{0};
+    std::atomic<uint64_t> chain_hops{0};
   };
 
   // Maps the (page-size-adjusted) store options onto the log's.
@@ -380,9 +393,16 @@ class FasterStore {
   Status CheckpointFull(const std::string& prefix);
   Status CheckpointIncremental(const std::string& prefix);
   // Scans [from, end-of-file) for valid records the last checkpoint missed
-  // and republishes them against the recovered index (address-ordered
-  // passes to a fixpoint); *recovered is the end of the last valid record.
-  Status ReplayTail(Address from, Address* recovered);
+  // and republishes each through `publish(key, prev, address)` — true when
+  // the key's head was still `prev` and now is `address` — in address-
+  // ordered passes to a fixpoint; *recovered is the end of the last valid
+  // record.
+  Status ReplayTail(Address from,
+                    const std::function<bool(Key, Address, Address)>& publish,
+                    Address* recovered);
+  // Builds tagged entries from a legacy checkpoint's untagged slot heads
+  // (one chain per slot, hash & (slots - 1)); needs the recovered log.
+  Status AdoptLegacyIndex(const std::vector<Address>& heads);
 
   // Chain state for incremental checkpoints: what the last checkpoint
   // under `prefix` covered. Reset on Open; restored by Recover.
@@ -390,7 +410,7 @@ class FasterStore {
     std::string prefix;       // empty: no chain, next checkpoint is a base
     Address tail = 0;         // log tail the last checkpoint covered
     uint64_t deltas = 0;      // delta files written under this prefix
-    uint64_t index_slots = 0; // slot count the chain's files assume
+    uint64_t index_slots = 0; // entry count the chain's files assume
   };
   // Replaying an ever-longer delta chain on recovery caps here; the next
   // checkpoint then rolls a fresh base.

@@ -1,18 +1,45 @@
-// Latch-free hash index: a fixed array of 64-bit atomic slots mapping
-// hash(key) to the newest log address of that key's hash chain. Keys that
-// collide on a slot share one chain linked through Record::prev (newest
-// first); lookups walk the chain comparing full keys.
+// Latch-free hash index in FASTER's layout (Chandramouli et al., "FASTER:
+// A Concurrent Key-Value Store with In-Place Updates", SIGMOD'18, §4): an
+// array of 64-byte buckets, each holding eight 64-bit entries
 //
-// This follows FASTER's index design with one simplification, documented in
-// DESIGN.md: we omit the in-bucket tag bits and resolve all collisions
-// through the record chain (chains stay short at the load factors we size
-// for), which keeps every index transition a single CAS on one slot.
+//   | reserved: 1 bit | tag: 15 bits | address: 48 bits |
+//    bit 63            bits 48..62    bits 0..47
+//
+// A key's bucket comes from the low hash bits and its tag from hash bits
+// 32..46 (common/hash.h). An entry is the head of the hash chain of the keys
+// in its bucket that carry its tag, linked newest-first through
+// Record::prev; lookups walk that chain comparing full keys. Tags make
+// chains short: keys only share a chain when they share a bucket AND a tag.
+//
+// Entry lifecycle, which keeps every transition a single CAS on one entry:
+//  * A tag with no entry in its bucket claims the bucket's first empty
+//    entry by CAS from 0. Entries are never freed, so the non-empty entries
+//    are always a prefix of the bucket and a tag appears at most once per
+//    bucket — no tentative bit (FASTER's two-phase insert) is needed.
+//  * A full bucket routes a missing tag to the entry holding the smallest
+//    claimed tag above it, wrapping around to the smallest claimed tag. The
+//    missing tag then shares that entry's chain (full-key compare keeps the
+//    keys apart, as in a chained index without tags). The route depends
+//    only on which tags the bucket holds, never on where each one sits, so
+//    group-commit recovery (FasterStore::ReplayTail), which re-claims
+//    entries in address order rather than in the order the original CASes
+//    won, rebuilds the same chains.
+//  * Publishing a new chain head swaps only the address bits; the tag of a
+//    claimed entry never changes.
+// Because entries are never freed, delete-heavy churn leaves dead tags
+// holding entries until the bucket fills. Grow (FasterStore's
+// MaybeGrowIndex) copies a bucket into each of its refinements, so it
+// thins chains of claimed tags but does not empty a full bucket: its
+// missing tags keep sharing their routed chains.
+//
+// The entry count (`num_slots`) is the sizing knob: eight entries per
+// bucket, so an index of N slots uses the same N * 8 bytes as an untagged
+// slot array would.
 #pragma once
 
 #include <atomic>
 #include <cstdint>
 #include <memory>
-#include <string>
 
 #include "common/hash.h"
 #include "common/status.h"
@@ -24,58 +51,74 @@ class FileDevice;
 
 class HashIndex {
  public:
-  // `num_slots` is rounded up to a power of two.
+  static constexpr uint64_t kAddressMask = kAddressLimit - 1;
+
+  // `num_slots` (entries) is rounded up to a power of two, at least two
+  // buckets' worth.
   explicit HashIndex(uint64_t num_slots);
 
   HashIndex(const HashIndex&) = delete;
   HashIndex& operator=(const HashIndex&) = delete;
 
-  std::atomic<Address>& SlotFor(Key key) {
-    return slots_[Hash64(key) & mask_];
-  }
+  // Head of the chain `key` belongs to (kInvalidAddress: its tag has no
+  // entry and the bucket has room to claim one).
+  Address Load(Key key) const;
 
-  Address Load(Key key) {
-    return SlotFor(key).load(std::memory_order_acquire);
-  }
+  // Publishes `desired` as the chain head if the head is still `expected`;
+  // otherwise returns false with `expected` set to the current head. An
+  // absent tag (expected kInvalidAddress) claims an entry here.
+  bool CompareExchange(Key key, Address& expected, Address desired);
 
-  // Publishes `desired` as the chain head if the head is still `expected`.
-  bool CompareExchange(Key key, Address& expected, Address desired) {
-    return SlotFor(key).compare_exchange_strong(
-        expected, desired, std::memory_order_acq_rel,
-        std::memory_order_acquire);
-  }
+  uint64_t num_slots() const { return (bucket_mask_ + 1) * kBucketEntries; }
 
-  uint64_t num_slots() const { return mask_ + 1; }
-
-  // Slot-index access for incremental checkpoints: a delta record stores
-  // (slot, address) pairs for slots whose head moved since the base, and
-  // recovery reapplies them positionally.
-  Address LoadSlot(uint64_t slot) const {
-    return slots_[slot].load(std::memory_order_acquire);
+  // Raw-entry access for incremental checkpoints: a delta record stores
+  // (slot, entry) pairs for entries whose address moved since the base,
+  // and recovery reapplies them positionally.
+  uint64_t LoadSlot(uint64_t slot) const {
+    return buckets_[slot / kBucketEntries]
+        .entry[slot % kBucketEntries]
+        .load(std::memory_order_acquire);
   }
-  void StoreSlot(uint64_t slot, Address a) {
-    slots_[slot].store(a, std::memory_order_release);
+  void StoreSlot(uint64_t slot, uint64_t entry) {
+    buckets_[slot / kBucketEntries].entry[slot % kBucketEntries].store(
+        entry, std::memory_order_release);
   }
+  static Address EntryAddress(uint64_t entry) { return entry & kAddressMask; }
 
-  // Number of non-empty slots (diagnostics / checkpoint metadata).
+  // Number of claimed entries (diagnostics / checkpoint metadata).
   uint64_t CountUsed() const;
 
-  // Doubles the slot array `factor_log2` times (FASTER's index growth).
-  // Every new slot that an old slot's keys can rehash to receives that old
-  // slot's chain head, so existing chains remain reachable (lookups compare
-  // full keys and simply skip entries that rehashed elsewhere); chains thin
-  // out as later publishes go to the refined slots. NOT thread-safe: the
-  // caller must guarantee no concurrent index operations, same as the
-  // checkpoint contract (see FasterStore::GrowIndex).
+  // Doubles the bucket array `factor_log2` times. A key in bucket b can
+  // only rehash to buckets {b, b + n, b + 2n, ...} (n = old bucket count),
+  // so each of those receives a copy of bucket b: every chain stays
+  // reachable and later publishes go to the refined buckets. NOT
+  // thread-safe: the caller must guarantee no concurrent index operations,
+  // same as the checkpoint contract (see FasterStore::GrowIndex).
   Status Grow(uint32_t factor_log2 = 1);
 
-  // Serializes / restores the raw slot array for checkpointing.
+  // Serializes / restores the raw entry array for checkpointing.
   Status WriteTo(FileDevice* dev, uint64_t offset) const;
   Status ReadFrom(const FileDevice& dev, uint64_t offset);
 
  private:
-  uint64_t mask_;
-  std::unique_ptr<std::atomic<Address>[]> slots_;
+  static constexpr uint64_t kBucketEntries = 8;
+  static constexpr int kTagShift = 48;
+
+  struct alignas(64) Bucket {
+    std::atomic<uint64_t> entry[kBucketEntries];
+  };
+
+  static constexpr uint64_t kTagMask = 0x7FFF;
+
+  static uint64_t TagOf(uint64_t hash) { return (hash >> 32) & kTagMask; }
+
+  // Index of the entry a full bucket routes the missing `tag` to, given
+  // the bucket's eight claimed entries.
+  static uint64_t OverflowEntry(const uint64_t (&entries)[kBucketEntries],
+                                uint64_t tag);
+
+  uint64_t bucket_mask_;
+  std::unique_ptr<Bucket[]> buckets_;
 };
 
 }  // namespace mlkv

@@ -240,6 +240,9 @@ Status HybridLog::Allocate(uint32_t size, Address* address, char** memory) {
     // scans as invalid records) and roll to the next page.
     t = page_end;
   }
+  if (t + size > kAddressLimit) {
+    return Status::IOError("log address space exhausted");
+  }
   // Provision lazily by page number, not by boundary crossing: an
   // allocation that exactly fills a page leaves the tail on the next page
   // start without crossing anything.

@@ -32,6 +32,9 @@ using Key = uint64_t;
 using Address = uint64_t;
 
 inline constexpr Address kInvalidAddress = 0;
+// Log addresses stay below 2^48: a hash index entry keeps 48 address bits
+// next to its tag (kv/hash_index.h), and HybridLog refuses to grow past it.
+inline constexpr Address kAddressLimit = Address{1} << 48;
 
 // Default number of bounded-Get retries — index re-lookups, each yielding
 // the CPU — before a staleness wait gives up with Status::Busy. Multi-worker

@@ -417,6 +417,7 @@ FasterStatsSnapshot ShardedStore::stats() const {
     total.async_reads_submitted += s.async_reads_submitted;
     total.async_reads_completed += s.async_reads_completed;
     total.async_reads_refetched += s.async_reads_refetched;
+    total.chain_hops += s.chain_hops;
     total.async_writes_submitted += s.async_writes_submitted;
     total.async_writes_completed += s.async_writes_completed;
     total.fsyncs += s.fsyncs;

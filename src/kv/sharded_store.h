@@ -190,7 +190,7 @@ class ShardedStore {
   // byte-identical to FasterStore's). CheckpointExists requires the commit
   // marker, so a crash part-way through never yields a "checkpoint" with
   // missing shard files. Residual window (same class as the single store's
-  // .meta/.idx pair): re-checkpointing over an existing checkpoint that
+  // base index rewrite): re-checkpointing over an existing checkpoint that
   // crashes mid-loop can leave shards committed at different points in
   // time behind the old marker.
   Status Checkpoint(const std::string& prefix);

@@ -11,7 +11,9 @@
 #include <atomic>
 #include <chrono>
 #include <cstring>
+#include <condition_variable>
 #include <memory>
+#include <mutex>
 #include <thread>
 #include <vector>
 
@@ -182,6 +184,54 @@ TEST_P(AsyncIoTest, DepthLimitAppliesBackpressureNotLoss) {
     ++completed;
   }
   EXPECT_EQ(completed, kReads);
+}
+
+// A device whose reads block inside ReadAt until `width` of them are in it
+// at once; a read that waits out the (generous) timeout fails. It is never
+// raw-eligible, so every backend runs its reads through the virtual call.
+class LatchDevice : public FileDevice {
+ public:
+  explicit LatchDevice(int width) : width_(width) {}
+  bool AllowsRawReads() const override { return false; }
+  Status ReadAt(uint64_t, void* data, size_t n) const override {
+    std::unique_lock<std::mutex> lk(mu_);
+    if (++inside_ >= width_) cv_.notify_all();
+    if (!cv_.wait_for(lk, std::chrono::seconds(10),
+                      [this] { return inside_ >= width_; })) {
+      return Status::IOError("fewer than width reads ever ran at once");
+    }
+    std::memset(data, 0x5A, n);
+    return Status::OK();
+  }
+
+ private:
+  const int width_;
+  mutable std::mutex mu_;
+  mutable std::condition_variable cv_;
+  mutable int inside_ = 0;
+};
+
+// Reads that must run blocking (simulated-cost or decorated devices) run
+// on as many workers at once as there are reads: no worker takes a second
+// one while the first blocks. The latch only opens once all four are
+// inside ReadAt together, so this does not depend on thread timing.
+TEST_P(AsyncIoTest, BlockingReadsRunOnEveryWorkerAtOnce) {
+  constexpr int kWorkers = 4;
+  LatchDevice dev(kWorkers);
+  AsyncIoEngine engine(EngineOptions(kWorkers));
+  AsyncIoEngine::Batch batch(&engine);
+  std::vector<std::vector<char>> bufs(kWorkers, std::vector<char>(64));
+  for (int i = 0; i < kWorkers; ++i) {
+    ASSERT_TRUE(batch.Submit(&dev, i * 64, bufs[i].data(), 64, i).ok());
+  }
+  AsyncIoEngine::Completion c;
+  int completed = 0;
+  while (batch.WaitOne(&c)) {
+    EXPECT_TRUE(c.status.ok()) << c.status.ToString();
+    EXPECT_EQ(bufs[c.tag][0], 0x5A);
+    ++completed;
+  }
+  EXPECT_EQ(completed, kWorkers);
 }
 
 TEST_P(AsyncIoTest, WritesLandCorrectBytes) {

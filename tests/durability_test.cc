@@ -10,8 +10,10 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <iterator>
 #include <map>
 #include <memory>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -20,6 +22,7 @@
 #include "io/faulty_file_device.h"
 #include "io/temp_dir.h"
 #include "kv/faster_store.h"
+#include "kv/hash_index.h"
 #include "kv/update_log.h"
 #include "lsm/lsm_store.h"
 #include "lsm/wal.h"
@@ -622,13 +625,13 @@ TEST(IncrementalCheckpointTest, BaseAndDeltasReplayInOrder) {
     ASSERT_TRUE(store.Delete(10).ok());
     ASSERT_TRUE(store.Checkpoint(prefix).ok());  // delta 2
   }
-  ASSERT_TRUE(std::filesystem::exists(prefix + ".idx"));
-  ASSERT_TRUE(std::filesystem::exists(prefix + ".idx.d1"));
-  ASSERT_TRUE(std::filesystem::exists(prefix + ".idx.d2"));
+  ASSERT_TRUE(std::filesystem::exists(prefix + ".idx3"));
+  ASSERT_TRUE(std::filesystem::exists(prefix + ".idx3.d1"));
+  ASSERT_TRUE(std::filesystem::exists(prefix + ".idx3.d2"));
   // A delta names only the slots whose chain head moved — a small
   // fraction of the full index dump.
-  EXPECT_LT(std::filesystem::file_size(prefix + ".idx.d1"),
-            std::filesystem::file_size(prefix + ".idx") / 4);
+  EXPECT_LT(std::filesystem::file_size(prefix + ".idx3.d1"),
+            std::filesystem::file_size(prefix + ".idx3") / 4);
 
   FasterStore store;
   ASSERT_TRUE(store.Recover(o, prefix).ok());
@@ -649,6 +652,337 @@ TEST(IncrementalCheckpointTest, BaseAndDeltasReplayInOrder) {
   for (Key k = 31; k <= 40; ++k) {
     ASSERT_TRUE(store.Read(k, &out).ok()) << k;
     EXPECT_EQ(out, "gen1-" + std::to_string(k));
+  }
+}
+
+// ------------------------------------------------ hand-written logs --
+//
+// HandLog writes log records by hand, exactly as the store lays them out,
+// so a test can pin a publish order or an on-disk format that a live store
+// would only produce under a particular interleaving (or no longer
+// produces at all).
+
+void WriteWords(const std::string& path, const std::vector<uint64_t>& w) {
+  FileDevice dev;
+  ASSERT_TRUE(dev.Open(path).ok());
+  ASSERT_TRUE(dev.WriteAt(0, w.data(), w.size() * sizeof(uint64_t)).ok());
+}
+
+std::string ReadFile(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return std::string(std::istreambuf_iterator<char>(in), {});
+}
+
+class HandLog {
+ public:
+  explicit HandLog(const FasterOptions& o) : page_size_(o.page_size) {
+    EXPECT_TRUE(log_.Open(o.path).ok());
+  }
+
+  // Appends a valid record linked on top of `prev`; returns its address.
+  Address Append(Key key, const std::string& value, Address prev,
+                 uint32_t flags = 0) {
+    const uint32_t size = Record::SizeFor(static_cast<uint32_t>(value.size()));
+    const uint64_t page_end = (tail_ / page_size_ + 1) * page_size_;
+    if (tail_ + size > page_end) tail_ = page_end;  // zero gap, as a roll
+    std::vector<char> rec(size, 0);
+    const uint64_t control = ControlWord::Make(++generation_, 0);
+    const uint32_t value_size = static_cast<uint32_t>(value.size());
+    flags |= kRecordValid;
+    std::memcpy(rec.data() + 0, &control, 8);
+    std::memcpy(rec.data() + 8, &prev, 8);
+    std::memcpy(rec.data() + 16, &key, 8);
+    std::memcpy(rec.data() + 24, &value_size, 4);
+    std::memcpy(rec.data() + 28, &flags, 4);
+    std::memcpy(rec.data() + sizeof(Record), value.data(), value.size());
+    EXPECT_TRUE(log_.WriteAt(tail_, rec.data(), rec.size()).ok());
+    const Address at = tail_;
+    tail_ += size;
+    return at;
+  }
+  void Sync() { EXPECT_TRUE(log_.Sync().ok()); }
+
+  // Writes a meta block; delta_count < 0 writes the v1 block, which has no
+  // delta_count field.
+  void WriteMeta(const std::string& prefix, uint64_t magic, uint64_t slots,
+                 uint64_t inserts, int64_t delta_count) {
+    std::vector<uint64_t> meta{magic,     tail_,      slots, inserts,
+                               kLogBegin, page_size_};
+    if (delta_count >= 0) meta.push_back(static_cast<uint64_t>(delta_count));
+    WriteWords(prefix + ".meta", meta);
+  }
+
+  static constexpr Address kLogBegin = 64;
+
+ private:
+  const uint64_t page_size_;
+  FileDevice log_;
+  Address tail_ = kLogBegin;
+  uint32_t generation_ = 0;
+};
+
+// In a full bucket, a missing tag's chain must not depend on the order in
+// which the other tags claimed their entries: group-commit recovery
+// re-claims them in address order, which can differ from the order the
+// original CASes won. The log below is one such run. Eight keys with
+// distinct tags fill bucket 0; the last two were allocated A then B, but
+// B's claim won first. Then 32 keys with further tags publish onto the
+// full bucket's chains, and A and B update. Every record lies past an
+// empty v3 checkpoint, so recovery has to replay all of it.
+TEST(GroupDurabilityTest, ReplayKeepsFullBucketRoutesWhenClaimsReorder) {
+  TempDir dir;
+  FasterOptions o = GroupStore(dir);
+  o.index_slots = 16;  // two buckets
+  const std::string prefix = dir.File("ckpt");
+  auto bucket = [](Key k) { return Hash64(k) & 1; };
+  auto tag = [](Key k) { return (Hash64(k) >> 32) & 0x7FFF; };
+  std::vector<Key> keys;
+  std::set<uint64_t> tags;
+  for (Key k = 0; keys.size() < 8 + 32; ++k) {
+    if (bucket(k) == 0 && tags.insert(tag(k)).second) keys.push_back(k);
+  }
+  std::map<Key, std::string> model;
+  {
+    HandLog log(o);
+    HashIndex live(o.index_slots);  // the original run's index
+    std::vector<Address> claim(8);
+    for (size_t i = 0; i < 8; ++i) {
+      model[keys[i]] = "claim-" + std::to_string(i);
+      claim[i] = log.Append(keys[i], model[keys[i]], kInvalidAddress);
+    }
+    for (const size_t i : {0, 1, 2, 3, 4, 5, 7, 6}) {  // B (7) beats A (6)
+      Address e = kInvalidAddress;
+      ASSERT_TRUE(live.CompareExchange(keys[i], e, claim[i]));
+    }
+    auto publish = [&](Key k, const std::string& value) {
+      Address head = live.Load(k);
+      const Address at = log.Append(k, value, head);
+      ASSERT_TRUE(live.CompareExchange(k, head, at)) << "key " << k;
+      model[k] = value;
+    };
+    for (size_t i = 8; i < keys.size(); ++i) {
+      publish(keys[i], "routed-" + std::to_string(i));
+    }
+    publish(keys[6], "A-again");
+    publish(keys[7], "B-again");
+    log.Sync();
+    // An empty v3 checkpoint: no claimed entries, tail at the log's start.
+    WriteWords(prefix + ".meta",
+               {0x4D4C4B563543484Bull, HandLog::kLogBegin, o.index_slots, 0,
+                HandLog::kLogBegin, o.page_size, /*delta_count=*/0});
+    WriteWords(prefix + ".idx3", std::vector<uint64_t>(o.index_slots, 0));
+  }
+  FasterStore store;
+  ASSERT_TRUE(store.Recover(o, prefix).ok());
+  std::string out;
+  for (const auto& [k, v] : model) {
+    ASSERT_TRUE(store.Read(k, &out).ok()) << "key " << k;
+    EXPECT_EQ(out, v) << "key " << k;
+  }
+}
+
+// ------------------------------------------------ legacy checkpoints --
+//
+// Checkpoints from before tagged index entries store one untagged chain
+// head per slot (hash & (slots - 1)) under meta v1 ("MLKV3CHK", full) or
+// v2 ("MLKV4CHK", incremental, with delta files). LegacyLog writes one by
+// hand, exactly as the untagged store laid it out: records linked per
+// slot through prev, the slot array, optional deltas, and the meta block.
+class LegacyLog {
+ public:
+  LegacyLog(const FasterOptions& o, uint64_t slots)
+      : log_(o), heads_(slots, kInvalidAddress) {}
+
+  void Put(Key key, const std::string& value, uint32_t flags = 0) {
+    Address& head = heads_[Hash64(key) & (heads_.size() - 1)];
+    head = log_.Append(key, value, head, flags);
+  }
+  void Delete(Key key) { Put(key, "", kRecordTombstone); }
+
+  // Writes the slot array as <prefix>.idx plus a v1 meta block.
+  void CommitV1(const std::string& prefix, uint64_t inserts) {
+    WriteWords(prefix + ".idx", heads_);
+    base_ = heads_;
+    log_.WriteMeta(prefix, 0x4D4C4B563343484Bull, heads_.size(), inserts,
+                   /*delta_count=*/-1);
+  }
+  // Starts a v2 chain: the base slot array, zero deltas.
+  void CommitV2Base(const std::string& prefix, uint64_t inserts) {
+    WriteWords(prefix + ".idx", heads_);
+    base_ = heads_;
+    log_.WriteMeta(prefix, 0x4D4C4B563443484Bull, heads_.size(), inserts, 0);
+  }
+  // Appends <prefix>.idx.d1: (slot, head) pairs for slots that moved.
+  void CommitV2Delta(const std::string& prefix, uint64_t inserts) {
+    std::vector<uint64_t> words{0};
+    for (uint64_t s = 0; s < heads_.size(); ++s) {
+      if (heads_[s] == base_[s]) continue;
+      words.push_back(s);
+      words.push_back(heads_[s]);
+    }
+    words[0] = (words.size() - 1) / 2;
+    WriteWords(prefix + ".idx.d1", words);
+    log_.WriteMeta(prefix, 0x4D4C4B563443484Bull, heads_.size(), inserts, 1);
+  }
+  void Sync() { log_.Sync(); }
+
+ private:
+  HandLog log_;
+  std::vector<Address> heads_, base_;
+};
+
+// Legacy v1 (full) and v2 (base + delta) checkpoints recover with every key
+// readable, and the group-committed tail past a v2 checkpoint replays
+// against the legacy heads. 400 keys over 64 slots put several keys on
+// every legacy chain, so each new bucket merges eight chains and most of
+// its tags overflow: the rebuild has to copy keys between chains.
+TEST(LegacyCheckpointTest, V1AndV2CheckpointsRecoverEveryKey) {
+  for (const bool v2 : {false, true}) {
+    SCOPED_TRACE(v2 ? "v2" : "v1");
+    TempDir dir;
+    FasterOptions o = GroupStore(dir);
+    o.index_slots = 64;
+    o.durability_mode = v2 ? DurabilityMode::kGroup : DurabilityMode::kSync;
+    const std::string prefix = dir.File("legacy");
+    std::map<Key, std::string> model;
+    {
+      LegacyLog log(o, 64);
+      for (Key k = 0; k < 400; ++k) {
+        log.Put(k, "v0-" + std::to_string(k));
+        model[k] = "v0-" + std::to_string(k);
+      }
+      for (Key k = 0; k < 400; k += 7) {
+        log.Delete(k);
+        model.erase(k);
+      }
+      if (v2) {
+        log.CommitV2Base(prefix, 400);
+        for (Key k = 1; k < 400; k += 3) {
+          log.Put(k, "v1-" + std::to_string(k));
+          model[k] = "v1-" + std::to_string(k);
+        }
+        log.CommitV2Delta(prefix, 400);
+        // Group-committed past the checkpoint: published against the
+        // legacy heads, so replay has to use them.
+        for (Key k = 2; k < 450; k += 5) {
+          log.Put(k, "tail-" + std::to_string(k));
+          model[k] = "tail-" + std::to_string(k);
+        }
+      } else {
+        log.CommitV1(prefix, 400);
+      }
+      log.Sync();
+    }
+    auto check = [&](FasterStore* store) {
+      std::string out;
+      std::vector<Key> keys{1000};
+      for (Key k = 0; k < 450; ++k) keys.push_back(k);
+      for (const Key k : keys) {
+        const auto it = model.find(k);
+        const Status s = store->Read(k, &out);
+        if (it == model.end()) {
+          EXPECT_TRUE(s.IsNotFound()) << "key " << k;
+        } else {
+          ASSERT_TRUE(s.ok()) << "key " << k << ": " << s.ToString();
+          EXPECT_EQ(out, it->second) << "key " << k;
+        }
+      }
+    };
+    {
+      FasterStore store;
+      ASSERT_TRUE(store.Recover(o, prefix).ok());
+      EXPECT_EQ(store.index_slots(), 64u);
+      check(&store);
+      // The recovered store takes writes against the tagged entries.
+      ASSERT_TRUE(UpsertStr(&store, 1000, "fresh").ok());
+      model[1000] = "fresh";
+      ASSERT_TRUE(UpsertStr(&store, 1, "again-1").ok());
+      model[1] = "again-1";
+      ASSERT_TRUE(store.Persist().ok());
+      check(&store);
+    }
+    // Recovery rewrote the checkpoint as v3: a second recovery starts from
+    // the tagged entries (and, in group mode, replays the writes above).
+    if (!v2) {
+      model.erase(1000);
+      model[1] = "v0-1";
+    }
+    FasterStore again;
+    ASSERT_TRUE(again.Recover(o, prefix).ok());
+    check(&again);
+  }
+}
+
+// Upgrading a legacy checkpoint writes only v3 files beside the legacy ones
+// and commits by renaming the v3 meta into place. A crash after the index
+// write but before that rename leaves the legacy meta naming its own,
+// untouched files: recovery upgrades again and reads every key. Both
+// checkpoint modes commit the upgrade the same way.
+TEST(LegacyCheckpointTest, UpgradeCrashBeforeMetaCommitRecoversFromLegacy) {
+  for (const CheckpointMode mode :
+       {CheckpointMode::kFull, CheckpointMode::kIncremental}) {
+    SCOPED_TRACE(mode == CheckpointMode::kFull ? "full" : "incremental");
+    TempDir dir;
+    FasterOptions o = GroupStore(dir);
+    o.index_slots = 64;
+    o.checkpoint_mode = mode;
+    const std::string prefix = dir.File("legacy");
+    std::map<Key, std::string> model;
+    {
+      LegacyLog log(o, 64);
+      auto put = [&](Key k, const std::string& v) {
+        log.Put(k, v);
+        model[k] = v;
+      };
+      for (Key k = 0; k < 300; ++k) put(k, "v0-" + std::to_string(k));
+      log.CommitV2Base(prefix, 300);
+      for (Key k = 1; k < 300; k += 4) put(k, "v1-" + std::to_string(k));
+      log.CommitV2Delta(prefix, 300);
+      for (Key k = 3; k < 320; k += 9) put(k, "tail-" + std::to_string(k));
+      log.Sync();
+    }
+    auto check = [&](FasterStore* store) {
+      std::string out;
+      for (Key k = 0; k < 330; ++k) {
+        const auto it = model.find(k);
+        const Status s = store->Read(k, &out);
+        if (it == model.end()) {
+          EXPECT_TRUE(s.IsNotFound()) << "key " << k;
+        } else {
+          ASSERT_TRUE(s.ok()) << "key " << k << ": " << s.ToString();
+          EXPECT_EQ(out, it->second) << "key " << k;
+        }
+      }
+    };
+    const std::string legacy_meta = ReadFile(prefix + ".meta");
+    const std::string legacy_idx = ReadFile(prefix + ".idx");
+    const std::string legacy_delta = ReadFile(prefix + ".idx.d1");
+    {
+      FasterStore store;
+      ASSERT_TRUE(store.Recover(o, prefix).ok());
+      check(&store);
+    }
+    // The upgrade committed a v3 meta and left the legacy files as they
+    // were.
+    EXPECT_NE(ReadFile(prefix + ".meta"), legacy_meta);
+    EXPECT_TRUE(std::filesystem::exists(prefix + ".idx3"));
+    EXPECT_EQ(ReadFile(prefix + ".idx"), legacy_idx);
+    EXPECT_EQ(ReadFile(prefix + ".idx.d1"), legacy_delta);
+    // Roll back to just before the commit: the log flush and the v3 index
+    // are on disk, the new meta only as the not-yet-renamed temp file.
+    std::filesystem::rename(prefix + ".meta", prefix + ".meta.tmp");
+    {
+      std::ofstream out(prefix + ".meta", std::ios::binary | std::ios::trunc);
+      out << legacy_meta;
+    }
+    {
+      FasterStore store;
+      ASSERT_TRUE(store.Recover(o, prefix).ok());
+      check(&store);
+    }
+    FasterStore again;  // from the v3 checkpoint the second upgrade wrote
+    ASSERT_TRUE(again.Recover(o, prefix).ok());
+    check(&again);
   }
 }
 

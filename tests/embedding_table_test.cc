@@ -155,7 +155,7 @@ TEST(MlkvTest, CheckpointAllWritesFiles) {
         o.dir + "/emb.ckpt", static_cast<uint32_t>(s),
         t->store()->shard_bits());
     EXPECT_TRUE(std::filesystem::exists(prefix + ".meta")) << prefix;
-    EXPECT_TRUE(std::filesystem::exists(prefix + ".idx")) << prefix;
+    EXPECT_TRUE(std::filesystem::exists(prefix + ".idx3")) << prefix;
   }
 }
 

@@ -124,13 +124,19 @@ TEST(FasterStoreTest, InsertIfAbsentRacedBySlotNeighbourFallsBackToRmw) {
   FasterStore store;
   ASSERT_TRUE(store.Open(SmallStore(dir)).ok());
   const Key key = 7;
-  const uint64_t mask = store.index_slots() - 1;
+  // A neighbour sharing key's index entry: same bucket (low hash bits) and
+  // same tag (hash bits 32..46; kv/hash_index.h).
+  const uint64_t bucket_mask = store.index_slots() / 8 - 1;
+  auto tag = [](Key k) { return (Hash64(k) >> 32) & 0x7FFF; };
   Key neighbour = key + 1;
-  while ((Hash64(neighbour) & mask) != (Hash64(key) & mask)) ++neighbour;
+  while ((Hash64(neighbour) & bucket_mask) != (Hash64(key) & bucket_mask) ||
+         tag(neighbour) != tag(key)) {
+    ++neighbour;
+  }
 
   const Address head = ObserveAbsent(&store, key);
-  // Another key publishes into the same index slot: the slot moves although
-  // `key` is still absent.
+  // The neighbour publishes into the shared entry: the chain head moves
+  // although `key` is still absent.
   ASSERT_TRUE(store.Upsert(neighbour, "neighbr!", 8).ok());
 
   std::string row;
@@ -144,6 +150,40 @@ TEST(FasterStoreTest, InsertIfAbsentRacedBySlotNeighbourFallsBackToRmw) {
   EXPECT_EQ(out, "initval!");
   ASSERT_TRUE(store.Read(neighbour, &out).ok());
   EXPECT_EQ(out, "neighbr!");
+}
+
+// A reader holds a mutable record's lock bit while it copies the value.
+// A writer that RCUs that record meanwhile (Rmw to a new size, Delete)
+// must not copy the bit into the new version: nothing would ever clear
+// it, and every later in-place write or read of the key would spin.
+TEST(FasterStoreTest, RcuVersionsNeverInheritTheRecordLock) {
+  TempDir dir;
+  FasterStore store;
+  ASSERT_TRUE(store.Open(SmallStore(dir)).ok());
+  auto hold_lock = [&](Key key) {
+    RecordMeta meta;
+    Address address = kInvalidAddress;
+    EXPECT_TRUE(store.PeekMeta(key, &meta, &address).ok());
+    EXPECT_GE(address, store.log().read_only_address());  // mutable
+    reinterpret_cast<Record*>(store.mutable_log()->MutablePointer(address))
+        ->control.fetch_or(ControlWord::kLockedBit);
+  };
+  auto newest_locked = [&](Key key) {
+    RecordMeta meta;
+    EXPECT_TRUE(store.PeekMeta(key, &meta).ok());
+    return ControlWord::Locked(meta.control);
+  };
+
+  ASSERT_TRUE(store.Upsert(1, "eight b!", 8).ok());
+  hold_lock(1);
+  ASSERT_TRUE(store.Rmw(1, 16, [](char*, uint32_t, bool) {}).ok());
+  EXPECT_EQ(store.stats().rcu_appends, 1u);
+  EXPECT_FALSE(newest_locked(1));
+
+  ASSERT_TRUE(store.Upsert(2, "eight b!", 8).ok());
+  hold_lock(2);
+  ASSERT_TRUE(store.Delete(2).ok());
+  EXPECT_FALSE(newest_locked(2));
 }
 
 TEST(FasterStoreTest, InsertIfAbsentTreatsTombstoneAsAbsent) {
@@ -474,7 +514,7 @@ TEST(FasterStoreTest, StatsCountOperations) {
 TEST(FasterStoreGrowTest, AllKeysReadableAfterIndexGrowth) {
   TempDir dir;
   FasterOptions o = SmallStore(dir);
-  o.index_slots = 16;  // deliberately undersized: long chains
+  o.index_slots = 16;  // deliberately undersized: two full buckets
   FasterStore store;
   ASSERT_TRUE(store.Open(o).ok());
   const int n = 300;
@@ -547,6 +587,9 @@ TEST(FasterStoreGrowTest, GrowthSurvivesCheckpointRecover) {
     const std::string expect = "v" + std::to_string(i);
     EXPECT_EQ(out, expect);
   }
+  // 150 keys filled the 16 entries before growth: the recovered (all
+  // disk-resident) chains are shared, so reads hop over other keys.
+  EXPECT_GT(recovered.stats().chain_hops, 0u);
 }
 
 }  // namespace

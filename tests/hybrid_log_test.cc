@@ -183,6 +183,18 @@ TEST(HybridLogTest, OversizedAllocationRejected) {
 }
 
 
+TEST(HybridLogTest, AllocateRefusesAddressesPastTheIndexLimit) {
+  // Hash index entries keep 48 address bits (kv/hash_index.h), so the log
+  // must never hand out an address at or above kAddressLimit.
+  TempDir dir;
+  HybridLog log;
+  ASSERT_TRUE(log.Open(SmallLog(dir)).ok());
+  ASSERT_TRUE(log.RestoreBoundaries(kAddressLimit).ok());
+  Address a;
+  char* mem;
+  EXPECT_TRUE(log.Allocate(64, &a, &mem).IsIOError());
+}
+
 TEST(HybridLogTest, ShiftBeginAddressIsMonotonicAndClamped) {
   TempDir dir;
   HybridLog log;

@@ -128,6 +128,48 @@ TEST(PendingReadTest, ColdBatchMatchesSyncByteForByte) {
             async_store.stats().async_reads_completed);
 }
 
+TEST(PendingReadTest, CollisionChainsHopOnDeviceAndFallBackPastBudget) {
+  // An index far smaller than the key count: every bucket is full, so most
+  // keys share an overflow chain with dozens of others. Pending reads then
+  // hop through other keys' cold records and, past the hop budget, finish
+  // on the blocking walk — with results identical to the blocking path.
+  constexpr uint64_t kKeys = 2000;
+  TempDir sync_dir, async_dir;
+  AsyncIoEngine engine;
+  ShardedStoreOptions sync_opts =
+      ColdStoreOptions(sync_dir.File("s.log"), 0, nullptr);
+  ShardedStoreOptions async_opts =
+      ColdStoreOptions(async_dir.File("a.log"), 0, &engine);
+  sync_opts.store.index_slots = ShardedStore::kMinShardIndexSlots;
+  async_opts.store.index_slots = ShardedStore::kMinShardIndexSlots;
+  ShardedStore sync_store, async_store;
+  ASSERT_TRUE(sync_store.Open(sync_opts).ok());
+  ASSERT_TRUE(async_store.Open(async_opts).ok());
+  LoadKeys(&sync_store, kKeys);
+  LoadKeys(&async_store, kKeys);
+  const uint64_t load_hops = async_store.stats().chain_hops;
+
+  std::vector<Key> keys;
+  for (uint64_t i = 0; i < 256; ++i) keys.push_back((i * 37) % kKeys);
+  keys.push_back(kKeys + 5);  // never stored: walks a whole chain
+  std::vector<char> sync_out(keys.size() * kValueBytes, 0);
+  std::vector<char> async_out(keys.size() * kValueBytes, 0);
+  BatchResult sync_r, async_r;
+  sync_store.MultiExecuteRead(keys, RawReadOp(sync_out.data(), kValueBytes),
+                              &sync_r);
+  async_store.MultiExecuteRead(keys, RawReadOp(async_out.data(), kValueBytes),
+                               &async_r);
+  ASSERT_EQ(sync_r.codes, async_r.codes);
+  EXPECT_EQ(sync_out, async_out);
+  EXPECT_EQ(async_r.missing, 1u);
+
+  const FasterStatsSnapshot s = async_store.stats();
+  EXPECT_GT(s.async_reads_submitted, 0u);
+  EXPECT_GT(s.chain_hops, load_hops);      // hops during the batch...
+  EXPECT_GT(s.async_reads_refetched, 0u);  // ...and past kMaxPendingHops
+  EXPECT_GT(sync_store.stats().chain_hops, 0u);  // and on the blocking walk
+}
+
 TEST(PendingReadTest, DuplicateColdKeysCoalesceIntoOneIo) {
   constexpr uint64_t kKeys = 1500;
   TempDir dir;

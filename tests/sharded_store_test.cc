@@ -196,7 +196,7 @@ TEST(ShardedStoreTest, ShardBitsZeroMatchesSingleStore) {
   // Checkpoints land at the plain prefix too.
   ASSERT_TRUE(store.Checkpoint(sharded_dir.path() + "/c").ok());
   EXPECT_TRUE(std::filesystem::exists(sharded_dir.path() + "/c.meta"));
-  EXPECT_TRUE(std::filesystem::exists(sharded_dir.path() + "/c.idx"));
+  EXPECT_TRUE(std::filesystem::exists(sharded_dir.path() + "/c.idx3"));
 }
 
 // Budget split: each shard receives mem_size >> bits and index_slots >>
@@ -236,7 +236,7 @@ TEST(ShardedStoreTest, RecoversFromPerShardCheckpointLayout) {
   for (uint32_t s = 0; s < 4; ++s) {
     const std::string p = ShardedStore::ShardFilePath(prefix, s, 2);
     EXPECT_TRUE(std::filesystem::exists(p + ".meta")) << p;
-    EXPECT_TRUE(std::filesystem::exists(p + ".idx")) << p;
+    EXPECT_TRUE(std::filesystem::exists(p + ".idx3")) << p;
   }
   ShardedStoreOptions probe;
   probe.shard_bits = 2;
