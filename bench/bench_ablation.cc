@@ -1,15 +1,11 @@
-// Ablations for the design decisions DESIGN.md §4 calls out:
+// Ablations of the store's design decisions (README "Substitutions and
+// deviations"):
 //
 //   D1  staleness bits in the lock word: overhead of tracking vs plain
 //       FASTER mode (paper §IV-E claims zero when disabled, <=10-20% when
-//       enabled). Tracked modes also copy every cold record they read to
-//       the tail (the read's staleness increment), so their reads warm the
-//       working set and grow the log where tracking_off leaves records
-//       cold.
-//   D2  look-ahead promotion skips records already in the immutable
-//       in-memory region (paper §III-C2): page-write savings.
-//   D3  promote-cold-reads (FASTER's read-copy-to-tail) vs leaving cold
-//       records cold: hit-rate vs log-growth trade-off under skew.
+//       enabled). Every mode copies the cold records it reads to the tail
+//       (tracked modes with the read's staleness increment), so reads warm
+//       the working set and grow the log alike.
 //   GC  log garbage collection: log footprint with and without periodic
 //       Compact() under RCU-heavy churn, and its throughput cost.
 //   IDX hash-index growth: chain-walk cost of an undersized index and the
@@ -21,7 +17,6 @@
 
 #include "bench_util.h"
 #include "common/clock.h"
-#include "common/random.h"
 #include "io/file_device.h"
 #include "io/temp_dir.h"
 #include "kv/faster_store.h"
@@ -128,64 +123,6 @@ void AblationD1(const Setup& s) {
               "(paper §IV-E); bound_16 may add waits under skew.\n");
 }
 
-void AblationD2(const Setup& s) {
-  Banner("D2: promotion skips immutable-resident records (page writes)");
-  Table t({"skip_immutable", "promotions", "skipped", "pages_flushed",
-           "promote_ops/s"});
-  t.PrintHeader();
-  for (const bool skip : {true, false}) {
-    TempDir dir;
-    FasterStore store;
-    FasterOptions o = BaseOptions(dir, s, "d2.log");
-    o.skip_promote_if_in_memory = skip;
-    if (!store.Open(o).ok()) std::exit(1);
-    Load(&store, s);
-    // Promote a uniform sample: some targets are on disk, many sit in the
-    // immutable in-memory region — exactly the case D2 optimizes.
-    Rng rng(7);
-    const uint64_t n = s.num_keys / 2;
-    StopWatch watch;
-    for (uint64_t i = 0; i < n; ++i) {
-      store.Promote(rng.Uniform(s.num_keys)).ok();
-    }
-    const double rate = static_cast<double>(n) / watch.ElapsedSeconds();
-    const auto st = store.stats();
-    t.Cell(skip ? "yes (paper)" : "no (ablated)");
-    t.Cell(st.promotions);
-    t.Cell(st.promotions_skipped);
-    t.Cell(st.pages_flushed);
-    t.Cell(Human(rate));
-    t.EndRow();
-  }
-  std::printf("Expected: disabling the skip copies immutable-resident "
-              "records too — more promotions, more flushed pages, no read "
-              "benefit (they were already in memory).\n");
-}
-
-void AblationD3(const Setup& s) {
-  Banner("D3: promote cold reads to tail vs leave cold (zipfian reads)");
-  Table t({"promote_reads", "ops/s", "disk_reads", "log_bytes"});
-  t.PrintHeader();
-  for (const bool promote : {false, true}) {
-    TempDir dir;
-    FasterStore store;
-    FasterOptions o = BaseOptions(dir, s, "d3.log");
-    o.promote_cold_reads = promote;
-    if (!store.Open(o).ok()) std::exit(1);
-    Load(&store, s);
-    store.ResetStats();
-    const double rate = RunMix(&store, s, 0.0);  // read-only, zipfian
-    const auto st = store.stats();
-    t.Cell(promote ? "yes" : "no");
-    t.Cell(Human(rate));
-    t.Cell(st.disk_record_reads);
-    t.Cell(store.log().tail() - store.log().begin_address());
-    t.EndRow();
-  }
-  std::printf("Expected: promoting hot cold-reads cuts repeat disk reads "
-              "under skew at the cost of log growth.\n");
-}
-
 void AblationGc(const Setup& s) {
   Banner("GC: log garbage collection under RCU churn");
   Table t({"gc", "ops/s", "live_log_mb", "file_mb", "compactions"});
@@ -280,8 +217,8 @@ int main(int argc, char** argv) {
       flags.Int("nvme_read_us", 30), flags.Double("nvme_read_gbps", 1.0),
       flags.Double("nvme_write_gbps", 1.0));
   if (flags.Has("help")) {
-    std::printf("ablation: DESIGN.md D1/D2/D3 + GC + index growth\n"
-                "  --keys=100000 --ops=50000 --threads=4 --only=d1|d2|d3|gc|idx\n");
+    std::printf("ablation: D1 + GC + index growth\n"
+                "  --keys=100000 --ops=50000 --threads=4 --only=d1|gc|idx\n");
     return 0;
   }
   Setup s;
@@ -290,8 +227,6 @@ int main(int argc, char** argv) {
   s.threads = static_cast<int>(flags.Int("threads", 4, 2));
   const std::string only = flags.Str("only", "");
   if (only.empty() || only == "d1") AblationD1(s);
-  if (only.empty() || only == "d2") AblationD2(s);
-  if (only.empty() || only == "d3") AblationD3(s);
   if (only.empty() || only == "gc") AblationGc(s);
   if (only.empty() || only == "idx") AblationIndex(s);
   return 0;

@@ -1,5 +1,5 @@
 // Figure 11: the eBay case studies (paper §IV-F), on synthetic stand-ins
-// with the same topology class (see DESIGN.md).
+// with the same topology class (see README, "Substitutions and deviations").
 //
 //  (a) eBay-Trisk: GraphSage training throughput vs buffer size for MLKV
 //      and FASTER, plus the modeled two-instance DGL-DDP baseline (paper:
@@ -54,8 +54,8 @@ GnnTrainerOptions TriskOptions(const Flags& flags) {
 
 int main(int argc, char** argv) {
   Flags flags(argc, argv);
-  // Simulated NVMe (DESIGN.md substitutions): files land in the OS page
-  // cache here, so out-of-core costs must be charged explicitly.
+  // Simulated NVMe (README, "Substitutions and deviations"): files land in
+  // the OS page cache here, so out-of-core costs must be charged explicitly.
   FileDevice::SetGlobalSimulatedCosts(
       flags.Int("nvme_read_us", 30), flags.Double("nvme_read_gbps", 1.0),
       flags.Double("nvme_write_gbps", 1.0));

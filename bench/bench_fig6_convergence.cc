@@ -69,8 +69,8 @@ void PrintCurves(const char* task, const char* metric,
 
 int main(int argc, char** argv) {
   Flags flags(argc, argv);
-  // Simulated NVMe (DESIGN.md substitutions): files land in the OS page
-  // cache here, so out-of-core costs must be charged explicitly.
+  // Simulated NVMe (README, "Substitutions and deviations"): files land in
+  // the OS page cache here, so out-of-core costs must be charged explicitly.
   FileDevice::SetGlobalSimulatedCosts(
       flags.Int("nvme_read_us", 30), flags.Double("nvme_read_gbps", 1.0),
       flags.Double("nvme_write_gbps", 1.0));

@@ -7,9 +7,6 @@
 //      standard traversal and with the partition-based BETA traversal
 //      (paper: lookahead helps both standard and BETA).
 //
-// Also exposes the DESIGN.md D2 ablation (--no_immutable_skip): promote
-// records even when they already sit in the immutable memory region.
-//
 // Cold-working-set mode (--cold): a disk-residency-dominated MultiGet
 // sweep over io_threads through the two-phase pending-read pipeline,
 // reporting keys/s and per-batch p50/p99. The memory budget is derived
@@ -37,13 +34,12 @@ namespace {
 
 std::unique_ptr<KvBackend> Make(const TempDir& dir, BackendKind kind,
                                 uint32_t dim, uint64_t buffer_mb,
-                                uint32_t bound, bool skip_immutable) {
+                                uint32_t bound) {
   BackendConfig cfg;
   cfg.dir = dir.File("b");
   cfg.dim = dim;
   cfg.buffer_bytes = buffer_mb << 20;
   cfg.staleness_bound = bound;
-  cfg.skip_promote_if_in_memory = skip_immutable;
   std::unique_ptr<KvBackend> b;
   if (!MakeBackend(kind, cfg, &b).ok()) std::exit(1);
   return b;
@@ -180,15 +176,14 @@ int RunColdSweep(const Flags& flags) {
 
 int main(int argc, char** argv) {
   Flags flags(argc, argv);
-  // Simulated NVMe (DESIGN.md substitutions): files land in the OS page
-  // cache here, so out-of-core costs must be charged explicitly.
+  // Simulated NVMe (README, "Substitutions and deviations"): files land in
+  // the OS page cache here, so out-of-core costs must be charged explicitly.
   FileDevice::SetGlobalSimulatedCosts(
       flags.Int("nvme_read_us", 30), flags.Double("nvme_read_gbps", 1.0),
       flags.Double("nvme_write_gbps", 1.0));
   if (flags.Has("help")) {
     std::printf("fig9: look-ahead prefetching\n"
-                "  --batches=60 --buffer_mb=3 --compute_us=1000 "
-                "--no_immutable_skip\n"
+                "  --batches=60 --buffer_mb=3 --compute_us=1000\n"
                 "  --cardinality=60000 --entities=120000 --smoke\n"
                 "  --cold  cold-working-set MultiGet sweep over io_threads\n"
                 "          1, 2, 4, 8 (p50/p99 per batch);\n"
@@ -200,7 +195,6 @@ int main(int argc, char** argv) {
   const uint64_t batches = flags.Int("batches", 60, 3);
   const uint64_t buffer_mb = flags.Int("buffer_mb", 3);
   const uint64_t compute_us = flags.Int("compute_us", 1000, 50);
-  const bool skip_immutable = !flags.Bool("no_immutable_skip", false);
 
   Banner("Fig 9(a): DLRM — lookahead speedup vs staleness bound");
   {
@@ -220,14 +214,12 @@ int main(int argc, char** argv) {
                        o.data.field_cardinality;
 
       TempDir d1, d2;
-      auto off_b = Make(d1, BackendKind::kMlkv, 16, buffer_mb, bound,
-                        skip_immutable);
+      auto off_b = Make(d1, BackendKind::kMlkv, 16, buffer_mb, bound);
       o.lookahead_depth = 0;
       CtrTrainer off_t(off_b.get(), o);
       const TrainResult off = off_t.Train();
 
-      auto on_b = Make(d2, BackendKind::kMlkv, 16, buffer_mb, bound,
-                       skip_immutable);
+      auto on_b = Make(d2, BackendKind::kMlkv, 16, buffer_mb, bound);
       o.lookahead_depth = 6;
       CtrTrainer on_t(on_b.get(), o);
       const TrainResult on = on_t.Train();
@@ -261,7 +253,7 @@ int main(int argc, char** argv) {
       };
       for (const Config& c : configs) {
         TempDir dir;
-        auto backend = Make(dir, c.kind, 32, mb, 16, skip_immutable);
+        auto backend = Make(dir, c.kind, 32, mb, 16);
         KgeTrainerOptions o;
         o.data.num_entities = flags.Int("entities", 120000, 3000);
         o.data.num_relations = 8;

@@ -1,6 +1,6 @@
 // Table II: datasets and models. Prints the paper's inventory next to the
-// scaled-down synthetic instantiations this repository trains on (the
-// substitution table of DESIGN.md), and verifies each generator produces
+// scaled-down synthetic instantiations this repository trains on (README,
+// "Substitutions and deviations"), and verifies each generator produces
 // well-formed samples at its configured scale.
 #include <cstdio>
 
@@ -117,6 +117,6 @@ int main(int argc, char** argv) {
   }
 
   std::printf("\nAll generators synthesize skew + planted learnable signal; "
-              "see DESIGN.md section 1.\n");
+              "see README, \"Substitutions and deviations\".\n");
   return 0;
 }

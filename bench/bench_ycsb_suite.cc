@@ -2,8 +2,8 @@
 // A-F across all four storage engines (MLKV, FASTER-mode, LSM, B+tree).
 //
 // The paper evaluates only the A-style 50/50 mix; this binary characterizes
-// each engine across the standard mixes so the trade-offs DESIGN.md cites
-// are visible: log-structured engines win write-heavy mixes (A, F), the
+// each engine across the standard mixes so the engines' trade-offs are
+// visible: log-structured engines win write-heavy mixes (A, F), the
 // B+tree wins scans (E), bounded-staleness tracking costs a few percent on
 // read-heavy mixes (B, C), and the LSM pays read amplification everywhere.
 //

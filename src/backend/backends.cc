@@ -122,7 +122,7 @@ void EmitStoreMetrics(ShardedStore* store, obs::MetricsSink* sink) {
                    "Promotions skipped (already in memory or superseded)",
                    s.promotions_skipped);
   sink->AddCounter("mlkv_store_read_copies_total",
-                   "Cold records copied to the tail by tracked reads",
+                   "Cold records copied to the tail by reads",
                    s.read_copies);
   sink->AddCounter("mlkv_store_staleness_waits_total",
                    "Reads that waited out the staleness bound",
@@ -431,7 +431,6 @@ class MlkvBackend : public KvBackend {
     o.shard_bits = config.shard_bits;
     o.scatter_min_keys = std::max<size_t>(config.batch_min_chunk, 1);
     o.lookahead_threads = config.lookahead_threads;
-    o.skip_promote_if_in_memory = config.skip_promote_if_in_memory;
     o.busy_spin_limit = config.busy_spin_limit;
     o.io_threads = config.io_threads;
     o.durability_mode = config.durability_mode;

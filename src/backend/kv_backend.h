@@ -192,7 +192,6 @@ struct BackendConfig {
   uint32_t shard_bits = 2;
   uint32_t staleness_bound = 16;        // MLKV only
   size_t lookahead_threads = 2;         // MLKV only
-  bool skip_promote_if_in_memory = true;
   // Spin iterations (index re-lookups, each yielding) before a bounded Get
   // aborts with Busy; see kDefaultBusySpinLimit in kv/record.h.
   uint64_t busy_spin_limit = kDefaultBusySpinLimit;

@@ -4,9 +4,10 @@
 // Values are fixed-size per store (set at Open), matching the embedding use
 // case and keeping leaf layout slot-based. Concurrency uses one
 // reader/writer lock over the tree structure; WiredTiger's hazard-pointer
-// latching is out of scope for a comparator (documented in DESIGN.md). The
-// behaviours Fig. 7 depends on — page-granular caching, update-in-place
-// writes, write-back on eviction, logarithmic descent — are faithful.
+// latching is out of scope for a comparator (README, "Substitutions and
+// deviations"). The behaviours Fig. 7 depends on — page-granular caching,
+// update-in-place writes, write-back on eviction, logarithmic descent — are
+// faithful.
 #pragma once
 
 #include <atomic>
@@ -51,9 +52,9 @@ class BTreeStore {
   bool Contains(Key key);
 
   // Visits every key in [from, to] in ascending order with its value bytes
-  // (value_size() per entry). Leaves carry no sibling links (simplification
-  // documented in DESIGN.md), so the scan re-descends per leaf using the
-  // separator-derived upper bound — O(height) pins per leaf visited.
+  // (value_size() per entry). Leaves carry no sibling links (README,
+  // "Substitutions and deviations"), so the scan re-descends per leaf using
+  // the separator-derived upper bound — O(height) pins per leaf visited.
   Status Scan(Key from, Key to,
               const std::function<void(Key, const void*)>& fn);
 

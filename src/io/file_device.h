@@ -75,12 +75,12 @@ class FileDevice {
   uint64_t bytes_written() const;
   uint64_t bytes_read() const;
 
-  // Simulated NVMe cost model (see DESIGN.md substitutions). Benchmarks run
-  // against files that land in the OS page cache, which would make the
-  // out-of-core experiments free; enabling this charges every read a fixed
-  // random-access latency plus a bandwidth term, and every write a
-  // bandwidth term — calibrated to the paper's "SSDs with 1024 MB/s
-  // bandwidth". Zero latency and bandwidth (the default) disables it.
+  // Simulated NVMe cost model (README, "Substitutions and deviations").
+  // Benchmarks run against files that land in the OS page cache, which
+  // would make the out-of-core experiments free; enabling this charges
+  // every read a fixed random-access latency plus a bandwidth term, and
+  // every write a bandwidth term — calibrated to the paper's "SSDs with
+  // 1024 MB/s bandwidth". Zero latency and bandwidth (the default) disables it.
   void SetSimulatedCosts(uint64_t read_latency_us, double read_gbps,
                          double write_gbps) {
     sim_read_latency_us_ = read_latency_us;

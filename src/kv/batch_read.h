@@ -7,9 +7,9 @@
 //  * memory-resident or absent key — resolve inline either way;
 //  * disk-resident key — park a primed PendingRead on the wave, with the
 //    same outcome handling deferred to its finish callback. It lands
-//    `fetch` value bytes (>= `cap`; FasterStore::StartRead): a tracked
-//    read passes the full stored value size so its tail copy can carry
-//    the whole record, and copies `cap` bytes out.
+//    `fetch` value bytes (>= `cap`; FasterStore::StartRead): a read
+//    passes the full stored value size so its tail copy can carry the
+//    whole record, and copies `cap` bytes out.
 //
 // `init_missing` (pass nullptr for plain reads) initializes the caller's
 // row and stores the bootstrap value when the key is absent; on success

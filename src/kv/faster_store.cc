@@ -190,8 +190,7 @@ restart:
 
 Status FasterStore::AppendAndPublish(Key key, const void* value,
                                      uint32_t value_size, uint64_t control,
-                                     uint32_t flags, Address expected,
-                                     Address* out_address) {
+                                     uint32_t flags, Address expected) {
   const uint32_t size = Record::SizeFor(value_size);
   Address addr = kInvalidAddress;
   char* mem = nullptr;
@@ -219,20 +218,18 @@ Status FasterStore::AppendAndPublish(Key key, const void* value,
     return Status::Busy("index CAS lost");
   }
   log_.EndAppend(addr);
-  if (out_address != nullptr) *out_address = addr;
   return Status::OK();
 }
 
-Status FasterStore::PublishReadCopy(Key key, const void* value,
-                                    const RecordMeta& meta, Address address,
-                                    Address chain_head) {
-  const uint64_t control =
-      ControlWord::IncrStaleness(ControlWord::Sanitize(meta.control));
-  MLKV_RETURN_NOT_OK(AppendAndPublish(key, value, meta.value_size, control,
-                                      meta.flags, chain_head, nullptr));
-  MarkReplaced(address);
-  stats_.read_copies.fetch_add(1, std::memory_order_relaxed);
-  return Status::OK();
+Status FasterStore::CopyToTail(Key key, const void* value,
+                               const RecordMeta& meta, Address expected_head,
+                               CopyWord word) {
+  uint64_t control = ControlWord::Sanitize(meta.control);
+  if (word == CopyWord::kCountRead) {
+    control = ControlWord::IncrStaleness(control);
+  }
+  return AppendAndPublish(key, value, meta.value_size, control, meta.flags,
+                          expected_head);
 }
 
 void FasterStore::MarkReplaced(Address address) {
@@ -285,8 +282,9 @@ Status FasterStore::ReadInternal(Key key, void* out, uint32_t cap,
 
     if (f.address < log_.read_only_address()) {
       // Cold record (read-only region or disk): its control word is frozen.
-      // Check the frozen staleness value against the bound; a tracked read
-      // then counts by copying the record to the tail with staleness+1.
+      // Check the frozen staleness value against the bound, then copy by the
+      // class comment's rule: a tracked read counts through a staleness+1
+      // copy, an untracked one copies only what it fetched from disk.
       if (tracked && ControlWord::Staleness(f.meta.control) > effective_bound) {
         // The counter can only drop via a Put, which will supersede this
         // version through the index; re-find until it does.
@@ -298,13 +296,11 @@ Status FasterStore::ReadInternal(Key key, void* out, uint32_t cap,
         std::this_thread::yield();
         continue;
       }
-      const bool copy = tracked && options_.track_staleness;
-      const bool promote =
-          !copy && options_.promote_cold_reads && !f.in_memory;
-      if (!copy && !promote) {
+      const bool count = tracked && options_.track_staleness;
+      if (f.in_memory && !count) {
         return LoadValue(f.address, f.meta, out, cap);
       }
-      if (copy && f.in_memory) {
+      if (f.in_memory) {
         // An in-place writer that registered before the boundary moved may
         // still be updating this record; once it finishes the bytes are
         // final, and a changed word means the copy would drop its update.
@@ -325,18 +321,16 @@ Status FasterStore::ReadInternal(Key key, void* out, uint32_t cap,
       MLKV_RETURN_NOT_OK(
           LoadValue(f.address, f.meta, value, f.meta.value_size));
       if (value != out) std::memcpy(out, value, cap);
-      if (copy) {
-        const Status s =
-            PublishReadCopy(key, value, f.meta, f.address, f.chain_head);
+      const Status s =
+          CopyToTail(key, value, f.meta, f.chain_head,
+                     count ? CopyWord::kCountRead : CopyWord::kKeep);
+      if (s.ok()) {
+        stats_.read_copies.fetch_add(1, std::memory_order_relaxed);
+      } else if (count) {
         if (s.IsBusy()) continue;  // head moved: count on the live version
         return s;
       }
-      // Untracked promotion keeps the original control word; best-effort,
-      // since a racing writer supersedes the record anyway.
-      AppendAndPublish(key, value, f.meta.value_size,
-                       ControlWord::Sanitize(f.meta.control), f.meta.flags,
-                       f.chain_head, nullptr)
-          .ok();
+      // An untracked copy is best-effort: a racing writer supersedes it.
       return Status::OK();
     }
 
@@ -455,7 +449,6 @@ bool FasterStore::StartRead(Key key, void* out, uint32_t cap, uint32_t* size,
   p->bound = bound != UINT32_MAX ? bound : options_.staleness_bound;
   p->tracked = tracked;
   p->hops = 0;
-  p->served_from_disk = false;
 
   switch (WalkForPending(key, &p->address, &p->chain_head)) {
     case WalkOutcome::kMemory:
@@ -479,20 +472,18 @@ Status FasterStore::StartPromote(Key key, uint32_t cap, PendingRead* pending,
   PendingRead* p = pending;
   *parked = false;
   p->key = key;
-  p->out = nullptr;  // PromoteFromPending copies straight from the buffer
+  p->out = nullptr;  // buffer-less: CompletePendingRead copies the record
   p->cap = cap;
   p->size = nullptr;
   p->bound = UINT32_MAX;
   p->tracked = false;  // a prefetch never touches the vector clocks
   p->hops = 0;
-  p->served_from_disk = false;
 
   switch (WalkForPending(key, &p->address, &p->chain_head)) {
     case WalkOutcome::kMemory:
-      // In memory: the classic Promote decides (skip if mutable, skip if
-      // immutable-resident under the paper's page-write-saving rule) with
-      // no disk I/O.
-      return Promote(key);
+      // Resident (mutable or read-only): Promote would skip it too.
+      stats_.promotions_skipped.fetch_add(1, std::memory_order_relaxed);
+      return Status::OK();
     case WalkOutcome::kNotFound:
       return Status::NotFound();
     case WalkOutcome::kDisk:
@@ -505,11 +496,10 @@ Status FasterStore::StartPromote(Key key, uint32_t cap, PendingRead* pending,
 
 void FasterStore::RefetchPending(PendingRead* pending) {
   stats_.async_reads_refetched.fetch_add(1, std::memory_order_relaxed);
-  pending->served_from_disk = false;
   if (pending->out == nullptr) {
     // Buffer-less read (a StartPromote fetch): the record moved while in
-    // flight, so the prefetch is moot — report OK with nothing served and
-    // PromoteFromPending skips it, mirroring Promote's lost-race skip.
+    // flight, so the prefetch is moot — skipped, like Promote's lost race.
+    stats_.promotions_skipped.fetch_add(1, std::memory_order_relaxed);
     pending->status = Status::OK();
     return;
   }
@@ -563,19 +553,20 @@ FasterStore::PendingStep FasterStore::CompletePendingRead(
     RefetchPending(p);
     return PendingStep::kDone;
   }
+  // Every read copies the whole record it fetched to the tail, never a
+  // value the landing buffer truncated.
   const char* value = p->buf + sizeof(Record);
   const bool landed_whole =
       meta.value_size <= p->buf_len - static_cast<uint32_t>(sizeof(Record));
+  const bool promotion = p->out == nullptr;
   if (p->tracked && options_.track_staleness) {
-    // The read counts through a tail copy of the whole record. A value the
-    // landing buffer truncated, or a lost publish CAS, goes to the blocking
-    // path, which copies the whole value and counts on the live version.
-    if (!landed_whole) {
-      RefetchPending(p);
-      return PendingStep::kDone;
-    }
+    // The read counts through its copy. A truncated value, or a lost
+    // publish CAS, goes to the blocking path, which copies the whole value
+    // and counts on the live version.
     const Status s =
-        PublishReadCopy(p->key, value, meta, p->address, p->chain_head);
+        landed_whole ? CopyToTail(p->key, value, meta, p->chain_head,
+                                  CopyWord::kCountRead)
+                     : Status::Busy("landing buffer truncated the value");
     if (s.IsBusy()) {
       RefetchPending(p);
       return PendingStep::kDone;
@@ -584,46 +575,22 @@ FasterStore::PendingStep FasterStore::CompletePendingRead(
       p->status = s;
       return PendingStep::kDone;
     }
-  } else if (options_.promote_cold_reads && p->out != nullptr &&
-             landed_whole) {
-    // Untracked promotion (sync parity): original control word, and only
-    // from a whole landed value. Best-effort: a racing writer supersedes.
-    AppendAndPublish(p->key, value, meta.value_size, meta.control,
-                     meta.flags, p->chain_head, nullptr)
-        .ok();
+    stats_.read_copies.fetch_add(1, std::memory_order_relaxed);
+  } else if (landed_whole && CopyToTail(p->key, value, meta, p->chain_head,
+                                        CopyWord::kKeep)
+                                 .ok()) {
+    (promotion ? stats_.promotions : stats_.read_copies)
+        .fetch_add(1, std::memory_order_relaxed);
+  } else if (promotion) {
+    // Truncated, or a concurrent writer superseded the record in flight
+    // (theirs is newer): best-effort, like Promote.
+    stats_.promotions_skipped.fetch_add(1, std::memory_order_relaxed);
   }
   const uint32_t n = meta.value_size < p->cap ? meta.value_size : p->cap;
-  if (p->out != nullptr && n > 0) std::memcpy(p->out, value, n);
+  if (!promotion && n > 0) std::memcpy(p->out, value, n);
   if (p->size != nullptr) *p->size = meta.value_size;
-  p->meta = meta;
-  p->served_from_disk = true;
   p->status = Status::OK();
   return PendingStep::kDone;
-}
-
-Status FasterStore::PromoteFromPending(const PendingRead& pending) {
-  if (!pending.status.ok()) return pending.status;
-  if (!pending.served_from_disk || pending.meta.value_size > pending.cap) {
-    // A fallback already re-read it (promotion is best-effort) or the
-    // landing buffer truncated the value; nothing safe to copy.
-    stats_.promotions_skipped.fetch_add(1, std::memory_order_relaxed);
-    return Status::OK();
-  }
-  // Same contract as Promote's disk case: original control word and flags
-  // carry over — promotion is not an update.
-  Status s = AppendAndPublish(
-      pending.key, pending.buf + sizeof(Record),
-      pending.meta.value_size, ControlWord::Sanitize(pending.meta.control),
-      pending.meta.flags, pending.chain_head, nullptr);
-  if (s.IsBusy()) {
-    // A concurrent update superseded the record in flight; theirs is newer.
-    stats_.promotions_skipped.fetch_add(1, std::memory_order_relaxed);
-    return Status::OK();
-  }
-  MLKV_RETURN_NOT_OK(s);
-  MarkReplaced(pending.address);
-  stats_.promotions.fetch_add(1, std::memory_order_relaxed);
-  return Status::OK();
 }
 
 Status FasterStore::Upsert(Key key, const void* value, uint32_t size) {
@@ -635,7 +602,7 @@ Status FasterStore::Upsert(Key key, const void* value, uint32_t size) {
     if (!f.found) {
       // Fresh insert: generation 0, staleness 0.
       Status s = AppendAndPublish(key, value, size, ControlWord::Make(0, 0),
-                                  0, f.chain_head, nullptr);
+                                  0, f.chain_head);
       if (s.IsBusy()) continue;
       MLKV_RETURN_NOT_OK(s);
       stats_.inserts.fetch_add(1, std::memory_order_relaxed);
@@ -649,8 +616,7 @@ Status FasterStore::Upsert(Key key, const void* value, uint32_t size) {
       uint64_t control = ControlWord::Sanitize(f.meta.control);
       control = ControlWord::IncrGeneration(
           tracked ? ControlWord::DecrStaleness(control) : control);
-      Status s = AppendAndPublish(key, value, size, control, 0, f.chain_head,
-                                  nullptr);
+      Status s = AppendAndPublish(key, value, size, control, 0, f.chain_head);
       if (s.IsBusy()) continue;
       MLKV_RETURN_NOT_OK(s);
       MarkReplaced(f.address);
@@ -704,8 +670,7 @@ Status FasterStore::Rmw(Key key, uint32_t value_size,
       scratch.assign(value_size, 0);
       modifier(scratch.data(), value_size, /*exists=*/false);
       Status s = AppendAndPublish(key, scratch.data(), value_size,
-                                  ControlWord::Make(0, 0), 0, f.chain_head,
-                                  nullptr);
+                                  ControlWord::Make(0, 0), 0, f.chain_head);
       if (s.IsBusy()) continue;
       MLKV_RETURN_NOT_OK(s);
       stats_.inserts.fetch_add(1, std::memory_order_relaxed);
@@ -758,7 +723,7 @@ Status FasterStore::Rmw(Key key, uint32_t value_size,
     control = ControlWord::IncrGeneration(
         tracked ? ControlWord::DecrStaleness(control) : control);
     Status s = AppendAndPublish(key, scratch.data(), value_size, control, 0,
-                                f.chain_head, nullptr);
+                                f.chain_head);
     if (s.IsBusy()) continue;
     MLKV_RETURN_NOT_OK(s);
     MarkReplaced(f.address);
@@ -779,7 +744,7 @@ Status FasterStore::InsertIfAbsent(
     modifier(scratch.data(), value_size, /*exists=*/false);
     const Status s =
         AppendAndPublish(key, scratch.data(), value_size,
-                         ControlWord::Make(0, 0), 0, chain_head, nullptr);
+                         ControlWord::Make(0, 0), 0, chain_head);
     if (s.ok()) {
       stats_.inserts.fetch_add(1, std::memory_order_relaxed);
       return s;
@@ -800,7 +765,7 @@ Status FasterStore::Delete(Key key) {
     Status s = AppendAndPublish(
         key, nullptr, 0,
         ControlWord::IncrGeneration(ControlWord::Sanitize(f.meta.control)),
-        kRecordTombstone, f.chain_head, nullptr);
+        kRecordTombstone, f.chain_head);
     if (s.IsBusy()) continue;
     MLKV_RETURN_NOT_OK(s);
     MarkReplaced(f.address);
@@ -815,14 +780,9 @@ Status FasterStore::Promote(Key key) {
     if (!f.found || (f.meta.flags & kRecordTombstone)) {
       return Status::NotFound();
     }
-    if (f.address >= log_.read_only_address()) {
-      // Already mutable: nothing to do.
-      stats_.promotions_skipped.fetch_add(1, std::memory_order_relaxed);
-      return Status::OK();
-    }
-    if (f.in_memory && options_.skip_promote_if_in_memory) {
-      // Paper §III-C2: records in the immutable memory buffer are not
-      // copied to the mutable region — it would only re-dirty pages.
+    if (f.in_memory) {
+      // Mutable: nothing to do. Read-only memory (paper §III-C2): copying
+      // it to the mutable region would only re-dirty pages.
       stats_.promotions_skipped.fetch_add(1, std::memory_order_relaxed);
       return Status::OK();
     }
@@ -833,9 +793,8 @@ Status FasterStore::Promote(Key key) {
     std::vector<char> value(f.meta.value_size);
     MLKV_RETURN_NOT_OK(
         LoadValue(f.address, f.meta, value.data(), f.meta.value_size));
-    Status s = AppendAndPublish(key, value.data(), f.meta.value_size,
-                                ControlWord::Sanitize(f.meta.control),
-                                f.meta.flags, f.chain_head, nullptr);
+    Status s =
+        CopyToTail(key, value.data(), f.meta, f.chain_head, CopyWord::kKeep);
     if (s.IsBusy()) {
       // Another thread updated the key concurrently ("no other threads
       // updating it"); their version is newer — skip.
@@ -843,7 +802,6 @@ Status FasterStore::Promote(Key key) {
       return Status::OK();
     }
     MLKV_RETURN_NOT_OK(s);
-    MarkReplaced(f.address);
     stats_.promotions.fetch_add(1, std::memory_order_relaxed);
     return Status::OK();
   }
@@ -952,10 +910,8 @@ Status FasterStore::Compact(Address until, CompactionResult* result) {
         }
         // A compaction copy is not an update: control word (generation AND
         // staleness) and flags carry over unchanged, like Promote.
-        Status s = AppendAndPublish(meta.key, rec + sizeof(Record),
-                                    meta.value_size,
-                                    ControlWord::Sanitize(meta.control),
-                                    meta.flags, expected, nullptr);
+        Status s = CopyToTail(meta.key, rec + sizeof(Record), meta, expected,
+                              CopyWord::kKeep);
         if (s.IsBusy()) continue;  // superseded mid-copy; re-check
         MLKV_RETURN_NOT_OK(s);
         ++r->live_copied;
@@ -1232,9 +1188,8 @@ Status FasterStore::AdoptLegacyIndex(const std::vector<Address>& heads) {
     RecordMeta meta;
     MLKV_RETURN_NOT_OK(ReadRecordAt(address, &meta, &value));
     if (meta.flags & kRecordTombstone) continue;
-    MLKV_RETURN_NOT_OK(AppendAndPublish(key, value.data(), meta.value_size,
-                                        meta.control, meta.flags,
-                                        index()->Load(key), nullptr));
+    MLKV_RETURN_NOT_OK(CopyToTail(key, value.data(), meta,
+                                  index()->Load(key), CopyWord::kKeep));
   }
   return Status::OK();
 }

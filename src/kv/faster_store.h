@@ -6,17 +6,28 @@
 //    counter in its control word. Get spins until `staleness <= bound`,
 //    then lock-CASes the word with staleness+1; Put never waits and
 //    releases with staleness-1 and generation+1. Bound 0 = BSP, huge bound
-//    = ASP, anything between = SSP. A tracked Get of a cold record (read-
-//    only memory or disk) has no lockable word to bump, so it copies the
-//    whole record to the mutable tail carrying staleness+1 (FASTER's copy-
-//    to-tail, published by the same index CAS as every write). Every
-//    admitted Get thus counts, and the Put that follows updates in place.
+//    = ASP, anything between = SSP.
 //
 //  * Promotion (the storage half of look-ahead prefetching, §III-C2).
 //    Promote(key) copies a disk-resident record — with its original
 //    staleness and value — to the mutable tail region so later Get/Put hit
-//    memory. Records already resident in the immutable (read-only) region
-//    are skipped by default, mirroring the paper's page-write-saving rule.
+//    memory.
+//
+// Both rest on FASTER's copy-to-tail, one rule for every cold read (a
+// record below the read-only boundary), written once in CopyToTail and
+// published by the same index CAS as every write:
+//
+//  * A tracked read copies any cold record (read-only memory or disk) to
+//    the tail with staleness+1: a frozen record has no lockable word to
+//    bump, so the copy is how every admitted Get counts, and the Put that
+//    follows updates in place.
+//  * Any other read — Peek, serving, evaluation, lookahead, and every read
+//    of the FASTER baseline — copies a record it fetched from disk to the
+//    tail with its control word unchanged, so hot records stop costing a
+//    device read each time.
+//  * Records in read-only memory are left in place for untracked reads:
+//    copying them would only re-dirty pages (the paper's §III-C2
+//    page-write rule).
 //
 // With `track_staleness == false` the store behaves as plain FASTER and is
 // used as the "X-FASTER" baseline in the benchmarks.
@@ -55,15 +66,6 @@ struct FasterOptions {
   // default is shared across layers (kv/record.h).
   uint64_t busy_spin_limit = kDefaultBusySpinLimit;
 
-  // Promote disk records touched by untracked cold reads (Peek, serving,
-  // the FASTER baseline) to the tail with their control word unchanged.
-  // Tracked reads under track_staleness always copy cold records, so this
-  // knob does not affect them. Off by default; Lookahead drives promotion.
-  bool promote_cold_reads = false;
-  // Ablation knob (DESIGN.md D2): when false, Promote() also copies records
-  // from the immutable in-memory region, re-dirtying pages.
-  bool skip_promote_if_in_memory = true;
-
   // Builds the log's backing device; null uses a plain FileDevice. Tests
   // inject fault decorators here (io/faulty_file_device.h).
   std::function<std::unique_ptr<FileDevice>()> device_factory;
@@ -88,8 +90,9 @@ struct FasterStatsSnapshot {
   uint64_t reads = 0, upserts = 0, rmws = 0, deletes = 0;
   uint64_t inplace_updates = 0, rcu_appends = 0, inserts = 0;
   uint64_t promotions = 0, promotions_skipped = 0;
-  // Cold records copied to the tail by tracked reads (staleness+1 copies).
-  // Lookahead promotions are counted separately, above.
+  // Cold records a read copied to the tail, tracked (staleness+1) or not
+  // (control word kept). Lookahead promotions are counted separately,
+  // above.
   uint64_t read_copies = 0;
   uint64_t staleness_waits = 0, busy_aborts = 0;
   uint64_t disk_record_reads = 0, pages_flushed = 0, pages_evicted = 0;
@@ -171,8 +174,9 @@ class FasterStore {
 
   Status Delete(Key key);
 
-  // Copies a cold record to the mutable tail (look-ahead prefetch target).
-  // Returns OK whether promoted or skipped; inspect stats for which.
+  // Copies a disk-resident record to the mutable tail (look-ahead prefetch
+  // target); a memory-resident one is skipped. Returns OK whether promoted
+  // or skipped; inspect stats for which.
   Status Promote(Key key);
 
   // Header of the newest version of `key` (tombstones included), read
@@ -192,20 +196,22 @@ class FasterStore {
   // disk I/O itself. Either way pending->chain_head is the chain head the
   // walk observed — what InsertIfAbsent needs after a NotFound.
   // `bound == UINT32_MAX` uses the store-level bound. `fetch` is the value
-  // bytes a parked read lands (at least `cap`; 0 means `cap`): a tracked
-  // read copies the whole record to the tail, so it passes the full stored
-  // value size — a record larger than its landing buffer falls back to the
-  // blocking path rather than being copied truncated.
+  // bytes a parked read lands (at least `cap`; 0 means `cap`): a read copies
+  // the whole record to the tail, so it passes the full stored value size.
+  // A record larger than its landing buffer is never copied truncated: a
+  // tracked read falls back to the blocking path, an untracked one skips
+  // the copy.
   bool StartRead(Key key, void* out, uint32_t cap, uint32_t* size,
                  uint32_t bound, bool tracked, PendingRead* pending,
                  uint32_t fetch = 0);
 
-  // Phase 1 of a Lookahead promotion: memory-resident and absent keys run
-  // the classic Promote inline (its status is returned, *parked stays
-  // false); a disk-resident key primes *pending for wave submission (`cap`
-  // must cover the full record value) — finish it with PromoteFromPending.
-  // Unlike StartRead this never counts as a read: a prefetch is not a
-  // training access.
+  // Phase 1 of a Lookahead promotion: a memory-resident key counts a skip
+  // and an absent one returns NotFound (*parked stays false either way); a
+  // disk-resident key primes a buffer-less *pending for wave submission
+  // (`cap` must cover the full record value), which CompletePendingRead
+  // then copies to the tail like Promote. Each present key counts once in
+  // promotions or promotions_skipped. Unlike StartRead this never counts as
+  // a read: a prefetch is not a training access.
   Status StartPromote(Key key, uint32_t cap, PendingRead* pending,
                       bool* parked);
 
@@ -216,18 +222,15 @@ class FasterStore {
   // I/O caught mid-move (compaction invalidated the address, eviction beat
   // the classification) or whose frozen staleness fails the bound falls
   // back to a synchronous re-read internally, preserving exact blocking-
-  // path semantics; a failed I/O becomes the key's status as-is. A tracked
-  // read publishes its tail copy from the landed image; a lost publish CAS
-  // also falls back, so the increment lands on the live version.
+  // path semantics; a failed I/O becomes the key's status as-is. Every
+  // read publishes its tail copy from the landed image (the class comment's
+  // rule); a tracked read's lost publish CAS also falls back, so the
+  // increment lands on the live version, while an untracked copy is
+  // best-effort. A buffer-less read (StartPromote) is a promotion: it
+  // counts promoted, or skipped when a concurrent writer superseded the
+  // record in flight.
   PendingStep CompletePendingRead(PendingRead* pending,
                                   const Status& io_status);
-
-  // Completes a Lookahead promotion from a landed pending read (tracked ==
-  // false, cap >= value size): appends a copy of the fetched record at the
-  // tail with its original control word, exactly like Promote's disk case.
-  // Skips (OK + promotions_skipped) when a concurrent writer superseded
-  // the record in flight.
-  Status PromoteFromPending(const PendingRead& pending);
 
   // Pending-pipeline accounting (called by PendingReadWave per I/O, so the
   // two balance even when several waiters coalesce onto one fetch).
@@ -356,19 +359,22 @@ class FasterStore {
   // On publish failure the appended record is abandoned (log garbage) and
   // kBusy is returned so the caller retries.
   Status AppendAndPublish(Key key, const void* value, uint32_t value_size,
-                          uint64_t control, uint32_t flags, Address expected,
-                          Address* out_address);
+                          uint64_t control, uint32_t flags, Address expected);
 
   // Marks the in-memory record at `address` replaced (no-op if evicted).
+  // Only writers call it: a copy's source is below the read-only boundary,
+  // where no in-place operation can pin it.
   void MarkReplaced(Address address);
 
-  // A tracked read's tail copy of the cold record at `address`: the whole
-  // stored `value` (meta.value_size bytes) with the read's increment on
-  // the original control word, published against `chain_head`. Busy means
-  // the head moved since the walk; the caller re-resolves the key so the
-  // increment lands on the live version.
-  Status PublishReadCopy(Key key, const void* value, const RecordMeta& meta,
-                         Address address, Address chain_head);
+  // What a tail copy does to the source's (sanitized) control word: keep it
+  // (promotion, untracked reads, compaction — a copy is not an update), or
+  // add the tracked read's staleness increment.
+  enum class CopyWord { kKeep, kCountRead };
+  // The one copy-to-tail: appends the whole stored `value`
+  // (meta.value_size bytes) with meta's flags and word, published against
+  // `expected_head`. Busy means the head moved since the caller's walk.
+  Status CopyToTail(Key key, const void* value, const RecordMeta& meta,
+                    Address expected_head, CopyWord word);
 
   Record* MutableRecord(Address address) {
     return reinterpret_cast<Record*>(log_.MutablePointer(address));

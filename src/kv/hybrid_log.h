@@ -18,7 +18,8 @@
 // those would only re-dirty pages ("if the data is not on disk but in the
 // immutable memory buffer, we will not copy it into the mutable memory").
 //
-// Concurrency design (documented deviations from FASTER in DESIGN.md):
+// Concurrency design (deviations from FASTER; README, "Substitutions and
+// deviations"):
 // * Allocation takes a short spinlock; page roll-over (flush + eviction)
 //   happens inside it on the rolling thread.
 // * Readers of non-mutable frames validate with a per-frame page-id seqlock:

@@ -14,9 +14,10 @@
 // evicted, compacted, hash chain continuing at another cold address past
 // the hop budget, or a staleness bound the frozen record fails — falls
 // back to the synchronous read path, so per-key results are always exactly
-// what the blocking path would have produced. A tracked read lands the
-// whole record and publishes its tail copy (the read's staleness
-// increment) from the landed image; a lost publish falls back the same way.
+// what the blocking path would have produced. A read that lands the whole
+// record publishes its tail copy from the landed image (a tracked read's
+// carries its staleness increment, and a lost publish falls back the same
+// way); a buffer-less read is a Lookahead promotion and does only that.
 #pragma once
 
 #include <cstdint>
@@ -38,7 +39,7 @@ struct PendingRead {
   Key key = 0;
   Address address = kInvalidAddress;  // record image in flight
   Address chain_head = kInvalidAddress;
-  void* out = nullptr;  // caller's value buffer (null: header-only read)
+  void* out = nullptr;  // caller's value buffer (null: a promotion)
   uint32_t cap = 0;
   uint32_t* size = nullptr;
   uint32_t bound = UINT32_MAX;  // effective staleness bound
@@ -50,10 +51,7 @@ struct PendingRead {
   uint32_t buf_len = 0;
   char* buf = nullptr;
 
-  // Final state once the wave completes the key.
-  Status status;
-  RecordMeta meta;          // sanitized header of the served record
-  bool served_from_disk = false;  // false when a fallback re-read served it
+  Status status;  // final once the wave completes the key
 };
 
 // Per-sub-batch collector the phase-1 read ops park into. Single-threaded

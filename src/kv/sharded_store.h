@@ -128,7 +128,6 @@ class ShardedStore {
     return ShardFor(key)->Rmw(key, value_size, modifier);
   }
   Status Delete(Key key) { return ShardFor(key)->Delete(key); }
-  Status Promote(Key key) { return ShardFor(key)->Promote(key); }
   bool IsInMemory(Key key) { return ShardFor(key)->IsInMemory(key); }
 
   // --- Batched scatter/gather ---

@@ -14,9 +14,9 @@
 //   // and it continues from where it stopped.
 //
 // Entries are record images in log-address order: inserts, RCU updates,
-// compaction re-copies, promotions, and tombstones all appear (the cursor
-// does not collapse history — that is the consumer's job); records
-// retracted after a lost index CAS never do. In-place value updates do NOT
+// tail copies (reads, promotions, compaction), and tombstones all appear
+// (the cursor does not collapse history — that is the consumer's job);
+// records retracted after a lost index CAS never do. In-place value updates do NOT
 // append a new entry — consumers needing every write see them only via the
 // bumped generation the next time the record is re-appended. The cursor
 // never yields addresses at or above the durable watermark, so everything

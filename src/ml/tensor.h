@@ -1,7 +1,8 @@
 // Minimal dense 2-D float tensor for the model substrate. The paper's
 // systems hand the neural-network math to PyTorch on a GPU; here the NN is
-// CPU-side (see DESIGN.md substitution table) and deliberately simple —
-// correctness and a realistic compute/IO ratio matter, peak FLOPs do not.
+// CPU-side (see README, "Substitutions and deviations") and deliberately
+// simple — correctness and a realistic compute/IO ratio matter, peak FLOPs
+// do not.
 #pragma once
 
 #include <cassert>

@@ -62,9 +62,9 @@ Status EmbeddingTable::ExecuteReadSpan(std::span<const Key> keys,
   return ReconcileSpanResult(*r, result != nullptr);
 }
 
-// Tracked reads land the whole record (embedding plus fused optimizer
-// state): a cold record's tail copy carries all of it, while only the
-// embedding is copied out.
+// Reads land the whole record (embedding plus fused optimizer state): a
+// cold record's tail copy carries all of it, while only the embedding is
+// copied out.
 Status EmbeddingTable::Get(std::span<const Key> keys, float* out,
                            BatchResult* result) {
   const uint32_t bytes = value_bytes();
@@ -102,11 +102,13 @@ Status EmbeddingTable::GetOrInit(std::span<const Key> keys, float* out,
 Status EmbeddingTable::Peek(std::span<const Key> keys, float* out,
                             BatchResult* result) {
   const uint32_t bytes = value_bytes();
+  const uint32_t fetch = record_bytes();
   return ExecuteReadSpan(
       keys,
-      [this, out, bytes](FasterStore* shard, Key key, size_t i,
-                         BatchResult* part, size_t pi, PendingSink* sink) {
-        BatchReadOrPark(shard, key, out + i * dim_, bytes, bytes, UINT32_MAX,
+      [this, out, bytes, fetch](FasterStore* shard, Key key, size_t i,
+                                BatchResult* part, size_t pi,
+                                PendingSink* sink) {
+        BatchReadOrPark(shard, key, out + i * dim_, bytes, fetch, UINT32_MAX,
                         /*tracked=*/false, part, pi, sink);
       },
       result);
@@ -115,15 +117,17 @@ Status EmbeddingTable::Peek(std::span<const Key> keys, float* out,
 Status EmbeddingTable::PeekOrInit(std::span<const Key> keys, float* out,
                                   BatchResult* result) {
   const uint32_t bytes = value_bytes();
+  const uint32_t fetch = record_bytes();
   return ExecuteReadSpan(
       keys,
-      [this, out, bytes](FasterStore* shard, Key key, size_t i,
-                         BatchResult* part, size_t pi, PendingSink* sink) {
+      [this, out, bytes, fetch](FasterStore* shard, Key key, size_t i,
+                                BatchResult* part, size_t pi,
+                                PendingSink* sink) {
         float* dst = out + i * dim_;
         const auto init_missing = [this, shard, key, dst](Address head) {
           return InitMissing(shard, key, dst, head);
         };
-        BatchReadOrPark(shard, key, dst, bytes, bytes, UINT32_MAX,
+        BatchReadOrPark(shard, key, dst, bytes, fetch, UINT32_MAX,
                         /*tracked=*/false, part, pi, sink, &init_missing);
       },
       result);
@@ -267,18 +271,15 @@ Status EmbeddingTable::Lookahead(std::span<const Key> keys, LookaheadDest dest,
       if (dest == LookaheadDest::kStorageBuffer) {
         // Pending-read pipeline: every cold key in this shard batch goes
         // into flight together, and promotions complete from the landed
-        // record images instead of one blocking read at a time.
+        // record images instead of one blocking read at a time. Promotion
+        // is best-effort, so no finish callback inspects the outcome.
         PendingSink sink;
         for (const Key key : *batch) {
           PendingRead p;
           bool parked = false;
           // cap = the full stored value, so the copy never truncates.
           shard->StartPromote(key, record_bytes(), &p, &parked).ok();
-          if (parked) {
-            sink.Park(shard, std::move(p), [shard](PendingRead* done) {
-              shard->PromoteFromPending(*done).ok();  // best-effort
-            });
-          }
+          if (parked) sink.Park(shard, std::move(p), nullptr);
         }
         PendingReadWave wave(store_->options().io);
         wave.Adopt(&sink);

@@ -159,7 +159,6 @@ Status Mlkv::OpenTable(const std::string& model_id, uint32_t dim,
   so.store.track_staleness = true;
   so.store.staleness_bound = staleness_bound;
   so.store.busy_spin_limit = options_.busy_spin_limit;
-  so.store.skip_promote_if_in_memory = options_.skip_promote_if_in_memory;
   // Every shard log flushes through the shared engine and inherits the
   // durability / checkpoint knobs; batched reads' cold misses ride the
   // same engine (so.io below).

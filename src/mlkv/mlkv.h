@@ -61,7 +61,6 @@ struct MlkvOptions {
   size_t scatter_min_keys = 32;
   // Spin iterations before a bounded Get aborts with Busy (kv/record.h).
   uint64_t busy_spin_limit = kDefaultBusySpinLimit;
-  bool skip_promote_if_in_memory = true;  // DESIGN.md ablation D2
   // Workers (and, with io_uring, rings) of the per-DB AsyncIoEngine. The
   // cold misses of every table's batched gets/peeks and Lookahead
   // promotions go into flight together on it, and log page flushes leave

@@ -1,6 +1,6 @@
 // ComputeDelayModel: pads each NN step to a target duration, standing in
-// for GPU kernel time (see DESIGN.md substitutions). The paper's
-// experiments run the NN on an A10G/V100 while embeddings come from
+// for GPU kernel time (see README, "Substitutions and deviations"). The
+// paper's experiments run the NN on an A10G/V100 while embeddings come from
 // storage; what the storage comparison measures is how well embedding I/O
 // overlaps a fixed compute budget. With `target_micros == 0` the model is
 // a no-op and compute time is whatever the CPU kernels take.

@@ -1,5 +1,5 @@
 // Synthetic Criteo-style CTR stream (stands in for Criteo-Ad /
-// Criteo-Terabyte; see DESIGN.md substitutions).
+// Criteo-Terabyte; see README, "Substitutions and deviations").
 //
 // Each sample has `num_fields` categorical features (one id per field, drawn
 // Zipfian within the field — real ad traffic is heavily skewed), plus

@@ -1,6 +1,6 @@
 // Synthetic stand-ins for the paper's two eBay production workloads
 // (§IV-F, Fig. 11). Scaled down but preserving the topology class and the
-// storage access pattern (see DESIGN.md substitutions):
+// storage access pattern (see README, "Substitutions and deviations"):
 //
 //  * eBay-Trisk: payment transaction risk detection on a BIPARTITE graph —
 //    transaction nodes connect to entity nodes (buyers, cards, devices).

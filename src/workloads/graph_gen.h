@@ -1,5 +1,6 @@
 // Synthetic power-law graph with community structure for GNN node
-// classification (stands in for ogbn-papers100M; see DESIGN.md).
+// classification (stands in for ogbn-papers100M; see README, "Substitutions
+// and deviations").
 //
 // Construction is implicit (no adjacency materialization): node degrees and
 // neighbor identities derive deterministically from hashes, with

@@ -1,5 +1,5 @@
 // Synthetic knowledge graph for KGE link prediction (stands in for
-// WikiKG2 / Freebase86M; see DESIGN.md substitutions).
+// WikiKG2 / Freebase86M; see README, "Substitutions and deviations").
 //
 // Entities get Zipfian degrees (real KGs are heavy-tailed). Ground truth is
 // planted through latent entity clusters: relation r connects cluster

@@ -362,24 +362,43 @@ TEST(FasterStoreTest, PromoteMovesDiskRecordToMemory) {
 }
 
 TEST(FasterStoreTest, PromotedColdReadKeepsTheFullValue) {
-  // promote_cold_reads copies what an untracked read fetched. A read whose
-  // buffer holds only a prefix of the value must never publish that prefix
-  // as the record: the blocking path loads the whole value for the copy,
-  // and the pipeline promotes only from a landing buffer that holds it all.
+  // An untracked read copies the disk record it fetched to the tail. A read
+  // whose buffer holds only a prefix of the value must never publish that
+  // prefix as the record: the blocking path loads the whole value for the
+  // copy, and the pipeline copies only from a landing buffer that holds it
+  // all. The copy keeps the source's control word.
   TempDir dir;
   FasterOptions o = SmallStore(dir);
-  o.promote_cold_reads = true;
+  o.track_staleness = true;  // gives the words a nonzero staleness
   FasterStore store;
   ASSERT_TRUE(store.Open(o).ok());
   std::vector<char> value(64);
   for (size_t i = 0; i < value.size(); ++i) value[i] = static_cast<char>(i);
   for (Key k = 1; k <= 3; ++k) {
+    // Two Gets and two Puts: generation 1, staleness 1.
+    std::string out;
+    ASSERT_TRUE(store.Upsert(k, value.data(), 64).ok());
+    ASSERT_TRUE(store.Read(k, &out).ok());
+    ASSERT_TRUE(store.Read(k, &out).ok());
     ASSERT_TRUE(store.Upsert(k, value.data(), 64).ok());
   }
   std::vector<char> filler(128, 'f');
   for (Key k = 100; k < 700; ++k) {
     ASSERT_TRUE(store.Upsert(k, filler.data(), 128).ok());
   }
+  const auto word = [&](Key k) {
+    RecordMeta meta;
+    EXPECT_TRUE(store.PeekMeta(k, &meta).ok());
+    return meta.control;
+  };
+  const auto expect_same_word = [&](Key k, uint64_t source) {
+    const uint64_t copy = word(k);
+    EXPECT_EQ(ControlWord::Staleness(copy), 1u) << "key " << k;
+    EXPECT_EQ(ControlWord::Staleness(copy), ControlWord::Staleness(source))
+        << "key " << k;
+    EXPECT_EQ(ControlWord::Generation(copy), ControlWord::Generation(source))
+        << "key " << k;
+  };
   const auto expect_whole = [&](Key k) {
     RecordMeta meta;
     ASSERT_TRUE(store.PeekMeta(k, &meta).ok());
@@ -390,21 +409,24 @@ TEST(FasterStoreTest, PromotedColdReadKeepsTheFullValue) {
   };
   char prefix[16];
 
-  // Blocking path: a 16-byte read of a 64-byte disk record promotes it
-  // whole.
+  // Blocking path: a 16-byte read of a 64-byte disk record copies it whole.
   ASSERT_FALSE(store.IsInMemory(1));
+  const uint64_t source1 = word(1);
+  ASSERT_EQ(ControlWord::Generation(source1), 1u);
   uint32_t size = 0;
   ASSERT_TRUE(store.Peek(1, prefix, sizeof(prefix), &size).ok());
   EXPECT_EQ(size, 64u);
   EXPECT_EQ(std::memcmp(prefix, value.data(), sizeof(prefix)), 0);
   EXPECT_TRUE(store.IsInMemory(1));
+  expect_same_word(1, source1);
   expect_whole(1);
 
-  // Pipeline: a landing buffer of 16 value bytes skips the promotion; one
-  // that covers the value (fetch = 64) promotes it whole.
+  // Pipeline: a landing buffer of 16 value bytes skips the copy; one that
+  // covers the value (fetch = 64) copies it whole.
   AsyncIoEngine engine;
   for (const Key k : {Key{2}, Key{3}}) {
     ASSERT_FALSE(store.IsInMemory(k));
+    const uint64_t source = word(k);
     PendingRead p;
     ASSERT_FALSE(store.StartRead(k, prefix, sizeof(prefix), nullptr,
                                  UINT32_MAX, /*tracked=*/false, &p,
@@ -417,6 +439,7 @@ TEST(FasterStoreTest, PromotedColdReadKeepsTheFullValue) {
     wave.CompleteAll();
     EXPECT_EQ(std::memcmp(prefix, value.data(), sizeof(prefix)), 0);
     EXPECT_EQ(store.IsInMemory(k), k == 3) << "key " << k;
+    expect_same_word(k, source);
     expect_whole(k);
   }
 }
@@ -438,25 +461,6 @@ TEST(FasterStoreTest, PromoteSkipsImmutableInMemoryRecords) {
   const auto after = store.stats();
   EXPECT_EQ(after.promotions, before.promotions);
   EXPECT_EQ(after.promotions_skipped, before.promotions_skipped + 1);
-}
-
-TEST(FasterStoreTest, PromoteRespectsNoSkipAblation) {
-  TempDir dir;
-  FasterOptions o = SmallStore(dir);
-  o.skip_promote_if_in_memory = false;  // DESIGN.md ablation D2
-  FasterStore store;
-  ASSERT_TRUE(store.Open(o).ok());
-  std::vector<char> value(64, 'q');
-  ASSERT_TRUE(store.Upsert(7, value.data(), 64).ok());
-  std::vector<char> filler(128, 'f');
-  for (Key k = 100; k < 250; ++k) {
-    ASSERT_TRUE(store.Upsert(k, filler.data(), 128).ok());
-  }
-  ASSERT_LT(store.log().read_only_address(), store.log().tail());
-  // Key 7 sits in the immutable region; without the skip it gets copied.
-  if (!store.IsInMemory(7)) GTEST_SKIP() << "key evicted, not RO-resident";
-  ASSERT_TRUE(store.Promote(7).ok());
-  EXPECT_GE(store.stats().promotions, 1u);
 }
 
 TEST(FasterStoreTest, CheckpointRecoverRoundTrip) {

@@ -263,9 +263,7 @@ TEST(PendingReadTest, PromotionInvalidatedInFlightSkipsCleanly) {
 
   const uint64_t skipped_before = store->stats().promotions_skipped;
   PendingSink sink;
-  sink.Park(store, std::move(p), [store](PendingRead* done) {
-    EXPECT_TRUE(store->PromoteFromPending(*done).ok());
-  });
+  sink.Park(store, std::move(p), nullptr);
   PendingReadWave wave(&engine);
   wave.Adopt(&sink);
   wave.CompleteAll();
@@ -275,6 +273,78 @@ TEST(PendingReadTest, PromotionInvalidatedInFlightSkipsCleanly) {
   ASSERT_TRUE(store->Read(5, out, kValueBytes).ok());
   FillValue(5, expected);
   EXPECT_EQ(std::memcmp(out, expected, kValueBytes), 0);
+}
+
+TEST(PendingReadTest, LookaheadCountsEachPresentKeyOnce) {
+  // A Lookahead wave over every kind of key: each present one lands in
+  // exactly one of promotions / promotions_skipped, and an absent one in
+  // neither (kv.prefetch_useful_ratio is built from these two counters).
+  constexpr uint64_t kKeys = 1200;
+  TempDir dir;
+  AsyncIoEngine engine;
+  ShardedStore sharded;
+  ASSERT_TRUE(
+      sharded.Open(ColdStoreOptions(dir.File("c.log"), 0, &engine)).ok());
+  LoadKeys(&sharded, kKeys);
+  FasterStore* store = sharded.shard(0);
+  const HybridLog& log = store->log();
+  const auto address_of = [store](Key k) {
+    RecordMeta meta;
+    Address a = kInvalidAddress;
+    EXPECT_TRUE(store->PeekMeta(k, &meta, &a).ok()) << "key " << k;
+    return a;
+  };
+
+  const Key mutable_key = kKeys - 1;
+  ASSERT_GE(address_of(mutable_key), log.read_only_address());
+  Key read_only_key = kKeys;
+  for (Key k = kKeys - 1; k > 0 && read_only_key == kKeys; --k) {
+    const Address a = address_of(k);
+    if (a < log.read_only_address() && a >= log.head_address()) {
+      read_only_key = k;
+    }
+  }
+  ASSERT_LT(read_only_key, kKeys) << "no read-only-resident key";
+  const Key moved = 5, disk_a = 10, disk_b = 11;
+  for (const Key k : {moved, disk_a, disk_b}) {
+    ASSERT_LT(address_of(k), log.head_address()) << "key " << k;
+  }
+  const Key absent = kKeys + 7;
+
+  const FasterStatsSnapshot before = store->stats();
+  PendingSink sink;
+  size_t parked_keys = 0;
+  for (const Key k :
+       {mutable_key, read_only_key, moved, disk_a, disk_b, absent}) {
+    PendingRead p;
+    bool parked = false;
+    const Status s = store->StartPromote(k, kValueBytes, &p, &parked);
+    EXPECT_EQ(s.IsNotFound(), k == absent) << "key " << k;
+    if (!parked) continue;
+    ++parked_keys;
+    sink.Park(store, std::move(p), nullptr);
+  }
+  EXPECT_EQ(parked_keys, 3u);
+  // Compaction moves `moved` (but not the keys above it) while in flight.
+  const Address until = address_of(moved) + Record::SizeFor(kValueBytes);
+  ASSERT_LT(until, address_of(disk_a));
+  ASSERT_TRUE(store->Compact(until).ok());
+  ASSERT_GE(log.begin_address(), until);
+  PendingReadWave wave(&engine);
+  wave.Adopt(&sink);
+  wave.CompleteAll();
+
+  const FasterStatsSnapshot after = store->stats();
+  EXPECT_EQ(after.promotions - before.promotions, 2u);  // disk_a, disk_b
+  EXPECT_EQ(after.promotions_skipped - before.promotions_skipped, 3u);
+  EXPECT_TRUE(store->IsInMemory(disk_a));
+  EXPECT_TRUE(store->IsInMemory(disk_b));
+  for (const Key k : {mutable_key, read_only_key, moved, disk_a, disk_b}) {
+    char out[kValueBytes], expected[kValueBytes];
+    ASSERT_TRUE(store->Peek(k, out, kValueBytes).ok()) << "key " << k;
+    FillValue(k, expected);
+    EXPECT_EQ(std::memcmp(out, expected, kValueBytes), 0) << "key " << k;
+  }
 }
 
 TEST(PendingReadTest, StalenessBoundFallsBackToBlockingProtocol) {
@@ -377,13 +447,19 @@ TEST(PendingReadTest, InjectedFaultsFailOnlyTheirKeys) {
   EXPECT_EQ(io_errors, 1u);
 
   // A persistently failing device fails every cold key — and still no
-  // crash, hang, or misattributed success.
+  // crash, hang, or misattributed success. The pass above copied its keys
+  // to the tail, so this one reads keys that are still cold.
+  std::vector<Key> cold;
+  for (Key k = 32; k < 64; ++k) {
+    ASSERT_FALSE(store.IsInMemory(k)) << "key " << k;
+    cold.push_back(k);
+  }
   script->fail_from.store(1);
   script->fail_count.store(UINT64_MAX);
   BatchResult all_fail;
-  store.MultiExecuteRead(keys, RawReadOp(out.data(), kValueBytes),
+  store.MultiExecuteRead(cold, RawReadOp(out.data(), kValueBytes),
                          &all_fail);
-  EXPECT_EQ(all_fail.failed, keys.size());
+  EXPECT_EQ(all_fail.failed, cold.size());
   script->fail_from.store(0);  // disarm
 }
 
