@@ -212,7 +212,7 @@ void AblationIndex(const Setup& s) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  Flags flags(argc, argv);
+  Flags flags(argc, argv, {"keys", "only", "ops", "threads"});
   FileDevice::SetGlobalSimulatedCosts(
       flags.Int("nvme_read_us", 30), flags.Double("nvme_read_gbps", 1.0),
       flags.Double("nvme_write_gbps", 1.0));

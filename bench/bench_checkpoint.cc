@@ -232,7 +232,9 @@ double RunCheckpointShape(CheckpointMode mode, uint64_t num_keys,
 }  // namespace
 
 int main(int argc, char** argv) {
-  Flags flags(argc, argv);
+  Flags flags(argc, argv,
+              {"ckpt_keys", "ckpt_rounds", "ckpt_updates", "dim", "durability",
+               "max_keys", "threads", "wbatches", "wkeys"});
   FileDevice::SetGlobalSimulatedCosts(
       flags.Int("nvme_read_us", 30), flags.Double("nvme_read_gbps", 1.0),
       flags.Double("nvme_write_gbps", 1.0));

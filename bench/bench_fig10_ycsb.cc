@@ -110,7 +110,7 @@ void SweepRow(Table* t, const char* sweep, const std::string& x,
 }  // namespace
 
 int main(int argc, char** argv) {
-  Flags flags(argc, argv);
+  Flags flags(argc, argv, {"keys", "ops"});
   // Simulated NVMe (README, "Substitutions and deviations"): files land in
   // the OS page cache here, so out-of-core costs must be charged explicitly.
   FileDevice::SetGlobalSimulatedCosts(

@@ -199,7 +199,11 @@ void RunShardSweep(const Flags& flags) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  Flags flags(argc, argv);
+  Flags flags(argc, argv,
+              {"batches", "buffer_mb", "cardinality", "compute_us",
+               "eval_samples", "no_shard_sweep", "shard_bits", "sweep_batch",
+               "sweep_buffer_mb", "sweep_keys", "sweep_pool", "sweep_rounds",
+               "sweep_shard_bits", "theta"});
   // Simulated NVMe (README, "Substitutions and deviations"): files land in
   // the OS page cache here, so out-of-core costs must be charged explicitly.
   FileDevice::SetGlobalSimulatedCosts(

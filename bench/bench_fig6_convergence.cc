@@ -68,7 +68,7 @@ void PrintCurves(const char* task, const char* metric,
 }  // namespace
 
 int main(int argc, char** argv) {
-  Flags flags(argc, argv);
+  Flags flags(argc, argv, {"batches", "compute_us"});
   // Simulated NVMe (README, "Substitutions and deviations"): files land in
   // the OS page cache here, so out-of-core costs must be charged explicitly.
   FileDevice::SetGlobalSimulatedCosts(

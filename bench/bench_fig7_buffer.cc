@@ -68,7 +68,9 @@ void Sweep(const char* task, const std::vector<uint64_t>& buffers_mb,
 }  // namespace
 
 int main(int argc, char** argv) {
-  Flags flags(argc, argv);
+  Flags flags(argc, argv,
+              {"batches", "buffers", "cardinality", "compute_us", "entities",
+               "nodes", "task"});
   // Simulated NVMe (README, "Substitutions and deviations"): files land in
   // the OS page cache here, so out-of-core costs must be charged explicitly.
   FileDevice::SetGlobalSimulatedCosts(

@@ -33,7 +33,9 @@ std::unique_ptr<KvBackend> Make(const TempDir& dir, uint32_t dim,
 }  // namespace
 
 int main(int argc, char** argv) {
-  Flags flags(argc, argv);
+  Flags flags(argc, argv,
+              {"batches", "buffer_mb", "cardinality", "compute_us",
+               "entities"});
   // Simulated NVMe (README, "Substitutions and deviations"): files land in
   // the OS page cache here, so out-of-core costs must be charged explicitly.
   FileDevice::SetGlobalSimulatedCosts(

@@ -175,7 +175,10 @@ int RunColdSweep(const Flags& flags) {
 }  // namespace
 
 int main(int argc, char** argv) {
-  Flags flags(argc, argv);
+  Flags flags(argc, argv,
+              {"batches", "buffer_mb", "cardinality", "cold", "cold_batch",
+               "cold_fraction", "cold_keys", "cold_rounds", "compute_us",
+               "entities"});
   // Simulated NVMe (README, "Substitutions and deviations"): files land in
   // the OS page cache here, so out-of-core costs must be charged explicitly.
   FileDevice::SetGlobalSimulatedCosts(

@@ -212,7 +212,7 @@ void BenchBulkPrimitives(const bench::Flags& flags, simd::KernelTier vec) {
 }
 
 int Main(int argc, char** argv) {
-  const bench::Flags flags(argc, argv);
+  const bench::Flags flags(argc, argv, {"ms", "rows"});
   const simd::KernelTier vec = VectorTier();
   std::printf("active tier: %s (dispatched: %s)\n",
               simd::KernelTierName(vec),

@@ -11,8 +11,7 @@
 // --hedge adds the tail-latency A/B: a two-endpoint loopback cluster where
 // one server is intermittently slow (DelayedBackend), read p50/p99/p999
 // measured client-side with hedging off vs on, plus the extra request
-// volume hedging cost. --hot_replicate_top_k piles load-aware hot-key
-// replication onto the hedged run and reports the endpoint read split.
+// volume hedging cost.
 #include <atomic>
 #include <chrono>
 #include <memory>
@@ -247,12 +246,10 @@ struct HedgeRowResult {
 // One traffic run against the cluster; per-batch latency measured at the
 // caller (the number an inference service actually serves).
 HedgeRowResult RunHedgeRow(const Setup& s, HedgeCluster* hc, uint64_t hedge_us,
-                           size_t hot_top_k, bool zipf, const char* label,
-                           Table* t) {
+                           const char* label, Table* t) {
   cluster::ClusterBackendOptions co;
   co.endpoints = {hc->servers[0]->addr(), hc->servers[1]->addr()};
   co.hedge_us = hedge_us;
-  co.hot_replicate_top_k = hot_top_k;
   std::unique_ptr<cluster::ClusterBackend> cb;
   if (!cluster::ClusterBackend::Connect(co, &cb).ok()) std::exit(1);
 
@@ -263,15 +260,12 @@ HedgeRowResult RunHedgeRow(const Setup& s, HedgeCluster* hc, uint64_t hedge_us,
   for (int w = 0; w < s.threads; ++w) {
     workers.emplace_back([&, w] {
       Rng rng(1000 + w);
-      ZipfianGenerator zg(s.rows, 0.99, 2000 + w);
       std::vector<Key> keys(s.batch);
       std::vector<float> out(s.batch * s.dim);
       MultiGetOptions untracked;
       untracked.untracked = true;
       for (uint64_t b = 0; b < s.batches / s.threads; ++b) {
-        for (auto& k : keys) {
-          k = zipf ? zg.NextScrambled() : rng.Uniform(s.rows);
-        }
+        for (auto& k : keys) k = rng.Uniform(s.rows);
         const auto t0 = std::chrono::steady_clock::now();
         const BatchResult br = cb->MultiGet(keys, out.data(), untracked);
         if (br.failed > 0) {
@@ -294,7 +288,7 @@ HedgeRowResult RunHedgeRow(const Setup& s, HedgeCluster* hc, uint64_t hedge_us,
   HedgeRowResult r;
   // RPCs the cluster client issued (hedges included), summed over its
   // endpoint clients by ClusterBackend::CollectMetrics. A client with
-  // hedging or hot replication off emits no such family: 0.
+  // hedging off emits no hedge families: 0.
   obs::MetricsSink sink;
   cb->CollectMetrics(&sink);
   auto count = [&](const char* name) {
@@ -311,24 +305,6 @@ HedgeRowResult RunHedgeRow(const Setup& s, HedgeCluster* hc, uint64_t hedge_us,
   t->Cell(r.p999);
   t->Cell(count("mlkv_cluster_hedge_issued_total"));
   t->Cell(count("mlkv_cluster_hedge_wins_total"));
-  if (hot_top_k != 0) {
-    // Read split across the endpoints: without hot replication the hot
-    // head pins to its primary; with it the split approaches 50/50.
-    uint64_t reqs[2] = {0, 0};
-    size_t i = 0;
-    for (const cluster::EndpointStats& es : cb->endpoint_stats()) {
-      if (i < 2) reqs[i++] = es.requests;
-    }
-    char split[64];
-    std::snprintf(split, sizeof(split), "%llu/%llu hot=%llu",
-                  static_cast<unsigned long long>(reqs[0]),
-                  static_cast<unsigned long long>(reqs[1]),
-                  static_cast<unsigned long long>(
-                      count("mlkv_cluster_hot_reads_total")));
-    t->Cell(std::string(split));
-  } else {
-    t->Cell("-");
-  }
   t->EndRow();
   return r;
 }
@@ -336,7 +312,9 @@ HedgeRowResult RunHedgeRow(const Setup& s, HedgeCluster* hc, uint64_t hedge_us,
 }  // namespace
 
 int main(int argc, char** argv) {
-  Flags flags(argc, argv);
+  Flags flags(argc, argv,
+              {"batches", "hedge", "hedge_us", "remote", "rows", "slow_every",
+               "slow_us", "threads"});
   FileDevice::SetGlobalSimulatedCosts(
       flags.Int("nvme_read_us", 30), flags.Double("nvme_read_gbps", 1.0),
       flags.Double("nvme_write_gbps", 1.0));
@@ -350,8 +328,7 @@ int main(int argc, char** argv) {
         "             with one intermittently slow server\n"
         "    --hedge_us=500         hedge delay (us); 0 = auto (p99)\n"
         "    --slow_us=3000         injected delay on the slow endpoint\n"
-        "    --slow_every=32        delay every Nth request\n"
-        "    --hot_replicate_top_k=64  add a hot-key replication row\n");
+        "    --slow_every=32        delay every Nth request\n");
     return 0;
   }
   Setup s;
@@ -410,8 +387,6 @@ int main(int argc, char** argv) {
     const uint64_t hedge_us = flags.Int("hedge_us", 500, 6000);
     const uint64_t slow_us = flags.Int("slow_us", 3000, 30000);
     const uint64_t slow_every = flags.Int("slow_every", 32);
-    const size_t hot_top_k =
-        static_cast<size_t>(flags.Int("hot_replicate_top_k", 0));
     Banner("Read hedging A/B: 2-endpoint loopback cluster, one "
            "intermittently slow server");
     std::printf("(endpoint 0 sleeps %llu us on every %llu-th request; "
@@ -423,17 +398,11 @@ int main(int argc, char** argv) {
     HedgeCluster hc;
     if (!hc.Start(s, slow_us, slow_every)) std::exit(1);
     Table ht({"mode", "lookups/s", "p50_us", "p99_us", "p999_us", "hedges",
-              "wins", "ep_reads"});
+              "wins"});
     ht.PrintHeader();
-    const HedgeRowResult off =
-        RunHedgeRow(hs, &hc, 0, 0, /*zipf=*/false, "off", &ht);
+    const HedgeRowResult off = RunHedgeRow(hs, &hc, 0, "off", &ht);
     const HedgeRowResult on = RunHedgeRow(
-        hs, &hc, hedge_us == 0 ? kHedgeAuto : hedge_us, 0, /*zipf=*/false,
-        "hedged", &ht);
-    if (hot_top_k != 0) {
-      RunHedgeRow(hs, &hc, hedge_us == 0 ? kHedgeAuto : hedge_us, hot_top_k,
-                  /*zipf=*/true, "hedged+hot", &ht);
-    }
+        hs, &hc, hedge_us == 0 ? kHedgeAuto : hedge_us, "hedged", &ht);
     hc.Stop();
     const double extra =
         off.rpcs > 0 ? 100.0 * (static_cast<double>(on.rpcs) /

@@ -14,6 +14,8 @@ using namespace mlkv;
 using namespace mlkv::bench;
 
 int main(int argc, char** argv) {
+  // No tunables: parsing only rejects unknown flags.
+  const Flags flags(argc, argv, {});
   Banner("Table II: datasets and models (paper scale -> repo scale)");
   Table t({"dataset", "paper #emb", "repo #emb", "dim", "type", "models"});
   t.PrintHeader();

@@ -526,7 +526,11 @@ std::unique_ptr<ServingTier> MakeServingTier(
 }  // namespace
 
 int main(int argc, char** argv) {
-  Flags flags(argc, argv);
+  Flags flags(argc, argv,
+              {"batch_size", "batch_threads", "buffer_mb", "cluster_addrs",
+               "cold_fraction", "hedge_auto", "hedge_us", "io_threads", "keys",
+               "metrics_overhead", "no_batch_sweep", "no_suite", "ops",
+               "remote", "server_workers", "shard_bits", "threads"});
   FileDevice::SetGlobalSimulatedCosts(
       flags.Int("nvme_read_us", 30), flags.Double("nvme_read_gbps", 1.0),
       flags.Double("nvme_write_gbps", 1.0));
@@ -559,8 +563,6 @@ int main(int argc, char** argv) {
                 "  --hedge_us=N | --hedge_auto   when measuring a running\n"
                 "                     cluster: hedge read sub-batches after\n"
                 "                     N us (auto = per-endpoint p99)\n"
-                "  --hot_replicate_top_k=K  spread the K hottest keys'\n"
-                "                     reads across primary + replicas\n"
                 "  --metrics_overhead A/B the observability pipeline over a\n"
                 "                     loopback server: registry + tracing on\n"
                 "                     vs SetMetricsEnabled(false) + tracing\n"
@@ -771,8 +773,6 @@ int main(int argc, char** argv) {
                                         flags.Int("hedge_us", 0))
                                   : 0;
       if (flags.Bool("hedge_auto", false)) ccfg.cluster_hedge_us = kHedgeAuto;
-      ccfg.cluster_hot_replicate_top_k =
-          static_cast<size_t>(flags.Int("hot_replicate_top_k", 0));
       std::unique_ptr<KvBackend> client;
       if (!MakeBackend(BackendKind::kCluster, ccfg, &client).ok()) {
         std::fprintf(stderr, "cannot reach cluster at %s\n", addrs.c_str());

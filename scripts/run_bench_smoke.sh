@@ -39,6 +39,18 @@ for bench in "${bench_dir}"/bench_*; do
     failed=1
   fi
 done
+# Every bench except the Google Benchmark one parses flags strictly
+# (bench/bench_util.h): an unknown name must exit non-zero rather than
+# silently run the default config. --smoke keeps a regression short.
+for bench in "${bench_dir}"/bench_*; do
+  [[ -x "${bench}" ]] || continue
+  name="$(basename "${bench}")"
+  [[ "${name}" == "bench_micro_store" ]] && continue
+  if "${bench}" --smoke --typo=1 > /dev/null 2>&1; then
+    echo "FAILED: ${name} accepted unknown flag --typo=1" >&2
+    failed=1
+  fi
+done
 # One remote-mode smoke: the same batch sweep through a loopback KvServer
 # (RemoteBackend), so the network path is exercised wherever the smoke
 # suite runs — including the Release bench-smoke CI job.
@@ -105,8 +117,7 @@ fi
 if [[ -x "${bench_dir}/bench_serving" ]]; then
   echo "=== bench_serving --smoke --hedge"
   hedge_log="${log_dir}/bench_serving_hedge.txt"
-  if ! "${bench_dir}/bench_serving" --smoke --hedge --hot_replicate_top_k=64 \
-      > "${hedge_log}"; then
+  if ! "${bench_dir}/bench_serving" --smoke --hedge > "${hedge_log}"; then
     echo "FAILED: bench_serving --hedge" >&2
     failed=1
   else

@@ -1083,7 +1083,6 @@ Status MakeBackend(BackendKind kind, const BackendConfig& config,
     o.pool_size = config.remote_pool_size;
     o.max_keys_per_rpc = config.remote_max_keys_per_rpc;
     o.hedge_us = config.cluster_hedge_us;
-    o.hot_replicate_top_k = config.cluster_hot_replicate_top_k;
     return cluster::ClusterBackend::Connect(o, out);
   }
   std::error_code ec;

@@ -247,10 +247,6 @@ struct BackendConfig {
   // 0 disables (default); kHedgeAuto derives the delay per endpoint from
   // its trailing p99. Writes never hedge.
   uint64_t cluster_hedge_us = 0;
-  // kCluster only: route reads for the client's K hottest keys round-robin
-  // across a partition's primary + replicas instead of primary-first.
-  // 0 disables (default).
-  size_t cluster_hot_replicate_top_k = 0;
 };
 
 // Sentinel for cluster_hedge_us: derive the hedge delay per endpoint from

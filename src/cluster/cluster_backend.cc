@@ -34,10 +34,6 @@ ClusterBackend::ClusterBackend(ClusterBackendOptions options)
           : std::min<size_t>(16,
                              std::max<size_t>(4, options_.endpoints.size() * 4));
   pool_ = std::make_unique<ThreadPool>(threads);
-  if (options_.hot_replicate_top_k != 0) {
-    hot_tracker_ = std::make_unique<HotKeyTracker>(
-        options_.hot_replicate_top_k, options_.hot_refresh_interval);
-  }
   if (options_.hedge_us != 0) {
     // Hedge tasks mostly sleep (waiting out the delay), so the pool is
     // sized for concurrent sleepers, not CPU.
@@ -235,21 +231,23 @@ void ClusterBackend::CollectMetrics(obs::MetricsSink* sink) const {
     rpc_retries += ep->client->rpc_retries();
   }
   net::RemoteBackend::AddRpcMetrics(rpc_requests, rpc_retries, sink);
-  for (const EndpointStats& s : endpoint_stats()) {
+  for (Endpoint* ep : eps) {
     sink->AddCounter("mlkv_cluster_endpoint_requests_total",
                      "Sub-batches routed to this cluster endpoint.",
-                     static_cast<double>(s.requests), {{"endpoint", s.addr}});
+                     ep->requests.load(std::memory_order_relaxed),
+                     {{"endpoint", ep->addr}});
     sink->AddCounter("mlkv_cluster_endpoint_failovers_total",
                      "Sub-batches that left this endpoint for a fallback.",
-                     static_cast<double>(s.failovers), {{"endpoint", s.addr}});
+                     ep->failovers.load(std::memory_order_relaxed),
+                     {{"endpoint", ep->addr}});
     sink->AddGauge("mlkv_cluster_endpoint_latency_ewma_us",
                    "Smoothed read sub-batch latency to this endpoint (us).",
-                   s.latency_ewma_us, {{"endpoint", s.addr}});
+                   ep->ewma_us.value(), {{"endpoint", ep->addr}});
     sink->AddGauge("mlkv_cluster_endpoint_latency_p99_us",
                    "Trailing read p99 to this endpoint (us); the kHedgeAuto "
                    "hedge-delay signal.",
-                   static_cast<double>(s.latency_p99_us),
-                   {{"endpoint", s.addr}});
+                   static_cast<double>(ep->latency_us.Percentile(0.99)),
+                   {{"endpoint", ep->addr}});
   }
   sink->AddGauge("mlkv_cluster_map_epoch",
                  "Epoch of the client's installed routing map.",
@@ -263,18 +261,6 @@ void ClusterBackend::CollectMetrics(obs::MetricsSink* sink) const {
         "Read hedges whose response was used (first-response-wins).",
         static_cast<double>(hedge_wins_.load(std::memory_order_relaxed)));
   }
-  if (hot_tracker_) {
-    sink->AddGauge("mlkv_cluster_hot_keys",
-                   "Keys in the current hot-replication set.",
-                   static_cast<double>(hot_tracker_->hot()->keys.size()));
-    sink->AddCounter(
-        "mlkv_cluster_hot_reads_total",
-        "Reads routed by the hot-key round-robin policy.",
-        static_cast<double>(hot_reads_.load(std::memory_order_relaxed)));
-    sink->AddCounter("mlkv_cluster_hot_refreshes_total",
-                     "Hot-set re-rank passes.",
-                     static_cast<double>(hot_tracker_->refreshes()));
-  }
   {
     std::lock_guard<std::mutex> lock(part_ops_mu_);
     for (size_t p = 0; p < partition_ops_.size(); ++p) {
@@ -284,31 +270,6 @@ void ClusterBackend::CollectMetrics(obs::MetricsSink* sink) const {
                        {{"partition", std::to_string(p)}});
     }
   }
-}
-
-std::vector<EndpointStats> ClusterBackend::endpoint_stats() const {
-  std::vector<Endpoint*> eps;
-  {
-    std::lock_guard<std::mutex> lock(ep_mu_);
-    eps.reserve(endpoints_.size());
-    for (const auto& e : endpoints_) eps.push_back(e.get());
-  }
-  std::vector<EndpointStats> out;
-  out.reserve(eps.size());
-  for (Endpoint* ep : eps) {
-    EndpointStats s;
-    s.addr = ep->addr;
-    s.requests = ep->requests.load(std::memory_order_relaxed);
-    s.failovers = ep->failovers.load(std::memory_order_relaxed);
-    s.latency_ewma_us = ep->ewma_us.value();
-    s.latency_p99_us = ep->latency_us.Percentile(0.99);
-    {
-      std::lock_guard<std::mutex> lock(ep->mu);
-      s.connected = ep->client != nullptr;
-    }
-    out.push_back(std::move(s));
-  }
-  return out;
 }
 
 BatchResult ClusterBackend::TimedGet(Endpoint* ep, net::RemoteBackend* client,
@@ -484,8 +445,7 @@ BatchResult ClusterBackend::ExecutePartition(const ClusterMap& m, size_t p,
                                              Op op, std::span<const Key> keys,
                                              float* rows_out,
                                              const float* rows_in, float lr,
-                                             const MultiGetOptions& options,
-                                             size_t rotation) {
+                                             const MultiGetOptions& options) {
   const ClusterPartition& part = m.partitions[p];
   // Candidate endpoints in attempt order. Writes only ever run on the
   // primary; reads fail over to replicas (or start there under kReplica).
@@ -500,13 +460,6 @@ BatchResult ClusterBackend::ExecutePartition(const ClusterMap& m, size_t p,
       candidates.insert(candidates.end(), part.replicas.begin(),
                         part.replicas.end());
     }
-  }
-  // Hot-key round-robin: rotate the attempt order so this sub-batch starts
-  // on a different candidate; the rest stay as failover fallbacks.
-  if (op == Op::kGet && rotation != 0 && candidates.size() > 1) {
-    std::rotate(candidates.begin(),
-                candidates.begin() + (rotation % candidates.size()),
-                candidates.end());
   }
 
   Status last = Status::IOError("cluster: no reachable endpoint for partition " +
@@ -594,82 +547,46 @@ BatchResult ClusterBackend::Execute(Op op, std::span<const Key> keys,
   const size_t d = dim_;
   const size_t nparts = m->num_partitions();
 
-  // Hot-key replication: feed the tracker (outer call only — the epoch
-  // retry re-enters Execute with the same keys) and snapshot the hot set.
-  // Hot keys scatter into per-rotation groups so one batch's reads for a
-  // hot key spread across the partition's primary AND replicas.
-  std::shared_ptr<const HotKeySet> hot;
-  size_t stride = 1;
-  if (op == Op::kGet && hot_tracker_) {
-    if (allow_epoch_retry) hot_tracker_->RecordReads(keys);
-    auto h = hot_tracker_->hot();
-    if (!h->keys.empty()) {
-      for (const ClusterPartition& cp : m->partitions) {
-        stride = std::max(stride, cp.replicas.size() + 1);
-      }
-      if (stride > 1) hot = std::move(h);
-    }
-  }
-
-  // Group = (partition, rotation); rotation is 0 for everything except hot
-  // keys, which take the next round-robin slot among their partition's
-  // candidates. stride==1 degenerates to the plain per-partition scatter.
-  const size_t ngroups = nparts * stride;
   std::vector<uint32_t> part(n);
-  std::vector<size_t> counts(ngroups, 0);
-  std::vector<uint64_t> per_part_ops(nparts, 0);
+  std::vector<size_t> counts(nparts, 0);
   for (size_t i = 0; i < n; ++i) {
-    const size_t p = m->PartitionOf(keys[i]);
-    ++per_part_ops[p];
-    size_t rot = 0;
-    if (hot && hot->contains(keys[i])) {
-      const size_t ncand = m->partitions[p].replicas.size() + 1;
-      if (ncand > 1) {
-        rot = hot_rr_.fetch_add(1, std::memory_order_relaxed) % ncand;
-        hot_reads_.fetch_add(1, std::memory_order_relaxed);
-      }
-    }
-    part[i] = static_cast<uint32_t>(p * stride + rot);
+    part[i] = static_cast<uint32_t>(m->PartitionOf(keys[i]));
     ++counts[part[i]];
   }
   {
     std::lock_guard<std::mutex> lock(part_ops_mu_);
     if (partition_ops_.size() < nparts) partition_ops_.resize(nparts, 0);
-    for (size_t p = 0; p < nparts; ++p) partition_ops_[p] += per_part_ops[p];
+    for (size_t p = 0; p < nparts; ++p) partition_ops_[p] += counts[p];
   }
   size_t nonempty = 0, only = 0;
-  for (size_t g = 0; g < ngroups; ++g) {
-    if (counts[g] != 0) {
+  for (size_t p = 0; p < nparts; ++p) {
+    if (counts[p] != 0) {
       ++nonempty;
-      only = g;
+      only = p;
     }
   }
 
   if (nonempty == 1) {
-    // Single-group batch: the caller's spans are already contiguous.
-    full = ExecutePartition(*m, only / stride, op, keys, rows_out, rows_in, lr,
-                            options, only % stride);
+    // Single-partition batch: the caller's spans are already contiguous.
+    full = ExecutePartition(*m, only, op, keys, rows_out, rows_in, lr, options);
   } else {
     // Stable counting-sort scatter (same shape as ShardedStore's): caller
-    // positions grouped by (partition, rotation), in-order within each
-    // group so duplicate-key semantics survive the hop.
-    std::vector<size_t> offsets(ngroups + 1, 0);
-    for (size_t g = 0; g < ngroups; ++g) offsets[g + 1] = offsets[g] + counts[g];
+    // positions grouped by partition, in-order within each group so
+    // duplicate-key semantics survive the hop.
+    std::vector<size_t> offsets(nparts + 1, 0);
+    for (size_t p = 0; p < nparts; ++p) offsets[p + 1] = offsets[p] + counts[p];
     std::vector<size_t> pos(offsets.begin(), offsets.end() - 1);
     std::vector<size_t> order(n);
     for (size_t i = 0; i < n; ++i) order[pos[part[i]]++] = i;
 
     struct SubTask {
       size_t partition;
-      size_t rotation;
       size_t begin;
       size_t end;
     };
     std::vector<SubTask> tasks;
-    for (size_t g = 0; g < ngroups; ++g) {
-      if (counts[g] != 0) {
-        tasks.push_back({g / stride, g % stride, offsets[g], offsets[g + 1]});
-      }
+    for (size_t p = 0; p < nparts; ++p) {
+      if (counts[p] != 0) tasks.push_back({p, offsets[p], offsets[p + 1]});
     }
     std::vector<BatchResult> sub(tasks.size());
 
@@ -694,8 +611,7 @@ BatchResult ClusterBackend::Execute(Op op, std::span<const Key> keys,
         sub[t] = ExecutePartition(
             *m, task.partition, op, sub_keys,
             op == Op::kGet ? sub_rows.data() : nullptr,
-            op == Op::kGet ? nullptr : sub_rows.data(), lr, options,
-            task.rotation);
+            op == Op::kGet ? nullptr : sub_rows.data(), lr, options);
         if (op == Op::kGet) {
           for (size_t j = 0; j < cnt; ++j) {
             if (sub[t].codes[j] == Status::Code::kOk) {

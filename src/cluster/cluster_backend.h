@@ -27,17 +27,13 @@
 // blind cross-server retry beyond RemoteBackend's own stale-pool retry
 // (which is safe because the request provably never executed).
 //
-// Tail-latency controls (both off by default; docs/SERVING.md):
-//  - Request hedging (hedge_us): a read sub-batch races a second attempt
-//    against the partition's next candidate once the first has been in
-//    flight for the hedge delay (fixed, or kHedgeAuto = that endpoint's
-//    trailing p99). First response wins; the loser is cancelled before
-//    issue when possible and its bytes are discarded otherwise. Writes
-//    never hedge — a duplicated gradient would double-apply.
-//  - Hot-key replication (hot_replicate_top_k): a client-side HotKeyTracker
-//    detects the hottest read keys and rotates their sub-batches across the
-//    partition's primary AND replicas round-robin instead of primary-first,
-//    trading bounded replica staleness for tail load spreading.
+// Tail-latency control (off by default; docs/SERVING.md): with request
+// hedging (hedge_us) a read sub-batch races a second attempt against the
+// partition's next candidate once the first has been in flight for the
+// hedge delay (fixed, or kHedgeAuto = that endpoint's trailing p99). First
+// response wins; the loser is cancelled before issue when possible and its
+// bytes are discarded otherwise. Writes never hedge — a duplicated
+// gradient would double-apply.
 #pragma once
 
 #include <atomic>
@@ -48,7 +44,6 @@
 
 #include "backend/kv_backend.h"
 #include "cluster/cluster_map.h"
-#include "cluster/hot_keys.h"
 #include "common/histogram.h"
 #include "common/status.h"
 #include "common/thread_pool.h"
@@ -75,28 +70,13 @@ struct ClusterBackendOptions {
   // (1ms until 64 samples warm the histogram, then clamped to
   // [100us, 100ms]). Only reads hedge.
   uint64_t hedge_us = 0;
-  // When nonzero, track the top-K hottest read keys client-side and route
-  // their reads round-robin across the partition's primary and replicas.
-  size_t hot_replicate_top_k = 0;
-  // Hot-set re-rank cadence, in observed read keys.
-  uint64_t hot_refresh_interval = 8192;
-};
-
-// Per-endpoint client-side counters (cluster-status / tests).
-struct EndpointStats {
-  std::string addr;
-  bool connected = false;    // a client object exists (ever connected)
-  uint64_t requests = 0;     // sub-batches routed here
-  uint64_t failovers = 0;    // sub-batches that left here for a fallback
-  double latency_ewma_us = 0.0;  // smoothed read sub-batch latency
-  uint64_t latency_p99_us = 0;   // trailing read p99 (hedge-delay signal)
 };
 
 class ClusterBackend : public KvBackend {
  public:
   static Status Connect(const ClusterBackendOptions& options,
                         std::unique_ptr<KvBackend>* out);
-  // Typed variant for tooling that needs map()/endpoint_stats().
+  // Typed variant for tooling that needs map()/RefreshMap().
   static Status Connect(const ClusterBackendOptions& options,
                         std::unique_ptr<ClusterBackend>* out);
 
@@ -120,8 +100,7 @@ class ClusterBackend : public KvBackend {
   // per-endpoint routing counters
   // (mlkv_cluster_endpoint_requests_total{endpoint=} /
   // mlkv_cluster_endpoint_failovers_total{endpoint=}) and the client's
-  // current map epoch; with hedging on, mlkv_cluster_hedge_{issued,wins}_total,
-  // and with hot-key replication on, mlkv_cluster_hot_{reads,refreshes}_total.
+  // current map epoch; with hedging on, mlkv_cluster_hedge_{issued,wins}_total.
   void CollectMetrics(obs::MetricsSink* sink) const override;
 
   // Current routing map snapshot (immutable; swapped whole on refresh).
@@ -129,11 +108,6 @@ class ClusterBackend : public KvBackend {
   // Refetches the map from any reachable endpoint; installs it when its
   // epoch is newer than the current one.
   Status RefreshMap();
-  std::vector<EndpointStats> endpoint_stats() const;
-  // Current hot-key snapshot (null when hot replication is off).
-  std::shared_ptr<const HotKeySet> hot_keys() const {
-    return hot_tracker_ ? hot_tracker_->hot() : nullptr;
-  }
 
  private:
   enum class Op { kGet, kPut, kGrad };
@@ -171,13 +145,11 @@ class ClusterBackend : public KvBackend {
                       const float* rows_in, float lr,
                       const MultiGetOptions& options, bool allow_epoch_retry);
   // One partition's sub-batch against its candidate endpoints (failover
-  // order); keys/rows are already gathered contiguous. `rotation` rotates
-  // the read-candidate order (hot-key round-robin); writes ignore it.
+  // order); keys/rows are already gathered contiguous.
   BatchResult ExecutePartition(const ClusterMap& m, size_t partition, Op op,
                                std::span<const Key> keys, float* rows_out,
                                const float* rows_in, float lr,
-                               const MultiGetOptions& options,
-                               size_t rotation);
+                               const MultiGetOptions& options);
 
   // One timed read attempt; feeds the endpoint's latency histogram/EWMA.
   BatchResult TimedGet(Endpoint* ep, net::RemoteBackend* client,
@@ -206,11 +178,6 @@ class ClusterBackend : public KvBackend {
   std::vector<std::unique_ptr<Endpoint>> endpoints_;
 
   std::unique_ptr<ThreadPool> pool_;  // scatter helpers
-
-  // Hot-key replication state (null/zero when off).
-  std::unique_ptr<HotKeyTracker> hot_tracker_;
-  std::atomic<uint64_t> hot_rr_{0};     // round-robin cursor for hot reads
-  std::atomic<uint64_t> hot_reads_{0};  // reads routed by the hot policy
 
   std::atomic<uint64_t> hedges_{0};      // hedge attempts issued
   std::atomic<uint64_t> hedge_wins_{0};  // hedge responses used

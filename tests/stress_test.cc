@@ -681,7 +681,7 @@ TEST(ReplicationStressTest, ConcurrentWritersWithTailingReplica) {
 // Hedged reads under contention, for TSan: a mutual-replica pair (each
 // server primary of one partition, replica of the other, identically
 // preloaded) where one server stalls every Nth read, hammered by client
-// threads with hedging, auto hedge delay, and hot-key replication all on.
+// threads with hedging on and the auto hedge delay.
 // The caller returns on the first usable response while the loser finishes
 // against shared state in the background — exactly the overlap a data race
 // would live in. Asserts are correctness (every batch serves the written
@@ -734,8 +734,6 @@ TEST(ClusterHedgeStressTest, ConcurrentHedgedReadsAgainstStraggler) {
   cluster::ClusterBackendOptions co;
   co.endpoints = {servers[0]->addr(), servers[1]->addr()};
   co.hedge_us = kHedgeAuto;  // per-endpoint p99 hedge delay
-  co.hot_replicate_top_k = 8;
-  co.hot_refresh_interval = 256;
   std::unique_ptr<cluster::ClusterBackend> client;
   ASSERT_TRUE(cluster::ClusterBackend::Connect(co, &client).ok());
 
