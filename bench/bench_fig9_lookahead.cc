@@ -12,9 +12,13 @@
 // reporting keys/s and per-batch p50/p99. The memory budget is derived
 // from --cold_fraction so roughly that share of the key space lives below
 // the log head. This is the acceptance sweep for the pipeline:
-// io_threads=4 vs 1 on a majority-disk batch >= 64.
+// io_threads=4 vs 1 on a majority-disk batch >= 64. One more MLKV row runs
+// the same batches at io_threads=4 with Lookahead(batch r + 4) before each
+// MultiGet(batch r): lookahead against the same device, with no compute
+// between batches to hide its I/O behind.
 #include <algorithm>
 #include <memory>
+#include <span>
 
 #include "backend/kv_backend.h"
 #include "bench_util.h"
@@ -53,7 +57,8 @@ struct ColdResult {
 
 ColdResult RunColdConfig(BackendKind kind, uint64_t num_keys,
                          uint64_t buffer_bytes, size_t batch_size,
-                         uint64_t rounds, size_t io_threads) {
+                         uint64_t rounds, size_t io_threads,
+                         uint64_t lookahead_depth = 0) {
   constexpr uint32_t kDim = 16;
   TempDir dir;
   BackendConfig cfg;
@@ -88,18 +93,26 @@ ColdResult RunColdConfig(BackendKind kind, uint64_t num_keys,
   }
 
   // Uniform random batches over the whole key space: with the buffer
-  // sized for cold_fraction, that share of every batch needs disk.
+  // sized for cold_fraction, that share of every batch needs disk. Drawn
+  // up front so a lookahead can name a future batch.
   Rng rng(42 + io_threads);
-  std::vector<Key> batch(batch_size);
+  std::vector<Key> keys(rounds * batch_size);
+  for (auto& k : keys) k = rng.Next() % num_keys;
+  const auto batch = [&](uint64_t r) {
+    return std::span<const Key>(keys).subspan(r * batch_size, batch_size);
+  };
   std::vector<float> out(batch_size * kDim);
   Histogram latency;
   StopWatch watch;
   for (uint64_t r = 0; r < rounds; ++r) {
-    for (auto& k : batch) k = rng.Next() % num_keys;
     const uint64_t t0 = NowMicros();
-    if (backend->MultiGet(batch, out.data()).failed > 0) std::exit(1);
+    if (lookahead_depth > 0 && r + lookahead_depth < rounds) {
+      backend->Lookahead(batch(r + lookahead_depth)).ok();
+    }
+    if (backend->MultiGet(batch(r), out.data()).failed > 0) std::exit(1);
     latency.Record(NowMicros() - t0);
   }
+  backend->WaitIdle();
   ColdResult res;
   res.keys_per_sec = static_cast<double>(rounds * batch_size) /
                      watch.ElapsedSeconds();
@@ -144,31 +157,44 @@ int RunColdSweep(const Flags& flags) {
   const std::vector<size_t> thread_counts =
       flags.Smoke() ? std::vector<size_t>{1, 4}
                     : std::vector<size_t>{1, 2, 4, 8};
-  double one_kps = 0, four_kps = 0;
+  const auto row = [&t](const char* name, size_t threads,
+                        const ColdResult& res) {
+    t.Cell(std::string(name));
+    t.Cell(static_cast<uint64_t>(threads));
+    t.Cell(Human(res.keys_per_sec));
+    t.Cell(static_cast<double>(res.p50_us) / 1000.0, "%.2f");
+    t.Cell(static_cast<double>(res.p99_us) / 1000.0, "%.2f");
+    t.Cell(res.disk_reads);
+    t.Cell(res.submitted);
+    t.Cell(res.refetched);
+    t.EndRow();
+  };
+  double one_kps = 0, four_kps = 0, lookahead_kps = 0;
   for (const BackendKind kind : {BackendKind::kMlkv, BackendKind::kFaster}) {
     const char* name = kind == BackendKind::kMlkv ? "MLKV" : "FASTER";
     for (const size_t threads : thread_counts) {
       const ColdResult res =
           RunColdConfig(kind, num_keys, buffer_bytes, batch, rounds, threads);
-      t.Cell(std::string(name));
-      t.Cell(static_cast<uint64_t>(threads));
-      t.Cell(Human(res.keys_per_sec));
-      t.Cell(static_cast<double>(res.p50_us) / 1000.0, "%.2f");
-      t.Cell(static_cast<double>(res.p99_us) / 1000.0, "%.2f");
-      t.Cell(res.disk_reads);
-      t.Cell(res.submitted);
-      t.Cell(res.refetched);
-      t.EndRow();
+      row(name, threads, res);
       if (kind != BackendKind::kMlkv) continue;
       if (threads == 1) one_kps = res.keys_per_sec;
       if (threads == 4) four_kps = res.keys_per_sec;
+    }
+    if (kind == BackendKind::kMlkv) {
+      const ColdResult res = RunColdConfig(kind, num_keys, buffer_bytes,
+                                           batch, rounds, 4,
+                                           /*lookahead_depth=*/4);
+      row("MLKV+la4", 4, res);
+      lookahead_kps = res.keys_per_sec;
     }
   }
   std::printf("\nExpected shape: a batch's cold reads go into flight "
               "together, so throughput scales with io_threads until the "
               "device (or the simulated NVMe) saturates; io_threads=1 pays "
-              "the reads one at a time. MLKV io_threads 4 vs 1: %.2fx\n",
-              one_kps > 0 ? four_kps / one_kps : 0.0);
+              "the reads one at a time. MLKV io_threads 4 vs 1: %.2fx; "
+              "lookahead 4 vs none at io_threads 4: %.2fx\n",
+              one_kps > 0 ? four_kps / one_kps : 0.0,
+              four_kps > 0 ? lookahead_kps / four_kps : 0.0);
   return 0;
 }
 
@@ -189,7 +215,8 @@ int main(int argc, char** argv) {
                 "  --batches=60 --buffer_mb=3 --compute_us=1000\n"
                 "  --cardinality=60000 --entities=120000 --smoke\n"
                 "  --cold  cold-working-set MultiGet sweep over io_threads\n"
-                "          1, 2, 4, 8 (p50/p99 per batch);\n"
+                "          1, 2, 4, 8 (p50/p99 per batch), plus MLKV at 4\n"
+                "          with a 4-batch lookahead;\n"
                 "          --cold_keys=200000 --cold_fraction=0.9\n"
                 "          --cold_batch=256 --cold_rounds=120\n");
     return 0;

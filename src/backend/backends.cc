@@ -121,6 +121,9 @@ void EmitStoreMetrics(ShardedStore* store, obs::MetricsSink* sink) {
   sink->AddCounter("mlkv_store_promotions_skipped_total",
                    "Promotions skipped (already in memory or superseded)",
                    s.promotions_skipped);
+  sink->AddCounter("mlkv_store_promotions_late_total",
+                   "Skipped promotions whose record moved while in flight",
+                   s.promotions_late);
   sink->AddCounter("mlkv_store_read_copies_total",
                    "Cold records copied to the tail by reads",
                    s.read_copies);

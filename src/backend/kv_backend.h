@@ -24,9 +24,10 @@
 //    fused Rmw; under ASP that closes the read-apply-write race a Get+Put
 //    pair has). Duplicate keys within a batch accumulate (SGD is linear in
 //    the gradient).
-//  * Lookahead: non-blocking hint that `keys` will be needed soon. Optional
-//    (no-op where the engine has no such mechanism — exactly the paper's
-//    point about baseline engines).
+//  * Lookahead: hint that `keys` will be needed soon. Returns once their
+//    fetches are queued: it may wait for queue depth, never for a read.
+//    Optional (no-op where the engine has no such mechanism — exactly the
+//    paper's point about baseline engines).
 //
 // The single-key methods (GetEmbedding & co.) remain as thin non-virtual
 // wrappers over the batched virtuals for tests and examples.
@@ -122,7 +123,8 @@ class KvBackend {
 
   // --- Prefetch / accounting ---
 
-  // Prefetch hint; default no-op (plain FASTER / RocksDB / WiredTiger).
+  // Prefetch hint (contract above); default no-op (plain FASTER / RocksDB /
+  // WiredTiger).
   virtual Status Lookahead(std::span<const Key> keys) {
     return Status::OK();
   }

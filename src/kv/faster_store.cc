@@ -498,8 +498,10 @@ void FasterStore::RefetchPending(PendingRead* pending) {
   stats_.async_reads_refetched.fetch_add(1, std::memory_order_relaxed);
   if (pending->out == nullptr) {
     // Buffer-less read (a StartPromote fetch): the record moved while in
-    // flight, so the prefetch is moot — skipped, like Promote's lost race.
+    // flight, so the prefetch is moot — skipped, like Promote's lost race,
+    // and late.
     stats_.promotions_skipped.fetch_add(1, std::memory_order_relaxed);
+    stats_.promotions_late.fetch_add(1, std::memory_order_relaxed);
     pending->status = Status::OK();
     return;
   }
@@ -576,15 +578,23 @@ FasterStore::PendingStep FasterStore::CompletePendingRead(
       return PendingStep::kDone;
     }
     stats_.read_copies.fetch_add(1, std::memory_order_relaxed);
-  } else if (landed_whole && CopyToTail(p->key, value, meta, p->chain_head,
-                                        CopyWord::kKeep)
-                                 .ok()) {
-    (promotion ? stats_.promotions : stats_.read_copies)
-        .fetch_add(1, std::memory_order_relaxed);
-  } else if (promotion) {
-    // Truncated, or a concurrent writer superseded the record in flight
-    // (theirs is newer): best-effort, like Promote.
-    stats_.promotions_skipped.fetch_add(1, std::memory_order_relaxed);
+  } else {
+    const Status s = landed_whole
+                         ? CopyToTail(p->key, value, meta, p->chain_head,
+                                      CopyWord::kKeep)
+                         : Status::Busy("landing buffer truncated the value");
+    if (s.ok()) {
+      (promotion ? stats_.promotions : stats_.read_copies)
+          .fetch_add(1, std::memory_order_relaxed);
+    } else if (promotion) {
+      // Truncated, or a concurrent read or write published the key in
+      // flight (theirs is at least as new): best-effort, like Promote. A
+      // lost publish means the prefetch arrived late.
+      stats_.promotions_skipped.fetch_add(1, std::memory_order_relaxed);
+      if (landed_whole && s.IsBusy()) {
+        stats_.promotions_late.fetch_add(1, std::memory_order_relaxed);
+      }
+    }
   }
   const uint32_t n = meta.value_size < p->cap ? meta.value_size : p->cap;
   if (!promotion && n > 0) std::memcpy(p->out, value, n);
@@ -1283,6 +1293,7 @@ FasterStatsSnapshot FasterStore::stats() const {
   s.promotions = stats_.promotions.load(std::memory_order_relaxed);
   s.promotions_skipped =
       stats_.promotions_skipped.load(std::memory_order_relaxed);
+  s.promotions_late = stats_.promotions_late.load(std::memory_order_relaxed);
   s.read_copies = stats_.read_copies.load(std::memory_order_relaxed);
   s.staleness_waits = stats_.staleness_waits.load(std::memory_order_relaxed);
   s.busy_aborts = stats_.busy_aborts.load(std::memory_order_relaxed);
@@ -1323,6 +1334,7 @@ void FasterStore::ResetStats() {
   stats_.rcu_appends.store(0);
   stats_.promotions.store(0);
   stats_.promotions_skipped.store(0);
+  stats_.promotions_late.store(0);
   stats_.read_copies.store(0);
   stats_.staleness_waits.store(0);
   stats_.busy_aborts.store(0);

@@ -90,6 +90,11 @@ struct FasterStatsSnapshot {
   uint64_t reads = 0, upserts = 0, rmws = 0, deletes = 0;
   uint64_t inplace_updates = 0, rcu_appends = 0, inserts = 0;
   uint64_t promotions = 0, promotions_skipped = 0;
+  // The part of promotions_skipped whose record moved while its fetch was
+  // in flight: a read or write published the key first (lost publish
+  // CAS), or the record was compacted or evicted away (buffer-less
+  // refetch). A prefetch that arrived after the access it was for.
+  uint64_t promotions_late = 0;
   // Cold records a read copied to the tail, tracked (staleness+1) or not
   // (control word kept). Lookahead promotions are counted separately,
   // above.
@@ -227,8 +232,8 @@ class FasterStore {
   // rule); a tracked read's lost publish CAS also falls back, so the
   // increment lands on the live version, while an untracked copy is
   // best-effort. A buffer-less read (StartPromote) is a promotion: it
-  // counts promoted, or skipped when a concurrent writer superseded the
-  // record in flight.
+  // counts promoted, or skipped — and late — when a concurrent read or
+  // write published the key, or the record moved, while it was in flight.
   PendingStep CompletePendingRead(PendingRead* pending,
                                   const Status& io_status);
 
@@ -384,6 +389,7 @@ class FasterStore {
     std::atomic<uint64_t> reads{0}, upserts{0}, rmws{0}, deletes{0};
     std::atomic<uint64_t> inplace_updates{0}, rcu_appends{0}, inserts{0};
     std::atomic<uint64_t> promotions{0}, promotions_skipped{0};
+    std::atomic<uint64_t> promotions_late{0};
     std::atomic<uint64_t> read_copies{0};
     std::atomic<uint64_t> staleness_waits{0}, busy_aborts{0};
     std::atomic<uint64_t> compactions{0}, compaction_live_copied{0};

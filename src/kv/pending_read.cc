@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cstring>
-#include <map>
 #include <utility>
 
 #include "io/async_io.h"
@@ -24,7 +23,7 @@ void PendingReadWave::Adopt(PendingSink* sink) {
   sink->entries_.clear();
 }
 
-void PendingReadWave::CompleteAll() {
+void PendingReadWave::Submit() {
   if (entries_.empty()) return;
   // Carve every entry's landing area out of one buffer (8-byte aligned, so
   // each header parses from an aligned address).
@@ -38,30 +37,18 @@ void PendingReadWave::CompleteAll() {
     e.read.buf = landing_.data() + offset;
     offset += (e.read.buf_len + 7u) & ~size_t{7};
   }
-  AsyncIoEngine::Batch batch(engine_);
 
   // Coalescing: duplicate cold keys in a batch — and distinct keys whose
   // chains meet at the same cold record — fetch each (store, address)
   // image once. The member with the largest landing buffer leads a group;
-  // followers copy its bytes on completion. `by_target` maps each target
-  // to its in-flight group, so chain-hop resubmissions piggyback on an
-  // I/O that is already on its way instead of duplicating it.
-  using Target = std::pair<const FasterStore*, Address>;
-  struct Group {
-    Target target;
-    std::vector<size_t> members;
-    size_t leader = 0;
-  };
-  std::vector<Group> groups;
-  std::map<Target, size_t> by_target;
-
+  // followers copy its bytes on completion.
   for (size_t i = 0; i < entries_.size(); ++i) {
     const Target target(entries_[i].store, entries_[i].read.address);
-    const auto [it, fresh] = by_target.emplace(target, groups.size());
+    const auto [it, fresh] = by_target_.emplace(target, groups_.size());
     if (fresh) {
-      groups.push_back(Group{target, {i}, i});
+      groups_.push_back(Group{target, {i}, i});
     } else {
-      Group& g = groups[it->second];
+      Group& g = groups_[it->second];
       g.members.push_back(i);
       if (entries_[i].read.buf_len > entries_[g.leader].read.buf_len) {
         g.leader = i;  // pre-submission: the largest buffer leads
@@ -69,74 +56,76 @@ void PendingReadWave::CompleteAll() {
     }
   }
 
-  // Fails every remaining member of a group whose submission was refused
-  // (engine shutdown): the submit error is each key's outcome.
-  const auto fail_group = [&](size_t g, const Status& s) {
-    std::vector<size_t> members;
-    members.swap(groups[g].members);
-    entries_[groups[g].leader].store->CountAsyncCompleted();
-    for (const size_t m : members) {
-      PendingSink::Entry& e = entries_[m];
-      (void)e.store->CompletePendingRead(&e.read, s);  // always kDone
-      if (e.finish) e.finish(&e.read);
-    }
-  };
-
-  const auto submit_group = [&](size_t g) {
-    PendingSink::Entry& lead = entries_[groups[g].leader];
-    lead.store->CountAsyncSubmitted();
-    const Status s = batch.Submit(
-        lead.store->mutable_log()->device(), lead.read.address, lead.read.buf,
-        lead.read.buf_len, g);
-    if (!s.ok()) {
-      const auto it = by_target.find(groups[g].target);
-      if (it != by_target.end() && it->second == g) by_target.erase(it);
-      fail_group(g, s);
-    }
-  };
-
-  // Advances entry `i` with its landed (or failed) I/O. A chain hop joins
-  // the in-flight fetch of its next address when one exists (and its
-  // buffer fits inside the leader's), otherwise opens a fresh group and
-  // submits it immediately.
-  const auto step = [&](size_t i, const Status& io_status) {
-    PendingSink::Entry& e = entries_[i];
-    if (e.store->CompletePendingRead(&e.read, io_status) ==
-        FasterStore::PendingStep::kDone) {
-      if (e.finish) e.finish(&e.read);
-      return;
-    }
-    const Target target(e.store, e.read.address);
-    const auto it = by_target.find(target);
-    if (it != by_target.end() &&
-        e.read.buf_len <= entries_[groups[it->second].leader].read.buf_len) {
-      groups[it->second].members.push_back(i);  // rides the in-flight I/O
-      return;
-    }
-    const size_t g = groups.size();
-    groups.push_back(Group{target, {i}, i});
-    if (it == by_target.end()) by_target.emplace(target, g);
-    submit_group(g);
-  };
-
   // One submission wave: every group's I/O goes into flight before any
   // completion is waited on.
-  const size_t initial_groups = groups.size();
-  for (size_t g = 0; g < initial_groups; ++g) submit_group(g);
+  const size_t initial_groups = groups_.size();
+  for (size_t g = 0; g < initial_groups; ++g) SubmitGroup(g);
+}
 
+// Fails every remaining member of a group whose submission was refused
+// (engine shutdown): the submit error is each key's outcome.
+void PendingReadWave::FailGroup(size_t g, const Status& s) {
+  std::vector<size_t> members;
+  members.swap(groups_[g].members);
+  entries_[groups_[g].leader].store->CountAsyncCompleted();
+  for (const size_t m : members) {
+    PendingSink::Entry& e = entries_[m];
+    (void)e.store->CompletePendingRead(&e.read, s);  // always kDone
+    if (e.finish) e.finish(&e.read);
+  }
+}
+
+void PendingReadWave::SubmitGroup(size_t g) {
+  PendingSink::Entry& lead = entries_[groups_[g].leader];
+  lead.store->CountAsyncSubmitted();
+  const Status s =
+      batch_.Submit(lead.store->mutable_log()->device(), lead.read.address,
+                    lead.read.buf, lead.read.buf_len, g);
+  if (!s.ok()) {
+    const auto it = by_target_.find(groups_[g].target);
+    if (it != by_target_.end() && it->second == g) by_target_.erase(it);
+    FailGroup(g, s);
+  }
+}
+
+// Advances entry `i` with its landed (or failed) I/O. A chain hop joins
+// the in-flight fetch of its next address when one exists (and its buffer
+// fits inside the leader's), otherwise opens a fresh group and submits it
+// immediately.
+void PendingReadWave::Step(size_t i, const Status& io_status) {
+  PendingSink::Entry& e = entries_[i];
+  if (e.store->CompletePendingRead(&e.read, io_status) ==
+      FasterStore::PendingStep::kDone) {
+    if (e.finish) e.finish(&e.read);
+    return;
+  }
+  const Target target(e.store, e.read.address);
+  const auto it = by_target_.find(target);
+  if (it != by_target_.end() &&
+      e.read.buf_len <= entries_[groups_[it->second].leader].read.buf_len) {
+    groups_[it->second].members.push_back(i);  // rides the in-flight I/O
+    return;
+  }
+  const size_t g = groups_.size();
+  groups_.push_back(Group{target, {i}, i});
+  if (it == by_target_.end()) by_target_.emplace(target, g);
+  SubmitGroup(g);
+}
+
+void PendingReadWave::Complete() {
   AsyncIoEngine::Completion c;
-  while (batch.WaitOne(&c)) {
+  while (batch_.WaitOne(&c)) {
     // Copy the group fields out before stepping: a member's chain-hop
-    // resubmission grows `groups`, invalidating references into it.
-    const size_t leader = groups[c.tag].leader;
-    const Target target = groups[c.tag].target;
+    // resubmission grows `groups_`, invalidating references into it.
+    const size_t leader = groups_[c.tag].leader;
+    const Target target = groups_[c.tag].target;
     std::vector<size_t> members;
-    members.swap(groups[c.tag].members);
+    members.swap(groups_[c.tag].members);
     // Close the group before stepping members, so a member's own hop back
     // to this address opens a fresh fetch rather than joining a dead one.
     {
-      const auto it = by_target.find(target);
-      if (it != by_target.end() && it->second == c.tag) by_target.erase(it);
+      const auto it = by_target_.find(target);
+      if (it != by_target_.end() && it->second == c.tag) by_target_.erase(it);
     }
     if (members.empty()) continue;
     PendingSink::Entry& lead = entries_[leader];  // entries_ never grows
@@ -149,9 +138,9 @@ void PendingReadWave::CompleteAll() {
       PendingRead& r = entries_[m].read;
       std::memcpy(r.buf, lead.read.buf,
                   std::min(r.buf_len, lead.read.buf_len));
-      step(m, c.status);
+      Step(m, c.status);
     }
-    step(leader, c.status);
+    Step(leader, c.status);
   }
 }
 

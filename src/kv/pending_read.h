@@ -9,27 +9,31 @@
 // Phase 2 collects every PendingRead a batch produced — across shard
 // sub-batches — into one PendingReadWave, submits all of their record
 // fetches to a shared AsyncIoEngine together (duplicate cold keys coalesce
-// into one I/O per distinct log address), and completes them on the
-// calling thread as I/Os land. A completion that finds the record moved —
-// evicted, compacted, hash chain continuing at another cold address past
-// the hop budget, or a staleness bound the frozen record fails — falls
-// back to the synchronous read path, so per-key results are always exactly
-// what the blocking path would have produced. A read that lands the whole
-// record publishes its tail copy from the landed image (a tracked read's
-// carries its staleness increment, and a lost publish falls back the same
-// way); a buffer-less read is a Lookahead promotion and does only that.
+// into one I/O per distinct log address), and completes them as I/Os land
+// — on the calling thread for a demand read, on the lookahead pool for a
+// Lookahead, whose caller only submits. A completion that finds the
+// record moved — evicted, compacted, hash chain continuing at another cold
+// address past the hop budget, or a staleness bound the frozen record
+// fails — falls back to the synchronous read path, so per-key results are
+// always exactly what the blocking path would have produced. A read that
+// lands the whole record publishes its tail copy from the landed image (a
+// tracked read's carries its staleness increment, and a lost publish falls
+// back the same way); a buffer-less read is a Lookahead promotion and does
+// only that.
 #pragma once
 
 #include <cstdint>
 #include <functional>
+#include <map>
+#include <utility>
 #include <vector>
 
 #include "common/status.h"
+#include "io/async_io.h"
 #include "kv/record.h"
 
 namespace mlkv {
 
-class AsyncIoEngine;
 class FasterStore;
 
 // Continuation state for one key whose newest candidate record is being
@@ -77,25 +81,54 @@ class PendingSink {
 };
 
 // One submission wave: everything parked across a batch's sub-batches goes
-// to the engine in flight together, landing in one buffer the wave owns;
-// completions (and their continuations, including chain-hop resubmissions
-// and synchronous fallbacks) run on the thread that calls CompleteAll.
+// to the engine in flight together, landing in one buffer the wave owns.
+// Submit() puts the fetches in flight; Complete() drives their completions
+// (and continuations, including chain-hop resubmissions and synchronous
+// fallbacks) on the thread that calls it. The two may run on different
+// threads, provided Submit() happens-before Complete() (Lookahead submits
+// on the caller and completes on the lookahead pool).
 class PendingReadWave {
  public:
-  explicit PendingReadWave(AsyncIoEngine* engine) : engine_(engine) {}
+  explicit PendingReadWave(AsyncIoEngine* engine) : batch_(engine) {}
 
   void Adopt(PendingSink* sink);
   bool empty() const { return entries_.empty(); }
 
-  // Submits every parked read and blocks until each one's finish callback
-  // has run. Engine-level submit failures (shutdown) surface as the
-  // per-key status of the affected reads.
-  void CompleteAll();
+  // Submits every parked read (one I/O per distinct (store, address)) and
+  // returns: may block on the engine's depth limit, never on a read. An
+  // engine-level submit failure (shutdown) completes the affected keys
+  // here, with the submit error as their status.
+  void Submit();
+  // Blocks until each submitted read's finish callback has run.
+  void Complete();
+  // Submit() then Complete() on the calling thread: the demand-read wave.
+  void CompleteAll() {
+    Submit();
+    Complete();
+  }
 
  private:
-  AsyncIoEngine* engine_;
+  using Target = std::pair<const FasterStore*, Address>;
+  // Reads coalesced onto one fetch; the leader's buffer receives the I/O.
+  struct Group {
+    Target target;
+    std::vector<size_t> members;
+    size_t leader = 0;
+  };
+
+  void SubmitGroup(size_t g);
+  void FailGroup(size_t g, const Status& s);
+  void Step(size_t i, const Status& io_status);
+
   std::vector<PendingSink::Entry> entries_;
   std::vector<char> landing_;  // every entry's buf, back to back
+  std::vector<Group> groups_;
+  // Target -> its in-flight group, so chain-hop resubmissions piggyback on
+  // an I/O already on its way.
+  std::map<Target, size_t> by_target_;
+  // Last member: its destructor waits out any I/O still landing in
+  // landing_, so it must run first.
+  AsyncIoEngine::Batch batch_;
 };
 
 }  // namespace mlkv

@@ -406,6 +406,7 @@ FasterStatsSnapshot ShardedStore::stats() const {
     total.inserts += s.inserts;
     total.promotions += s.promotions;
     total.promotions_skipped += s.promotions_skipped;
+    total.promotions_late += s.promotions_late;
     total.read_copies += s.read_copies;
     total.staleness_waits += s.staleness_waits;
     total.busy_aborts += s.busy_aborts;

@@ -1,7 +1,9 @@
 #include "mlkv/embedding_table.h"
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
+#include <memory>
 #include <thread>
 
 #include "common/simd.h"
@@ -247,13 +249,59 @@ Status EmbeddingTable::ApplyGradients(std::span<const Key> keys,
 
 Status EmbeddingTable::Lookahead(std::span<const Key> keys, LookaheadDest dest,
                                  EmbeddingCache* cache) {
-  if (dest == LookaheadDest::kApplicationCache && cache == nullptr) {
+  if (dest == LookaheadDest::kApplicationCache) {
+    return LookaheadToCache(keys, cache);
+  }
+  // Phase 1 runs here, memory-only, and the cold keys' fetches go into
+  // the engine's FIFO before this call returns: ahead of the demand reads
+  // of the batches between now and the one being prefetched, so the lead
+  // the caller asked for is the lead it gets. Only the completions — the
+  // tail copies of the landed records — go to the pool. Counted from
+  // before the walk, so WaitLookahead covers the whole call.
+  pending_lookaheads_.fetch_add(1, std::memory_order_acq_rel);
+  const auto done = [this] {
+    pending_lookaheads_.fetch_sub(1, std::memory_order_acq_rel);
+  };
+  // Each key once: a duplicate would lose its sibling's publish CAS,
+  // leaving an abandoned copy in the log and a skip that looks late.
+  std::vector<Key> unique(keys.begin(), keys.end());
+  std::sort(unique.begin(), unique.end());
+  unique.erase(std::unique(unique.begin(), unique.end()), unique.end());
+  PendingSink sink;
+  for (const Key key : unique) {
+    FasterStore* shard = store_->shard(store_->ShardIndexOf(key));
+    PendingRead p;
+    bool parked = false;
+    // cap = the full stored value, so the copy never truncates.
+    shard->StartPromote(key, record_bytes(), &p, &parked).ok();
+    // Promotion is best-effort: no finish callback inspects the outcome.
+    if (parked) sink.Park(shard, std::move(p), nullptr);
+  }
+  if (sink.empty()) {
+    done();
+    return Status::OK();
+  }
+  auto wave = std::make_shared<PendingReadWave>(store_->options().io);
+  wave->Adopt(&sink);
+  wave->Submit();
+  const auto complete = [wave, done] {
+    wave->Complete();
+    done();
+  };
+  // The reads are in flight either way; a refused task (queue full or
+  // shutdown) completes them here.
+  if (!lookahead_pool_->TrySubmit(complete)) complete();
+  return Status::OK();
+}
+
+Status EmbeddingTable::LookaheadToCache(std::span<const Key> keys,
+                                        EmbeddingCache* cache) {
+  if (cache == nullptr) {
     return Status::InvalidArgument("application-cache lookahead needs cache");
   }
-  // Partition the batch by shard so the prefetch itself scales with the
-  // store: one pool task per shard sub-batch, each touching only its own
-  // shard's log and index. (Keys are copied: the call is non-blocking and
-  // the caller's span may die.)
+  // Partition the batch by shard: one pool task per shard sub-batch, each
+  // touching only its own shard's log and index. (Keys are copied: the
+  // call is non-blocking and the caller's span may die.)
   std::vector<std::shared_ptr<std::vector<Key>>> per_shard(
       store_->num_shards());
   for (const Key key : keys) {
@@ -266,39 +314,21 @@ Status EmbeddingTable::Lookahead(std::span<const Key> keys, LookaheadDest dest,
     if (batch == nullptr) continue;
     FasterStore* shard = store_->shard(s);
     pending_lookaheads_.fetch_add(1, std::memory_order_acq_rel);
-    const bool submitted = lookahead_pool_->TrySubmit([this, shard, batch,
-                                                       dest, cache] {
-      if (dest == LookaheadDest::kStorageBuffer) {
-        // Pending-read pipeline: every cold key in this shard batch goes
-        // into flight together, and promotions complete from the landed
-        // record images instead of one blocking read at a time. Promotion
-        // is best-effort, so no finish callback inspects the outcome.
-        PendingSink sink;
-        for (const Key key : *batch) {
-          PendingRead p;
-          bool parked = false;
-          // cap = the full stored value, so the copy never truncates.
-          shard->StartPromote(key, record_bytes(), &p, &parked).ok();
-          if (parked) sink.Park(shard, std::move(p), nullptr);
-        }
-        PendingReadWave wave(store_->options().io);
-        wave.Adopt(&sink);
-        wave.CompleteAll();
-      } else {
-        std::vector<float> value(dim_);
-        for (const Key key : *batch) {
-          // Conventional-prefetch path: populate the application cache.
-          // Uses Peek, not Read — a prefetch is not a training access, so
-          // it must neither wait on nor advance any record's staleness
-          // clock (§III-C2: lookahead leaves the vector clocks untouched).
-          // A miss is simply skipped.
-          if (shard->Peek(key, value.data(), value_bytes()).ok()) {
-            cache->Put(key, value.data());
+    const bool submitted =
+        lookahead_pool_->TrySubmit([this, shard, batch, cache] {
+          std::vector<float> value(dim_);
+          for (const Key key : *batch) {
+            // Conventional-prefetch path: populate the application cache.
+            // Uses Peek, not Read — a prefetch is not a training access,
+            // so it must neither wait on nor advance any record's
+            // staleness clock (§III-C2: lookahead leaves the vector clocks
+            // untouched). A miss is simply skipped.
+            if (shard->Peek(key, value.data(), value_bytes()).ok()) {
+              cache->Put(key, value.data());
+            }
           }
-        }
-      }
-      pending_lookaheads_.fetch_sub(1, std::memory_order_acq_rel);
-    });
+          pending_lookaheads_.fetch_sub(1, std::memory_order_acq_rel);
+        });
     if (!submitted) {
       // Queue full: prefetching is best-effort, drop this shard's batch
       // (backpressure).

@@ -106,14 +106,22 @@ class EmbeddingTable {
   // advances both the embedding and its optimizer state.
   Status ApplyGradients(std::span<const Key> keys, const float* grads);
 
-  // Non-blocking look-ahead prefetch (§III-C2). Asynchronously brings the
-  // records for `keys` from disk into the chosen destination; returns
-  // immediately. `cache` is required for kApplicationCache.
+  // Look-ahead prefetch (§III-C2): brings the records for `keys` from disk
+  // into the chosen destination in the background. `cache` is required
+  // for kApplicationCache. kStorageBuffer walks the keys on the calling
+  // thread (memory-only) and returns once every cold key's fetch is queued
+  // on the AsyncIoEngine, as one wave: it may wait for a slot in the
+  // engine's queue, never for a read. The lookahead pool then copies the
+  // landed records to the tail (FasterStore::CopyToTail). Submitting here
+  // rather than from the pool puts the prefetch I/O ahead of the demand
+  // reads of the batches in between. kApplicationCache queues one pool
+  // task per shard and returns immediately.
   Status Lookahead(std::span<const Key> keys,
                    LookaheadDest dest = LookaheadDest::kStorageBuffer,
                    EmbeddingCache* cache = nullptr);
 
-  // Blocks until all queued Lookahead work for this table has completed.
+  // Blocks until all Lookahead work for this table — calls in progress
+  // included — has completed.
   void WaitLookahead();
 
   // Writes every live embedding (key + dim floats, optimizer state
@@ -168,6 +176,9 @@ class EmbeddingTable {
   // the read's walk observed (FasterStore::InsertIfAbsent).
   Status InitMissing(FasterStore* shard, Key key, float* dst,
                      Address chain_head);
+  // Lookahead into an application cache: one pool task per shard Peeks
+  // its keys and fills `cache`.
+  Status LookaheadToCache(std::span<const Key> keys, EmbeddingCache* cache);
 
   std::string model_id_;
   uint32_t dim_;

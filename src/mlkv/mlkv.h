@@ -11,8 +11,9 @@
 // Staleness bound 0 trains in BSP mode, kAspBound (UINT32_MAX - 1, the
 // largest admissible value of the 32-bit staleness counter — effectively
 // unbounded) in ASP mode, anything between in SSP mode (paper §III-C1).
-// Each table owns its own log-structured store; Lookahead work is executed
-// on a shared background thread pool.
+// Each table owns its own log-structured store; Lookahead submits its
+// fetches on the calling thread and completes them on a shared background
+// thread pool.
 #pragma once
 
 #include <cstdint>

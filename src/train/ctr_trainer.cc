@@ -1,5 +1,6 @@
 #include "train/ctr_trainer.h"
 
+#include <algorithm>
 #include <atomic>
 #include <mutex>
 #include <thread>
@@ -176,17 +177,32 @@ TrainResult CtrTrainer::Train() {
           (batch + 1) % options_.eval_every == 0) {
         AucAccumulator auc;
         Tensor ex(1, input_dim);
-        for (const CtrSample& s : eval_set) {
-          ex.Zero();
-          float* row = ex.row(0);
-          // One untracked batched read per sample; the input row's
-          // field-major layout is exactly the MultiGet output layout.
-          EvalPeek(backend_, s.keys, row);
-          for (int d = 0; d < dense_n; ++d) {
-            row[static_cast<size_t>(m) * dim + d] = s.dense[d];
+        const size_t row_floats = static_cast<size_t>(m) * dim;
+        const size_t chunk = static_cast<size_t>(B);
+        std::vector<Key> chunk_keys;
+        std::vector<float> chunk_emb;
+        for (size_t c0 = 0; c0 < eval_set.size(); c0 += chunk) {
+          const size_t c1 = std::min(eval_set.size(), c0 + chunk);
+          // One untracked batched read per chunk of B samples; each
+          // sample's m rows land field-major, exactly its input layout.
+          chunk_keys.clear();
+          for (size_t j = c0; j < c1; ++j) {
+            chunk_keys.insert(chunk_keys.end(), eval_set[j].keys.begin(),
+                              eval_set[j].keys.end());
           }
-          const Tensor& logit = model->Forward(ex);
-          auc.Add(logit.at(0, 0), s.label > 0.5f);
+          chunk_emb.assign(chunk_keys.size() * dim, 0.0f);
+          EvalPeek(backend_, chunk_keys, chunk_emb.data());
+          for (size_t j = c0; j < c1; ++j) {
+            const CtrSample& s = eval_set[j];
+            float* row = ex.row(0);
+            simd::CopyFloats(row, &chunk_emb[(j - c0) * row_floats],
+                             row_floats);
+            for (int d = 0; d < dense_n; ++d) {
+              row[row_floats + d] = s.dense[d];
+            }
+            const Tensor& logit = model->Forward(ex);
+            auc.Add(logit.at(0, 0), s.label > 0.5f);
+          }
         }
         std::lock_guard<std::mutex> lk(result_mu);
         result.metric_curve.emplace_back(wall.ElapsedSeconds(),

@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cmath>
+#include <future>
 #include <thread>
 #include <vector>
 
@@ -116,6 +118,53 @@ TEST(MlkvTest, LookaheadPromotesColdKeysToMemory) {
   t->WaitLookahead();
   for (Key k : cold) EXPECT_TRUE(t->store()->IsInMemory(k)) << k;
   EXPECT_GE(t->store()->stats().promotions, cold.size());
+}
+
+TEST(MlkvTest, LookaheadSubmitsFetchesBeforeReturning) {
+  // The prefetch wave is submitted on the calling thread, so its reads are
+  // queued on the engine ahead of whatever the caller does next, even when
+  // every lookahead pool thread is busy. Only completion needs the pool.
+  TempDir dir;
+  MlkvOptions o = SmallMlkv(dir);
+  o.index_slots = 1 << 16;  // no shared chains: one fetch per cold key
+  std::unique_ptr<Mlkv> db;
+  ASSERT_TRUE(Mlkv::Open(o, &db).ok());
+  EmbeddingTable* t = nullptr;
+  ASSERT_TRUE(db->OpenTable("emb", 16, kAspBound, &t).ok());
+  std::vector<float> v(16, 0.5f);
+  for (Key k = 0; k < 4000; ++k) {
+    ASSERT_TRUE(t->Put({&k, 1}, v.data()).ok());
+  }
+  std::vector<Key> cold;
+  for (Key k = 0; k < 32; ++k) {
+    ASSERT_FALSE(t->store()->IsInMemory(k)) << k;
+    cold.push_back(k);
+  }
+
+  // Occupy both pool threads until the latch opens.
+  ThreadPool* pool = db->lookahead_pool();
+  ASSERT_EQ(pool->num_threads(), 2u);
+  std::promise<void> latch;
+  std::shared_future<void> open = latch.get_future().share();
+  std::atomic<int> held{0};
+  for (size_t i = 0; i < pool->num_threads(); ++i) {
+    ASSERT_TRUE(pool->Submit([&held, open] {
+      held.fetch_add(1);
+      open.wait();
+    }));
+  }
+  while (held.load() < 2) std::this_thread::yield();
+
+  const uint64_t submitted0 = db->io_engine()->stats().reads_submitted;
+  const uint64_t promotions0 = t->store()->stats().promotions;
+  EXPECT_TRUE(t->Lookahead(cold).ok());
+  EXPECT_EQ(db->io_engine()->stats().reads_submitted - submitted0,
+            cold.size());
+
+  latch.set_value();
+  t->WaitLookahead();
+  EXPECT_EQ(t->store()->stats().promotions - promotions0, cold.size());
+  for (Key k : cold) EXPECT_TRUE(t->store()->IsInMemory(k)) << k;
 }
 
 TEST(MlkvTest, LookaheadToApplicationCache) {

@@ -337,6 +337,8 @@ TEST(PendingReadTest, LookaheadCountsEachPresentKeyOnce) {
   const FasterStatsSnapshot after = store->stats();
   EXPECT_EQ(after.promotions - before.promotions, 2u);  // disk_a, disk_b
   EXPECT_EQ(after.promotions_skipped - before.promotions_skipped, 3u);
+  // Of the skips, only `moved` arrived late: the other two were resident.
+  EXPECT_EQ(after.promotions_late - before.promotions_late, 1u);
   EXPECT_TRUE(store->IsInMemory(disk_a));
   EXPECT_TRUE(store->IsInMemory(disk_b));
   for (const Key k : {mutable_key, read_only_key, moved, disk_a, disk_b}) {
@@ -345,6 +347,47 @@ TEST(PendingReadTest, LookaheadCountsEachPresentKeyOnce) {
     FillValue(k, expected);
     EXPECT_EQ(std::memcmp(out, expected, kValueBytes), 0) << "key " << k;
   }
+}
+
+TEST(PendingReadTest, PromotionLosingItsPublishCountsLate) {
+  // A write that publishes the key while its promotion is in flight makes
+  // the promotion late; a promotion whose landing buffer truncated the
+  // value is skipped but not late.
+  constexpr uint64_t kKeys = 1200;
+  TempDir dir;
+  AsyncIoEngine engine;
+  ShardedStore sharded;
+  ASSERT_TRUE(
+      sharded.Open(ColdStoreOptions(dir.File("l.log"), 0, &engine)).ok());
+  LoadKeys(&sharded, kKeys);
+  FasterStore* store = sharded.shard(0);
+  const Key written = 10, truncated = 11;
+
+  const FasterStatsSnapshot before = store->stats();
+  PendingSink sink;
+  for (const auto& [key, cap] :
+       {std::pair{written, kValueBytes}, std::pair{truncated, 8u}}) {
+    PendingRead p;
+    bool parked = false;
+    ASSERT_TRUE(store->StartPromote(key, cap, &p, &parked).ok());
+    ASSERT_TRUE(parked) << "key " << key;
+    sink.Park(store, std::move(p), nullptr);
+  }
+  PendingReadWave wave(&engine);
+  wave.Adopt(&sink);
+  wave.Submit();
+  char fresh[kValueBytes];
+  FillValue(written + 1000, fresh);
+  ASSERT_TRUE(store->Upsert(written, fresh, kValueBytes).ok());
+  wave.Complete();
+
+  const FasterStatsSnapshot after = store->stats();
+  EXPECT_EQ(after.promotions - before.promotions, 0u);
+  EXPECT_EQ(after.promotions_skipped - before.promotions_skipped, 2u);
+  EXPECT_EQ(after.promotions_late - before.promotions_late, 1u);
+  char out[kValueBytes];
+  ASSERT_TRUE(store->Peek(written, out, kValueBytes).ok());
+  EXPECT_EQ(std::memcmp(out, fresh, kValueBytes), 0);
 }
 
 TEST(PendingReadTest, StalenessBoundFallsBackToBlockingProtocol) {
