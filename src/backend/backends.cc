@@ -9,13 +9,13 @@
 //    primitives (ReadOne/WriteOne/ApplyOne) into MultiGet/MultiPut/
 //    MultiApplyGradient with dedup + optional parallelism;
 //  * the five adapters: MLKV (delegates whole spans to EmbeddingTable),
-//    FASTER / LSM / B+tree (BatchedEngineBackend with native RMW where the
-//    engine has one), and the in-memory map (native batch loops that take
-//    each lock once per batch).
+//    FASTER (the MLKV adapter over a table with staleness tracking and
+//    lookahead off), LSM / B+tree (BatchedEngineBackend with native RMW
+//    where the engine has one), and the in-memory map (native batch loops
+//    that take each lock once per batch).
 #include "backend/kv_backend.h"
 
 #include <atomic>
-#include <cstring>
 #include <filesystem>
 #include <memory>
 #include <mutex>
@@ -28,7 +28,6 @@
 #include "common/simd.h"
 #include "common/spin_wait.h"
 #include "common/thread_pool.h"
-#include "kv/batch_read.h"
 #include "kv/faster_store.h"
 #include "kv/sharded_store.h"
 #include "cluster/cluster_backend.h"
@@ -44,11 +43,10 @@ namespace mlkv {
 
 namespace {
 
-// Replication feed over a ShardedStore (shared by the MLKV and FASTER
-// adapters): one poll of shard `shard`'s committed-update stream. Persists
-// the shard first — replication is a durability consumer, and in
-// checkpoint-only mode nothing else advances the durable watermark the
-// cursor reads under.
+// Replication feed over a table's ShardedStore: one poll of shard
+// `shard`'s committed-update stream. Persists the shard first — replication
+// is a durability consumer, and in checkpoint-only mode nothing else
+// advances the durable watermark the cursor reads under.
 Status ReadShardUpdates(ShardedStore* store, uint32_t shard, uint64_t from,
                         uint32_t max_records, uint32_t max_bytes,
                         std::vector<UpdateEntry>* out, uint64_t* next_from,
@@ -60,18 +58,27 @@ Status ReadShardUpdates(ShardedStore* store, uint32_t shard, uint64_t from,
   // Seal before persisting: updates racing with this read must RCU-append
   // above the window instead of rewriting bytes in place, or a cursor that
   // already passed their address would never be told about them.
-  s->mutable_log()->SealMutableRegion();
+  const Address sealed = s->mutable_log()->SealMutableRegion();
   MLKV_RETURN_NOT_OK(s->Persist());
   UpdateLogCursor cur(s, from);
   UpdateEntry e;
   size_t bytes = 0;
+  Address frontier = kInvalidAddress;
   while (out->size() < max_records && cur.Next(&e)) {
+    // Records appended between the seal and Persist's tail snapshot are
+    // durable but still mutable: an in-place update after this poll would
+    // never reach the replica. Stop at the first one; the next poll's seal
+    // freezes it.
+    if (e.address >= sealed) {
+      frontier = e.address;
+      break;
+    }
     bytes += e.value.size() + 32;  // rough wire cost per entry
     out->push_back(std::move(e));
     if (max_bytes != 0 && bytes >= max_bytes) break;
   }
   MLKV_RETURN_NOT_OK(cur.status());
-  *next_from = cur.position();
+  *next_from = frontier != kInvalidAddress ? frontier : cur.position();
   *durable = s->durable_address();
   return Status::OK();
 }
@@ -88,10 +95,11 @@ Status ApplyShardUpdate(ShardedStore* store, const UpdateEntry& e) {
                        static_cast<uint32_t>(e.value.size()));
 }
 
-// Scrape-time families shared by the hybrid-log adapters (MLKV tables and
-// the FASTER baseline): per-shard op counts — the live load signal ROADMAP
-// item 3's shard balancing needs — plus aggregate store behavior and size
-// gauges, and the disk-path and I/O-pipeline (mlkv_io_*) counters.
+// Scrape-time families of the hybrid-log adapter (MLKV tables and, through
+// the same adapter, the FASTER baseline): per-shard op counts — the live
+// load signal ROADMAP item 3's shard balancing needs — plus aggregate store
+// behavior and size gauges, and the disk-path and I/O-pipeline (mlkv_io_*)
+// counters.
 void EmitStoreMetrics(ShardedStore* store, obs::MetricsSink* sink) {
   for (size_t i = 0; i < store->num_shards(); ++i) {
     const FasterStatsSnapshot s = store->shard(i)->stats();
@@ -420,6 +428,7 @@ class BatchedEngineBackend : public KvBackend {
 // Batches are handed to EmbeddingTable's span APIs whole — the table owns
 // dedup-free semantics (each occurrence participates in the staleness
 // protocol) and the store is latch-free, so no adapter-level fan-out.
+// FasterBackend below is this class over a table without either mechanism.
 class MlkvBackend : public KvBackend {
  public:
   // Borrows `table` (must outlive the backend).
@@ -528,22 +537,22 @@ class MlkvBackend : public KvBackend {
     return ApplyShardUpdate(table_->store(), entry);
   }
 
- private:
+ protected:
   EmbeddingTable* table_;
+
+ private:
   std::unique_ptr<Mlkv> db_;  // owns table_ when Make opened it
 };
 
-// Plain FASTER (staleness tracking off, no promotion): the strongest
-// baseline engine in the paper's Fig. 7, now over the same ShardedStore
-// core MLKV tables use. Batches route through shard-partitioned
-// scatter/gather instead of BatchedEngineBackend's generic contiguous
-// chunks: a sub-batch only ever touches one shard's index and log tail,
-// and same-key duplicates land in the same in-order sub-batch, so no
-// adapter-level dedup is needed — within one call a later occurrence
-// always runs after an earlier one (last-write-wins Puts, accumulating
-// gradient applies), exactly the sequential per-key semantics. Gradient
-// pushes use the store's native Rmw, so applies are atomic per record.
-class FasterBackend : public KvBackend {
+// Plain FASTER (the strongest baseline engine in the paper's Fig. 7): the
+// MLKV table path over a store with staleness tracking off and without
+// lookahead — the paper's own framing of MLKV as FASTER plus staleness
+// tracking (Fig. 10), so both engines run one batch path and differ only
+// in those two mechanisms. The table is plain SGD, so a record is exactly
+// `dim` floats; tracked reads never wait on or advance a clock on this
+// store, and Lookahead stays the baseline no-op even when a benchmark asks
+// for prefetch depth.
+class FasterBackend final : public MlkvBackend {
  public:
   static Status Make(const BackendConfig& config,
                      std::unique_ptr<KvBackend>* out) {
@@ -556,9 +565,6 @@ class FasterBackend : public KvBackend {
     o.shard_bits = config.shard_bits;
     o.pool = b->pool_.get();
     o.parallel_min_keys = std::max<size_t>(config.batch_min_chunk, 1);
-    // batch_threads > 0 meant intra-batch fan-out before sharding; keep it
-    // for the unsharded configuration too.
-    o.chunk_single_shard = config.batch_threads > 0;
     // One engine carries both the batched reads' cold misses and the log
     // flush waves of every shard.
     o.io = &b->io_;
@@ -567,119 +573,26 @@ class FasterBackend : public KvBackend {
     o.store.group_commit_window_us = config.group_commit_window_us;
     o.store.group_commit_max_bytes = config.group_commit_max_bytes;
     o.store.checkpoint_mode = config.checkpoint_mode;
-    MLKV_RETURN_NOT_OK(b->store_.Open(o));
+    auto store = std::make_unique<ShardedStore>();
+    MLKV_RETURN_NOT_OK(store->Open(o));
+    // Built directly, not through Mlkv::OpenTable: no manifest, and no
+    // lookahead pool (Lookahead is overridden below). The configured bound
+    // rides along but is never consulted, since the store tracks nothing.
+    b->owned_table_ = std::make_unique<EmbeddingTable>(
+        "faster", config.dim, config.staleness_bound, std::move(store),
+        /*lookahead_pool=*/nullptr);
+    b->table_ = b->owned_table_.get();
     *out = std::move(b);
     return Status::OK();
   }
 
   std::string name() const override { return "FASTER"; }
-  uint32_t dim() const override { return dim_; }
-  uint32_t shard_bits() const override { return store_.shard_bits(); }
-
-  BatchResult MultiGet(std::span<const Key> keys, float* out,
-                       const MultiGetOptions& options) override {
-    const uint32_t bytes = dim_ * sizeof(float);
-    BatchResult result;
-    store_.MultiExecuteRead(
-        keys,
-        [this, out, bytes, &options](FasterStore* shard, Key key, size_t i,
-                                     BatchResult* part, size_t pi,
-                                     PendingSink* sink) {
-          float* dst = out + i * size_t{dim_};
-          // InsertIfAbsent keeps a concurrent initializer from
-          // double-inserting: only the missing case writes, and losers
-          // adopt the winner. The walk's chain head spares it a second
-          // walk of the disk chain.
-          const uint32_t dim = dim_;
-          const auto init_missing = [shard, key, dst, bytes,
-                                     dim](Address chain_head) {
-            InitEmbedding(key, dim, dst);
-            return shard->InsertIfAbsent(
-                key, chain_head, bytes,
-                [dst, bytes](char* v, uint32_t, bool exists) {
-                  if (!exists) std::memcpy(v, dst, bytes);
-                  else std::memcpy(dst, v, bytes);
-                });
-          };
-          BatchReadOrPark(shard, key, dst, bytes, bytes, UINT32_MAX,
-                          /*tracked=*/false, part, pi, sink,
-                          options.init_missing ? &init_missing : nullptr);
-        },
-        &result);
-    return result;
-  }
-
-  BatchResult MultiPut(std::span<const Key> keys,
-                       const float* values) override {
-    const uint32_t bytes = dim_ * sizeof(float);
-    BatchResult result;
-    store_.MultiExecute(
-        keys,
-        [this, values, bytes](FasterStore* shard, Key key, size_t i,
-                              BatchResult* part, size_t pi) {
-          part->Record(pi,
-                       shard->Upsert(key, values + i * size_t{dim_}, bytes));
-        },
-        &result);
-    CommitIfGroup(&result);
-    return result;
-  }
-
-  BatchResult MultiApplyGradient(std::span<const Key> keys, const float* grads,
-                                 float lr) override {
-    const uint32_t bytes = dim_ * sizeof(float);
-    const uint32_t dim = dim_;
-    BatchResult result;
-    store_.MultiExecute(
-        keys,
-        [grads, lr, dim, bytes](FasterStore* shard, Key key, size_t i,
-                                BatchResult* part, size_t pi) {
-          const float* grad = grads + i * size_t{dim};
-          part->Record(
-              pi, shard->Rmw(key, bytes,
-                             [key, grad, lr, dim](char* v, uint32_t,
-                                                  bool exists) {
-                               float* f = reinterpret_cast<float*>(v);
-                               if (!exists) InitEmbedding(key, dim, f);
-                               simd::SubScaled(f, grad, lr, dim);
-                             }));
-        },
-        &result);
-    CommitIfGroup(&result);
-    return result;
-  }
-
-  uint64_t device_bytes_read() const override {
-    return store_.device_bytes_read();
-  }
-  uint64_t device_bytes_written() const override {
-    return store_.device_bytes_written();
-  }
-  void CollectMetrics(obs::MetricsSink* sink) const override {
-    KvBackend::CollectMetrics(sink);
-    EmitStoreMetrics(const_cast<ShardedStore*>(&store_), sink);
-  }
-
-  uint32_t replication_shards() const override {
-    return static_cast<uint32_t>(store_.num_shards());
-  }
-  Status ReadCommittedUpdates(uint32_t shard, uint64_t from,
-                              uint32_t max_records, uint32_t max_bytes,
-                              std::vector<UpdateEntry>* out,
-                              uint64_t* next_from,
-                              uint64_t* durable) override {
-    return ReadShardUpdates(&store_, shard, from, max_records, max_bytes, out,
-                            next_from, durable);
-  }
-  Status ApplyReplicatedUpdate(const UpdateEntry& entry) override {
-    return ApplyShardUpdate(&store_, entry);
-  }
+  Status Lookahead(std::span<const Key>) override { return Status::OK(); }
+  void WaitIdle() override {}
 
  private:
   explicit FasterBackend(const BackendConfig& config)
-      : dim_(config.dim),
-        group_(config.durability_mode == DurabilityMode::kGroup),
-        io_([&config] {
+      : MlkvBackend(nullptr), io_([&config] {
           AsyncIoEngine::Options o;
           o.io_threads = config.io_threads;
           return o;
@@ -689,19 +602,10 @@ class FasterBackend : public KvBackend {
     }
   }
 
-  // Group-durability epilogue: the batch's records are on disk before the
-  // result reaches the caller. A persist failure downgrades every
-  // still-kOk key — the write happened but is not durable.
-  void CommitIfGroup(BatchResult* result) {
-    if (!group_) return;
-    result->DowngradeOk(store_.PersistAll());
-  }
-
-  const uint32_t dim_;
-  const bool group_;
-  std::unique_ptr<ThreadPool> pool_;  // declared before store_ (store uses it)
-  AsyncIoEngine io_;  // likewise shared by every shard
-  ShardedStore store_;
+  // Declared before the table, whose store uses both.
+  std::unique_ptr<ThreadPool> pool_;
+  AsyncIoEngine io_;
+  std::unique_ptr<EmbeddingTable> owned_table_;
 };
 
 // RocksDB-style LSM baseline.

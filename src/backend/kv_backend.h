@@ -20,10 +20,11 @@
 //  * MultiPut: upsert of the updated vectors. Duplicate keys within a batch
 //    resolve last-occurrence-wins.
 //  * MultiApplyGradient: value <- value - lr * grad per key, preferably as
-//    one atomic read-modify-write inside the engine (MLKV and FASTER use a
-//    fused Rmw; under ASP that closes the read-apply-write race a Get+Put
-//    pair has). Duplicate keys within a batch accumulate (SGD is linear in
-//    the gradient).
+//    one atomic read-modify-write inside the engine (MLKV and FASTER share
+//    EmbeddingTable's fused Rmw; under ASP that closes the read-apply-write
+//    race a Get+Put pair has). A never-stored key starts from the shared
+//    bootstrap, as if MultiGet had initialized it. Duplicate keys within a
+//    batch accumulate (SGD is linear in the gradient).
 //  * Lookahead: hint that `keys` will be needed soon. Returns once their
 //    fetches are queued: it may wait for queue depth, never for a read.
 //    Optional (no-op where the engine has no such mechanism — exactly the
@@ -186,11 +187,12 @@ struct BackendConfig {
   uint64_t buffer_bytes = 64ull << 20;  // in-memory budget (the Fig. 7 knob)
   uint64_t index_slots = 1ull << 20;
   // log2 shard count for the log-structured engines (MLKV tables and the
-  // FASTER baseline): each shard is an independent FasterStore (own index,
-  // log, epoch domain) under dir/shard-NN/; buffer_bytes and index_slots
-  // are totals split across shards. 0 = the legacy single-store layout;
-  // max 8 (ShardedStore::kMaxShardBits). Batches are scatter/gathered into
-  // per-shard sub-batches instead of generic contiguous chunks.
+  // FASTER baseline, which share one EmbeddingTable batch path): each
+  // shard is an independent FasterStore (own index, log, epoch domain)
+  // under dir/shard-NN/; buffer_bytes and index_slots are totals split
+  // across shards. 0 = the legacy single-store layout, whose batches run
+  // inline; max 8 (ShardedStore::kMaxShardBits). Batches are
+  // scatter/gathered into per-shard sub-batches.
   uint32_t shard_bits = 2;
   uint32_t staleness_bound = 16;        // MLKV only
   size_t lookahead_threads = 2;         // MLKV only
@@ -199,9 +201,11 @@ struct BackendConfig {
   uint64_t busy_spin_limit = kDefaultBusySpinLimit;
   // Intra-batch parallelism for the I/O-bound baseline engines
   // (FASTER/LSM/B-tree): each backend instance owns a ThreadPool of this
-  // many workers, shared across its Multi* calls, and fans large batches
-  // out across it. 0 runs batches inline. MLKV keeps its own async path
-  // (Lookahead); the in-memory engine is lock-bound, not I/O-bound.
+  // many workers, shared across its Multi* calls. LSM and B-tree fan large
+  // batches out across it in contiguous chunks; FASTER runs its per-shard
+  // sub-batches on it (so with shard_bits 0 its batches run inline). 0 runs
+  // batches inline. MLKV scatters on its lookahead pool; the in-memory
+  // engine is lock-bound, not I/O-bound.
   size_t batch_threads = 0;
   // Workers of the AsyncIoEngine each hybrid-log backend (MLKV tables and
   // the FASTER baseline) owns: a batch's cold misses go into flight

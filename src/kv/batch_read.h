@@ -1,6 +1,7 @@
 // BatchReadOrPark: the shared phase-1 body of every batched read op
-// (EmbeddingTable gets/peeks, FasterBackend::MultiGet). One place owns the
-// blocking-vs-pipeline split and the miss-bootstrap contract:
+// (EmbeddingTable's gets and peeks, which also serve the FASTER baseline).
+// One place owns the blocking-vs-pipeline split and the miss-bootstrap
+// contract:
 //
 //  * null `sink` — resolve synchronously (the blocking path: single-key
 //    calls and the fail-fast contract);

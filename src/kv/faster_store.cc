@@ -447,7 +447,9 @@ bool FasterStore::StartRead(Key key, void* out, uint32_t cap, uint32_t* size,
   p->cap = cap;
   p->size = size;
   p->bound = bound != UINT32_MAX ? bound : options_.staleness_bound;
-  p->tracked = tracked;
+  // A store without staleness tracking has no Put that would ever lower a
+  // count a tracked read raised, so every read on it is untracked.
+  p->tracked = tracked && options_.track_staleness;
   p->hops = 0;
 
   switch (WalkForPending(key, &p->address, &p->chain_head)) {
@@ -455,7 +457,7 @@ bool FasterStore::StartRead(Key key, void* out, uint32_t cap, uint32_t* size,
       // Memory-resident: the blocking path resolves it with no disk I/O
       // (should an eviction demote it this instant, that path's disk
       // fallback is exactly the old behavior).
-      p->status = ReadInternal(key, out, cap, size, p->bound, tracked);
+      p->status = ReadInternal(key, out, cap, size, p->bound, p->tracked);
       return true;
     case WalkOutcome::kNotFound:
       p->status = Status::NotFound();

@@ -29,8 +29,9 @@
 //    copying them would only re-dirty pages (the paper's §III-C2
 //    page-write rule).
 //
-// With `track_staleness == false` the store behaves as plain FASTER and is
-// used as the "X-FASTER" baseline in the benchmarks.
+// With `track_staleness == false` the store behaves as plain FASTER: every
+// read, tracked or not, is untracked. The FASTER baseline backend is an
+// EmbeddingTable over such a store (backend/backends.cc).
 #pragma once
 
 #include <atomic>
@@ -205,7 +206,8 @@ class FasterStore {
   // the whole record to the tail, so it passes the full stored value size.
   // A record larger than its landing buffer is never copied truncated: a
   // tracked read falls back to the blocking path, an untracked one skips
-  // the copy.
+  // the copy. `tracked` is ignored (the read is untracked) when the store
+  // has track_staleness off, exactly as in Read.
   bool StartRead(Key key, void* out, uint32_t cap, uint32_t* size,
                  uint32_t bound, bool tracked, PendingRead* pending,
                  uint32_t fetch = 0);

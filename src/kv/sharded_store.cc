@@ -87,64 +87,42 @@ Status ShardedStore::Recover(const ShardedStoreOptions& options,
 }
 
 // The batch is decomposed into tasks — each a stable run of `order`
-// (caller indices) against one shard. Multi-shard stores get one task per
-// non-empty shard (the scatter). A single-shard store partitions by an
-// independent slice of the key hash instead, so shard_bits = 0 keeps
-// intra-batch parallelism; either way a given key lands in exactly one
-// sub-batch, in caller order, so same-key operations never race and a
-// duplicate-key Put still resolves last-occurrence-wins.
-bool ShardedStore::BuildScatter(std::span<const Key> keys, bool stop_on_error,
-                                bool force_tasks,
+// (caller indices) against one shard: one task per non-empty shard (the
+// scatter). A given key lands in exactly one sub-batch, in caller order, so
+// same-key operations never race and a duplicate-key Put still resolves
+// last-occurrence-wins.
+bool ShardedStore::BuildScatter(std::span<const Key> keys, bool force_tasks,
                                 std::vector<uint32_t>* order,
                                 std::vector<SubBatch>* tasks) const {
   const size_t n = keys.size();
-  size_t num_buckets = shards_.size();
-  bool hash_buckets = false;
   if (shards_.size() == 1) {
-    size_t chunks = 1;
-    // stop_on_error keeps the exact sequential fail-fast contract, so it
-    // never fans out on a single shard.
-    if (!stop_on_error && options_.chunk_single_shard &&
-        options_.pool != nullptr && options_.parallel_min_keys > 0) {
-      chunks = std::min(options_.pool->num_threads() + 1,
-                        n / options_.parallel_min_keys);
-    }
-    if (chunks <= 1) {
-      if (!force_tasks) return false;  // caller runs the inline loop
-      order->resize(n);
-      for (size_t i = 0; i < n; ++i) (*order)[i] = static_cast<uint32_t>(i);
-      tasks->push_back({shards_[0].get(), 0, static_cast<uint32_t>(n)});
-      return true;
-    }
-    num_buckets = chunks;
-    hash_buckets = true;
+    if (!force_tasks) return false;  // caller runs the inline loop
+    order->resize(n);
+    for (size_t i = 0; i < n; ++i) (*order)[i] = static_cast<uint32_t>(i);
+    tasks->push_back({shards_[0].get(), 0, static_cast<uint32_t>(n)});
+    return true;
   }
 
-  // Stable counting sort of caller indices by bucket: bucket b's sub-batch
-  // is order[offset[b] .. offset[b+1]), in caller order. Hash buckets use
-  // bits 32..47 of the key hash — disjoint from both ShardOf (bits 48..)
-  // and the HashIndex slot bits (low) — so chunking stays balanced and
-  // index-neutral.
-  std::vector<uint32_t> bucket_of(n);
-  std::vector<uint32_t> offset(num_buckets + 1, 0);
+  // Stable counting sort of caller indices by shard: shard b's sub-batch
+  // is order[offset[b] .. offset[b+1]), in caller order.
+  const size_t num_shards = shards_.size();
+  std::vector<uint32_t> shard_of(n);
+  std::vector<uint32_t> offset(num_shards + 1, 0);
   for (size_t i = 0; i < n; ++i) {
-    bucket_of[i] = static_cast<uint32_t>(
-        hash_buckets ? ((Hash64(keys[i]) >> 32) & 0xFFFF) % num_buckets
-                     : ShardIndexOf(keys[i]));
-    ++offset[bucket_of[i] + 1];
+    shard_of[i] = static_cast<uint32_t>(ShardIndexOf(keys[i]));
+    ++offset[shard_of[i] + 1];
   }
-  for (size_t b = 0; b < num_buckets; ++b) offset[b + 1] += offset[b];
+  for (size_t b = 0; b < num_shards; ++b) offset[b + 1] += offset[b];
   order->resize(n);
   {
     std::vector<uint32_t> cursor(offset.begin(), offset.end() - 1);
     for (size_t i = 0; i < n; ++i) {
-      (*order)[cursor[bucket_of[i]]++] = static_cast<uint32_t>(i);
+      (*order)[cursor[shard_of[i]]++] = static_cast<uint32_t>(i);
     }
   }
-  for (size_t b = 0; b < num_buckets; ++b) {
+  for (size_t b = 0; b < num_shards; ++b) {
     if (offset[b + 1] == offset[b]) continue;
-    tasks->push_back({shards_[hash_buckets ? 0 : b].get(), offset[b],
-                      offset[b + 1]});
+    tasks->push_back({shards_[b].get(), offset[b], offset[b + 1]});
   }
   return true;
 }
@@ -165,8 +143,7 @@ void ShardedStore::MultiExecute(std::span<const Key> keys, const ShardOp& op,
 
   std::vector<uint32_t> order;
   std::vector<SubBatch> tasks;
-  if (!BuildScatter(keys, stop_on_error, /*force_tasks=*/false, &order,
-                    &tasks)) {
+  if (!BuildScatter(keys, /*force_tasks=*/false, &order, &tasks)) {
     FasterStore* s = shards_[0].get();
     for (size_t i = 0; i < n; ++i) {
       op(s, keys[i], i, result, i);
@@ -275,10 +252,9 @@ void ShardedStore::MultiExecuteRead(std::span<const Key> keys,
   result->Reset(n);
   std::vector<uint32_t> order;
   std::vector<SubBatch> tasks;
-  // force_tasks: even a lone unchunked shard goes through the task path —
-  // the wave is exactly what overlaps its cold misses.
-  BuildScatter(keys, /*stop_on_error=*/false, /*force_tasks=*/true, &order,
-               &tasks);
+  // force_tasks: even a lone shard goes through the task path — the wave
+  // is exactly what overlaps its cold misses.
+  BuildScatter(keys, /*force_tasks=*/true, &order, &tasks);
   std::vector<BatchResult> parts(tasks.size());
   std::vector<PendingSink> sinks(tasks.size());
   auto run_task = [&](size_t t) {

@@ -56,19 +56,13 @@ struct ShardedStoreOptions {
   // (smaller sub-batches run on the calling thread; the handoff would cost
   // more than it hides).
   size_t parallel_min_keys = 32;
-  // With shard_bits == 0, also split batches into hash-partitioned chunks
-  // over the pool. Off by default: the single-store configuration promises
-  // the exact legacy behavior (sequential span calls), and engines that
-  // offered opt-in intra-batch parallelism before sharding (FASTER's
-  // batch_threads) set this to keep it.
-  bool chunk_single_shard = false;
   // Two-phase read pipeline (kv/pending_read.h). Non-null routes batched
   // reads' cold misses through this engine: disk-resident keys across ALL
   // shard sub-batches go into flight together instead of blocking one
-  // ReadAt at a time. MLKV tables and the FASTER backend always set it;
-  // null keeps the blocking path, the reference the pipeline is tested
-  // against. Not owned; typically shared across every table/shard of a
-  // process (MLKV owns one per DB).
+  // ReadAt at a time. Every EmbeddingTable (MLKV and the FASTER baseline)
+  // sets it; null keeps the blocking path, the reference the pipeline is
+  // tested against. Not owned; typically shared across every table/shard
+  // of a process (MLKV owns one per DB).
   AsyncIoEngine* io = nullptr;
 };
 
@@ -141,18 +135,15 @@ class ShardedStore {
                          BatchResult* part, size_t part_index)>;
 
   // Partitions `keys` into per-shard sub-batches (stable: a shard sees its
-  // keys in caller order), executes them — in parallel on the pool when one
-  // was provided — and gathers per-key codes into `result` at the caller's
-  // indices. A single-shard store (shard_bits == 0) runs the batch
-  // sequentially by default — the legacy contract — or, with
-  // chunk_single_shard, partitions by an independent slice of the key hash
-  // over the same pool (a given key still lands in exactly one sub-batch,
-  // so same-key order — e.g. duplicate-key Put last-occurrence-wins —
-  // holds either way). Summary counts aggregate across
-  // sub-batches; first_error keeps the lowest-numbered sub-batch's first
-  // hard error. With `stop_on_error` each sub-batch stops at its first
-  // non-OK outcome (one shard then runs the batch inline, giving exactly
-  // the sequential fail-fast contract; with several shards, other shards'
+  // keys in caller order, so same-key order — e.g. duplicate-key Put
+  // last-occurrence-wins — holds), executes them — in parallel on the pool
+  // when one was provided — and gathers per-key codes into `result` at the
+  // caller's indices. A single-shard store (shard_bits == 0) runs the batch
+  // as one sequential inline pass — the legacy contract. Summary counts
+  // aggregate across sub-batches; first_error keeps the lowest-numbered
+  // sub-batch's first hard error. With `stop_on_error` each sub-batch stops
+  // at its first non-OK outcome (one shard then gives exactly the
+  // sequential fail-fast contract; with several shards, other shards'
   // sub-batches still run).
   void MultiExecute(std::span<const Key> keys, const ShardOp& op,
                     BatchResult* result, bool stop_on_error = false);
@@ -230,13 +221,12 @@ class ShardedStore {
     FasterStore* store;
     uint32_t begin, end;  // range of `order`
   };
-  // Decomposes `keys` into sub-batches (stable counting sort by shard, or
-  // by an independent hash slice for a chunked single shard). Returns
-  // false when the batch should instead run as one inline sequential pass
-  // (the legacy single-shard contract) — unless `force_tasks`, which then
-  // emits a single identity-order task.
-  bool BuildScatter(std::span<const Key> keys, bool stop_on_error,
-                    bool force_tasks, std::vector<uint32_t>* order,
+  // Decomposes `keys` into sub-batches (stable counting sort by shard).
+  // Returns false for a single-shard store, whose batch should instead run
+  // as one inline sequential pass (the legacy contract) — unless
+  // `force_tasks`, which then emits a single identity-order task.
+  bool BuildScatter(std::span<const Key> keys, bool force_tasks,
+                    std::vector<uint32_t>* order,
                     std::vector<SubBatch>* tasks) const;
   // Runs run(t) for every task with work stealing off a shared claim
   // counter across the calling thread and pool helpers.

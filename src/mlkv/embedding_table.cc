@@ -210,14 +210,26 @@ Status EmbeddingTable::ApplyGradients(std::span<const Key> keys,
           keys,
           [grads, lr, dim, rec_bytes](FasterStore* shard, Key key, size_t i,
                                       BatchResult* part, size_t pi) {
-            const float* g = grads + i * dim;
-            part->Record(pi,
-                         shard->Rmw(key, rec_bytes,
-                                    [g, dim, lr](char* value, uint32_t, bool) {
-                                      simd::SubScaled(
-                                          reinterpret_cast<float*>(value), g,
-                                          lr, dim);
-                                    }));
+            // One reference capture keeps the modifier inside
+            // std::function's inline buffer (no allocation per record).
+            const struct {
+              Key key;
+              const float* g;
+              float lr;
+              uint32_t dim;
+            } step{key, grads + i * dim, lr, dim};
+            part->Record(
+                pi, shard->Rmw(key, rec_bytes,
+                               [&step](char* value, uint32_t, bool exists) {
+                                 float* emb = reinterpret_cast<float*>(value);
+                                 // A never-stored key starts from its
+                                 // bootstrap, like GetOrInit would give it.
+                                 if (!exists) {
+                                   InitEmbedding(step.key, step.dim, emb);
+                                 }
+                                 simd::SubScaled(emb, step.g, step.lr,
+                                                 step.dim);
+                               }));
           },
           result),
       result);
@@ -237,8 +249,12 @@ Status EmbeddingTable::ApplyGradients(std::span<const Key> keys,
             const float* g = grads + i * dim;
             part->Record(
                 pi, shard->Rmw(key, rec_bytes,
-                               [&config, g, dim](char* value, uint32_t, bool) {
+                               [&config, key, g, dim](char* value, uint32_t,
+                                                      bool exists) {
                                  float* emb = reinterpret_cast<float*>(value);
+                                 // Bootstrap a never-stored key; its
+                                 // optimizer state starts at zero.
+                                 if (!exists) InitEmbedding(key, dim, emb);
                                  ApplyOptimizerUpdate(config, dim, emb,
                                                       emb + dim, g);
                                }));

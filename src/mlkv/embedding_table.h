@@ -29,7 +29,8 @@ class EmbeddingTable {
 
   // `store` must carry an AsyncIoEngine (ShardedStoreOptions::io): batched
   // reads and storage-buffer lookaheads submit their cold fetches to it.
-  // Mlkv::OpenTable always provides its per-DB engine.
+  // Mlkv::OpenTable always provides its per-DB engine. `lookahead_pool`
+  // may be null when Lookahead is never called (the FASTER baseline).
   EmbeddingTable(std::string model_id, uint32_t dim, uint32_t staleness_bound,
                  std::unique_ptr<ShardedStore> store,
                  ThreadPool* lookahead_pool, OptimizerConfig optimizer = {})
@@ -61,8 +62,9 @@ class EmbeddingTable {
   // KvBackend seam builds on.
   //
   // Every span call is scattered into per-shard sub-batches executed in
-  // parallel on the lookahead pool (ShardedStore::MultiExecute); per-key
-  // results land at the caller's indices regardless of shard routing.
+  // parallel on the store's pool (ShardedStore::MultiExecute; Mlkv hands
+  // in the lookahead pool); per-key results land at the caller's indices
+  // regardless of shard routing.
 
   // Fetches embeddings for `keys`; `out` must hold keys.size()*dim floats.
   // Missing keys are NotFound.
@@ -98,12 +100,15 @@ class EmbeddingTable {
   // Applies SGD-style updates in-store: v <- v - lr * grad. Uses Rmw so the
   // read-modify-write is atomic per record even under ASP training. Ignores
   // the table's optimizer config (but still preserves its state floats).
+  // A never-stored key starts from its InitEmbedding bootstrap (zeroed
+  // optimizer state), as if GetOrInit had created it.
   Status ApplyGradients(std::span<const Key> keys, const float* grads,
                         float lr, BatchResult* result = nullptr);
 
   // Applies the table's configured optimizer (paper Fig. 3 line 18,
   // `emb_optimizer` fused into the store): one atomic Rmw per record that
-  // advances both the embedding and its optimizer state.
+  // advances both the embedding and its optimizer state. Never-stored keys
+  // bootstrap as in the overload above.
   Status ApplyGradients(std::span<const Key> keys, const float* grads);
 
   // Look-ahead prefetch (§III-C2): brings the records for `keys` from disk

@@ -18,8 +18,10 @@
 #include "common/hash.h"
 #include "common/random.h"
 #include "io/temp_dir.h"
+#include "mlkv/embedding_init.h"
 #include "net/kv_server.h"
 #include "net/remote_backend.h"
+#include "obs/metrics.h"
 
 namespace mlkv {
 namespace {
@@ -207,6 +209,20 @@ TEST_P(BackendConformanceTest, ApplyGradientMatchesGetAxpyPut) {
   ASSERT_TRUE(backend_->GetEmbedding(11, after.data()).ok());
   for (int d = 0; d < 8; ++d) {
     EXPECT_NEAR(after[d], before[d] - 0.2f * grad[d], 1e-5f) << "dim " << d;
+  }
+}
+
+TEST_P(BackendConformanceTest, ApplyGradientOnFreshKeyStartsFromInit) {
+  // A gradient on a never-stored key applies to the key's bootstrap, as if
+  // a MultiGet had initialized it first.
+  const Key key = 77;
+  std::vector<float> init(8), grad(8), after(8);
+  InitEmbedding(key, 8, init.data());
+  for (int d = 0; d < 8; ++d) grad[d] = 0.5f * static_cast<float>(d + 1);
+  ASSERT_TRUE(backend_->ApplyGradient(key, grad.data(), 0.1f).ok());
+  ASSERT_TRUE(backend_->GetEmbedding(key, after.data()).ok());
+  for (int d = 0; d < 8; ++d) {
+    EXPECT_NEAR(after[d], init[d] - 0.1f * grad[d], 1e-5f) << "dim " << d;
   }
 }
 
@@ -590,6 +606,46 @@ INSTANTIATE_TEST_SUITE_P(
                                          BackendKind::kFaster),
                        ::testing::Values(0u, 1u, 2u, 3u)),
     ShardParamName);
+
+// FASTER is the MLKV table path with staleness tracking and lookahead off
+// (paper Fig. 10's framing). Pinned at the seam under settings where MLKV
+// would do both: a BSP bound, reads repeated with no Put in between, and a
+// Lookahead before every batch. The batch mixes keys the load left on disk
+// with keys still in the mutable region, so both read paths run.
+TEST(FasterBaselineShapeTest, NoStalenessTrackingNoLookahead) {
+  TempDir dir;
+  BackendConfig cfg;
+  cfg.dir = dir.File("backend");
+  cfg.dim = 8;
+  cfg.buffer_bytes = 64u << 10;
+  cfg.shard_bits = 0;
+  cfg.staleness_bound = 0;
+  std::unique_ptr<KvBackend> backend;
+  ASSERT_TRUE(MakeBackend(BackendKind::kFaster, cfg, &backend).ok());
+
+  constexpr size_t kN = 4000;  // ~256 KiB of records vs a 64 KiB buffer
+  std::vector<Key> keys(kN);
+  for (size_t i = 0; i < kN; ++i) keys[i] = i * 3 + 1;
+  std::vector<float> values(kN * 8, 1.0f);
+  ASSERT_TRUE(backend->MultiPut(keys, values.data()).AllOk());
+  std::vector<Key> batch(keys.begin(), keys.begin() + 100);  // on disk
+  batch.insert(batch.end(), keys.end() - 100, keys.end());   // mutable
+  std::vector<float> out(batch.size() * 8);
+  for (int round = 0; round < 3; ++round) {
+    ASSERT_TRUE(backend->Lookahead(batch).ok());
+    const BatchResult r = backend->MultiGet(batch, out.data());
+    EXPECT_EQ(r.busy, 0u) << "round " << round;
+    EXPECT_TRUE(r.AllOk()) << "round " << round;
+  }
+  backend->WaitIdle();
+
+  obs::MetricsSink sink;
+  backend->CollectMetrics(&sink);
+  // The setup really reads the device, so a promotion had work to do.
+  EXPECT_GT(sink.Sum("mlkv_io_disk_record_reads_total"), 0.0);
+  EXPECT_EQ(sink.Sum("mlkv_store_staleness_waits_total"), 0.0);
+  EXPECT_EQ(sink.Sum("mlkv_store_promotions_total"), 0.0);
+}
 
 // --- remote/in-process parity --------------------------------------------
 

@@ -4,8 +4,10 @@
 // per-key failures instead of whole-batch aborts).
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "backend/delayed_backend.h"
@@ -14,7 +16,10 @@
 #include "cluster/cluster_map.h"
 #include "cluster/replicator.h"
 #include "common/hash.h"
+#include "common/spin_wait.h"
 #include "io/temp_dir.h"
+#include "kv/faster_store.h"
+#include "mlkv/mlkv.h"
 #include "net/kv_server.h"
 #include "net/remote_backend.h"
 #include "obs/metrics.h"
@@ -338,6 +343,67 @@ TEST(ReplicationTest, ReplicaConvergesToPrimaryAndResumes) {
 
   writer.reset();
   primary.server->Stop();
+}
+
+// A record appended while a poll's seal drains the in-place writers lands
+// between the sealed address and Persist's tail snapshot: durable, yet
+// still mutable. The poll must not pass it, or an in-place update after
+// the poll never reaches the feed. A pinned in-place writer holds the seal
+// open while the append happens, so the interleaving is deterministic.
+TEST(ReplicationTest, PollStopsAtRecordsAppendedDuringTheSeal) {
+  TempDir dir;
+  MlkvOptions o;
+  o.dir = dir.File("db");
+  o.shard_bits = 0;
+  std::unique_ptr<Mlkv> db;
+  ASSERT_TRUE(Mlkv::Open(o, &db).ok());
+  EmbeddingTable* table = nullptr;
+  ASSERT_TRUE(db->OpenTable("emb", 8, kAspBound, &table).ok());
+  std::unique_ptr<KvBackend> backend;
+  ASSERT_TRUE(MakeTableBackend(table, &backend).ok());
+  FasterStore* shard = table->store()->shard(0);
+  HybridLog* log = shard->mutable_log();
+
+  const Key pinned = 1, late = 2;
+  const std::vector<float> first(8, 1.0f), second(8, 2.0f);
+  ASSERT_TRUE(backend->PutEmbedding(pinned, first.data()).ok());
+  RecordMeta meta;
+  Address pinned_at = kInvalidAddress;
+  ASSERT_TRUE(shard->PeekMeta(pinned, &meta, &pinned_at).ok());
+  const Address sealed = log->tail();
+  ASSERT_LT(log->read_only_address(), sealed);
+  ASSERT_TRUE(log->BeginInPlaceWrite(pinned_at));
+
+  std::vector<UpdateEntry> entries;
+  uint64_t next = 0, durable = 0;
+  std::thread poll([&] {
+    EXPECT_TRUE(backend
+                    ->ReadCommittedUpdates(0, 0, 1000, 0, &entries, &next,
+                                           &durable)
+                    .ok());
+  });
+  // The seal has moved the boundary and now waits for the pin.
+  SpinWaitUntil([&] { return log->read_only_address() >= sealed; });
+  ASSERT_TRUE(backend->PutEmbedding(late, first.data()).ok());
+  log->EndInPlaceWrite(pinned_at);
+  poll.join();
+
+  // `late` is still mutable, so this rewrites it in place.
+  ASSERT_TRUE(backend->PutEmbedding(late, second.data()).ok());
+  ASSERT_TRUE(backend
+                  ->ReadCommittedUpdates(0, next, 1000, 0, &entries, &next,
+                                         &durable)
+                  .ok());
+  const UpdateEntry* last = nullptr;
+  for (const UpdateEntry& e : entries) {
+    if (e.key == late) last = &e;
+  }
+  ASSERT_NE(last, nullptr);
+  ASSERT_EQ(last->value.size(), second.size() * sizeof(float));
+  EXPECT_EQ(std::memcmp(last->value.data(), second.data(),
+                        last->value.size()),
+            0)
+      << "the feed lost the in-place update";
 }
 
 // --- failover ------------------------------------------------------------

@@ -6,6 +6,7 @@
 #include <thread>
 #include <vector>
 
+#include "io/async_io.h"
 #include "io/temp_dir.h"
 #include "mlkv/mlkv.h"
 
@@ -242,6 +243,37 @@ TEST(MlkvTest, LookaheadNeverAdvancesStalenessClocks) {
   ASSERT_TRUE(t->Get({&key, 1}, v.data()).ok())
       << "prefetches must not consume the staleness budget";
   ASSERT_TRUE(t->Put({&key, 1}, v.data()).ok());
+}
+
+// A table over a store with staleness tracking off (the FASTER baseline's
+// shape) runs its tracked batched reads untracked: no Put on such a store
+// would ever lower a count, so reads repeated without one must stay
+// admitted even at bound 0, on the memory-resident pipeline path too.
+TEST(MlkvTest, UntrackedStoreNeverWaitsOnBatchedReads) {
+  TempDir dir;
+  AsyncIoEngine io;
+  ShardedStoreOptions so;
+  so.store.path = dir.File("plain.log");
+  so.store.index_slots = 4096;
+  so.store.page_size = 4096;
+  so.store.mem_size = 16 * 4096;
+  so.store.track_staleness = false;
+  so.store.busy_spin_limit = 64;  // a wait would abort fast with Busy
+  so.store.io = &io;
+  so.io = &io;
+  auto store = std::make_unique<ShardedStore>();
+  ASSERT_TRUE(store->Open(so).ok());
+  EmbeddingTable table("plain", 4, kBspBound, std::move(store),
+                       /*lookahead_pool=*/nullptr);
+  const std::vector<Key> keys = {1, 2};
+  std::vector<float> out(keys.size() * 4);
+  for (int round = 0; round < 5; ++round) {
+    BatchResult r;
+    ASSERT_TRUE(table.GetOrInit(keys, out.data(), &r).ok());
+    EXPECT_EQ(r.busy, 0u) << "round " << round;
+    EXPECT_TRUE(r.AllOk()) << "round " << round;
+  }
+  EXPECT_EQ(table.store()->stats().staleness_waits, 0u);
 }
 
 TEST(EmbeddingCacheTest, LruEvictsOldest) {

@@ -26,8 +26,7 @@ ShardedStoreOptions SmallSharded(const TempDir& dir, uint32_t shard_bits,
   o.store.mem_size = 64 * 4096;
   o.shard_bits = shard_bits;
   o.pool = pool;
-  o.parallel_min_keys = 1;     // tests want the parallel path even when tiny
-  o.chunk_single_shard = true;  // and the opt-in single-shard fan-out
+  o.parallel_min_keys = 1;  // tests want the parallel path even when tiny
   return o;
 }
 
@@ -251,11 +250,10 @@ TEST(ShardedStoreTest, RecoversFromPerShardCheckpointLayout) {
   for (size_t i = 0; i < kN; ++i) EXPECT_EQ(out[i], values[i]);
 }
 
-// A single-shard store still fans large batches out — hash-partitioned
-// over the pool — so shard_bits=0 keeps intra-batch parallelism; every
-// occurrence of one key lands in the same sub-batch in caller order, so
-// duplicate-key writes keep their last-occurrence-wins resolution.
-TEST(ShardedStoreTest, SingleShardChunksBatchesAndKeepsDuplicateOrder) {
+// A single-shard store runs a large batch as one sequential pass in caller
+// order, even with a pool: it round-trips, and duplicate-key writes keep
+// their last-occurrence-wins resolution.
+TEST(ShardedStoreTest, SingleShardRoundTripsAndKeepsDuplicateOrder) {
   TempDir dir;
   ThreadPool pool(3);
   ShardedStore store;
@@ -278,7 +276,7 @@ TEST(ShardedStoreTest, SingleShardChunksBatchesAndKeepsDuplicateOrder) {
   for (size_t i = 0; i < kN; ++i) EXPECT_EQ(out[i], values[i]);
 
   // Every occurrence writes the same key: the batch must resolve to the
-  // LAST occurrence's value (one bucket owns the key; never split).
+  // LAST occurrence's value.
   std::vector<Key> dupes(kN, Key{7});
   std::vector<uint64_t> dupe_values(kN);
   for (size_t i = 0; i < kN; ++i) dupe_values[i] = i;
