@@ -20,6 +20,7 @@
 #include "io/file_device.h"
 #include "io/temp_dir.h"
 #include "kv/faster_store.h"
+#include "obs/metrics.h"
 #include "workloads/ycsb.h"
 
 using namespace mlkv;
@@ -156,7 +157,8 @@ void AblationGc(const Setup& s) {
       }
     }
     const double rate = static_cast<double>(ops) / watch.ElapsedSeconds();
-    const auto st = store.stats();
+    obs::MetricsSink st;
+    store.CollectMetrics(&st, "0");
     t.Cell(gc ? "on" : "off");
     t.Cell(Human(rate));
     t.Cell(static_cast<double>(store.log().tail() -
@@ -164,7 +166,7 @@ void AblationGc(const Setup& s) {
                (1 << 20),
            "%.1f");
     t.Cell(static_cast<double>(store.log().tail()) / (1 << 20), "%.1f");
-    t.Cell(st.compactions);
+    t.Cell(st.Sum("mlkv_store_compactions_total"), "%.0f");
     t.EndRow();
   }
   std::printf("Expected: GC bounds the live log span at a modest throughput "

@@ -23,6 +23,7 @@
 #include "io/file_device.h"
 #include "io/temp_dir.h"
 #include "mlkv/mlkv.h"
+#include "obs/metrics.h"
 
 using namespace mlkv;
 using namespace mlkv::bench;
@@ -134,15 +135,16 @@ double RunDurableWrites(DurabilityMode mode, size_t threads, uint64_t batches,
   const double rate =
       static_cast<double>(threads * batches * batch_keys) / secs;
 
-  const FasterStatsSnapshot st = table->store()->stats();
+  obs::MetricsSink st;
+  table->store()->CollectMetrics(&st);
   t->Cell(mode == DurabilityMode::kGroup ? "group" : "sync");
   t->Cell(static_cast<uint64_t>(threads));
   t->Cell(batches);
   t->Cell(batch_keys);
   t->Cell(Human(rate));
-  t->Cell(st.pages_flushed);
-  t->Cell(st.fsyncs);
-  t->Cell(st.group_commits);
+  t->Cell(st.Sum("mlkv_io_pages_flushed_total"), "%.0f");
+  t->Cell(st.Sum("mlkv_io_fsyncs_total"), "%.0f");
+  t->Cell(st.Sum("mlkv_io_group_commits_total"), "%.0f");
   t->EndRow();
   return rate;
 }

@@ -10,6 +10,7 @@
 #include "bench_util.h"
 #include "io/file_device.h"
 #include "io/temp_dir.h"
+#include "obs/metrics.h"
 #include "train/ctr_trainer.h"
 #include "train/kge_trainer.h"
 
@@ -17,6 +18,14 @@ using namespace mlkv;
 using namespace mlkv::bench;
 
 namespace {
+
+// Reads that waited out the staleness bound, summed over the store's
+// shards.
+uint64_t StalenessWaits(const KvBackend& backend) {
+  obs::MetricsSink sink;
+  backend.CollectMetrics(&sink);
+  return static_cast<uint64_t>(sink.Sum("mlkv_store_staleness_waits_total"));
+}
 
 std::unique_ptr<KvBackend> Make(const TempDir& dir, uint32_t dim,
                                 uint64_t buffer_mb, uint32_t bound) {
@@ -55,7 +64,7 @@ int main(int argc, char** argv) {
 
   Banner("Fig 8(a): DLRM on Criteo-Ad — throughput vs AUC across bounds");
   {
-    Table t({"bound", "samples/s", "AUC", "stale_waits"});
+    Table t({"bound", "samples/s", "AUC", "stale_waits", "busy_aborts"});
     t.PrintHeader();
     for (uint32_t bound : bounds) {
       TempDir dir;
@@ -79,6 +88,7 @@ int main(int argc, char** argv) {
                                      : std::to_string(bound));
       t.Cell(Human(r.throughput()));
       t.Cell(r.final_metric, "%.4f");
+      t.Cell(StalenessWaits(*backend));
       t.Cell(r.busy_aborts);
       t.EndRow();
     }
@@ -86,7 +96,7 @@ int main(int argc, char** argv) {
 
   Banner("Fig 8(b): KGE on WikiKG2 — throughput vs Hits@10 across bounds");
   {
-    Table t({"bound", "samples/s", "Hits@10", "stale_waits"});
+    Table t({"bound", "samples/s", "Hits@10", "stale_waits", "busy_aborts"});
     t.PrintHeader();
     for (uint32_t bound : bounds) {
       TempDir dir;
@@ -108,6 +118,7 @@ int main(int argc, char** argv) {
                                      : std::to_string(bound));
       t.Cell(Human(r.throughput()));
       t.Cell(r.final_metric, "%.4f");
+      t.Cell(StalenessWaits(*backend));
       t.Cell(r.busy_aborts);
       t.EndRow();
     }

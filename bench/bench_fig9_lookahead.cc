@@ -121,12 +121,13 @@ ColdResult RunColdConfig(BackendKind kind, uint64_t num_keys,
   // The engine's own mlkv_io_* families (docs/OBSERVABILITY.md).
   obs::MetricsSink sink;
   backend->CollectMetrics(&sink);
-  for (const obs::MetricsSink::Sample& x : sink.samples()) {
-    const auto v = static_cast<uint64_t>(x.value);
-    if (x.name == "mlkv_io_disk_record_reads_total") res.disk_reads = v;
-    if (x.name == "mlkv_io_async_reads_submitted_total") res.submitted = v;
-    if (x.name == "mlkv_io_async_reads_refetched_total") res.refetched = v;
-  }
+  // Per-shard samples: each total is a sum over `shard`.
+  const auto sum = [&sink](const char* name) {
+    return static_cast<uint64_t>(sink.Sum(name));
+  };
+  res.disk_reads = sum("mlkv_io_disk_record_reads_total");
+  res.submitted = sum("mlkv_io_async_reads_submitted_total");
+  res.refetched = sum("mlkv_io_async_reads_refetched_total");
   return res;
 }
 

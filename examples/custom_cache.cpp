@@ -22,6 +22,7 @@
 #include "common/random.h"
 #include "io/temp_dir.h"
 #include "mlkv/mlkv.h"
+#include "obs/metrics.h"
 
 using namespace mlkv;
 
@@ -48,6 +49,13 @@ std::vector<std::vector<Key>> MakeBatches(uint64_t seed) {
     }
   }
   return batches;
+}
+
+// The store's device record reads, summed over its shards.
+double DiskRecordReads(const ShardedStore& store) {
+  obs::MetricsSink sink;
+  store.CollectMetrics(&sink);
+  return sink.Sum("mlkv_io_disk_record_reads_total");
 }
 
 struct RunResult {
@@ -103,8 +111,7 @@ int main() {
   auto run = [&](bool prefetch, RunResult* out) -> Status {
     EmbeddingCache cache(/*capacity=*/4096, kDim);
     std::vector<float> buf(kBatch * kDim);
-    table->store()->ResetStats();
-    const auto before = table->store()->stats();
+    const double reads_before = DiskRecordReads(*table->store());
     for (int b = 0; b < kBatches; ++b) {
       if (prefetch && b + 1 < kBatches) {
         // Admit frequent future keys to the application cache...
@@ -136,8 +143,8 @@ int main() {
       }
     }
     table->WaitLookahead();
-    const auto after = table->store()->stats();
-    out->disk_reads = after.disk_record_reads - before.disk_record_reads;
+    out->disk_reads = static_cast<uint64_t>(
+        DiskRecordReads(*table->store()) - reads_before);
     return Status::OK();
   };
 

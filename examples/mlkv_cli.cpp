@@ -404,13 +404,19 @@ int RunServe(const std::string& dir, ArgList& args) {
     replicator->Stop();
   }
   // The summary reads the same exposition kStats and /metrics serve;
-  // families an engine does not emit print as 0.
+  // families an engine does not emit print as 0. The store's mlkv_io_*
+  // families are per shard, so their totals sum the backend's samples.
   const std::string text = server.metrics()->ExpositionText();
+  obs::MetricsSink io;
+  server.backend()->CollectMetrics(&io);
   server.Stop();
   auto sample = [&text](const char* series) {
     double v = 0;
     obs::FindSample(text, series, &v);
     return static_cast<unsigned long long>(v);
+  };
+  auto io_total = [&io](const char* name) {
+    return static_cast<unsigned long long>(io.Sum(name));
   };
   std::printf("served %llu requests over %llu connections "
               "(p50=%lluus p99=%lluus)\n",
@@ -425,18 +431,18 @@ int RunServe(const std::string& dir, ArgList& args) {
   std::printf("storage io: %llu disk record reads, %llu pages flushed, "
               "%llu evicted; async reads %llu submitted / %llu completed / "
               "%llu refetched\n",
-              sample("mlkv_io_disk_record_reads_total"),
-              sample("mlkv_io_pages_flushed_total"),
-              sample("mlkv_io_pages_evicted_total"),
-              sample("mlkv_io_async_reads_submitted_total"),
-              sample("mlkv_io_async_reads_completed_total"),
-              sample("mlkv_io_async_reads_refetched_total"));
+              io_total("mlkv_io_disk_record_reads_total"),
+              io_total("mlkv_io_pages_flushed_total"),
+              io_total("mlkv_io_pages_evicted_total"),
+              io_total("mlkv_io_async_reads_submitted_total"),
+              io_total("mlkv_io_async_reads_completed_total"),
+              io_total("mlkv_io_async_reads_refetched_total"));
   std::printf("write pipeline: async writes %llu submitted / %llu completed; "
               "%llu fsyncs, %llu group commits\n",
-              sample("mlkv_io_async_writes_submitted_total"),
-              sample("mlkv_io_async_writes_completed_total"),
-              sample("mlkv_io_fsyncs_total"),
-              sample("mlkv_io_group_commits_total"));
+              io_total("mlkv_io_async_writes_submitted_total"),
+              io_total("mlkv_io_async_writes_completed_total"),
+              io_total("mlkv_io_fsyncs_total"),
+              io_total("mlkv_io_group_commits_total"));
   if (replicator != nullptr) {
     const cluster::ReplicationProgress p = replicator->progress();
     std::printf("replication: %llu records applied, %llu behind, "
@@ -691,14 +697,17 @@ int main(int argc, char** argv) {
 
   if (cmd == "stats") {
     ShardedStore* store = table->store();
-    const auto st = store->stats();
-    std::printf("reads=%llu upserts=%llu rmws=%llu deletes=%llu\n",
-                (unsigned long long)st.reads, (unsigned long long)st.upserts,
-                (unsigned long long)st.rmws, (unsigned long long)st.deletes);
-    std::printf("inplace=%llu rcu=%llu inserts=%llu\n",
-                (unsigned long long)st.inplace_updates,
-                (unsigned long long)st.rcu_appends,
-                (unsigned long long)st.inserts);
+    obs::MetricsSink st;
+    store->CollectMetrics(&st);
+    const auto ops = [&st](const char* op) {
+      return st.Sum("mlkv_shard_ops_total", {"op", op});
+    };
+    std::printf("reads=%.0f upserts=%.0f rmws=%.0f deletes=%.0f\n",
+                ops("read"), ops("upsert"), ops("rmw"), ops("delete"));
+    std::printf("inplace=%.0f rcu=%.0f inserts=%.0f\n",
+                st.Sum("mlkv_store_inplace_updates_total"),
+                st.Sum("mlkv_store_rcu_appends_total"),
+                st.Sum("mlkv_store_inserts_total"));
     std::printf("shards=%zu index slots=%llu\n", store->num_shards(),
                 (unsigned long long)store->index_slots());
     for (size_t i = 0; i < store->num_shards(); ++i) {

@@ -10,6 +10,7 @@
 
 #include "io/temp_dir.h"
 #include "mlkv/mlkv.h"
+#include "obs/metrics.h"
 
 using namespace mlkv;
 
@@ -62,16 +63,18 @@ int main() {
   table->Lookahead(next_batch);
   table->WaitLookahead();
 
-  // 4. Inspect storage statistics and checkpoint.
-  const FasterStatsSnapshot stats = table->store()->stats();
-  std::printf("reads=%llu upserts=%llu in-place=%llu rcu=%llu "
-              "promoted=%llu promote-skipped=%llu\n",
-              (unsigned long long)stats.reads,
-              (unsigned long long)stats.upserts,
-              (unsigned long long)stats.inplace_updates,
-              (unsigned long long)stats.rcu_appends,
-              (unsigned long long)stats.promotions,
-              (unsigned long long)stats.promotions_skipped);
+  // 4. Inspect storage statistics and checkpoint. The store emits them
+  //    per shard (the samples /metrics serves); totals sum over shards.
+  obs::MetricsSink stats;
+  table->store()->CollectMetrics(&stats);
+  std::printf("reads=%.0f upserts=%.0f in-place=%.0f rcu=%.0f "
+              "promoted=%.0f promote-skipped=%.0f\n",
+              stats.Sum("mlkv_shard_ops_total", {"op", "read"}),
+              stats.Sum("mlkv_shard_ops_total", {"op", "upsert"}),
+              stats.Sum("mlkv_store_inplace_updates_total"),
+              stats.Sum("mlkv_store_rcu_appends_total"),
+              stats.Sum("mlkv_store_promotions_total"),
+              stats.Sum("mlkv_store_promotions_skipped_total"));
   if (!db->CheckpointAll().ok()) return 1;
   std::printf("checkpointed to %s\n", options.dir.c_str());
   std::printf("quickstart OK\n");

@@ -2,9 +2,10 @@
 # Validate a Prometheus text-exposition (v0.0.4) scrape, e.g. the
 # /metrics output MetricsHttpServer serves (docs/OBSERVABILITY.md).
 # Fails on the malformations a registry bug would produce: duplicate or
-# interleaved families, samples with no # TYPE header, bad metric/label
-# names, unparseable values, histograms missing their +Inf bucket or with
-# +Inf != _count.
+# interleaved families, a series repeated within its family (same name and
+# label set, e.g. per-shard samples that lost their shard label), samples
+# with no # TYPE header, bad metric/label names, unparseable values,
+# histograms missing their +Inf bucket or with +Inf != _count.
 #
 # Usage: scripts/check_metrics.sh [scrape_file]   (default: stdin)
 set -euo pipefail
@@ -90,6 +91,11 @@ BEGIN { bad = 0; current = "" }
     if (check !~ /^[a-zA-Z_][a-zA-Z0-9_]*="[^"]*"(,[a-zA-Z_][a-zA-Z0-9_]*="[^"]*")*$/)
       fail("malformed label set {" labels "}")
   }
+
+  # One sample per series: the label set as rendered, order included.
+  series = labels == "" ? name : name "{" labels "}"
+  if (series in series_seen) fail("repeated series " series)
+  series_seen[series] = 1
 
   if (type[fam] == "histogram") {
     if (name == fam "_count") hist_count[fam] = value + 0

@@ -95,94 +95,6 @@ Status ApplyShardUpdate(ShardedStore* store, const UpdateEntry& e) {
                        static_cast<uint32_t>(e.value.size()));
 }
 
-// Scrape-time families of the hybrid-log adapter (MLKV tables and, through
-// the same adapter, the FASTER baseline): per-shard op counts — the live
-// load signal ROADMAP item 3's shard balancing needs — plus aggregate store
-// behavior and size gauges, and the disk-path and I/O-pipeline (mlkv_io_*)
-// counters.
-void EmitStoreMetrics(ShardedStore* store, obs::MetricsSink* sink) {
-  for (size_t i = 0; i < store->num_shards(); ++i) {
-    const FasterStatsSnapshot s = store->shard(i)->stats();
-    const std::string shard = std::to_string(i);
-    const char* help = "Operations executed per store shard";
-    sink->AddCounter("mlkv_shard_ops_total", help, s.reads,
-                     {{"shard", shard}, {"op", "read"}});
-    sink->AddCounter("mlkv_shard_ops_total", help, s.upserts,
-                     {{"shard", shard}, {"op", "upsert"}});
-    sink->AddCounter("mlkv_shard_ops_total", help, s.rmws,
-                     {{"shard", shard}, {"op", "rmw"}});
-    sink->AddCounter("mlkv_shard_ops_total", help, s.deletes,
-                     {{"shard", shard}, {"op", "delete"}});
-  }
-  const FasterStatsSnapshot s = store->stats();
-  sink->AddCounter("mlkv_store_inplace_updates_total",
-                   "Writes absorbed in place in the mutable region",
-                   s.inplace_updates);
-  sink->AddCounter("mlkv_store_rcu_appends_total",
-                   "Writes that appended a new record version",
-                   s.rcu_appends);
-  sink->AddCounter("mlkv_store_inserts_total",
-                   "First-time key insertions", s.inserts);
-  sink->AddCounter("mlkv_store_promotions_total",
-                   "Cold records copied to the log tail by lookahead",
-                   s.promotions);
-  sink->AddCounter("mlkv_store_promotions_skipped_total",
-                   "Promotions skipped (already in memory or superseded)",
-                   s.promotions_skipped);
-  sink->AddCounter("mlkv_store_promotions_late_total",
-                   "Skipped promotions whose record moved while in flight",
-                   s.promotions_late);
-  sink->AddCounter("mlkv_store_read_copies_total",
-                   "Cold records copied to the tail by reads",
-                   s.read_copies);
-  sink->AddCounter("mlkv_store_staleness_waits_total",
-                   "Reads that waited out the staleness bound",
-                   s.staleness_waits);
-  sink->AddCounter("mlkv_store_busy_aborts_total",
-                   "Reads that gave up waiting with Busy", s.busy_aborts);
-  sink->AddCounter("mlkv_store_chain_hops_total",
-                   "Device record reads of another key sharing the chain",
-                   s.chain_hops);
-  sink->AddCounter("mlkv_store_compactions_total",
-                   "Log compaction passes", s.compactions);
-  sink->AddCounter("mlkv_store_compaction_live_copied_total",
-                   "Live records re-appended by compaction",
-                   s.compaction_live_copied);
-  sink->AddGauge("mlkv_store_live_keys",
-                 "Approximate number of live keys",
-                 static_cast<double>(store->approximate_size()));
-  sink->AddGauge("mlkv_store_log_span_bytes",
-                 "Bytes spanned by the hybrid log (begin to tail)",
-                 static_cast<double>(store->log_span_bytes()));
-  sink->AddGauge("mlkv_store_index_slots", "Hash index slot count",
-                 static_cast<double>(store->index_slots()));
-  sink->AddCounter("mlkv_io_disk_record_reads_total",
-                   "Record fetches served from disk", s.disk_record_reads);
-  sink->AddCounter("mlkv_io_pages_flushed_total",
-                   "Log pages flushed to disk", s.pages_flushed);
-  sink->AddCounter("mlkv_io_pages_evicted_total",
-                   "Log pages evicted from memory", s.pages_evicted);
-  sink->AddCounter("mlkv_io_async_reads_submitted_total",
-                   "Pending-read fetches handed to the AsyncIoEngine",
-                   s.async_reads_submitted);
-  sink->AddCounter("mlkv_io_async_reads_completed_total",
-                   "Pending-read fetches that landed",
-                   s.async_reads_completed);
-  sink->AddCounter("mlkv_io_async_reads_refetched_total",
-                   "Pending reads that fell back to a synchronous re-read",
-                   s.async_reads_refetched);
-  sink->AddCounter("mlkv_io_async_writes_submitted_total",
-                   "Flush-wave pages submitted to the AsyncIoEngine",
-                   s.async_writes_submitted);
-  sink->AddCounter("mlkv_io_async_writes_completed_total",
-                   "Flush-wave pages completed", s.async_writes_completed);
-  sink->AddCounter("mlkv_io_fsyncs_total", "fsyncs issued (flush + commit)",
-                   s.fsyncs);
-  sink->AddCounter("mlkv_io_group_commits_total",
-                   "Group commits batching more than one committer",
-                   s.group_commits);
-}
-
 // Deduplicated view of one batch: `unique` holds first occurrences in
 // input order; `slot_of[i]` maps input position i to its unique slot.
 // Trainers dedup their minibatches anyway, but serving and YCSB traffic
@@ -518,7 +430,7 @@ class MlkvBackend : public KvBackend {
   }
   void CollectMetrics(obs::MetricsSink* sink) const override {
     KvBackend::CollectMetrics(sink);
-    EmitStoreMetrics(const_cast<EmbeddingTable*>(table_)->store(), sink);
+    const_cast<EmbeddingTable*>(table_)->store()->CollectMetrics(sink);
   }
 
   uint32_t replication_shards() const override {

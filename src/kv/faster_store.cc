@@ -8,6 +8,8 @@
 #include <utility>
 #include <vector>
 
+#include "obs/metrics.h"
+
 namespace mlkv {
 
 namespace {
@@ -1283,67 +1285,101 @@ Status FasterStore::ReplayTail(
   return Status::OK();
 }
 
-FasterStatsSnapshot FasterStore::stats() const {
-  FasterStatsSnapshot s;
-  s.reads = stats_.reads.load(std::memory_order_relaxed);
-  s.upserts = stats_.upserts.load(std::memory_order_relaxed);
-  s.rmws = stats_.rmws.load(std::memory_order_relaxed);
-  s.deletes = stats_.deletes.load(std::memory_order_relaxed);
-  s.inplace_updates = stats_.inplace_updates.load(std::memory_order_relaxed);
-  s.rcu_appends = stats_.rcu_appends.load(std::memory_order_relaxed);
-  s.inserts = stats_.inserts.load(std::memory_order_relaxed);
-  s.promotions = stats_.promotions.load(std::memory_order_relaxed);
-  s.promotions_skipped =
-      stats_.promotions_skipped.load(std::memory_order_relaxed);
-  s.promotions_late = stats_.promotions_late.load(std::memory_order_relaxed);
-  s.read_copies = stats_.read_copies.load(std::memory_order_relaxed);
-  s.staleness_waits = stats_.staleness_waits.load(std::memory_order_relaxed);
-  s.busy_aborts = stats_.busy_aborts.load(std::memory_order_relaxed);
-  s.compactions = stats_.compactions.load(std::memory_order_relaxed);
-  s.compaction_live_copied =
-      stats_.compaction_live_copied.load(std::memory_order_relaxed);
-  s.async_reads_submitted =
-      stats_.async_reads_submitted.load(std::memory_order_relaxed);
-  s.async_reads_completed =
-      stats_.async_reads_completed.load(std::memory_order_relaxed);
-  s.async_reads_refetched =
-      stats_.async_reads_refetched.load(std::memory_order_relaxed);
-  s.chain_hops = stats_.chain_hops.load(std::memory_order_relaxed);
-  const auto& ls = log_.stats();
-  s.disk_record_reads = ls.disk_record_reads.load(std::memory_order_relaxed);
-  s.pages_flushed = ls.pages_flushed.load(std::memory_order_relaxed);
-  s.pages_evicted = ls.pages_evicted.load(std::memory_order_relaxed);
-  s.async_writes_submitted =
-      ls.async_writes_submitted.load(std::memory_order_relaxed);
-  s.async_writes_completed =
-      ls.async_writes_completed.load(std::memory_order_relaxed);
-  s.fsyncs = ls.fsyncs.load(std::memory_order_relaxed);
-  if (const GroupCommitter* gc =
-          const_cast<HybridLog&>(log_).committer()) {
-    const GroupCommitter::Stats cs = gc->stats();
-    s.fsyncs += cs.fsyncs;
-    s.group_commits = cs.group_commits;
+void FasterStore::CollectMetrics(obs::MetricsSink* sink,
+                                 std::string_view shard) const {
+  const auto get = [](const std::atomic<uint64_t>& c) {
+    return c.load(std::memory_order_relaxed);
+  };
+  const obs::MetricsSink::Label at{"shard", shard};
+  for (const auto& [op, count] :
+       {std::pair{"read", &Stats::reads}, std::pair{"upsert", &Stats::upserts},
+        std::pair{"rmw", &Stats::rmws}, std::pair{"delete", &Stats::deletes}}) {
+    sink->AddCounter("mlkv_shard_ops_total",
+                     "Operations executed per store shard",
+                     get(stats_.*count), {at, {"op", op}});
   }
-  return s;
-}
+  struct Family {
+    const char* name;
+    const char* help;
+    std::atomic<uint64_t> Stats::*count;
+  };
+  static constexpr Family kCounters[] = {
+      {"mlkv_store_inplace_updates_total",
+       "Writes absorbed in place in the mutable region",
+       &Stats::inplace_updates},
+      {"mlkv_store_rcu_appends_total",
+       "Writes that appended a new record version", &Stats::rcu_appends},
+      {"mlkv_store_inserts_total", "First-time key insertions",
+       &Stats::inserts},
+      {"mlkv_store_promotions_total",
+       "Cold records copied to the log tail by lookahead",
+       &Stats::promotions},
+      {"mlkv_store_promotions_skipped_total",
+       "Promotions skipped (already in memory or superseded)",
+       &Stats::promotions_skipped},
+      {"mlkv_store_promotions_late_total",
+       "Skipped promotions whose record moved while in flight",
+       &Stats::promotions_late},
+      {"mlkv_store_read_copies_total",
+       "Cold records copied to the tail by reads", &Stats::read_copies},
+      {"mlkv_store_staleness_waits_total",
+       "Reads that waited out the staleness bound", &Stats::staleness_waits},
+      {"mlkv_store_busy_aborts_total", "Reads that gave up waiting with Busy",
+       &Stats::busy_aborts},
+      {"mlkv_store_chain_hops_total",
+       "Device record reads of another key sharing the chain",
+       &Stats::chain_hops},
+      {"mlkv_store_compactions_total", "Log compaction passes",
+       &Stats::compactions},
+      {"mlkv_store_compaction_live_copied_total",
+       "Live records re-appended by compaction",
+       &Stats::compaction_live_copied},
+      {"mlkv_io_async_reads_submitted_total",
+       "Pending-read fetches handed to the AsyncIoEngine",
+       &Stats::async_reads_submitted},
+      {"mlkv_io_async_reads_completed_total",
+       "Pending-read fetches that landed", &Stats::async_reads_completed},
+      {"mlkv_io_async_reads_refetched_total",
+       "Pending reads that fell back to a synchronous re-read",
+       &Stats::async_reads_refetched},
+  };
+  for (const Family& f : kCounters) {
+    sink->AddCounter(f.name, f.help, get(stats_.*f.count), {at});
+  }
+  sink->AddGauge("mlkv_store_live_keys", "Approximate number of live keys",
+                 static_cast<double>(approximate_size()), {at});
+  sink->AddGauge("mlkv_store_log_span_bytes",
+                 "Bytes spanned by the hybrid log (begin to tail)",
+                 static_cast<double>(log_.tail() - log_.begin_address()),
+                 {at});
+  sink->AddGauge("mlkv_store_index_slots", "Hash index slot count",
+                 static_cast<double>(index_slots()), {at});
 
-void FasterStore::ResetStats() {
-  stats_.reads.store(0);
-  stats_.upserts.store(0);
-  stats_.rmws.store(0);
-  stats_.deletes.store(0);
-  stats_.inplace_updates.store(0);
-  stats_.rcu_appends.store(0);
-  stats_.promotions.store(0);
-  stats_.promotions_skipped.store(0);
-  stats_.promotions_late.store(0);
-  stats_.read_copies.store(0);
-  stats_.staleness_waits.store(0);
-  stats_.busy_aborts.store(0);
-  stats_.async_reads_submitted.store(0);
-  stats_.async_reads_completed.store(0);
-  stats_.async_reads_refetched.store(0);
-  stats_.chain_hops.store(0);
+  const HybridLogStats& ls = log_.stats();
+  sink->AddCounter("mlkv_io_disk_record_reads_total",
+                   "Record fetches served from disk",
+                   get(ls.disk_record_reads), {at});
+  sink->AddCounter("mlkv_io_pages_flushed_total", "Log pages flushed to disk",
+                   get(ls.pages_flushed), {at});
+  sink->AddCounter("mlkv_io_pages_evicted_total",
+                   "Log pages evicted from memory", get(ls.pages_evicted),
+                   {at});
+  sink->AddCounter("mlkv_io_async_writes_submitted_total",
+                   "Flush-wave pages submitted to the AsyncIoEngine",
+                   get(ls.async_writes_submitted), {at});
+  sink->AddCounter("mlkv_io_async_writes_completed_total",
+                   "Flush-wave pages completed",
+                   get(ls.async_writes_completed), {at});
+  // The log's own fdatasyncs plus its GroupCommitter's, if any.
+  GroupCommitter::Stats commits;
+  if (const GroupCommitter* gc = const_cast<HybridLog&>(log_).committer()) {
+    commits = gc->stats();
+  }
+  sink->AddCounter("mlkv_io_fsyncs_total", "fsyncs issued (flush + commit)",
+                   get(ls.fsyncs) + commits.fsyncs, {at});
+  sink->AddCounter("mlkv_io_group_commits_total",
+                   "Group commits batching more than one committer",
+                   commits.group_commits, {at});
 }
 
 }  // namespace mlkv

@@ -38,6 +38,7 @@
 #include <cstdint>
 #include <functional>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "common/status.h"
@@ -47,6 +48,10 @@
 #include "kv/record.h"
 
 namespace mlkv {
+
+namespace obs {
+class MetricsSink;
+}  // namespace obs
 
 struct FasterOptions {
   std::string path;                    // backing log file
@@ -85,38 +90,6 @@ struct FasterOptions {
   // an index delta chained onto the previous checkpoint under the same
   // prefix; kFull keeps the classic full-flush + full-index-dump layout.
   CheckpointMode checkpoint_mode = CheckpointMode::kFull;
-};
-
-struct FasterStatsSnapshot {
-  uint64_t reads = 0, upserts = 0, rmws = 0, deletes = 0;
-  uint64_t inplace_updates = 0, rcu_appends = 0, inserts = 0;
-  uint64_t promotions = 0, promotions_skipped = 0;
-  // The part of promotions_skipped whose record moved while its fetch was
-  // in flight: a read or write published the key first (lost publish
-  // CAS), or the record was compacted or evicted away (buffer-less
-  // refetch). A prefetch that arrived after the access it was for.
-  uint64_t promotions_late = 0;
-  // Cold records a read copied to the tail, tracked (staleness+1) or not
-  // (control word kept). Lookahead promotions are counted separately,
-  // above.
-  uint64_t read_copies = 0;
-  uint64_t staleness_waits = 0, busy_aborts = 0;
-  uint64_t disk_record_reads = 0, pages_flushed = 0, pages_evicted = 0;
-  uint64_t compactions = 0, compaction_live_copied = 0;
-  // Pending-read pipeline: record fetches handed to the AsyncIoEngine,
-  // fetches that landed, and keys that fell back to a synchronous re-read
-  // (record moved mid-flight / staleness wait).
-  uint64_t async_reads_submitted = 0, async_reads_completed = 0;
-  uint64_t async_reads_refetched = 0;
-  // Device record reads (blocking walk or pending fetch) that landed
-  // another key's record sharing the hash chain, read only to follow its
-  // prev pointer.
-  uint64_t chain_hops = 0;
-  // Write pipeline: pages submitted to / completed by async flush waves,
-  // fdatasyncs issued (log's own plus the GroupCommitter's), and fsyncs
-  // that covered more than one committer (the group-commit win).
-  uint64_t async_writes_submitted = 0, async_writes_completed = 0;
-  uint64_t fsyncs = 0, group_commits = 0;
 };
 
 // Outcome of one Compact() pass.
@@ -315,14 +288,19 @@ class FasterStore {
   // True if `address` holds the newest version of `key` (scan liveness).
   bool IsLiveVersion(Key key, Address address);
 
-  FasterStatsSnapshot stats() const;
-  void ResetStats();
+  // The store's counters as registry samples, each labelled
+  // {shard=`shard`}: per-op counts (mlkv_shard_ops_total), the mlkv_store_*
+  // behavior counters and size gauges, and the log's mlkv_io_* disk-path and
+  // write-pipeline counters (docs/OBSERVABILITY.md). The counters have no
+  // other reader; a sharded store's totals are sums over `shard`.
+  void CollectMetrics(obs::MetricsSink* sink, std::string_view shard) const;
   uint64_t index_slots() const { return index_->num_slots(); }
   const HybridLog& log() const { return log_; }
   HybridLog* mutable_log() { return &log_; }
   const FasterOptions& options() const { return options_; }
 
-  // Effective number of live keys (approximate: counts inserts - deletes).
+  // Approximate number of live keys: first-time inserts, never decremented
+  // by deletes.
   uint64_t approximate_size() const {
     return stats_.inserts.load(std::memory_order_relaxed);
   }
@@ -387,11 +365,20 @@ class FasterStore {
     return reinterpret_cast<Record*>(log_.MutablePointer(address));
   }
 
+  // Plain atomics rather than registry cells: `inserts` also drives index
+  // growth, the checkpoint meta and approximate_size(), so
+  // obs::SetMetricsEnabled(false) must not freeze it. Read by
+  // CollectMetrics.
   struct Stats {
     std::atomic<uint64_t> reads{0}, upserts{0}, rmws{0}, deletes{0};
     std::atomic<uint64_t> inplace_updates{0}, rcu_appends{0}, inserts{0};
     std::atomic<uint64_t> promotions{0}, promotions_skipped{0};
+    // The part of promotions_skipped whose record moved while its fetch
+    // was in flight (lost publish CAS, or compacted/evicted away): a
+    // prefetch that arrived after the access it was for.
     std::atomic<uint64_t> promotions_late{0};
+    // Cold records a read copied to the tail (lookahead promotions are
+    // counted above).
     std::atomic<uint64_t> read_copies{0};
     std::atomic<uint64_t> staleness_waits{0}, busy_aborts{0};
     std::atomic<uint64_t> compactions{0}, compaction_live_copied{0};

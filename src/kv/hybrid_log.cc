@@ -268,11 +268,7 @@ bool HybridLog::TryReadMemory(Address a, void* out, uint32_t n) const {
   if (frame_page_[f].load(std::memory_order_acquire) != page) return false;
   std::memcpy(out, FramePointer(a), n);
   std::atomic_thread_fence(std::memory_order_acquire);
-  if (frame_page_[f].load(std::memory_order_relaxed) != page) {
-    stats_.seqlock_retries.fetch_add(1, std::memory_order_relaxed);
-    return false;
-  }
-  return true;
+  return frame_page_[f].load(std::memory_order_relaxed) == page;
 }
 
 Status HybridLog::ReadFromDisk(Address a, RecordMeta* meta, void* value_out,

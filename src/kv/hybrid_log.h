@@ -98,7 +98,6 @@ struct HybridLogStats {
   std::atomic<uint64_t> pages_flushed{0};
   std::atomic<uint64_t> pages_evicted{0};
   std::atomic<uint64_t> disk_record_reads{0};
-  std::atomic<uint64_t> seqlock_retries{0};
   // Write-pipeline counters: pages submitted to / completed by the async
   // write wave (zero when no engine is configured) and fdatasyncs issued
   // directly by this log (the GroupCommitter counts its own).

@@ -369,42 +369,10 @@ Status ShardedStore::MaybeCompact(uint64_t max_log_bytes,
   return Status::OK();
 }
 
-FasterStatsSnapshot ShardedStore::stats() const {
-  FasterStatsSnapshot total;
-  for (const auto& shard : shards_) {
-    const FasterStatsSnapshot s = shard->stats();
-    total.reads += s.reads;
-    total.upserts += s.upserts;
-    total.rmws += s.rmws;
-    total.deletes += s.deletes;
-    total.inplace_updates += s.inplace_updates;
-    total.rcu_appends += s.rcu_appends;
-    total.inserts += s.inserts;
-    total.promotions += s.promotions;
-    total.promotions_skipped += s.promotions_skipped;
-    total.promotions_late += s.promotions_late;
-    total.read_copies += s.read_copies;
-    total.staleness_waits += s.staleness_waits;
-    total.busy_aborts += s.busy_aborts;
-    total.disk_record_reads += s.disk_record_reads;
-    total.pages_flushed += s.pages_flushed;
-    total.pages_evicted += s.pages_evicted;
-    total.compactions += s.compactions;
-    total.compaction_live_copied += s.compaction_live_copied;
-    total.async_reads_submitted += s.async_reads_submitted;
-    total.async_reads_completed += s.async_reads_completed;
-    total.async_reads_refetched += s.async_reads_refetched;
-    total.chain_hops += s.chain_hops;
-    total.async_writes_submitted += s.async_writes_submitted;
-    total.async_writes_completed += s.async_writes_completed;
-    total.fsyncs += s.fsyncs;
-    total.group_commits += s.group_commits;
+void ShardedStore::CollectMetrics(obs::MetricsSink* sink) const {
+  for (size_t i = 0; i < shards_.size(); ++i) {
+    shards_[i]->CollectMetrics(sink, std::to_string(i));
   }
-  return total;
-}
-
-void ShardedStore::ResetStats() {
-  for (auto& shard : shards_) shard->ResetStats();
 }
 
 uint64_t ShardedStore::approximate_size() const {
@@ -436,14 +404,6 @@ uint64_t ShardedStore::log_read_only_total() const {
 uint64_t ShardedStore::log_tail_total() const {
   uint64_t total = 0;
   for (const auto& shard : shards_) total += shard->log().tail();
-  return total;
-}
-
-uint64_t ShardedStore::log_span_bytes() const {
-  uint64_t total = 0;
-  for (const auto& shard : shards_) {
-    total += shard->log().tail() - shard->log().begin_address();
-  }
   return total;
 }
 

@@ -192,10 +192,10 @@ class ShardedStore {
   Status MaybeCompact(uint64_t max_log_bytes,
                       CompactionResult* total = nullptr);
 
-  // --- Aggregated telemetry ---
+  // --- Telemetry ---
 
-  FasterStatsSnapshot stats() const;
-  void ResetStats();
+  // Every shard's FasterStore::CollectMetrics, labelled {shard="<i>"}.
+  void CollectMetrics(obs::MetricsSink* sink) const;
   uint64_t approximate_size() const;
   uint64_t index_slots() const;
   // Sums of the per-shard log boundaries; monotone under the same events
@@ -203,8 +203,6 @@ class ShardedStore {
   uint64_t log_begin_total() const;
   uint64_t log_read_only_total() const;
   uint64_t log_tail_total() const;
-  // Live log span: sum of (tail - begin) over shards.
-  uint64_t log_span_bytes() const;
   uint64_t device_bytes_read() const;
   uint64_t device_bytes_written() const;
 

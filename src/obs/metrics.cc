@@ -1,5 +1,6 @@
 #include "obs/metrics.h"
 
+#include <algorithm>
 #include <cctype>
 #include <cinttypes>
 #include <cmath>
@@ -208,10 +209,16 @@ void MetricsSink::AddGauge(std::string_view name, std::string_view help,
   Push(name, help, MetricKind::kGauge, value, labels);
 }
 
-double MetricsSink::Sum(std::string_view name) const {
+double MetricsSink::Sum(std::string_view name, Label label) const {
   double total = 0;
   for (const Sample& s : samples_) {
-    if (s.name == name) total += s.value;
+    if (s.name != name) continue;
+    const bool match =
+        label.first.empty() ||
+        std::any_of(s.labels.begin(), s.labels.end(), [&](const auto& l) {
+          return l.first == label.first && l.second == label.second;
+        });
+    if (match) total += s.value;
   }
   return total;
 }

@@ -8,12 +8,12 @@
 //    common/histogram.h's log-bucketed layout). Registration itself takes a
 //    mutex, so look cells up at wiring time, not per request.
 //
-//  * Collectors — subsystems that own their counters in their own structs
-//    (FasterStatsSnapshot via KvBackend::CollectMetrics, a RemoteBackend's
-//    RPC atomics, a Replicator's progress…) register a pull callback. The
-//    callback runs at scrape time and writes samples into a MetricsSink;
-//    the owning struct stays the source of truth and the registry is a
-//    view over it.
+//  * Collectors — subsystems that own their counters as plain atomics (a
+//    FasterStore's, emitted per shard by FasterStore::CollectMetrics via
+//    KvBackend::CollectMetrics; a RemoteBackend's RPC atomics; a
+//    Replicator's progress…) register a pull callback. The callback runs
+//    at scrape time and writes samples into a MetricsSink; the atomics
+//    stay the source of truth and the registry is a view over them.
 //
 // Both the HTTP /metrics endpoint and the wire kStats opcode serve
 // ExpositionText(), so readers of either pick series out of the same text
@@ -207,9 +207,10 @@ class MetricsSink {
                 std::initializer_list<Label> labels = {});
 
   const std::vector<Sample>& samples() const { return samples_; }
-  // Sum of the samples named `name` across their label sets; 0 when the
-  // family was not emitted.
-  double Sum(std::string_view name) const;
+  // Sum of the samples named `name` across their label sets, or only of
+  // those carrying `label` when one is given (e.g. {"op", "read"}); 0 when
+  // none was emitted.
+  double Sum(std::string_view name, Label label = {}) const;
 
  private:
   void Push(std::string_view name, std::string_view help, MetricKind kind,

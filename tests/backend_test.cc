@@ -8,7 +8,10 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <map>
 #include <memory>
+#include <set>
+#include <string>
 #include <thread>
 #include <tuple>
 #include <vector>
@@ -22,6 +25,7 @@
 #include "net/kv_server.h"
 #include "net/remote_backend.h"
 #include "obs/metrics.h"
+#include "store_metrics.h"
 
 namespace mlkv {
 namespace {
@@ -642,9 +646,60 @@ TEST(FasterBaselineShapeTest, NoStalenessTrackingNoLookahead) {
   obs::MetricsSink sink;
   backend->CollectMetrics(&sink);
   // The setup really reads the device, so a promotion had work to do.
-  EXPECT_GT(sink.Sum("mlkv_io_disk_record_reads_total"), 0.0);
-  EXPECT_EQ(sink.Sum("mlkv_store_staleness_waits_total"), 0.0);
-  EXPECT_EQ(sink.Sum("mlkv_store_promotions_total"), 0.0);
+  EXPECT_GT(MetricSum(sink, "mlkv_io_disk_record_reads_total"), 0u);
+  EXPECT_EQ(MetricSum(sink, "mlkv_store_staleness_waits_total"), 0u);
+  EXPECT_EQ(MetricSum(sink, "mlkv_store_promotions_total"), 0u);
+}
+
+// The hybrid-log store's counters are read only through per-shard samples:
+// every store and I/O family (all but the backend's device byte totals)
+// is emitted exactly once per shard, labelled with the shard's index, and
+// never as an unlabeled total.
+TEST(StoreMetricsTest, EveryStoreFamilyIsEmittedOncePerShard) {
+  TempDir dir;
+  BackendConfig cfg;
+  cfg.dir = dir.File("backend");
+  cfg.dim = 8;
+  cfg.shard_bits = 2;
+  std::unique_ptr<KvBackend> backend;
+  ASSERT_TRUE(MakeBackend(BackendKind::kMlkv, cfg, &backend).ok());
+  std::vector<Key> keys(64);
+  for (size_t i = 0; i < keys.size(); ++i) keys[i] = i;
+  std::vector<float> rows(keys.size() * 8, 1.0f);
+  ASSERT_TRUE(backend->MultiPut(keys, rows.data()).AllOk());
+
+  obs::MetricsSink sink;
+  backend->CollectMetrics(&sink);
+  std::set<std::string> families;
+  // Series (name plus every label but `shard`) -> the shards it was seen on.
+  std::map<std::string, std::multiset<std::string>> shards_of;
+  for (const obs::MetricsSink::Sample& s : sink.samples()) {
+    const bool store_family =
+        s.name.starts_with("mlkv_store_") ||
+        s.name == "mlkv_shard_ops_total" ||
+        (s.name.starts_with("mlkv_io_") &&
+         !s.name.starts_with("mlkv_io_device_"));
+    if (!store_family) continue;
+    families.insert(s.name);
+    std::string series = s.name, shard;
+    for (const auto& [key, value] : s.labels) {
+      if (key == "shard") {
+        shard = value;
+      } else {
+        series += "," + key + "=" + value;
+      }
+    }
+    EXPECT_FALSE(shard.empty()) << series << " has no shard label";
+    shards_of[series].insert(shard);
+  }
+  // 15 mlkv_store_*, 10 mlkv_io_* and mlkv_shard_ops_total (4 op series).
+  EXPECT_EQ(families.size(), 26u);
+  EXPECT_EQ(shards_of.size(), 29u);
+  const std::multiset<std::string> all = {"0", "1", "2", "3"};
+  for (const auto& [series, shards] : shards_of) {
+    EXPECT_EQ(shards, all) << series;
+  }
+  EXPECT_EQ(MetricSum(sink, "mlkv_store_inserts_total"), keys.size());
 }
 
 // --- remote/in-process parity --------------------------------------------

@@ -9,6 +9,7 @@
 #include "io/async_io.h"
 #include "io/temp_dir.h"
 #include "mlkv/mlkv.h"
+#include "store_metrics.h"
 
 namespace mlkv {
 namespace {
@@ -118,7 +119,8 @@ TEST(MlkvTest, LookaheadPromotesColdKeysToMemory) {
   ASSERT_TRUE(t->Lookahead(cold).ok());
   t->WaitLookahead();
   for (Key k : cold) EXPECT_TRUE(t->store()->IsInMemory(k)) << k;
-  EXPECT_GE(t->store()->stats().promotions, cold.size());
+  EXPECT_GE(StoreMetric(*t->store(), "mlkv_store_promotions_total"),
+            cold.size());
 }
 
 TEST(MlkvTest, LookaheadSubmitsFetchesBeforeReturning) {
@@ -157,14 +159,17 @@ TEST(MlkvTest, LookaheadSubmitsFetchesBeforeReturning) {
   while (held.load() < 2) std::this_thread::yield();
 
   const uint64_t submitted0 = db->io_engine()->stats().reads_submitted;
-  const uint64_t promotions0 = t->store()->stats().promotions;
+  const uint64_t promotions0 =
+      StoreMetric(*t->store(), "mlkv_store_promotions_total");
   EXPECT_TRUE(t->Lookahead(cold).ok());
   EXPECT_EQ(db->io_engine()->stats().reads_submitted - submitted0,
             cold.size());
 
   latch.set_value();
   t->WaitLookahead();
-  EXPECT_EQ(t->store()->stats().promotions - promotions0, cold.size());
+  EXPECT_EQ(
+      StoreMetric(*t->store(), "mlkv_store_promotions_total") - promotions0,
+      cold.size());
   for (Key k : cold) EXPECT_TRUE(t->store()->IsInMemory(k)) << k;
 }
 
@@ -273,7 +278,8 @@ TEST(MlkvTest, UntrackedStoreNeverWaitsOnBatchedReads) {
     EXPECT_EQ(r.busy, 0u) << "round " << round;
     EXPECT_TRUE(r.AllOk()) << "round " << round;
   }
-  EXPECT_EQ(table.store()->stats().staleness_waits, 0u);
+  EXPECT_EQ(StoreMetric(*table.store(), "mlkv_store_staleness_waits_total"),
+            0u);
 }
 
 TEST(EmbeddingCacheTest, LruEvictsOldest) {

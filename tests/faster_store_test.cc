@@ -10,6 +10,7 @@
 #include "io/temp_dir.h"
 #include "kv/faster_store.h"
 #include "kv/log_iterator.h"
+#include "store_metrics.h"
 
 namespace mlkv {
 namespace {
@@ -93,8 +94,9 @@ TEST(FasterStoreTest, InsertIfAbsentPublishesAgainstObservedHead) {
   ASSERT_TRUE(
       store.InsertIfAbsent(7, head, 8, Bootstrap("initval!", &row)).ok());
   EXPECT_EQ(row, "initval!");
-  EXPECT_EQ(store.stats().rmws, 0u);  // no fallback
-  EXPECT_EQ(store.stats().inserts, 1u);
+  // No fallback.
+  EXPECT_EQ(StoreMetric(store, "mlkv_shard_ops_total", {{"op", "rmw"}}), 0u);
+  EXPECT_EQ(StoreMetric(store, "mlkv_store_inserts_total"), 1u);
   std::string out;
   ASSERT_TRUE(store.Read(7, &out).ok());
   EXPECT_EQ(out, "initval!");
@@ -111,7 +113,8 @@ TEST(FasterStoreTest, InsertIfAbsentRacedBySameKeyFallsBackToRmw) {
   std::string row;
   ASSERT_TRUE(
       store.InsertIfAbsent(7, head, 8, Bootstrap("initval!", &row)).ok());
-  EXPECT_EQ(store.stats().rmws, 1u);  // the stale head sent it to Rmw
+  // The stale head sent it to Rmw.
+  EXPECT_EQ(StoreMetric(store, "mlkv_shard_ops_total", {{"op", "rmw"}}), 1u);
   EXPECT_EQ(row, "racer!!!");         // adopted the racer's row
   EXPECT_EQ(VersionsOf(&store, 7), 1u);
   std::string out;
@@ -142,7 +145,7 @@ TEST(FasterStoreTest, InsertIfAbsentRacedBySlotNeighbourFallsBackToRmw) {
   std::string row;
   ASSERT_TRUE(
       store.InsertIfAbsent(key, head, 8, Bootstrap("initval!", &row)).ok());
-  EXPECT_EQ(store.stats().rmws, 1u);
+  EXPECT_EQ(StoreMetric(store, "mlkv_shard_ops_total", {{"op", "rmw"}}), 1u);
   EXPECT_EQ(row, "initval!");
   EXPECT_EQ(VersionsOf(&store, key), 1u);
   std::string out;
@@ -177,7 +180,7 @@ TEST(FasterStoreTest, RcuVersionsNeverInheritTheRecordLock) {
   ASSERT_TRUE(store.Upsert(1, "eight b!", 8).ok());
   hold_lock(1);
   ASSERT_TRUE(store.Rmw(1, 16, [](char*, uint32_t, bool) {}).ok());
-  EXPECT_EQ(store.stats().rcu_appends, 1u);
+  EXPECT_EQ(StoreMetric(store, "mlkv_store_rcu_appends_total"), 1u);
   EXPECT_FALSE(newest_locked(1));
 
   ASSERT_TRUE(store.Upsert(2, "eight b!", 8).ok());
@@ -197,7 +200,7 @@ TEST(FasterStoreTest, InsertIfAbsentTreatsTombstoneAsAbsent) {
   std::string row;
   ASSERT_TRUE(
       store.InsertIfAbsent(7, head, 8, Bootstrap("initval!", &row)).ok());
-  EXPECT_EQ(store.stats().rmws, 0u);
+  EXPECT_EQ(StoreMetric(store, "mlkv_shard_ops_total", {{"op", "rmw"}}), 0u);
   EXPECT_EQ(row, "initval!");
   std::string out;
   ASSERT_TRUE(store.Read(7, &out).ok());
@@ -231,8 +234,8 @@ TEST(FasterStoreTest, UpdateOverwritesInPlace) {
   std::string out;
   ASSERT_TRUE(store.Read(1, &out).ok());
   EXPECT_EQ(out, "bbbb");
-  EXPECT_EQ(store.stats().inplace_updates, 1u);
-  EXPECT_EQ(store.stats().inserts, 1u);
+  EXPECT_EQ(StoreMetric(store, "mlkv_store_inplace_updates_total"), 1u);
+  EXPECT_EQ(StoreMetric(store, "mlkv_store_inserts_total"), 1u);
 }
 
 TEST(FasterStoreTest, DifferentSizeUpdateGoesRcu) {
@@ -244,7 +247,7 @@ TEST(FasterStoreTest, DifferentSizeUpdateGoesRcu) {
   std::string out;
   ASSERT_TRUE(store.Read(1, &out).ok());
   EXPECT_EQ(out, "cccccccc");
-  EXPECT_GE(store.stats().rcu_appends, 1u);
+  EXPECT_GE(StoreMetric(store, "mlkv_store_rcu_appends_total"), 1u);
 }
 
 TEST(FasterStoreTest, ManyKeysSurviveSpillToDisk) {
@@ -264,7 +267,7 @@ TEST(FasterStoreTest, ManyKeysSurviveSpillToDisk) {
     ASSERT_EQ(out.size(), 32u);
     EXPECT_EQ(out[0], static_cast<char>('a' + (k % 26))) << "key " << k;
   }
-  EXPECT_GT(store.stats().disk_record_reads, 0u);
+  EXPECT_GT(StoreMetric(store, "mlkv_io_disk_record_reads_total"), 0u);
 }
 
 TEST(FasterStoreTest, UpdateColdKeyRcuAndReadsNewValue) {
@@ -355,7 +358,7 @@ TEST(FasterStoreTest, PromoteMovesDiskRecordToMemory) {
   ASSERT_FALSE(store.IsInMemory(7)) << "key 7 should have been evicted";
   ASSERT_TRUE(store.Promote(7).ok());
   EXPECT_TRUE(store.IsInMemory(7));
-  EXPECT_EQ(store.stats().promotions, 1u);
+  EXPECT_EQ(StoreMetric(store, "mlkv_store_promotions_total"), 1u);
   std::string out;
   ASSERT_TRUE(store.Read(7, &out).ok());
   EXPECT_EQ(out[0], 'p');
@@ -456,11 +459,13 @@ TEST(FasterStoreTest, PromoteSkipsImmutableInMemoryRecords) {
     ASSERT_TRUE(store.Upsert(k, filler.data(), 128).ok());
   }
   ASSERT_TRUE(store.IsInMemory(7));
-  const auto before = store.stats();
+  const obs::MetricsSink before = StoreSamples(store);
   ASSERT_TRUE(store.Promote(7).ok());
-  const auto after = store.stats();
-  EXPECT_EQ(after.promotions, before.promotions);
-  EXPECT_EQ(after.promotions_skipped, before.promotions_skipped + 1);
+  const obs::MetricsSink after = StoreSamples(store);
+  EXPECT_EQ(MetricSum(after, "mlkv_store_promotions_total"),
+            MetricSum(before, "mlkv_store_promotions_total"));
+  EXPECT_EQ(MetricSum(after, "mlkv_store_promotions_skipped_total"),
+            MetricSum(before, "mlkv_store_promotions_skipped_total") + 1);
 }
 
 TEST(FasterStoreTest, CheckpointRecoverRoundTrip) {
@@ -508,10 +513,10 @@ TEST(FasterStoreTest, StatsCountOperations) {
   ASSERT_TRUE(store.Upsert(1, "a", 1).ok());
   std::string out;
   ASSERT_TRUE(store.Read(1, &out).ok());
-  const auto s = store.stats();
-  EXPECT_EQ(s.upserts, 1u);
-  EXPECT_EQ(s.reads, 1u);
-  EXPECT_EQ(s.inserts, 1u);
+  const obs::MetricsSink s = StoreSamples(store);
+  EXPECT_EQ(MetricSum(s, "mlkv_shard_ops_total", {{"op", "upsert"}}), 1u);
+  EXPECT_EQ(MetricSum(s, "mlkv_shard_ops_total", {{"op", "read"}}), 1u);
+  EXPECT_EQ(MetricSum(s, "mlkv_store_inserts_total"), 1u);
 }
 
 
@@ -558,7 +563,7 @@ TEST(FasterStoreGrowTest, MaybeGrowIndexHonorsLoadFactor) {
   // 200 keys / 16 slots = 12.5 load; growing to <= 1.5 needs 256 slots.
   ASSERT_TRUE(store.MaybeGrowIndex(1.5).ok());
   EXPECT_EQ(store.index_slots(), 256u);
-  EXPECT_EQ(store.stats().inserts, 200u);
+  EXPECT_EQ(StoreMetric(store, "mlkv_store_inserts_total"), 200u);
   std::string out;
   for (int i = 0; i < 200; ++i) {
     ASSERT_TRUE(store.Read(i, &out).ok());
@@ -593,7 +598,7 @@ TEST(FasterStoreGrowTest, GrowthSurvivesCheckpointRecover) {
   }
   // 150 keys filled the 16 entries before growth: the recovered (all
   // disk-resident) chains are shared, so reads hop over other keys.
-  EXPECT_GT(recovered.stats().chain_hops, 0u);
+  EXPECT_GT(StoreMetric(recovered, "mlkv_store_chain_hops_total"), 0u);
 }
 
 }  // namespace

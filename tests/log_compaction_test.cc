@@ -14,6 +14,7 @@
 #include "io/temp_dir.h"
 #include "kv/faster_store.h"
 #include "kv/log_iterator.h"
+#include "store_metrics.h"
 
 namespace mlkv {
 namespace {
@@ -326,7 +327,7 @@ TEST(CompactTest, MaybeCompactRespectsThreshold) {
   // Tiny threshold: compaction advances begin.
   ASSERT_TRUE(store.MaybeCompact(1).ok());
   EXPECT_GT(store.log().begin_address(), begin_before);
-  EXPECT_EQ(store.stats().compactions, 1u);
+  EXPECT_EQ(StoreMetric(store, "mlkv_store_compactions_total"), 1u);
 }
 
 TEST(CompactTest, SurvivesCheckpointRecoverCycle) {

@@ -7,9 +7,11 @@
 
 #include <atomic>
 #include <condition_variable>
+#include <cstdlib>
 #include <cstring>
 #include <memory>
 #include <mutex>
+#include <sstream>
 #include <string>
 #include <string_view>
 #include <thread>
@@ -35,6 +37,23 @@ double Sample(const std::string& exposition, std::string_view series) {
   double v = -1;
   EXPECT_TRUE(obs::FindSample(exposition, series, &v)) << series;
   return v;
+}
+
+// A family's total over its label sets (e.g. a store family summed over
+// `shard`); a family with no sample fails the test and reads as -1.
+double FamilySum(const std::string& exposition, std::string_view name) {
+  double total = 0;
+  bool found = false;
+  std::istringstream lines(exposition);
+  for (std::string line; std::getline(lines, line);) {
+    if (!line.starts_with(name)) continue;
+    const char next = line.size() > name.size() ? line[name.size()] : '\0';
+    if (next != ' ' && next != '{') continue;
+    total += std::strtod(line.c_str() + line.rfind(' ') + 1, nullptr);
+    found = true;
+  }
+  EXPECT_TRUE(found) << name;
+  return found ? total : -1;
 }
 
 // --- wire round-trips ----------------------------------------------------
@@ -997,11 +1016,11 @@ TEST(KvServerIoStatsTest, ColdReadCountersTravelTheWire) {
   std::string text;
   ASSERT_TRUE(
       static_cast<RemoteBackend*>(remote.get())->FetchStats(&text).ok());
-  EXPECT_GT(Sample(text, "mlkv_io_disk_record_reads_total"), 0);
-  EXPECT_GT(Sample(text, "mlkv_io_pages_flushed_total"), 0);
-  EXPECT_GT(Sample(text, "mlkv_io_async_reads_submitted_total"), 0);
-  EXPECT_EQ(Sample(text, "mlkv_io_async_reads_submitted_total"),
-            Sample(text, "mlkv_io_async_reads_completed_total"));
+  EXPECT_GT(FamilySum(text, "mlkv_io_disk_record_reads_total"), 0);
+  EXPECT_GT(FamilySum(text, "mlkv_io_pages_flushed_total"), 0);
+  EXPECT_GT(FamilySum(text, "mlkv_io_async_reads_submitted_total"), 0);
+  EXPECT_EQ(FamilySum(text, "mlkv_io_async_reads_submitted_total"),
+            FamilySum(text, "mlkv_io_async_reads_completed_total"));
   server.Stop();
 }
 

@@ -237,6 +237,18 @@ TEST(FindSampleTest, GoldenLookups) {
   EXPECT_EQ(v, 4);
 }
 
+TEST(MetricsSinkTest, SumFiltersOnOneLabel) {
+  MetricsSink sink;
+  sink.AddCounter("ops_total", "Ops.", 5, {{"shard", "0"}, {"op", "get"}});
+  sink.AddCounter("ops_total", "Ops.", 2, {{"shard", "1"}, {"op", "get"}});
+  sink.AddCounter("ops_total", "Ops.", 4, {{"shard", "1"}, {"op", "put"}});
+  EXPECT_EQ(sink.Sum("ops_total"), 11);
+  EXPECT_EQ(sink.Sum("ops_total", {"op", "get"}), 7);
+  EXPECT_EQ(sink.Sum("ops_total", {"shard", "1"}), 6);
+  EXPECT_EQ(sink.Sum("ops_total", {"op", "delete"}), 0);
+  EXPECT_EQ(sink.Sum("missing_total"), 0);
+}
+
 TEST(MetricsHttpTest, ServesExpositionAnd404) {
   MetricsRegistry reg;
   reg.CounterFamily("http_total", "Hits.")->GetCounter()->Add(2);

@@ -10,6 +10,7 @@
 #include "io/temp_dir.h"
 #include "mlkv/mlkv.h"
 #include "mlkv/optimizer.h"
+#include "store_metrics.h"
 
 namespace mlkv {
 namespace {
@@ -283,8 +284,9 @@ TEST(FusedOptimizerTableTest, ColdTrackedReadsKeepFusedState) {
       ASSERT_TRUE(cold->ApplyGradients(keys, grads.data()).ok());
       ASSERT_TRUE(warm->ApplyGradients(keys, grads.data()).ok());
     }
-    EXPECT_EQ(cold->store()->stats().read_copies, 2 * kKeys);
-    EXPECT_EQ(warm->store()->stats().read_copies, 0u);
+    EXPECT_EQ(StoreMetric(*cold->store(), "mlkv_store_read_copies_total"),
+              2 * kKeys);
+    EXPECT_EQ(StoreMetric(*warm->store(), "mlkv_store_read_copies_total"), 0u);
 
     const uint32_t bytes = cold->record_bytes();
     for (const Key k : keys) {

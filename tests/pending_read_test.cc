@@ -21,6 +21,7 @@
 #include "mlkv/embedding_init.h"
 #include "mlkv/mlkv.h"
 #include "obs/metrics.h"
+#include "store_metrics.h"
 
 namespace mlkv {
 namespace {
@@ -122,10 +123,11 @@ TEST(PendingReadTest, ColdBatchMatchesSyncByteForByte) {
   EXPECT_EQ(sync_r.missing, async_r.missing);
   // The async store actually used the pipeline (the working set is cold),
   // and the sync store never did.
-  EXPECT_GT(async_store.stats().async_reads_submitted, 0u);
-  EXPECT_EQ(sync_store.stats().async_reads_submitted, 0u);
-  EXPECT_EQ(async_store.stats().async_reads_submitted,
-            async_store.stats().async_reads_completed);
+  EXPECT_GT(StoreMetric(async_store, "mlkv_io_async_reads_submitted_total"),
+            0u);
+  EXPECT_EQ(StoreMetric(sync_store, "mlkv_io_async_reads_submitted_total"), 0u);
+  EXPECT_EQ(StoreMetric(async_store, "mlkv_io_async_reads_submitted_total"),
+            StoreMetric(async_store, "mlkv_io_async_reads_completed_total"));
 }
 
 TEST(PendingReadTest, CollisionChainsHopOnDeviceAndFallBackPastBudget) {
@@ -147,7 +149,8 @@ TEST(PendingReadTest, CollisionChainsHopOnDeviceAndFallBackPastBudget) {
   ASSERT_TRUE(async_store.Open(async_opts).ok());
   LoadKeys(&sync_store, kKeys);
   LoadKeys(&async_store, kKeys);
-  const uint64_t load_hops = async_store.stats().chain_hops;
+  const uint64_t load_hops =
+      StoreMetric(async_store, "mlkv_store_chain_hops_total");
 
   std::vector<Key> keys;
   for (uint64_t i = 0; i < 256; ++i) keys.push_back((i * 37) % kKeys);
@@ -163,11 +166,13 @@ TEST(PendingReadTest, CollisionChainsHopOnDeviceAndFallBackPastBudget) {
   EXPECT_EQ(sync_out, async_out);
   EXPECT_EQ(async_r.missing, 1u);
 
-  const FasterStatsSnapshot s = async_store.stats();
-  EXPECT_GT(s.async_reads_submitted, 0u);
-  EXPECT_GT(s.chain_hops, load_hops);      // hops during the batch...
-  EXPECT_GT(s.async_reads_refetched, 0u);  // ...and past kMaxPendingHops
-  EXPECT_GT(sync_store.stats().chain_hops, 0u);  // and on the blocking walk
+  const obs::MetricsSink s = StoreSamples(async_store);
+  EXPECT_GT(MetricSum(s, "mlkv_io_async_reads_submitted_total"), 0u);
+  // Chain hops during the batch, some past kMaxPendingHops (refetched),
+  // and on the blocking walk too.
+  EXPECT_GT(MetricSum(s, "mlkv_store_chain_hops_total"), load_hops);
+  EXPECT_GT(MetricSum(s, "mlkv_io_async_reads_refetched_total"), 0u);
+  EXPECT_GT(StoreMetric(sync_store, "mlkv_store_chain_hops_total"), 0u);
 }
 
 TEST(PendingReadTest, DuplicateColdKeysCoalesceIntoOneIo) {
@@ -196,11 +201,12 @@ TEST(PendingReadTest, DuplicateColdKeysCoalesceIntoOneIo) {
   }
   FillValue(11, expected);
   EXPECT_EQ(std::memcmp(&out[16 * kValueBytes], expected, kValueBytes), 0);
-  const FasterStatsSnapshot s = store.stats();
   // 17 key instances, 2 distinct cold records: at most 2 I/Os (+ hash-chain
   // hops, which an index of 4096 slots over 1500 keys makes rare).
-  EXPECT_GT(s.async_reads_submitted, 0u);
-  EXPECT_LE(s.async_reads_submitted, 4u);
+  const uint64_t submitted =
+      StoreMetric(store, "mlkv_io_async_reads_submitted_total");
+  EXPECT_GT(submitted, 0u);
+  EXPECT_LE(submitted, 4u);
 }
 
 TEST(PendingReadTest, CompactionRacingInFlightReadFallsBackToRefetch) {
@@ -238,7 +244,7 @@ TEST(PendingReadTest, CompactionRacingInFlightReadFallsBackToRefetch) {
   char expected[kValueBytes];
   FillValue(victim, expected);
   EXPECT_EQ(std::memcmp(out, expected, kValueBytes), 0);
-  EXPECT_GE(store->stats().async_reads_refetched, 1u);
+  EXPECT_GE(StoreMetric(*store, "mlkv_io_async_reads_refetched_total"), 1u);
 }
 
 TEST(PendingReadTest, PromotionInvalidatedInFlightSkipsCleanly) {
@@ -261,13 +267,15 @@ TEST(PendingReadTest, PromotionInvalidatedInFlightSkipsCleanly) {
   ASSERT_TRUE(sharded.CompactAll().ok());
   ASSERT_GT(store->log().begin_address(), p.address);
 
-  const uint64_t skipped_before = store->stats().promotions_skipped;
+  const uint64_t skipped_before =
+      StoreMetric(*store, "mlkv_store_promotions_skipped_total");
   PendingSink sink;
   sink.Park(store, std::move(p), nullptr);
   PendingReadWave wave(&engine);
   wave.Adopt(&sink);
   wave.CompleteAll();
-  EXPECT_GT(store->stats().promotions_skipped, skipped_before);
+  EXPECT_GT(StoreMetric(*store, "mlkv_store_promotions_skipped_total"),
+            skipped_before);
   // The key still reads correctly afterwards.
   char out[kValueBytes], expected[kValueBytes];
   ASSERT_TRUE(store->Read(5, out, kValueBytes).ok());
@@ -311,7 +319,7 @@ TEST(PendingReadTest, LookaheadCountsEachPresentKeyOnce) {
   }
   const Key absent = kKeys + 7;
 
-  const FasterStatsSnapshot before = store->stats();
+  const obs::MetricsSink before = StoreSamples(*store);
   PendingSink sink;
   size_t parked_keys = 0;
   for (const Key k :
@@ -334,11 +342,14 @@ TEST(PendingReadTest, LookaheadCountsEachPresentKeyOnce) {
   wave.Adopt(&sink);
   wave.CompleteAll();
 
-  const FasterStatsSnapshot after = store->stats();
-  EXPECT_EQ(after.promotions - before.promotions, 2u);  // disk_a, disk_b
-  EXPECT_EQ(after.promotions_skipped - before.promotions_skipped, 3u);
+  const obs::MetricsSink after = StoreSamples(*store);
+  const auto delta = [&](std::string_view name) {
+    return MetricSum(after, name) - MetricSum(before, name);
+  };
+  EXPECT_EQ(delta("mlkv_store_promotions_total"), 2u);  // disk_a, disk_b
+  EXPECT_EQ(delta("mlkv_store_promotions_skipped_total"), 3u);
   // Of the skips, only `moved` arrived late: the other two were resident.
-  EXPECT_EQ(after.promotions_late - before.promotions_late, 1u);
+  EXPECT_EQ(delta("mlkv_store_promotions_late_total"), 1u);
   EXPECT_TRUE(store->IsInMemory(disk_a));
   EXPECT_TRUE(store->IsInMemory(disk_b));
   for (const Key k : {mutable_key, read_only_key, moved, disk_a, disk_b}) {
@@ -363,7 +374,7 @@ TEST(PendingReadTest, PromotionLosingItsPublishCountsLate) {
   FasterStore* store = sharded.shard(0);
   const Key written = 10, truncated = 11;
 
-  const FasterStatsSnapshot before = store->stats();
+  const obs::MetricsSink before = StoreSamples(*store);
   PendingSink sink;
   for (const auto& [key, cap] :
        {std::pair{written, kValueBytes}, std::pair{truncated, 8u}}) {
@@ -381,10 +392,13 @@ TEST(PendingReadTest, PromotionLosingItsPublishCountsLate) {
   ASSERT_TRUE(store->Upsert(written, fresh, kValueBytes).ok());
   wave.Complete();
 
-  const FasterStatsSnapshot after = store->stats();
-  EXPECT_EQ(after.promotions - before.promotions, 0u);
-  EXPECT_EQ(after.promotions_skipped - before.promotions_skipped, 2u);
-  EXPECT_EQ(after.promotions_late - before.promotions_late, 1u);
+  const obs::MetricsSink after = StoreSamples(*store);
+  const auto delta = [&](std::string_view name) {
+    return MetricSum(after, name) - MetricSum(before, name);
+  };
+  EXPECT_EQ(delta("mlkv_store_promotions_total"), 0u);
+  EXPECT_EQ(delta("mlkv_store_promotions_skipped_total"), 2u);
+  EXPECT_EQ(delta("mlkv_store_promotions_late_total"), 1u);
   char out[kValueBytes];
   ASSERT_TRUE(store->Peek(written, out, kValueBytes).ok());
   EXPECT_EQ(std::memcmp(out, fresh, kValueBytes), 0);
@@ -446,8 +460,8 @@ TEST(PendingReadTest, StalenessBoundFallsBackToBlockingProtocol) {
       &r);
   EXPECT_EQ(r.codes[0], Status::Code::kBusy);
   EXPECT_EQ(r.codes[1], Status::Code::kOk);
-  EXPECT_GE(store->stats().async_reads_refetched, 1u);
-  EXPECT_GE(store->stats().busy_aborts, 1u);
+  EXPECT_GE(StoreMetric(*store, "mlkv_io_async_reads_refetched_total"), 1u);
+  EXPECT_GE(StoreMetric(*store, "mlkv_store_busy_aborts_total"), 1u);
 }
 
 TEST(PendingReadTest, InjectedFaultsFailOnlyTheirKeys) {
@@ -549,7 +563,9 @@ TEST(PendingReadTest, MlkvWaveServesPutRowsInitAndLookahead) {
   ASSERT_TRUE(table->GetOrInit(batch, out.data(), &got).ok());
   EXPECT_TRUE(got.AllOk());
   EXPECT_EQ(got.missing, 1u);
-  EXPECT_GT(table->store()->stats().async_reads_submitted, 0u);
+  EXPECT_GT(
+      StoreMetric(*table->store(), "mlkv_io_async_reads_submitted_total"),
+      0u);
   for (size_t i = 0; i + 1 < batch.size(); ++i) {
     for (uint32_t d = 0; d < kDim; ++d) {
       ASSERT_EQ(out[i * kDim + d], row_value(batch[i], d))
@@ -571,7 +587,7 @@ TEST(PendingReadTest, MlkvWaveServesPutRowsInitAndLookahead) {
   for (Key k = 0; k < 64; ++k) ahead.push_back(k);
   ASSERT_TRUE(table->Lookahead(ahead).ok());
   table->WaitLookahead();
-  EXPECT_GT(table->store()->stats().promotions, 0u);
+  EXPECT_GT(StoreMetric(*table->store(), "mlkv_store_promotions_total"), 0u);
 
   // Drain-on-close: issue lookaheads and destroy immediately.
   ASSERT_TRUE(table->Lookahead(ahead).ok());
@@ -598,11 +614,7 @@ TEST(PendingReadTest, TrackedColdGetLeavesThePutNothingToRead) {
   const auto sample = [&](const char* name) {
     obs::MetricsSink sink;
     backend->CollectMetrics(&sink);
-    double total = 0;
-    for (const obs::MetricsSink::Sample& s : sink.samples()) {
-      if (s.name == name) total += s.value;
-    }
-    return total;
+    return MetricSum(sink, name);
   };
 
   std::vector<Key> keys(kLoad);

@@ -13,6 +13,7 @@
 #include "common/thread_pool.h"
 #include "io/temp_dir.h"
 #include "kv/sharded_store.h"
+#include "store_metrics.h"
 
 namespace mlkv {
 namespace {
@@ -142,9 +143,16 @@ TEST(ShardedStoreTest, AllKeysHashToOneShard) {
   for (size_t i = 0; i < keys.size(); ++i) {
     EXPECT_EQ(out[i], ValueFor(keys[i]));
   }
-  // Only the target shard saw traffic.
+  // Only the target shard saw traffic, and the store labels each shard's
+  // samples with that shard's index.
+  const obs::MetricsSink sink = StoreSamples(store);
   for (size_t s = 0; s < store.num_shards(); ++s) {
-    EXPECT_EQ(store.shard(s)->stats().upserts, s == target ? keys.size() : 0u);
+    const std::string shard = std::to_string(s);
+    EXPECT_EQ(MetricSum(sink, "mlkv_shard_ops_total",
+                        {{"shard", shard}, {"op", "upsert"}}),
+              s == target ? keys.size() : 0u);
+    EXPECT_EQ(MetricSum(sink, "mlkv_store_inserts_total", {{"shard", shard}}),
+              s == target ? keys.size() : 0u);
   }
 }
 
@@ -184,7 +192,8 @@ TEST(ShardedStoreTest, ShardBitsZeroMatchesSingleStore) {
 
   // Identical telemetry and layout: one log file at the configured path,
   // no shard-NN directories anywhere.
-  EXPECT_EQ(store.stats().inserts, plain.stats().inserts);
+  EXPECT_EQ(StoreMetric(store, "mlkv_store_inserts_total"),
+            StoreMetric(plain, "mlkv_store_inserts_total"));
   EXPECT_EQ(store.log_tail_total(), plain.log().tail());
   EXPECT_TRUE(std::filesystem::exists(sharded_dir.path() + "/store.log"));
   for (const auto& entry :
@@ -323,7 +332,7 @@ TEST(ShardedStoreTest, StopOnErrorHaltsSubBatch) {
   EXPECT_EQ(r.codes[0], Status::Code::kOk);
   EXPECT_EQ(r.codes[1], Status::Code::kNotFound);
   // Key 2 was never attempted: the store's read count stops at two.
-  EXPECT_EQ(store.stats().reads, 2u);
+  EXPECT_EQ(StoreMetric(store, "mlkv_shard_ops_total", {{"op", "read"}}), 2u);
 }
 
 }  // namespace

@@ -20,6 +20,7 @@
 #include "kv/faster_store.h"
 #include "kv/pending_read.h"
 #include "mlkv/mlkv.h"
+#include "store_metrics.h"
 
 namespace mlkv {
 namespace {
@@ -84,7 +85,7 @@ TEST(StalenessTest, BspBoundZeroSerializesReadersBehindWriter) {
   ASSERT_TRUE(store.Upsert(1, &v, sizeof(v)).ok());
   reader.join();
   EXPECT_TRUE(reader_done.load());
-  EXPECT_GT(store.stats().staleness_waits, 0u);
+  EXPECT_GT(StoreMetric(store, "mlkv_store_staleness_waits_total"), 0u);
 }
 
 TEST(StalenessTest, AspNeverWaits) {
@@ -97,8 +98,8 @@ TEST(StalenessTest, AspNeverWaits) {
   for (int i = 0; i < 1000; ++i) {
     ASSERT_TRUE(store.Read(1, &out, sizeof(out)).ok());
   }
-  EXPECT_EQ(store.stats().staleness_waits, 0u);
-  EXPECT_EQ(store.stats().busy_aborts, 0u);
+  EXPECT_EQ(StoreMetric(store, "mlkv_store_staleness_waits_total"), 0u);
+  EXPECT_EQ(StoreMetric(store, "mlkv_store_busy_aborts_total"), 0u);
 }
 
 TEST(StalenessTest, PutNeverWaitsEvenAtBound) {
@@ -115,7 +116,7 @@ TEST(StalenessTest, PutNeverWaitsEvenAtBound) {
     v = i;
     ASSERT_TRUE(store.Upsert(1, &v, sizeof(v)).ok());
   }
-  EXPECT_EQ(store.stats().staleness_waits, 0u);
+  EXPECT_EQ(StoreMetric(store, "mlkv_store_staleness_waits_total"), 0u);
 }
 
 TEST(StalenessTest, StalenessSaturatesAtZero) {
@@ -186,7 +187,7 @@ TEST(StalenessTest, GenerationAdvancesOnPuts) {
   }
   // Interleaved reads still see consistent values; generation is internal,
   // but 5 in-place updates must be recorded.
-  EXPECT_EQ(store.stats().inplace_updates, 5u);
+  EXPECT_EQ(StoreMetric(store, "mlkv_store_inplace_updates_total"), 5u);
 }
 
 TEST(StalenessTest, ConcurrentPipelineRespectsBound) {
@@ -258,8 +259,8 @@ TEST(StalenessTest, UntrackedModeHasNoStalenessEffects) {
   for (int i = 0; i < 100; ++i) {
     ASSERT_TRUE(store.Read(1, &out, sizeof(out)).ok());
   }
-  EXPECT_EQ(store.stats().staleness_waits, 0u);
-  EXPECT_EQ(store.stats().busy_aborts, 0u);
+  EXPECT_EQ(StoreMetric(store, "mlkv_store_staleness_waits_total"), 0u);
+  EXPECT_EQ(StoreMetric(store, "mlkv_store_busy_aborts_total"), 0u);
 }
 
 // --- Cold-record contract matrix ------------------------------------------
@@ -374,7 +375,8 @@ TEST_P(ColdStalenessTest, AdmitsBoundPlusOneThenBusy) {
   }
   t.Bury({kFresh, kAtBound, kOverBound}, where,
          /*companions=*/3 * bound + 8);
-  const uint64_t submitted_before = t.shard->stats().async_reads_submitted;
+  const uint64_t submitted_before =
+      StoreMetric(*t.shard, "mlkv_io_async_reads_submitted_total");
 
   // An admitted Get of a cold key counts through its tail copy; later ones
   // count in place on that copy. Bound b admits b+1 outstanding Gets: the
@@ -397,9 +399,10 @@ TEST_P(ColdStalenessTest, AdmitsBoundPlusOneThenBusy) {
     EXPECT_EQ(a >= t.shard->log().read_only_address(), admitted > 0)
         << "key " << k;
   }
-  EXPECT_EQ(t.shard->stats().read_copies, 2u);
+  EXPECT_EQ(StoreMetric(*t.shard, "mlkv_store_read_copies_total"), 2u);
   if (where == Residency::kDisk && path == ReadPath::kPipeline) {
-    EXPECT_GT(t.shard->stats().async_reads_submitted, submitted_before);
+    EXPECT_GT(StoreMetric(*t.shard, "mlkv_io_async_reads_submitted_total"),
+              submitted_before);
   }
 
   // A Put releases one slot: exactly one more Get is admitted.
@@ -460,8 +463,8 @@ TEST(StalenessTest, ParkedColdReadLosingToAPutCountsOnTheLiveVersion) {
   ASSERT_TRUE(t.shard->PeekMeta(kTarget, &meta).ok());
   // 2 on disk, the Put releases one, the read takes it back.
   EXPECT_EQ(ControlWord::Staleness(meta.control), 2u);
-  EXPECT_EQ(t.shard->stats().read_copies, 0u);
-  EXPECT_GE(t.shard->stats().async_reads_refetched, 1u);
+  EXPECT_EQ(StoreMetric(*t.shard, "mlkv_store_read_copies_total"), 0u);
+  EXPECT_GE(StoreMetric(*t.shard, "mlkv_io_async_reads_refetched_total"), 1u);
 }
 
 }  // namespace

@@ -13,6 +13,7 @@
 #include "common/random.h"
 #include "io/temp_dir.h"
 #include "kv/faster_store.h"
+#include "store_metrics.h"
 
 namespace mlkv {
 namespace {
@@ -118,7 +119,7 @@ TEST_P(StorePropertyTest, MatchesReferenceModelUnderRandomOps) {
     ASSERT_TRUE(store.Read(key, &got).IsNotFound()) << "ghost key " << key;
   }
   // More keys than index entries: chains really were shared on disk.
-  EXPECT_GT(store.stats().chain_hops, 0u);
+  EXPECT_GT(StoreMetric(store, "mlkv_store_chain_hops_total"), 0u);
 }
 
 TEST_P(StorePropertyTest, CheckpointRecoverPreservesEverything) {
@@ -161,7 +162,8 @@ TEST_P(StorePropertyTest, CheckpointRecoverPreservesEverything) {
     ASSERT_TRUE(restored.Read(key, &got).ok()) << "key " << key;
     ASSERT_EQ(got, expected) << "key " << key;
   }
-  EXPECT_GT(restored.stats().chain_hops, 0u);  // shared chains, all on disk
+  // Shared chains, all on disk.
+  EXPECT_GT(StoreMetric(restored, "mlkv_store_chain_hops_total"), 0u);
   // Recovered store keeps serving writes correctly.
   const std::string fresh = ValueFor(99999, 1, g.value_size);
   ASSERT_TRUE(restored.Upsert(99999, fresh.data(),

@@ -25,6 +25,7 @@
 #include "net/kv_server.h"
 #include "net/remote_backend.h"
 #include "obs/metrics.h"
+#include "store_metrics.h"
 
 namespace mlkv {
 namespace {
@@ -487,7 +488,9 @@ TEST(AsyncReadStressTest, ColdWavesVersusWritersAndCompaction) {
   threads[threads.size() - 2].join();
   threads.back().join();
   table->WaitLookahead();
-  EXPECT_GT(table->store()->stats().async_reads_submitted, 0u);
+  EXPECT_GT(
+      StoreMetric(*table->store(), "mlkv_io_async_reads_submitted_total"),
+      0u);
 }
 
 // ------------------------------------------- group durability stress --
@@ -565,7 +568,7 @@ TEST(GroupDurabilityStressTest, ConcurrentWritersShareGroupCommits) {
     for (auto& t : threads) t.join();
     ASSERT_FALSE(failed.load());
     ASSERT_TRUE(store.Persist().ok());  // quiesced: covers every write
-    group_commits = store.stats().group_commits;
+    group_commits = StoreMetric(store, "mlkv_io_group_commits_total");
   }  // crash: no shutdown-time checkpoint
 
   // With 4 threads parking ~160 tickets on 100 us windows, fsync sharing
