@@ -238,14 +238,13 @@ BackendKind KindFor(const std::string& name) {
 // YCSB-A-style 50/50 read/update zipfian pass issued through MultiGet /
 // MultiPut, one call per batch. Returns keys/s — the same accounting across
 // batch sizes, so the table isolates the per-call overhead the batch API
-// amortizes (virtual dispatch, index re-walks, and — with batch_threads —
-// intra-batch parallelism for the I/O-bound engines). With `remote`, the
+// amortizes (virtual dispatch, index re-walks, and — for MLKV and FASTER —
+// the shard scatter over their lookahead pool). With `remote`, the
 // engine sits behind an in-process loopback KvServer and every call pays
 // the full wire round trip — the one-flag remote mode of the net/
 // subsystem, measured against the same in-process baseline.
 double RunBatchedWorkload(const std::string& engine_name, const RunConfig& rc,
-                          size_t batch_size, size_t batch_threads,
-                          uint32_t shard_bits, bool remote,
+                          size_t batch_size, uint32_t shard_bits, bool remote,
                           Histogram* get_latency = nullptr) {
   TempDir dir;
   BackendConfig cfg;
@@ -255,7 +254,6 @@ double RunBatchedWorkload(const std::string& engine_name, const RunConfig& rc,
                                                    : rc.buffer_mb << 20;
   cfg.index_slots = rc.num_keys;
   cfg.staleness_bound = UINT32_MAX - 1;  // ASP: clocks maintained, no waits
-  cfg.batch_threads = batch_threads;
   cfg.shard_bits = shard_bits;  // MLKV / FASTER scatter-gather fan-out
   cfg.io_threads = rc.io_threads;
   std::unique_ptr<net::KvServer> server;  // outlives the remote backend
@@ -527,8 +525,8 @@ std::unique_ptr<ServingTier> MakeServingTier(
 
 int main(int argc, char** argv) {
   Flags flags(argc, argv,
-              {"batch_size", "batch_threads", "buffer_mb", "cluster_addrs",
-               "cold_fraction", "hedge_auto", "hedge_us", "io_threads", "keys",
+              {"batch_size", "buffer_mb", "cluster_addrs", "cold_fraction",
+               "hedge_auto", "hedge_us", "io_threads", "keys",
                "metrics_overhead", "no_batch_sweep", "no_suite", "ops",
                "remote", "server_workers", "shard_bits", "threads"});
   FileDevice::SetGlobalSimulatedCosts(
@@ -538,9 +536,10 @@ int main(int argc, char** argv) {
     std::printf("ycsb_suite: YCSB A-F across MLKV/FASTER/LSM/BTree\n"
                 "  --keys=100000 --ops=50000 --threads=4\n"
                 "  --batch_size=N     pin the batch sweep to one size\n"
-                "  --batch_threads=2  intra-batch fan-out for I/O engines\n"
                 "  --shard_bits=2     MLKV/FASTER shard count (log2) in the\n"
-                "                     batch sweep (0 = single store)\n"
+                "                     batch sweep (0 = single store); their\n"
+                "                     shard sub-batches scatter over the\n"
+                "                     lookahead pool, LSM/BTree run inline\n"
                 "  --no_batch_sweep   skip the KvBackend batch-size sweep\n"
                 "  --no_suite         skip the YCSB A-F table\n"
                 "  --remote           run the batch sweep through a loopback\n"
@@ -599,8 +598,6 @@ int main(int argc, char** argv) {
 
   if (!flags.Has("no_batch_sweep")) {
     const bool remote = flags.Has("remote");
-    const size_t batch_threads =
-        static_cast<size_t>(flags.Int("batch_threads", 2));
     const uint32_t shard_bits =
         static_cast<uint32_t>(flags.Int("shard_bits", 2));
     std::vector<int64_t> batch_sizes;
@@ -616,9 +613,8 @@ int main(int argc, char** argv) {
                : "Batch-size sweep: keys/s through the batched KvBackend "
                  "seam");
     std::printf("50r/50u zipfian, one MultiGet/MultiPut per batch; "
-                "batch_threads=%zu for the I/O-bound engines, "
                 "shard_bits=%u for MLKV/FASTER%s\n\n",
-                batch_threads, shard_bits,
+                shard_bits,
                 remote ? "; every batch pays a full TCP round trip "
                          "(in-process loopback KvServer)"
                        : "");
@@ -629,14 +625,15 @@ int main(int argc, char** argv) {
       for (const char* engine : {"MLKV", "FASTER", "LSM", "BTree"}) {
         bt.Cell(Human(RunBatchedWorkload(engine, rc,
                                          static_cast<size_t>(batch),
-                                         batch_threads, shard_bits, remote)));
+                                         shard_bits, remote)));
       }
       bt.EndRow();
     }
     std::printf("\nExpected shape: throughput rises with batch size as "
-                "per-call overhead amortizes and (for the disk engines) "
-                "intra-batch fan-out overlaps I/O; batch=1 reproduces the "
-                "single-key seam.%s\n",
+                "per-call overhead amortizes and (for MLKV/FASTER) the "
+                "shard scatter overlaps I/O across shards, while LSM/BTree "
+                "run each batch inline and gain only the amortization; "
+                "batch=1 reproduces the single-key seam.%s\n",
                 remote ? " Remote mode adds a fixed per-batch wire cost, so "
                          "the batch-size win is steeper: at batch=1 the "
                          "round trip dominates, by batch=1024 the gap to "
@@ -672,8 +669,7 @@ int main(int argc, char** argv) {
         cold.io_threads = n;
         Histogram lat;
         const double kps = RunBatchedWorkload(
-            engine, cold, batch,
-            /*batch_threads=*/0, /*shard_bits=*/
+            engine, cold, batch, /*shard_bits=*/
             static_cast<uint32_t>(flags.Int("shard_bits", 2)),
             /*remote=*/false, &lat);
         ct.Cell(std::string(engine));

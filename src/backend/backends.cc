@@ -1,21 +1,20 @@
 // Adapters binding each storage engine to the batch-first KvBackend seam.
 //
 // Layout of this file:
-//  * batch scaffolding shared by the baseline engines — intra-batch key
-//    dedup and a chunked fan-out helper that spreads large batches over a
-//    per-backend ThreadPool (the deterministic embedding bootstrap lives
-//    in mlkv/embedding_init.h, shared with EmbeddingTable);
+//  * intra-batch key dedup for the baseline engines (the deterministic
+//    embedding bootstrap lives in mlkv/embedding_init.h, shared with
+//    EmbeddingTable);
 //  * BatchedEngineBackend, an intermediate base turning per-key engine
 //    primitives (ReadOne/WriteOne/ApplyOne) into MultiGet/MultiPut/
-//    MultiApplyGradient with dedup + optional parallelism;
+//    MultiApplyGradient with dedup, run inline on the calling thread;
 //  * the five adapters: MLKV (delegates whole spans to EmbeddingTable),
 //    FASTER (the MLKV adapter over a table with staleness tracking and
-//    lookahead off), LSM / B+tree (BatchedEngineBackend with native RMW
-//    where the engine has one), and the in-memory map (native batch loops
-//    that take each lock once per batch).
+//    lookahead off, on the same pool and I/O engine), LSM / B+tree
+//    (BatchedEngineBackend with native RMW where the engine has one), and
+//    the in-memory map (native batch loops that take each lock once per
+//    batch).
 #include "backend/kv_backend.h"
 
-#include <atomic>
 #include <filesystem>
 #include <memory>
 #include <mutex>
@@ -26,8 +25,6 @@
 
 #include "btree/btree_store.h"
 #include "common/simd.h"
-#include "common/spin_wait.h"
-#include "common/thread_pool.h"
 #include "kv/faster_store.h"
 #include "kv/sharded_store.h"
 #include "cluster/cluster_backend.h"
@@ -99,7 +96,7 @@ Status ApplyShardUpdate(ShardedStore* store, const UpdateEntry& e) {
 // input order; `slot_of[i]` maps input position i to its unique slot.
 // Trainers dedup their minibatches anyway, but serving and YCSB traffic
 // under skew does not — dedup keeps a zipfian batch from hammering one
-// record and keeps parallel chunks free of same-key write races.
+// record.
 struct DedupPlan {
   std::vector<Key> unique;
   std::vector<uint32_t> slot_of;
@@ -128,56 +125,10 @@ struct DedupPlan {
   }
 };
 
-// Runs fn(begin, end, &part) over [0, n), splitting into contiguous chunks
-// across `pool` when the batch is large enough. fn records the outcome of
-// key i at chunk-local index i - begin in its part (pre-sized to
-// end - begin); parts are appended back together in input order after the
-// fan-in. The calling thread works on the first chunk itself.
-BatchResult RunChunked(
-    ThreadPool* pool, size_t n, size_t min_chunk,
-    const std::function<void(size_t, size_t, BatchResult*)>& fn) {
-  size_t chunks = 1;
-  if (pool != nullptr && min_chunk > 0) {
-    chunks = std::min(pool->num_threads() + 1, n / min_chunk);
-    if (chunks == 0) chunks = 1;
-  }
-  if (chunks <= 1) {
-    BatchResult result(n);
-    if (n > 0) fn(0, n, &result);
-    return result;
-  }
-  const size_t per = (n + chunks - 1) / chunks;
-  std::vector<std::pair<size_t, size_t>> ranges;
-  std::vector<BatchResult> parts;
-  for (size_t begin = 0; begin < n; begin += per) {
-    const size_t end = std::min(n, begin + per);
-    ranges.emplace_back(begin, end);
-    parts.emplace_back(end - begin);
-  }
-  std::atomic<size_t> pending{0};
-  for (size_t c = 1; c < ranges.size(); ++c) {
-    pending.fetch_add(1, std::memory_order_acq_rel);
-    const bool submitted = pool->Submit([&, c] {
-      fn(ranges[c].first, ranges[c].second, &parts[c]);
-      pending.fetch_sub(1, std::memory_order_acq_rel);
-    });
-    if (!submitted) {  // pool shutting down: degrade to inline
-      fn(ranges[c].first, ranges[c].second, &parts[c]);
-      pending.fetch_sub(1, std::memory_order_acq_rel);
-    }
-  }
-  fn(ranges[0].first, ranges[0].second, &parts[0]);
-  // The fan-in must not starve the pool workers it waits for.
-  SpinWaitUntil([&] { return pending.load(std::memory_order_acquire) == 0; });
-  BatchResult result;
-  result.codes.reserve(n);
-  for (const BatchResult& part : parts) result.Append(part);
-  return result;
-}
-
 // Turns thread-safe per-key engine primitives into the batched KvBackend
-// surface: key dedup, optional chunked fan-out over a per-backend pool,
-// and per-key outcome bookkeeping live here once instead of per engine.
+// surface: key dedup and per-key outcome bookkeeping live here once
+// instead of per engine. Batches run inline; the hybrid-log engines'
+// ShardedStore scatter is the only batch fan-out.
 class BatchedEngineBackend : public KvBackend {
  public:
   uint32_t dim() const override { return dim_; }
@@ -192,27 +143,23 @@ class BatchedEngineBackend : public KvBackend {
       scratch.resize(n * size_t{dim_});
       ubuf = scratch.data();
     }
-    // Disjoint byte writes per chunk; read back only after the fan-in.
     std::vector<uint8_t> fresh(n, 0);
-    BatchResult uniq = RunChunked(
-        pool_.get(), n, min_chunk_,
-        [&](size_t begin, size_t end, BatchResult* r) {
-          for (size_t u = begin; u < end; ++u) {
-            const Key key = plan.unique[u];
-            float* dst = ubuf + u * dim_;
-            Status s = ReadOne(key, dst);
-            if (s.IsNotFound() && options.init_missing) {
-              InitEmbedding(key, dim_, dst);
-              s = InitMissingOne(key, dst);
-              if (s.ok()) {
-                fresh[u] = 1;
-                r->RecordInitialized(u - begin);
-                continue;
-              }
-            }
-            r->Record(u - begin, s);
-          }
-        });
+    BatchResult uniq(n);
+    for (size_t u = 0; u < n; ++u) {
+      const Key key = plan.unique[u];
+      float* dst = ubuf + u * dim_;
+      Status s = ReadOne(key, dst);
+      if (s.IsNotFound() && options.init_missing) {
+        InitEmbedding(key, dim_, dst);
+        s = InitMissingOne(key, dst);
+        if (s.ok()) {
+          fresh[u] = 1;
+          uniq.RecordInitialized(u);
+          continue;
+        }
+      }
+      uniq.Record(u, s);
+    }
     if (!plan.has_dupes) return uniq;
     // Scatter values and codes back to every occurrence; only the first
     // occurrence of a fresh key counts as missing, matching a sequential
@@ -253,13 +200,10 @@ class BatchedEngineBackend : public KvBackend {
       }
       ubuf = scratch.data();
     }
-    BatchResult uniq = RunChunked(
-        pool_.get(), n, min_chunk_,
-        [&](size_t begin, size_t end, BatchResult* r) {
-          for (size_t u = begin; u < end; ++u) {
-            r->Record(u - begin, WriteOne(plan.unique[u], ubuf + u * dim_));
-          }
-        });
+    BatchResult uniq(n);
+    for (size_t u = 0; u < n; ++u) {
+      uniq.Record(u, WriteOne(plan.unique[u], ubuf + u * dim_));
+    }
     if (!plan.has_dupes) return uniq;
     BatchResult result(keys.size());
     for (size_t i = 0; i < keys.size(); ++i) {
@@ -284,13 +228,10 @@ class BatchedEngineBackend : public KvBackend {
       }
       ubuf = scratch.data();
     }
-    BatchResult uniq = RunChunked(
-        pool_.get(), n, min_chunk_,
-        [&](size_t begin, size_t end, BatchResult* r) {
-          for (size_t u = begin; u < end; ++u) {
-            r->Record(u - begin, ApplyOne(plan.unique[u], ubuf + u * dim_, lr));
-          }
-        });
+    BatchResult uniq(n);
+    for (size_t u = 0; u < n; ++u) {
+      uniq.Record(u, ApplyOne(plan.unique[u], ubuf + u * dim_, lr));
+    }
     if (!plan.has_dupes) return uniq;
     BatchResult result(keys.size());
     for (size_t i = 0; i < keys.size(); ++i) {
@@ -300,12 +241,7 @@ class BatchedEngineBackend : public KvBackend {
   }
 
  protected:
-  BatchedEngineBackend(uint32_t dim, const BackendConfig& config)
-      : dim_(dim), min_chunk_(config.batch_min_chunk) {
-    if (config.batch_threads > 0) {
-      pool_ = std::make_unique<ThreadPool>(config.batch_threads);
-    }
-  }
+  explicit BatchedEngineBackend(uint32_t dim) : dim_(dim) {}
 
   // Engine primitives; must be safe to call from multiple threads.
   virtual Status ReadOne(Key key, float* out) = 0;  // NotFound when absent
@@ -330,10 +266,6 @@ class BatchedEngineBackend : public KvBackend {
   }
 
   const uint32_t dim_;
-
- private:
-  const size_t min_chunk_;
-  std::unique_ptr<ThreadPool> pool_;
 };
 
 // MLKV: bounded staleness + look-ahead prefetching (the system under test).
@@ -348,21 +280,8 @@ class MlkvBackend : public KvBackend {
 
   static Status Make(const BackendConfig& config,
                      std::unique_ptr<KvBackend>* out) {
-    MlkvOptions o;
-    o.dir = config.dir + "/mlkv";
-    o.index_slots = config.index_slots;
-    o.mem_size = config.buffer_bytes;
-    o.shard_bits = config.shard_bits;
-    o.scatter_min_keys = std::max<size_t>(config.batch_min_chunk, 1);
-    o.lookahead_threads = config.lookahead_threads;
-    o.busy_spin_limit = config.busy_spin_limit;
-    o.io_threads = config.io_threads;
-    o.durability_mode = config.durability_mode;
-    o.group_commit_window_us = config.group_commit_window_us;
-    o.group_commit_max_bytes = config.group_commit_max_bytes;
-    o.checkpoint_mode = config.checkpoint_mode;
     std::unique_ptr<Mlkv> db;
-    MLKV_RETURN_NOT_OK(Mlkv::Open(o, &db));
+    MLKV_RETURN_NOT_OK(Mlkv::Open(HybridLogOptions(config, "/mlkv"), &db));
     EmbeddingTable* table = nullptr;
     MLKV_RETURN_NOT_OK(
         db->OpenTable("emb", config.dim, config.staleness_bound, &table));
@@ -450,46 +369,60 @@ class MlkvBackend : public KvBackend {
   }
 
  protected:
-  EmbeddingTable* table_;
+  // Both hybrid-log backends run on one Mlkv, so they share its shard
+  // scatter pool, I/O engine and store budgets by construction.
+  static MlkvOptions HybridLogOptions(const BackendConfig& config,
+                                      const std::string& subdir) {
+    MlkvOptions o;
+    o.dir = config.dir + subdir;
+    o.index_slots = config.index_slots;
+    o.mem_size = config.buffer_bytes;
+    o.shard_bits = config.shard_bits;
+    o.lookahead_threads = config.lookahead_threads;
+    o.busy_spin_limit = config.busy_spin_limit;
+    o.io_threads = config.io_threads;
+    o.durability_mode = config.durability_mode;
+    o.group_commit_window_us = config.group_commit_window_us;
+    o.group_commit_max_bytes = config.group_commit_max_bytes;
+    o.checkpoint_mode = config.checkpoint_mode;
+    return o;
+  }
 
- private:
-  std::unique_ptr<Mlkv> db_;  // owns table_ when Make opened it
+  EmbeddingTable* table_;
+  // Owns table_ (MLKV) or only its store's pool and engine (FASTER); null
+  // over a caller's table (MakeTableBackend).
+  std::unique_ptr<Mlkv> db_;
 };
 
 // Plain FASTER (the strongest baseline engine in the paper's Fig. 7): the
 // MLKV table path over a store with staleness tracking off and without
 // lookahead — the paper's own framing of MLKV as FASTER plus staleness
-// tracking (Fig. 10), so both engines run one batch path and differ only
-// in those two mechanisms. The table is plain SGD, so a record is exactly
-// `dim` floats; tracked reads never wait on or advance a clock on this
-// store, and Lookahead stays the baseline no-op even when a benchmark asks
-// for prefetch depth.
+// tracking (Fig. 10), so both engines run one batch path on one Mlkv's
+// scatter pool and I/O engine, and differ only in those two mechanisms.
+// The table is plain SGD, so a record is exactly `dim` floats; tracked
+// reads never wait on or advance a clock on this store, and Lookahead
+// stays the baseline no-op even when a benchmark asks for prefetch depth.
 class FasterBackend final : public MlkvBackend {
  public:
+  using MlkvBackend::MlkvBackend;
+
   static Status Make(const BackendConfig& config,
                      std::unique_ptr<KvBackend>* out) {
-    auto b = std::unique_ptr<FasterBackend>(new FasterBackend(config));
-    ShardedStoreOptions o;
-    o.store.path = config.dir + "/faster.log";
-    o.store.index_slots = config.index_slots;
-    o.store.mem_size = config.buffer_bytes;
+    // The Mlkv lends its pool and I/O engine only: it opens no table, so
+    // it writes no MANIFEST row.
+    std::unique_ptr<Mlkv> db;
+    MLKV_RETURN_NOT_OK(Mlkv::Open(HybridLogOptions(config, ""), &db));
+    ShardedStoreOptions o =
+        db->TableStoreOptions("faster", config.staleness_bound);
     o.store.track_staleness = false;
-    o.shard_bits = config.shard_bits;
-    o.pool = b->pool_.get();
-    o.parallel_min_keys = std::max<size_t>(config.batch_min_chunk, 1);
-    // One engine carries both the batched reads' cold misses and the log
-    // flush waves of every shard.
-    o.io = &b->io_;
-    o.store.io = &b->io_;
-    o.store.durability_mode = config.durability_mode;
-    o.store.group_commit_window_us = config.group_commit_window_us;
-    o.store.group_commit_max_bytes = config.group_commit_max_bytes;
-    o.store.checkpoint_mode = config.checkpoint_mode;
     auto store = std::make_unique<ShardedStore>();
     MLKV_RETURN_NOT_OK(store->Open(o));
-    // Built directly, not through Mlkv::OpenTable: no manifest, and no
-    // lookahead pool (Lookahead is overridden below). The configured bound
-    // rides along but is never consulted, since the store tracks nothing.
+    // Built directly, not through Mlkv::OpenTable. The table gets no
+    // lookahead pool (Lookahead is overridden below), though its store
+    // scatters on the Mlkv's. The configured bound rides along but is never
+    // consulted, since the store tracks nothing.
+    auto b = std::make_unique<FasterBackend>(nullptr);
+    b->db_ = std::move(db);
     b->owned_table_ = std::make_unique<EmbeddingTable>(
         "faster", config.dim, config.staleness_bound, std::move(store),
         /*lookahead_pool=*/nullptr);
@@ -503,20 +436,7 @@ class FasterBackend final : public MlkvBackend {
   void WaitIdle() override {}
 
  private:
-  explicit FasterBackend(const BackendConfig& config)
-      : MlkvBackend(nullptr), io_([&config] {
-          AsyncIoEngine::Options o;
-          o.io_threads = config.io_threads;
-          return o;
-        }()) {
-    if (config.batch_threads > 0) {
-      pool_ = std::make_unique<ThreadPool>(config.batch_threads);
-    }
-  }
-
-  // Declared before the table, whose store uses both.
-  std::unique_ptr<ThreadPool> pool_;
-  AsyncIoEngine io_;
+  // Destroyed before the base's db_, whose pool and engine its store uses.
   std::unique_ptr<EmbeddingTable> owned_table_;
 };
 
@@ -554,7 +474,7 @@ class LsmBackend : public BatchedEngineBackend {
 
  private:
   explicit LsmBackend(const BackendConfig& config)
-      : BatchedEngineBackend(config.dim, config) {}
+      : BatchedEngineBackend(config.dim) {}
 
   LsmStore store_;
 };
@@ -584,7 +504,7 @@ class BtreeBackend : public BatchedEngineBackend {
 
  private:
   explicit BtreeBackend(const BackendConfig& config)
-      : BatchedEngineBackend(config.dim, config) {}
+      : BatchedEngineBackend(config.dim) {}
 
   BTreeStore store_;
 };

@@ -195,18 +195,14 @@ struct BackendConfig {
   // scatter/gathered into per-shard sub-batches.
   uint32_t shard_bits = 2;
   uint32_t staleness_bound = 16;        // MLKV only
-  size_t lookahead_threads = 2;         // MLKV only
+  // Background pool of each hybrid-log engine (MLKV and FASTER, built
+  // alike): shard sub-batches of a batched call scatter onto it, and MLKV
+  // also completes its Lookahead prefetches there. LSM, B-tree and the
+  // in-memory engine run batches inline and ignore it.
+  size_t lookahead_threads = 2;
   // Spin iterations (index re-lookups, each yielding) before a bounded Get
   // aborts with Busy; see kDefaultBusySpinLimit in kv/record.h.
   uint64_t busy_spin_limit = kDefaultBusySpinLimit;
-  // Intra-batch parallelism for the I/O-bound baseline engines
-  // (FASTER/LSM/B-tree): each backend instance owns a ThreadPool of this
-  // many workers, shared across its Multi* calls. LSM and B-tree fan large
-  // batches out across it in contiguous chunks; FASTER runs its per-shard
-  // sub-batches on it (so with shard_bits 0 its batches run inline). 0 runs
-  // batches inline. MLKV scatters on its lookahead pool; the in-memory
-  // engine is lock-bound, not I/O-bound.
-  size_t batch_threads = 0;
   // Workers of the AsyncIoEngine each hybrid-log backend (MLKV tables and
   // the FASTER baseline) owns: a batch's cold misses go into flight
   // together on it (io/async_io.h), and log page flushes leave as one wave.
@@ -226,8 +222,6 @@ struct BackendConfig {
   // deltas + dirty-page flushes onto the previous checkpoint instead of
   // rewriting everything.
   CheckpointMode checkpoint_mode = CheckpointMode::kFull;
-  // Minimum keys per chunk before a batch fans out (amortizes the handoff).
-  size_t batch_min_chunk = 64;
   // kRemote only: "host:port" of a KvServer (src/net/). The storage
   // fields above are ignored — dim and shard layout are negotiated in the
   // connection handshake, and the server side owns the storage

@@ -124,7 +124,6 @@ void BTreeStore::UnpinPath(const std::vector<PageRef>& path, bool leaf_dirty) {
 }
 
 Status BTreeStore::Get(Key key, void* value_out) {
-  stats_.gets.fetch_add(1, std::memory_order_relaxed);
   std::shared_lock lk(tree_mu_);
   std::vector<PageRef> path;
   Status s = DescendToLeaf(key, &path);
@@ -243,7 +242,6 @@ Status BTreeStore::Scan(Key from, Key to,
 }
 
 Status BTreeStore::Put(Key key, const void* value) {
-  stats_.puts.fetch_add(1, std::memory_order_relaxed);
   std::unique_lock lk(tree_mu_);
   for (;;) {
     std::vector<PageRef> path;
@@ -312,7 +310,7 @@ Status BTreeStore::SplitLeaf(std::vector<PageRef>* path, Key key) {
   // Pages touched during a split are all unpinned dirty; conservatively
   // re-writing a clean ancestor is harmless and keeps the bookkeeping
   // simple under the exclusive tree lock.
-  stats_.splits.fetch_add(1, std::memory_order_relaxed);
+  splits_.fetch_add(1, std::memory_order_relaxed);
   PageRef leaf = path->back();
   const uint32_t vs = options_.value_size;
   const uint32_t count = PageCount(leaf.data);
@@ -409,17 +407,8 @@ Status BTreeStore::FlushAll() {
   return pool_->FlushAll();
 }
 
-BTreeStatsSnapshot BTreeStore::stats() const {
-  BTreeStatsSnapshot s;
-  s.gets = stats_.gets.load(std::memory_order_relaxed);
-  s.puts = stats_.puts.load(std::memory_order_relaxed);
-  s.splits = stats_.splits.load(std::memory_order_relaxed);
-  s.height = height_.load(std::memory_order_relaxed);
-  const auto ps = pool_->stats();
-  s.pool_hits = ps.hits;
-  s.pool_misses = ps.misses;
-  s.writebacks = ps.writebacks;
-  return s;
+uint64_t BTreeStore::writeback_count() const {
+  return pool_->stats().writebacks;
 }
 
 }  // namespace mlkv

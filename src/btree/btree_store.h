@@ -32,12 +32,6 @@ struct BTreeOptions {
   uint32_t value_size = 64;  // fixed bytes per value
 };
 
-struct BTreeStatsSnapshot {
-  uint64_t gets = 0, puts = 0;
-  uint64_t splits = 0, height = 0;
-  uint64_t pool_hits = 0, pool_misses = 0, writebacks = 0;
-};
-
 class BTreeStore {
  public:
   BTreeStore() = default;
@@ -60,7 +54,13 @@ class BTreeStore {
 
   Status FlushAll();
 
-  BTreeStatsSnapshot stats() const;
+  // Leaf splits since Open, and the current tree height (1 = root leaf).
+  uint64_t split_count() const {
+    return splits_.load(std::memory_order_relaxed);
+  }
+  uint64_t height() const { return height_.load(std::memory_order_relaxed); }
+  // Dirty pages the buffer pool has written back on eviction or flush.
+  uint64_t writeback_count() const;
   uint32_t value_size() const { return options_.value_size; }
 
  private:
@@ -87,11 +87,7 @@ class BTreeStore {
   uint32_t leaf_capacity_ = 0;
   uint32_t internal_capacity_ = 0;
   std::atomic<uint64_t> height_{1};
-
-  struct Stats {
-    std::atomic<uint64_t> gets{0}, puts{0}, splits{0};
-  };
-  mutable Stats stats_;
+  std::atomic<uint64_t> splits_{0};
 };
 
 }  // namespace mlkv

@@ -216,7 +216,7 @@ void ShardedStore::RunTasks(const std::vector<SubBatch>& tasks,
     };
     size_t offloadable = 0;
     for (const SubBatch& task : tasks) {
-      if (task.end - task.begin >= options_.parallel_min_keys) ++offloadable;
+      if (task.end - task.begin >= kParallelMinKeys) ++offloadable;
     }
     size_t helpers = std::min(offloadable, tasks.size() - 1);
     helpers = std::min(helpers, options_.pool->num_threads());

@@ -21,8 +21,10 @@
 // Batched span APIs are built on MultiExecute: the key span is partitioned
 // into per-shard sub-batches (stable, so per-key outcomes land back at the
 // caller's indices in caller order) that run in parallel on an optional
-// ThreadPool — MLKV hands in the lookahead pool — with the calling thread
-// working through the sub-batches that were not offloaded.
+// ThreadPool — both hybrid-log backends (MLKV and the FASTER baseline) hand
+// in their Mlkv's lookahead pool — with the calling thread working through
+// the sub-batches that were not offloaded. Sub-batches shorter than
+// kParallelMinKeys never recruit a pool worker.
 #pragma once
 
 #include <functional>
@@ -50,12 +52,9 @@ struct ShardedStoreOptions {
   // and on-disk layout. Bounded by kMaxShardBits.
   uint32_t shard_bits = 0;
   // Optional executor for batched scatter/gather; not owned, may be shared
-  // (MLKV reuses the lookahead pool). Null runs every sub-batch inline.
+  // (the hybrid-log backends reuse their Mlkv's lookahead pool). Null runs
+  // every sub-batch inline.
   ThreadPool* pool = nullptr;
-  // Minimum keys in a shard sub-batch before it is offloaded to the pool
-  // (smaller sub-batches run on the calling thread; the handoff would cost
-  // more than it hides).
-  size_t parallel_min_keys = 32;
   // Two-phase read pipeline (kv/pending_read.h). Non-null routes batched
   // reads' cold misses through this engine: disk-resident keys across ALL
   // shard sub-batches go into flight together instead of blocking one
@@ -75,6 +74,10 @@ class ShardedStore {
   // pages HybridLog needs (FasterStore::Open shrinks pages to 4 KiB first).
   static constexpr uint64_t kMinShardMemBytes = 1ull << 14;
   static constexpr uint64_t kMinShardIndexSlots = 64;
+  // Minimum keys in a shard sub-batch before it may be offloaded to the
+  // pool: smaller sub-batches run on the calling thread, where the handoff
+  // would cost more than it hides.
+  static constexpr size_t kParallelMinKeys = 64;
 
   ShardedStore() = default;
   ~ShardedStore() = default;

@@ -123,7 +123,6 @@ std::string LsmStore::NextTablePath() {
 }
 
 Status LsmStore::Put(Key key, const void* value, uint32_t size) {
-  stats_.puts.fetch_add(1, std::memory_order_relaxed);
   std::unique_lock lk(mu_);
   if (wal_ != nullptr) {
     MLKV_RETURN_NOT_OK(wal_->AppendPut(key, value, size));
@@ -134,7 +133,6 @@ Status LsmStore::Put(Key key, const void* value, uint32_t size) {
 }
 
 Status LsmStore::Delete(Key key) {
-  stats_.deletes.fetch_add(1, std::memory_order_relaxed);
   std::unique_lock lk(mu_);
   if (wal_ != nullptr) {
     MLKV_RETURN_NOT_OK(wal_->AppendDelete(key));
@@ -178,7 +176,7 @@ Status LsmStore::FlushMemTable(std::shared_ptr<MemTable> imm) {
   std::unique_ptr<SSTable> table;
   MLKV_RETURN_NOT_OK(SSTable::Open(path, table_id, cache_.get(), &table));
   l0_.insert(l0_.begin(), std::shared_ptr<SSTable>(table.release()));
-  stats_.flushes.fetch_add(1, std::memory_order_relaxed);
+  flushes_.fetch_add(1, std::memory_order_relaxed);
   return Status::OK();
 }
 
@@ -218,12 +216,11 @@ Status LsmStore::MaybeCompact() {
     std::error_code ec;
     std::filesystem::remove(t->path(), ec);
   }
-  stats_.compactions.fetch_add(1, std::memory_order_relaxed);
+  compactions_.fetch_add(1, std::memory_order_relaxed);
   return Status::OK();
 }
 
 Status LsmStore::Get(Key key, std::string* value) {
-  stats_.gets.fetch_add(1, std::memory_order_relaxed);
   std::shared_ptr<MemTable> active;
   std::vector<std::shared_ptr<MemTable>> imms;
   std::vector<std::shared_ptr<SSTable>> l0, l1;
@@ -235,14 +232,12 @@ Status LsmStore::Get(Key key, std::string* value) {
     l1 = l1_;
   }
   if (auto e = active->Get(key)) {
-    stats_.memtable_hits.fetch_add(1, std::memory_order_relaxed);
     if (e->tombstone) return Status::NotFound();
     *value = e->value;
     return Status::OK();
   }
   for (const auto& imm : imms) {
     if (auto e = imm->Get(key)) {
-      stats_.memtable_hits.fetch_add(1, std::memory_order_relaxed);
       if (e->tombstone) return Status::NotFound();
       *value = e->value;
       return Status::OK();
@@ -252,7 +247,6 @@ Status LsmStore::Get(Key key, std::string* value) {
     SSTable::GetResult r;
     MLKV_RETURN_NOT_OK(t->Get(key, &r));
     if (r.found) {
-      stats_.l0_hits.fetch_add(1, std::memory_order_relaxed);
       if (r.tombstone) return Status::NotFound();
       *value = std::move(r.value);
       return Status::OK();
@@ -262,7 +256,6 @@ Status LsmStore::Get(Key key, std::string* value) {
     SSTable::GetResult r;
     MLKV_RETURN_NOT_OK(t->Get(key, &r));
     if (r.found) {
-      stats_.l1_hits.fetch_add(1, std::memory_order_relaxed);
       if (r.tombstone) return Status::NotFound();
       *value = std::move(r.value);
       return Status::OK();
@@ -327,22 +320,6 @@ size_t LsmStore::l0_run_count() const {
 size_t LsmStore::l1_run_count() const {
   std::shared_lock lk(mu_);
   return l1_.size();
-}
-
-LsmStatsSnapshot LsmStore::stats() const {
-  LsmStatsSnapshot s;
-  s.gets = stats_.gets.load(std::memory_order_relaxed);
-  s.puts = stats_.puts.load(std::memory_order_relaxed);
-  s.deletes = stats_.deletes.load(std::memory_order_relaxed);
-  s.memtable_hits = stats_.memtable_hits.load(std::memory_order_relaxed);
-  s.l0_hits = stats_.l0_hits.load(std::memory_order_relaxed);
-  s.l1_hits = stats_.l1_hits.load(std::memory_order_relaxed);
-  s.flushes = stats_.flushes.load(std::memory_order_relaxed);
-  s.compactions = stats_.compactions.load(std::memory_order_relaxed);
-  const auto cs = cache_->stats();
-  s.cache_hits = cs.hits;
-  s.cache_misses = cs.misses;
-  return s;
 }
 
 }  // namespace mlkv

@@ -46,13 +46,6 @@ struct LsmOptions {
   bool sync_every_write = false;
 };
 
-struct LsmStatsSnapshot {
-  uint64_t gets = 0, puts = 0, deletes = 0;
-  uint64_t memtable_hits = 0, l0_hits = 0, l1_hits = 0;
-  uint64_t flushes = 0, compactions = 0;
-  uint64_t cache_hits = 0, cache_misses = 0;
-};
-
 class LsmStore {
  public:
   LsmStore() = default;
@@ -75,7 +68,13 @@ class LsmStore {
   // Forces the active memtable to disk (tests / shutdown).
   Status Flush();
 
-  LsmStatsSnapshot stats() const;
+  // Memtable flushes to L0 and L0+L1 compactions since Open.
+  uint64_t flush_count() const {
+    return flushes_.load(std::memory_order_relaxed);
+  }
+  uint64_t compaction_count() const {
+    return compactions_.load(std::memory_order_relaxed);
+  }
   size_t l0_run_count() const;
   size_t l1_run_count() const;
 
@@ -102,13 +101,7 @@ class LsmStore {
   std::unique_ptr<BlockCache> cache_;
   std::atomic<uint64_t> next_table_id_{1};
   std::unique_ptr<WalWriter> wal_;  // null when WAL disabled
-
-  struct Stats {
-    std::atomic<uint64_t> gets{0}, puts{0}, deletes{0};
-    std::atomic<uint64_t> memtable_hits{0}, l0_hits{0}, l1_hits{0};
-    std::atomic<uint64_t> flushes{0}, compactions{0};
-  };
-  mutable Stats stats_;
+  std::atomic<uint64_t> flushes_{0}, compactions_{0};
 };
 
 }  // namespace mlkv

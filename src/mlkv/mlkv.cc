@@ -123,6 +123,31 @@ Status Mlkv::WriteManifest() const {
   return Status::OK();
 }
 
+ShardedStoreOptions Mlkv::TableStoreOptions(const std::string& model_id,
+                                            uint32_t staleness_bound) {
+  ShardedStoreOptions so;
+  so.store.path = options_.dir + "/" + model_id + ".log";
+  so.store.index_slots = options_.index_slots;
+  so.store.page_size = options_.page_size;
+  so.store.mem_size = options_.mem_size;
+  so.store.mutable_fraction = options_.mutable_fraction;
+  so.store.track_staleness = true;
+  so.store.staleness_bound = staleness_bound;
+  so.store.busy_spin_limit = options_.busy_spin_limit;
+  // Every shard log flushes through the shared engine and inherits the
+  // durability / checkpoint knobs; batched reads' cold misses ride the
+  // same engine (so.io below).
+  so.store.io = &io_engine_;
+  so.store.durability_mode = options_.durability_mode;
+  so.store.group_commit_window_us = options_.group_commit_window_us;
+  so.store.group_commit_max_bytes = options_.group_commit_max_bytes;
+  so.store.checkpoint_mode = options_.checkpoint_mode;
+  so.shard_bits = options_.shard_bits;
+  so.pool = &lookahead_pool_;
+  so.io = &io_engine_;
+  return so;
+}
+
 Status Mlkv::OpenTable(const std::string& model_id, uint32_t dim,
                        uint32_t staleness_bound, EmbeddingTable** out,
                        const OptimizerConfig& optimizer) {
@@ -150,30 +175,10 @@ Status Mlkv::OpenTable(const std::string& model_id, uint32_t dim,
     }
   }
 
-  ShardedStoreOptions so;
-  so.store.path = options_.dir + "/" + model_id + ".log";
-  so.store.index_slots = options_.index_slots;
-  so.store.page_size = options_.page_size;
-  so.store.mem_size = options_.mem_size;
-  so.store.mutable_fraction = options_.mutable_fraction;
-  so.store.track_staleness = true;
-  so.store.staleness_bound = staleness_bound;
-  so.store.busy_spin_limit = options_.busy_spin_limit;
-  // Every shard log flushes through the shared engine and inherits the
-  // durability / checkpoint knobs; batched reads' cold misses ride the
-  // same engine (so.io below).
-  so.store.io = &io_engine_;
-  so.store.durability_mode = options_.durability_mode;
-  so.store.group_commit_window_us = options_.group_commit_window_us;
-  so.store.group_commit_max_bytes = options_.group_commit_max_bytes;
-  so.store.checkpoint_mode = options_.checkpoint_mode;
+  ShardedStoreOptions so = TableStoreOptions(model_id, staleness_bound);
   // The manifest's shard_bits fixes an existing table's on-disk layout;
   // only fresh tables take the current option.
-  so.shard_bits = spec_it != manifest_.end() ? spec_it->second.shard_bits
-                                             : options_.shard_bits;
-  so.pool = &lookahead_pool_;
-  so.parallel_min_keys = std::max<size_t>(options_.scatter_min_keys, 1);
-  so.io = &io_engine_;
+  if (spec_it != manifest_.end()) so.shard_bits = spec_it->second.shard_bits;
   auto store = std::make_unique<ShardedStore>();
   const std::string ckpt_prefix = options_.dir + "/" + model_id + ".ckpt";
   if (spec_it != manifest_.end() &&

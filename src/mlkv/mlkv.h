@@ -55,11 +55,11 @@ struct MlkvOptions {
   // MANIFEST keep the shard_bits they were created with — the on-disk
   // layout wins over this option when re-attaching.
   uint32_t shard_bits = 2;
+  // Workers of the per-DB background pool: Lookahead completes its
+  // prefetches on it, and every table's batched span calls scatter their
+  // shard sub-batches onto it (sub-batches shorter than
+  // ShardedStore::kParallelMinKeys stay on the calling thread).
   size_t lookahead_threads = 2;
-  // Minimum keys in one shard sub-batch (or single-shard chunk) before a
-  // batched span call offloads it to the lookahead pool; see
-  // ShardedStoreOptions::parallel_min_keys.
-  size_t scatter_min_keys = 32;
   // Spin iterations before a bounded Get aborts with Busy (kv/record.h).
   uint64_t busy_spin_limit = kDefaultBusySpinLimit;
   // Workers (and, with io_uring, rings) of the per-DB AsyncIoEngine. The
@@ -138,6 +138,14 @@ class Mlkv {
 
   // Model ids recorded in this directory's manifest (open or not).
   std::vector<std::string> ListTables() const;
+
+  // The store options OpenTable gives a fresh table `model_id`: its log
+  // at dir/<model_id>.log, this DB's budgets, shard count and durability
+  // knobs, its lookahead pool and I/O engine, and staleness tracking at
+  // `staleness_bound`. The FASTER baseline (backend/kv_backend.h) builds
+  // its store from these with tracking turned off.
+  ShardedStoreOptions TableStoreOptions(const std::string& model_id,
+                                        uint32_t staleness_bound);
 
   ThreadPool* lookahead_pool() { return &lookahead_pool_; }
   // The per-DB engine every table's batched reads and flushes use.

@@ -22,6 +22,7 @@
 #include "common/random.h"
 #include "io/temp_dir.h"
 #include "mlkv/embedding_init.h"
+#include "mlkv/mlkv.h"
 #include "net/kv_server.h"
 #include "net/remote_backend.h"
 #include "obs/metrics.h"
@@ -432,8 +433,10 @@ INSTANTIATE_TEST_SUITE_P(
                       ConformanceParam{BackendKind::kFaster, Via::kCluster}),
     ConformanceParamName);
 
-// The I/O-bound engines fan large batches out in chunks over a per-backend
-// ThreadPool; the conformance contract must not change when they do.
+// Large batches on the disk engines: the hybrid-log engines scatter their
+// shard sub-batches over their Mlkv's lookahead pool, LSM and B-tree run
+// them inline after dedup. The conformance contract must not change with
+// either.
 class BackendBatchParallelTest : public ::testing::TestWithParam<BackendKind> {
  protected:
   void SetUp() override {
@@ -442,9 +445,7 @@ class BackendBatchParallelTest : public ::testing::TestWithParam<BackendKind> {
     cfg.dir = dir_->File("backend");
     cfg.dim = 8;
     cfg.buffer_bytes = 4ull << 20;
-    cfg.staleness_bound = UINT32_MAX - 1;
-    cfg.batch_threads = 3;
-    cfg.batch_min_chunk = 16;  // force fan-out on modest batches
+    cfg.staleness_bound = kAspBound;
     ASSERT_TRUE(MakeBackend(GetParam(), cfg, &backend_).ok());
   }
 
@@ -502,7 +503,8 @@ TEST_P(BackendBatchParallelTest, MixedBatchKeepsPerKeyCodesInInputOrder) {
 }
 
 INSTANTIATE_TEST_SUITE_P(IoEngines, BackendBatchParallelTest,
-                         ::testing::Values(BackendKind::kFaster,
+                         ::testing::Values(BackendKind::kMlkv,
+                                           BackendKind::kFaster,
                                            BackendKind::kLsm,
                                            BackendKind::kBtree),
                          KindName);
@@ -521,8 +523,6 @@ class ShardRoutingConformanceTest : public ::testing::TestWithParam<
     cfg.buffer_bytes = 4ull << 20;
     cfg.staleness_bound = UINT32_MAX - 1;
     cfg.shard_bits = shard_bits;
-    cfg.batch_threads = 2;
-    cfg.batch_min_chunk = 16;
     std::unique_ptr<KvBackend> backend;
     EXPECT_TRUE(MakeBackend(std::get<0>(GetParam()), cfg, &backend).ok());
     return backend;

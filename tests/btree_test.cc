@@ -106,8 +106,8 @@ TEST(BTreeTest, InsertAndGetSequential) {
     FillValue(k, 16, buf);
     ASSERT_TRUE(tree.Put(k, buf).ok()) << k;
   }
-  EXPECT_GT(tree.stats().splits, 0u);
-  EXPECT_GE(tree.stats().height, 2u);
+  EXPECT_GT(tree.split_count(), 0u);
+  EXPECT_GE(tree.height(), 2u);
   char out[16];
   for (Key k = 0; k < 5000; ++k) {
     ASSERT_TRUE(tree.Get(k, out).ok()) << k;
@@ -164,7 +164,7 @@ TEST(BTreeTest, LargerThanPoolWorkingSet) {
     FillValue(k, 64, buf);
     ASSERT_TRUE(tree.Put(k, buf).ok()) << k;
   }
-  EXPECT_GT(tree.stats().writebacks, 0u);
+  EXPECT_GT(tree.writeback_count(), 0u);
   char out[64];
   Rng rng(11);
   for (int i = 0; i < 2000; ++i) {

@@ -167,7 +167,7 @@ TEST(LsmStoreTest, PutGetAcrossFlushes) {
     const std::string v = "value-" + std::to_string(k);
     ASSERT_TRUE(store.Put(k, v.data(), v.size()).ok());
   }
-  EXPECT_GT(store.stats().flushes, 0u);
+  EXPECT_GT(store.flush_count(), 0u);
   for (Key k = 0; k < 2000; ++k) {
     std::string out;
     ASSERT_TRUE(store.Get(k, &out).ok()) << k;
@@ -208,7 +208,7 @@ TEST(LsmStoreTest, CompactionBoundsL0AndPreservesData) {
     const std::string v = std::string(32, static_cast<char>('a' + k % 26));
     ASSERT_TRUE(store.Put(k, v.data(), v.size()).ok());
   }
-  EXPECT_GT(store.stats().compactions, 0u);
+  EXPECT_GT(store.compaction_count(), 0u);
   EXPECT_LT(store.l0_run_count(), 4u);
   EXPECT_LE(store.l1_run_count(), 1u);
   std::string out;

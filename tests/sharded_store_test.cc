@@ -7,6 +7,8 @@
 #include <cstring>
 #include <filesystem>
 #include <memory>
+#include <mutex>
+#include <thread>
 #include <vector>
 
 #include "common/random.h"
@@ -27,7 +29,6 @@ ShardedStoreOptions SmallSharded(const TempDir& dir, uint32_t shard_bits,
   o.store.mem_size = 64 * 4096;
   o.shard_bits = shard_bits;
   o.pool = pool;
-  o.parallel_min_keys = 1;  // tests want the parallel path even when tiny
   return o;
 }
 
@@ -114,6 +115,55 @@ TEST(ShardedStoreTest, CallerOrderUnderShuffledKeys) {
   }
   EXPECT_EQ(got.missing, missing);
   EXPECT_EQ(got.found, probe.size() - missing);
+}
+
+// Sub-batches shorter than kParallelMinKeys never recruit a pool worker:
+// with a pool present and every shard holding work, each ShardOp of such a
+// batch still runs on the calling thread.
+TEST(ShardedStoreTest, SmallSubBatchesRunOnCallingThread) {
+  TempDir dir;
+  ThreadPool pool(3);
+  ShardedStore store;
+  ASSERT_TRUE(store.Open(SmallSharded(dir, 2, &pool)).ok());
+
+  // Exactly kParallelMinKeys - 1 keys per shard, interleaved across shards.
+  constexpr size_t kPerShard = ShardedStore::kParallelMinKeys - 1;
+  std::vector<std::vector<Key>> by_shard(store.num_shards());
+  size_t full = 0;
+  for (Key k = 0; full < by_shard.size(); ++k) {
+    std::vector<Key>& bucket = by_shard[store.ShardIndexOf(k)];
+    if (bucket.size() == kPerShard) continue;
+    bucket.push_back(k);
+    if (bucket.size() == kPerShard) ++full;
+  }
+  std::vector<Key> keys;
+  for (size_t j = 0; j < kPerShard; ++j) {
+    for (const auto& bucket : by_shard) keys.push_back(bucket[j]);
+  }
+  std::vector<uint64_t> values(keys.size());
+  for (size_t i = 0; i < keys.size(); ++i) values[i] = ValueFor(keys[i]);
+
+  std::mutex mu;
+  std::vector<std::thread::id> ran_on;
+  const ShardedStore::ShardOp upsert = UpsertOp(values);
+  const ShardedStore::ShardOp recording =
+      [&](FasterStore* shard, Key key, size_t i, BatchResult* part,
+          size_t pi) {
+        {
+          std::lock_guard<std::mutex> lk(mu);
+          ran_on.push_back(std::this_thread::get_id());
+        }
+        upsert(shard, key, i, part, pi);
+      };
+  for (int round = 0; round < 20; ++round) {
+    BatchResult put;
+    store.MultiExecute(keys, recording, &put);
+    ASSERT_TRUE(put.AllOk());
+  }
+  ASSERT_EQ(ran_on.size(), 20 * keys.size());
+  for (const std::thread::id id : ran_on) {
+    EXPECT_EQ(id, std::this_thread::get_id());
+  }
 }
 
 // Adversarial skew: every key routes to one shard; the batch must still

@@ -288,11 +288,12 @@ TEST(TableStressTest, SharedKeysBoundedPipeline) {
 
 // ------------------------------------------------------- backend level --
 
-// Concurrent batched traffic over the KvBackend seam with intra-batch
-// fan-out enabled: several caller threads issue overlapping MultiPut /
-// MultiGet / MultiApplyGradient batches while each backend spreads every
-// batch across its own ThreadPool. This is the race surface the batch API
-// introduced (chunked writers + shared engine state); run under TSan in CI.
+// Concurrent batched traffic over the KvBackend seam: several caller
+// threads issue overlapping MultiPut / MultiGet / MultiApplyGradient
+// batches while the hybrid-log engines scatter every batch's shard
+// sub-batches over their shared lookahead pool (LSM and B-tree run them
+// inline). This is the race surface the batch API introduced (pool workers
+// and callers writing shared engine state); run under TSan in CI.
 TEST(BackendBatchStressTest, ConcurrentParallelBatches) {
   constexpr uint32_t kDim = 8;
   constexpr int kCallers = 4;
@@ -300,15 +301,14 @@ TEST(BackendBatchStressTest, ConcurrentParallelBatches) {
   constexpr size_t kBatch = 256;
   constexpr Key kKeySpace = 512;  // overlap guaranteed
 
-  for (const BackendKind kind :
-       {BackendKind::kFaster, BackendKind::kLsm, BackendKind::kBtree}) {
+  for (const BackendKind kind : {BackendKind::kMlkv, BackendKind::kFaster,
+                                 BackendKind::kLsm, BackendKind::kBtree}) {
     TempDir dir;
     BackendConfig cfg;
     cfg.dir = dir.File("b");
     cfg.dim = kDim;
     cfg.buffer_bytes = 2ull << 20;
-    cfg.batch_threads = 3;
-    cfg.batch_min_chunk = 16;
+    cfg.staleness_bound = kAspBound;  // concurrent tracked reads never wait
     std::unique_ptr<KvBackend> backend;
     ASSERT_TRUE(MakeBackend(kind, cfg, &backend).ok());
 
