@@ -53,7 +53,7 @@ ModeResult RunMode(const Flags& flags, const char* label, uint32_t bound,
   // (the regime Fig. 2 demonstrates).
   o.data.field_cardinality = flags.Int("cardinality", 200000, 2000);
   o.data.zipf_theta = flags.Double("theta", 0.6);
-  o.dim = 16;
+  o.dim = cfg.dim;
   o.batch_size = 128;
   o.num_workers = workers;
   o.train_batches = flags.Int("batches", 120, 5);

@@ -39,7 +39,7 @@ std::unique_ptr<KvBackend> Make(const TempDir& dir, BackendKind kind,
 
 template <typename RunFn>
 void Sweep(const char* task, const std::vector<uint64_t>& buffers_mb,
-           uint64_t batches, RunFn run) {
+           uint64_t batches, uint32_t dim, RunFn run) {
   Banner(std::string("Fig 7: ") + task +
          " — throughput (samples/s) and energy (J/batch) vs buffer size");
   Table t({"backend", "buf_mb", "samples/s", "J/batch", "disk_rd_mb",
@@ -50,7 +50,7 @@ void Sweep(const char* task, const std::vector<uint64_t>& buffers_mb,
   for (const uint64_t mb : buffers_mb) {
     for (const BackendKind kind : kBackends) {
       TempDir dir;
-      auto backend = Make(dir, kind, 16, mb);
+      auto backend = Make(dir, kind, dim, mb);
       const TrainResult r = run(backend.get());
       if (kind == BackendKind::kMlkv) mlkv_tput = r.throughput();
       t.Cell(std::string(BackendKindName(kind)));
@@ -113,7 +113,7 @@ int main(int argc, char** argv) {
     o.compute_micros_per_batch = compute_us;
     o.preload_keys = static_cast<uint64_t>(o.data.num_fields) *
                      o.data.field_cardinality;
-    Sweep("DLRM on Criteo-Terabyte", buffers, batches * o.num_workers,
+    Sweep("DLRM on Criteo-Terabyte", buffers, batches * o.num_workers, o.dim,
           [&](KvBackend* b) {
             CtrTrainer t(b, o);
             return t.Train();
@@ -124,7 +124,7 @@ int main(int argc, char** argv) {
     KgeTrainerOptions o;
     o.data.num_entities = flags.Int("entities", 150000, 3000);
     o.data.num_relations = 8;
-    o.dim = 32;
+    o.dim = 16;
     o.batch_size = 128;
     o.num_workers = 2;
     o.train_batches = batches;
@@ -132,7 +132,7 @@ int main(int argc, char** argv) {
     o.lookahead_depth = 4;
     o.compute_micros_per_batch = compute_us;
     o.preload_keys = o.data.num_entities;
-    Sweep("KGE on Freebase86M", buffers, batches * o.num_workers,
+    Sweep("KGE on Freebase86M", buffers, batches * o.num_workers, o.dim,
           [&](KvBackend* b) {
             KgeTrainer t(b, o);
             return t.Train();
@@ -144,7 +144,7 @@ int main(int argc, char** argv) {
     o.graph.num_nodes = flags.Int("nodes", 150000, 3000);
     o.graph.num_classes = 8;
     o.graph.fanout = 8;
-    o.dim = 32;
+    o.dim = 16;
     o.hidden = 32;
     o.batch_size = 64;
     o.num_workers = 2;
@@ -153,7 +153,7 @@ int main(int argc, char** argv) {
     o.lookahead_depth = 4;
     o.compute_micros_per_batch = compute_us;
     o.preload_keys = o.graph.num_nodes;
-    Sweep("GNN on Papers100M", buffers, batches * o.num_workers,
+    Sweep("GNN on Papers100M", buffers, batches * o.num_workers, o.dim,
           [&](KvBackend* b) {
             GnnTrainer t(b, o);
             return t.Train();

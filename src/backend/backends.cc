@@ -734,52 +734,6 @@ class CachingBackend : public KvBackend {
 
 }  // namespace
 
-// Emulated batched gradient push for engines without a native override:
-// dedup + sum duplicate gradients (SGD is linear), one MultiGet, axpy, one
-// MultiPut over the keys that produced a value — exactly what integrating a
-// training framework with a stock KV store gives you, batch edition.
-BatchResult KvBackend::MultiApplyGradient(std::span<const Key> keys,
-                                          const float* grads, float lr) {
-  const uint32_t d = dim();
-  const DedupPlan plan(keys);
-  const size_t n = plan.unique.size();
-  const float* ugrads = grads;
-  std::vector<float> grad_sum;
-  if (plan.has_dupes) {
-    grad_sum.assign(n * size_t{d}, 0.0f);
-    for (size_t i = 0; i < keys.size(); ++i) {
-      simd::AccumulateFloats(&grad_sum[plan.slot_of[i] * size_t{d}],
-                             grads + i * size_t{d}, d);
-    }
-    ugrads = grad_sum.data();
-  }
-  std::vector<float> value(n * size_t{d});
-  const BatchResult got = MultiGet(plan.unique, value.data());
-  std::vector<Key> ok_keys;
-  std::vector<size_t> ok_slot;
-  for (size_t u = 0; u < n; ++u) {
-    if (got.codes[u] != Status::Code::kOk) continue;
-    simd::SubScaled(&value[u * size_t{d}], ugrads + u * size_t{d}, lr, d);
-    ok_keys.push_back(plan.unique[u]);
-    ok_slot.push_back(u);
-  }
-  std::vector<float> put_values(ok_keys.size() * size_t{d});
-  for (size_t j = 0; j < ok_keys.size(); ++j) {
-    simd::CopyFloats(&put_values[j * size_t{d}], &value[ok_slot[j] * size_t{d}],
-                     d);
-  }
-  const BatchResult put = MultiPut(ok_keys, put_values.data());
-  std::vector<Status::Code> ucodes = got.codes;
-  for (size_t j = 0; j < ok_keys.size(); ++j) {
-    if (put.codes[j] != Status::Code::kOk) ucodes[ok_slot[j]] = put.codes[j];
-  }
-  BatchResult result(keys.size());
-  for (size_t i = 0; i < keys.size(); ++i) {
-    result.Record(i, Status::FromCode(ucodes[plan.slot_of[i]]));
-  }
-  return result;
-}
-
 // Default scrape: device byte totals, which every engine reports (zeros
 // where it has no device).
 void KvBackend::CollectMetrics(obs::MetricsSink* sink) const {
@@ -809,7 +763,6 @@ Status MakeBackend(BackendKind kind, const BackendConfig& config,
     net::RemoteBackendOptions o;
     o.addr = config.remote_addr;
     o.pool_size = config.remote_pool_size;
-    o.max_keys_per_rpc = config.remote_max_keys_per_rpc;
     return net::RemoteBackend::Connect(o, out);
   }
   if (kind == BackendKind::kCluster) {
@@ -820,7 +773,6 @@ Status MakeBackend(BackendKind kind, const BackendConfig& config,
     MLKV_RETURN_NOT_OK(
         net::ParseEndpointList(config.cluster_addrs, &o.endpoints));
     o.pool_size = config.remote_pool_size;
-    o.max_keys_per_rpc = config.remote_max_keys_per_rpc;
     o.hedge_us = config.cluster_hedge_us;
     return cluster::ClusterBackend::Connect(o, out);
   }

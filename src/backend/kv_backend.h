@@ -55,11 +55,6 @@ namespace obs {
 class MetricsSink;
 }  // namespace obs
 
-// Sentinel for "derive the shard count from the backend itself"
-// (KvBackend::shard_bits()) in config structs that carry a shard-count
-// layout hint, so the hint cannot drift from the store's actual routing.
-inline constexpr uint32_t kAutoShardBits = UINT32_MAX;
-
 struct MultiGetOptions {
   // Initialize absent keys deterministically from the key (the standard
   // embedding-table bootstrap, identical across engines so convergence
@@ -95,13 +90,11 @@ class KvBackend {
   virtual BatchResult MultiPut(std::span<const Key> keys,
                                const float* values) = 0;
 
-  // Gradient push: value <- value - lr * grad per key. The base
-  // implementation emulates with MultiGet + axpy + MultiPut (deduplicating
-  // and summing duplicate keys first), which is also what integrating a
-  // training framework with a stock KV store gives you; every bundled
-  // engine overrides it with a native batched loop.
+  // Gradient push: value <- value - lr * grad per key (contract above).
+  // Each engine implements it with its own batched loop — a fused
+  // read-modify-write where it has one — and decorators forward it.
   virtual BatchResult MultiApplyGradient(std::span<const Key> keys,
-                                         const float* grads, float lr);
+                                         const float* grads, float lr) = 0;
 
   // --- Single-key wrappers (tests / examples); not for hot paths ---
 
@@ -231,15 +224,10 @@ struct BackendConfig {
   // number of concurrently batching threads, or steady-state traffic pays
   // a fresh connect + handshake whenever a burst exceeds the pool.
   size_t remote_pool_size = 8;
-  // kRemote only: cap on keys per RPC before the client chunks a batch
-  // into sequential sub-RPCs (0 = derive the largest frame-cap-safe count
-  // from the negotiated dim).
-  size_t remote_max_keys_per_rpc = 0;
   // kCluster only: comma-separated seed endpoints ("h1:7700,h2:7701").
   // Any reachable cluster member supplies the routing map; the storage
   // fields above are ignored (each server owns its own). Connection
-  // pooling and chunking reuse remote_pool_size / remote_max_keys_per_rpc
-  // per endpoint.
+  // pooling reuses remote_pool_size per endpoint.
   std::string cluster_addrs;
   // kCluster only: read-hedging delay in microseconds (docs/SERVING.md).
   // After this long without a response, a read sub-batch is re-issued to

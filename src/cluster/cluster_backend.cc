@@ -63,7 +63,6 @@ Status ClusterBackend::Connect(const ClusterBackendOptions& options,
     net::RemoteBackendOptions ro;
     ro.addr = addr;
     ro.pool_size = options.pool_size;
-    ro.max_keys_per_rpc = options.max_keys_per_rpc;
     std::unique_ptr<net::RemoteBackend> c;
     last = net::RemoteBackend::Connect(ro, &c);
     if (!last.ok()) continue;
@@ -151,7 +150,6 @@ Status ClusterBackend::GetClient(Endpoint* ep, net::RemoteBackend** out) {
     net::RemoteBackendOptions ro;
     ro.addr = ep->addr;
     ro.pool_size = options_.pool_size;
-    ro.max_keys_per_rpc = options_.max_keys_per_rpc;
     std::unique_ptr<net::RemoteBackend> c;
     MLKV_RETURN_NOT_OK(net::RemoteBackend::Connect(ro, &c));
     if (c->dim() != dim_) {

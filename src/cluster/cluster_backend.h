@@ -59,9 +59,8 @@ struct ClusterBackendOptions {
   // bootstrap discovery (and become the whole cluster for standalone
   // servers with no map to serve).
   std::vector<std::string> endpoints;
-  // Per-endpoint RemoteBackend knobs (see RemoteBackendOptions).
+  // Per-endpoint RemoteBackend connection pool (see RemoteBackendOptions).
   size_t pool_size = 8;
-  size_t max_keys_per_rpc = 0;
   // Scatter helpers for multi-partition batches (the calling thread always
   // participates too). 0 derives min(8, seed count).
   size_t scatter_threads = 0;

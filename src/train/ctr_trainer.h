@@ -5,8 +5,11 @@
 // NN forward/backward -> Put updated embeddings (value - lr * grad). Dense
 // parameters are per-worker replicas (the paper trains the NN synchronously
 // on GPUs; embedding staleness — the storage concern — is what varies).
-// A look-ahead driver issues Lookahead() for batches `lookahead_depth`
-// ahead of consumption (§III-C2).
+// The storage half of each step — Lookahead() for the batch
+// `lookahead_depth` ahead (§III-C2), key dedup, Get and Put — is the
+// minibatch driver shared with the KGE and GNN trainers
+// (RunMinibatchJob in train/batch_io.h); this trainer supplies the
+// samples, the model and AUC evaluation.
 #pragma once
 
 #include <memory>
@@ -34,12 +37,6 @@ struct CtrTrainerOptions {
   // Look-ahead prefetching: 0 disables; N issues Lookahead for the batch
   // N positions ahead of the one being trained.
   int lookahead_depth = 0;
-  // Shard count (log2) of the backend this trainer feeds: each minibatch's
-  // unique keys are ordered shard-contiguously before the batched calls so
-  // the backend's scatter step works on contiguous runs. Purely a layout
-  // hint — 0 disables; any value is semantically neutral. The default
-  // kAutoShardBits asks the backend (KvBackend::shard_bits()).
-  uint32_t backend_shard_bits = kAutoShardBits;
   uint64_t compute_micros_per_batch = 0;  // GPU-time substitution
   // Initialize embeddings for keys [0, preload_keys) before the timed run,
   // so out-of-core measurements start from a steady state (model resident

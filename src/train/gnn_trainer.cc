@@ -1,10 +1,6 @@
 #include "train/gnn_trainer.h"
 
-#include <atomic>
 #include <memory>
-#include <mutex>
-#include <thread>
-#include <unordered_map>
 #include <vector>
 
 #include "common/clock.h"
@@ -34,240 +30,179 @@ std::unique_ptr<GnnModel> MakeModel(const GnnTrainerOptions& o,
                                           o.dense_lr);
 }
 
+// Task-specific sample stream: `n` samples from an independent
+// deterministic generator per stream seed (one per worker, one for eval).
+std::vector<NodeSample> SampleNodes(const GnnTrainerOptions& o,
+                                    uint64_t stream_seed, uint64_t n) {
+  std::vector<NodeSample> out;
+  out.reserve(n);
+  if (o.task != GnnTask::kPapers) {
+    EbayConfig cfg = o.ebay;
+    cfg.tripartite = o.task == GnnTask::kEbayPayout;
+    EbayGenerator gen(cfg, stream_seed);
+    for (uint64_t i = 0; i < n; ++i) {
+      EbaySample es = gen.Next();
+      out.push_back({es.transaction, std::move(es.entities),
+                     es.label > 0.5f ? 1 : 0});
+    }
+  } else {
+    GraphGenerator gen(o.graph, stream_seed);
+    for (uint64_t i = 0; i < n; ++i) {
+      NodeSample s;
+      s.node = gen.SampleTrainNode();
+      gen.SampleNeighbors(s.node, &s.neighbors);
+      s.label = gen.LabelOf(s.node);
+      out.push_back(std::move(s));
+    }
+  }
+  return out;
+}
+
+// One worker: its sample stream and model replica.
+class GnnWorker : public MinibatchWorker {
+ public:
+  GnnWorker(const GnnTrainerOptions& o, KvBackend* backend,
+            const std::vector<NodeSample>& eval_set, int num_classes,
+            int fanout, int wid)
+      : o_(o),
+        backend_(backend),
+        eval_set_(eval_set),
+        num_classes_(num_classes),
+        fanout_(fanout),
+        model_(MakeModel(o, num_classes, o.seed + wid)),
+        delay_(o.compute_micros_per_batch),
+        stream_(SampleNodes(o, static_cast<uint64_t>(wid) + 1,
+                            o.train_batches * o.batch_size)) {
+    batch_.fanout = fanout;
+  }
+
+  // Self, then neighbors, per sample.
+  void SampleKeys(uint64_t b, std::vector<Key>* keys) override {
+    for (int i = 0; i < o_.batch_size; ++i) {
+      const NodeSample& s = stream_[b * o_.batch_size + i];
+      keys->push_back(s.node);
+      keys->insert(keys->end(), s.neighbors.begin(), s.neighbors.end());
+    }
+  }
+
+  ComputeSeconds Compute(uint64_t b, Minibatch* mb) override {
+    const uint32_t dim = o_.dim;
+    const int B = o_.batch_size;
+    const NodeSample* samples = &stream_[b * B];
+
+    // Assemble the batch tensors.
+    batch_.self.Resize(B, dim);
+    batch_.neighbors.Resize(static_cast<size_t>(B) * fanout_, dim);
+    batch_.labels.resize(B);
+    for (int i = 0; i < B; ++i) {
+      const float* self = mb->row(samples[i].node);
+      std::copy(self, self + dim, batch_.self.row(i));
+      for (int n = 0; n < fanout_; ++n) {
+        const float* nb = mb->row(samples[i].neighbors[n]);
+        std::copy(nb, nb + dim,
+                  batch_.neighbors.row(static_cast<size_t>(i) * fanout_ + n));
+      }
+      batch_.labels[i] = samples[i].label;
+    }
+
+    // --- Forward ---
+    const uint64_t t0 = NowMicros();
+    const Tensor& logits = model_->Forward(batch_);
+    const uint64_t t1 = NowMicros();
+    SoftmaxCrossEntropy(logits, batch_.labels, &grad_logits_);
+
+    // --- Backward ---
+    model_->Backward(grad_logits_, &grad_self_, &grad_neighbors_);
+    model_->Step();
+    const uint64_t t2 = NowMicros();
+    delay_.PadBatch(t2 - t0);
+    const uint64_t t3 = NowMicros();
+
+    // Accumulate per-unique-key embedding grads.
+    for (int i = 0; i < B; ++i) {
+      simd::AccumulateFloats(mb->grad(samples[i].node), grad_self_.row(i),
+                             dim);
+      for (int n = 0; n < fanout_; ++n) {
+        simd::AccumulateFloats(
+            mb->grad(samples[i].neighbors[n]),
+            grad_neighbors_.row(static_cast<size_t>(i) * fanout_ + n), dim);
+      }
+    }
+    return {(t1 - t0) * 1e-6 + (t3 - t2) * 1e-6 * 0.5,
+            (t2 - t1) * 1e-6 + (t3 - t2) * 1e-6 * 0.5};
+  }
+
+  // Accuracy (papers) or AUC (eBay binary).
+  double Evaluate() override {
+    const uint32_t dim = o_.dim;
+    AccuracyAccumulator acc;
+    AucAccumulator auc;
+    GnnBatch eb;
+    eb.fanout = fanout_;
+    eb.self.Resize(1, dim);
+    eb.neighbors.Resize(fanout_, dim);
+    eb.labels.resize(1);
+    std::vector<Key> ekeys;
+    std::vector<float> ebuf;
+    for (const NodeSample& s : eval_set_) {
+      // One untracked batched read per eval node: self, then neighbors.
+      ekeys.assign(1, s.node);
+      ekeys.insert(ekeys.end(), s.neighbors.begin(), s.neighbors.end());
+      ebuf.resize(ekeys.size() * dim);
+      EvalPeek(backend_, ekeys, ebuf.data());
+      std::copy(ebuf.begin(), ebuf.begin() + dim, eb.self.row(0));
+      for (int n = 0; n < fanout_; ++n) {
+        const float* src = &ebuf[(1 + static_cast<size_t>(n)) * dim];
+        std::copy(src, src + dim, eb.neighbors.row(n));
+      }
+      const Tensor& logits = model_->Forward(eb);
+      int best = 0;
+      for (int c = 1; c < num_classes_; ++c) {
+        if (logits.at(0, c) > logits.at(0, best)) best = c;
+      }
+      acc.Add(best, s.label);
+      if (num_classes_ == 2) {
+        auc.Add(logits.at(0, 1) - logits.at(0, 0), s.label == 1);
+      }
+    }
+    return num_classes_ == 2 ? auc.Compute() : acc.Compute();
+  }
+
+ private:
+  const GnnTrainerOptions& o_;
+  KvBackend* backend_;
+  const std::vector<NodeSample>& eval_set_;
+  const int num_classes_;
+  const int fanout_;
+  std::unique_ptr<GnnModel> model_;
+  const ComputeDelayModel delay_;
+  const std::vector<NodeSample> stream_;
+  GnnBatch batch_;
+  Tensor grad_logits_, grad_self_, grad_neighbors_;
+};
+
 }  // namespace
 
 TrainResult GnnTrainer::Train() {
-  const uint32_t dim = options_.dim;
-  const int B = options_.batch_size;
   const bool ebay = options_.task != GnnTask::kPapers;
   const int num_classes = ebay ? 2 : options_.graph.num_classes;
   const int fanout = ebay ? options_.ebay.entities_per_transaction
                           : options_.graph.fanout;
+  const std::vector<NodeSample> eval_set =
+      SampleNodes(options_, /*stream_seed=*/424242, options_.eval_nodes);
 
-  TrainResult result;
-  std::mutex result_mu;
-
-  if (options_.preload_keys > 0) {
-    PreloadKeys(backend_, options_.preload_keys);
-  }
-
-  StopWatch wall;
-
-  // Task-specific sampler factory; each worker (and the eval set) gets an
-  // independent deterministic stream.
-  auto make_sampler = [&](uint64_t stream_seed) {
-    std::shared_ptr<GraphGenerator> g;
-    std::shared_ptr<EbayGenerator> e;
-    if (ebay) {
-      EbayConfig cfg = options_.ebay;
-      cfg.tripartite = options_.task == GnnTask::kEbayPayout;
-      e = std::make_shared<EbayGenerator>(cfg, stream_seed);
-    } else {
-      g = std::make_shared<GraphGenerator>(options_.graph, stream_seed);
-    }
-    return [g, e, this]() {
-      NodeSample s;
-      if (e) {
-        EbaySample es = e->Next();
-        s.node = es.transaction;
-        s.neighbors = std::move(es.entities);
-        s.label = es.label > 0.5f ? 1 : 0;
-      } else {
-        s.node = g->SampleTrainNode();
-        g->SampleNeighbors(s.node, &s.neighbors);
-        s.label = g->LabelOf(s.node);
-      }
-      return s;
-    };
-  };
-
-  // Held-out evaluation set.
-  std::vector<NodeSample> eval_set;
-  {
-    auto sample = make_sampler(424242);
-    for (int i = 0; i < options_.eval_nodes; ++i) eval_set.push_back(sample());
-  }
-
-  ComputeDelayModel delay(options_.compute_micros_per_batch);
-  std::atomic<uint64_t> total_samples{0};
-
-  auto worker_fn = [&](int wid) {
-    auto sample = make_sampler(static_cast<uint64_t>(wid) + 1);
-    auto model = MakeModel(options_, num_classes, options_.seed + wid);
-    const uint64_t n_batches = options_.train_batches;
-    std::vector<NodeSample> stream;
-    stream.reserve(n_batches * B);
-    for (uint64_t i = 0; i < n_batches * B; ++i) stream.push_back(sample());
-
-    GnnBatch batch_data;
-    batch_data.fanout = fanout;
-    Tensor grad_logits, grad_self, grad_neighbors;
-    double emb_sec = 0, fwd_sec = 0, bwd_sec = 0;
-
-    for (uint64_t batch = 0; batch < n_batches; ++batch) {
-      const NodeSample* samples = &stream[batch * B];
-
-      if (options_.lookahead_depth > 0) {
-        const uint64_t ahead = batch + options_.lookahead_depth;
-        if (ahead < n_batches) {
-          std::vector<Key> future;
-          for (int i = 0; i < B; ++i) {
-            const NodeSample& s = stream[ahead * B + i];
-            future.push_back(s.node);
-            future.insert(future.end(), s.neighbors.begin(),
-                          s.neighbors.end());
-          }
-          backend_->Lookahead(future).ok();
-        }
-      }
-
-      // Unique keys across self + neighbors.
-      std::unordered_map<Key, size_t> slot;
-      std::vector<Key> unique;
-      auto intern = [&](Key k) {
-        auto [it, fresh] = slot.emplace(k, unique.size());
-        if (fresh) unique.push_back(k);
-        return it->second;
-      };
-      for (int i = 0; i < B; ++i) {
-        intern(samples[i].node);
-        for (Key n : samples[i].neighbors) intern(n);
-      }
-      OrderKeysByShard(ResolveShardBits(options_.backend_shard_bits, backend_),
-                       &unique, &slot);
-
-      // --- Get: one batched call per minibatch ---
-      uint64_t t0 = NowMicros();
-      std::vector<float> emb(unique.size() * dim);
-      const uint64_t busy =
-          MultiGetWithBusyFallback(backend_, unique, emb.data());
-      if (busy > 0) {
-        std::lock_guard<std::mutex> lk(result_mu);
-        result.busy_aborts += busy;
-      }
-      uint64_t t1 = NowMicros();
-      emb_sec += (t1 - t0) * 1e-6;
-
-      // Assemble the batch tensors.
-      batch_data.self.Resize(B, dim);
-      batch_data.neighbors.Resize(static_cast<size_t>(B) * fanout, dim);
-      batch_data.labels.resize(B);
-      for (int i = 0; i < B; ++i) {
-        const size_t us = slot[samples[i].node];
-        std::copy(&emb[us * dim], &emb[us * dim] + dim,
-                  batch_data.self.row(i));
-        for (int n = 0; n < fanout; ++n) {
-          const size_t un = slot[samples[i].neighbors[n]];
-          std::copy(&emb[un * dim], &emb[un * dim] + dim,
-                    batch_data.neighbors.row(static_cast<size_t>(i) * fanout +
-                                             n));
-        }
-        batch_data.labels[i] = samples[i].label;
-      }
-
-      // --- Forward ---
-      t0 = NowMicros();
-      const Tensor& logits = model->Forward(batch_data);
-      t1 = NowMicros();
-      SoftmaxCrossEntropy(logits, batch_data.labels, &grad_logits);
-
-      // --- Backward ---
-      model->Backward(grad_logits, &grad_self, &grad_neighbors);
-      model->Step();
-      uint64_t t2 = NowMicros();
-      delay.PadBatch(t2 - t0);
-      uint64_t t3 = NowMicros();
-      fwd_sec += (t1 - t0) * 1e-6 + (t3 - t2) * 1e-6 * 0.5;
-      bwd_sec += (t2 - t1) * 1e-6 + (t3 - t2) * 1e-6 * 0.5;
-
-      // Accumulate per-unique-key embedding grads.
-      std::vector<float> grad(unique.size() * dim, 0.0f);
-      for (int i = 0; i < B; ++i) {
-        const size_t us = slot[samples[i].node];
-        simd::AccumulateFloats(&grad[us * dim], grad_self.row(i), dim);
-        for (int n = 0; n < fanout; ++n) {
-          const size_t un = slot[samples[i].neighbors[n]];
-          simd::AccumulateFloats(
-              &grad[un * dim],
-              grad_neighbors.row(static_cast<size_t>(i) * fanout + n), dim);
-        }
-      }
-
-      // --- Put: one batched call per minibatch ---
-      t0 = NowMicros();
-      std::vector<float> updated(unique.size() * dim);
-      simd::CopyFloats(updated.data(), emb.data(), updated.size());
-      simd::SubScaled(updated.data(), grad.data(), options_.embedding_lr,
-                      updated.size());
-      backend_->MultiPut(unique, updated.data());
-      t1 = NowMicros();
-      emb_sec += (t1 - t0) * 1e-6;
-
-      total_samples.fetch_add(B, std::memory_order_relaxed);
-
-      // --- Eval (worker 0): accuracy (papers) or AUC (eBay binary). ---
-      if (wid == 0 && options_.eval_every > 0 &&
-          (batch + 1) % options_.eval_every == 0) {
-        AccuracyAccumulator acc;
-        AucAccumulator auc;
-        GnnBatch eb;
-        eb.fanout = fanout;
-        eb.self.Resize(1, dim);
-        eb.neighbors.Resize(fanout, dim);
-        eb.labels.resize(1);
-        std::vector<Key> ekeys;
-        std::vector<float> ebuf;
-        for (const NodeSample& s : eval_set) {
-          // One untracked batched read per eval node: self, then neighbors.
-          ekeys.assign(1, s.node);
-          ekeys.insert(ekeys.end(), s.neighbors.begin(), s.neighbors.end());
-          ebuf.resize(ekeys.size() * dim);
-          EvalPeek(backend_, ekeys, ebuf.data());
-          std::copy(ebuf.begin(), ebuf.begin() + dim, eb.self.row(0));
-          for (int n = 0; n < fanout; ++n) {
-            const float* src = &ebuf[(1 + static_cast<size_t>(n)) * dim];
-            std::copy(src, src + dim, eb.neighbors.row(n));
-          }
-          const Tensor& logits = model->Forward(eb);
-          int best = 0;
-          for (int c = 1; c < num_classes; ++c) {
-            if (logits.at(0, c) > logits.at(0, best)) best = c;
-          }
-          acc.Add(best, s.label);
-          if (num_classes == 2) {
-            auc.Add(logits.at(0, 1) - logits.at(0, 0), s.label == 1);
-          }
-        }
-        const double metric = num_classes == 2 ? auc.Compute() : acc.Compute();
-        std::lock_guard<std::mutex> lk(result_mu);
-        result.metric_curve.emplace_back(wall.ElapsedSeconds(), metric);
-      }
-    }
-
-    std::lock_guard<std::mutex> lk(result_mu);
-    result.embedding_seconds += emb_sec;
-    result.forward_seconds += fwd_sec;
-    result.backward_seconds += bwd_sec;
-  };
-
-  const uint64_t bytes_read0 = backend_->device_bytes_read();
-  const uint64_t bytes_written0 = backend_->device_bytes_written();
-  std::vector<std::thread> workers;
-  for (int w = 0; w < options_.num_workers; ++w) {
-    workers.emplace_back(worker_fn, w);
-  }
-  for (auto& t : workers) t.join();
-  backend_->WaitIdle();
-
-  result.samples = total_samples.load();
-  result.seconds = wall.ElapsedSeconds();
-  result.device_bytes_read = backend_->device_bytes_read() - bytes_read0;
-  result.device_bytes_written =
-      backend_->device_bytes_written() - bytes_written0;
-  if (!result.metric_curve.empty()) {
-    result.final_metric = result.metric_curve.back().second;
-  }
-  return result;
+  const MinibatchJob job{.dim = options_.dim,
+                         .num_workers = options_.num_workers,
+                         .train_batches = options_.train_batches,
+                         .batch_size = options_.batch_size,
+                         .lookahead_depth = options_.lookahead_depth,
+                         .eval_every = options_.eval_every,
+                         .embedding_lr = options_.embedding_lr,
+                         .preload_keys = options_.preload_keys};
+  return RunMinibatchJob(backend_, job, [&](int wid) {
+    return std::make_unique<GnnWorker>(options_, backend_, eval_set,
+                                       num_classes, fanout, wid);
+  });
 }
 
 }  // namespace mlkv

@@ -3,6 +3,11 @@
 // detection case studies (Fig. 11) when constructed with an EbayGenerator-
 // backed sampler: those are binary-classified GraphSage jobs on bipartite /
 // tripartite graphs, so the trainer takes a generic batch sampler.
+//
+// Storage access (lookahead, key dedup, Get, Put) is the minibatch driver
+// shared with the CTR and KGE trainers (RunMinibatchJob in
+// train/batch_io.h); this trainer supplies the samples, the model and
+// evaluation.
 #pragma once
 
 #include <functional>
@@ -34,11 +39,6 @@ struct GnnTrainerOptions {
   float embedding_lr = 0.05f;
   float dense_lr = 0.05f;
   int lookahead_depth = 0;
-  // Shard count (log2) of the backend this trainer feeds: unique keys are
-  // ordered shard-contiguously before each batched call (see
-  // train/batch_io.h). 0 disables; semantically neutral either way. The
-  // default kAutoShardBits asks the backend (KvBackend::shard_bits()).
-  uint32_t backend_shard_bits = kAutoShardBits;
   uint64_t compute_micros_per_batch = 0;
   // Initialize embeddings for keys [0, preload_keys) before the timed run,
   // so out-of-core measurements start from a steady state (model resident

@@ -8,6 +8,11 @@
 // by (head-partition, tail-partition) pairs ordered to maximize reuse of
 // the partition resident in the buffer — the partition-based graph learning
 // algorithm the paper layers look-ahead prefetching under.
+//
+// Storage access (lookahead, key dedup, Get, Put) is the minibatch driver
+// shared with the CTR and GNN trainers (RunMinibatchJob in
+// train/batch_io.h); this trainer supplies the triples, negatives, scoring
+// and Hits@10 evaluation.
 #pragma once
 
 #include "backend/kv_backend.h"
@@ -31,11 +36,6 @@ struct KgeTrainerOptions {
   int eval_negatives = 50;           // candidates per Hits@10 query
   float lr = 0.3f;
   int lookahead_depth = 0;
-  // Shard count (log2) of the backend this trainer feeds: unique keys are
-  // ordered shard-contiguously before each batched call (see
-  // train/batch_io.h). 0 disables; semantically neutral either way. The
-  // default kAutoShardBits asks the backend (KvBackend::shard_bits()).
-  uint32_t backend_shard_bits = kAutoShardBits;
   bool use_beta = false;             // BETA partition ordering
   int beta_partitions = 8;
   uint64_t compute_micros_per_batch = 0;

@@ -852,6 +852,10 @@ class GatedBackend : public KvBackend {
                        const float* values) override {
     return inner_->MultiPut(keys, values);
   }
+  BatchResult MultiApplyGradient(std::span<const Key> keys,
+                                 const float* grads, float lr) override {
+    return inner_->MultiApplyGradient(keys, grads, lr);
+  }
 
   void WaitEntered() {
     std::unique_lock<std::mutex> lk(mu_);

@@ -4,9 +4,15 @@
 // paper's convergence figures rest on.
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <cstring>
 #include <memory>
+#include <mutex>
+#include <set>
+#include <vector>
 
 #include "backend/kv_backend.h"
+#include "common/hash.h"
 #include "io/temp_dir.h"
 #include "train/ctr_trainer.h"
 #include "train/ddp_sim.h"
@@ -215,6 +221,226 @@ TEST(GnnTrainerTest, EbayTriskRunsAndLearnsAuc) {
   GnnTrainer trainer(backend.get(), o);
   TrainResult r = trainer.Train();
   EXPECT_GT(r.final_metric, 0.6) << "risk AUC must beat chance";
+}
+
+// --- Storage protocol (Fig. 3) every trainer drives through KvBackend ---
+
+// Records each Lookahead / MultiGet / MultiPut a trainer issues, in order,
+// over an in-memory engine that reports 4 shards, so the shard-contiguous
+// key order of each minibatch is observable.
+class RecordingBackend : public KvBackend {
+ public:
+  enum class Op { kLookahead, kGet, kPut };
+  struct Call {
+    Op op;
+    bool untracked;
+    std::vector<Key> keys;
+  };
+
+  explicit RecordingBackend(std::unique_ptr<KvBackend> inner)
+      : inner_(std::move(inner)) {}
+
+  std::string name() const override { return inner_->name(); }
+  uint32_t dim() const override { return inner_->dim(); }
+  uint32_t shard_bits() const override { return 2; }
+
+  BatchResult MultiGet(std::span<const Key> keys, float* out,
+                       const MultiGetOptions& options) override {
+    Record(Op::kGet, options.untracked, keys);
+    return inner_->MultiGet(keys, out, options);
+  }
+  BatchResult MultiPut(std::span<const Key> keys,
+                       const float* values) override {
+    Record(Op::kPut, false, keys);
+    return inner_->MultiPut(keys, values);
+  }
+  BatchResult MultiApplyGradient(std::span<const Key> keys,
+                                 const float* grads, float lr) override {
+    ADD_FAILURE() << "trainers write rows back with MultiPut";
+    return inner_->MultiApplyGradient(keys, grads, lr);
+  }
+  Status Lookahead(std::span<const Key> keys) override {
+    Record(Op::kLookahead, false, keys);
+    return inner_->Lookahead(keys);
+  }
+  void WaitIdle() override { inner_->WaitIdle(); }
+
+  std::vector<Call> calls() const {
+    std::lock_guard<std::mutex> lk(mu_);
+    return calls_;
+  }
+
+ private:
+  void Record(Op op, bool untracked, std::span<const Key> keys) {
+    std::lock_guard<std::mutex> lk(mu_);
+    calls_.push_back({op, untracked, {keys.begin(), keys.end()}});
+  }
+
+  std::unique_ptr<KvBackend> inner_;
+  mutable std::mutex mu_;
+  std::vector<Call> calls_;
+};
+
+constexpr uint64_t kProtocolBatches = 6;
+constexpr int kProtocolDepth = 2;
+constexpr int kProtocolEvalEvery = 3;
+
+std::unique_ptr<RecordingBackend> MakeRecordingBackend(const TempDir& dir,
+                                                       uint32_t dim) {
+  return std::make_unique<RecordingBackend>(
+      MakeTestBackend(dir, BackendKind::kInMemory, dim));
+}
+
+// Checks one single-worker run of kProtocolBatches batches at lookahead
+// depth kProtocolDepth, evaluated after every kProtocolEvalEvery-th batch:
+//  * batch b's step is Lookahead(b + depth) (while that batch exists), one
+//    tracked MultiGet of unique, shard-contiguous keys covering everything
+//    the lookahead hinted for b, then one MultiPut of exactly those keys;
+//  * untracked reads happen only at eval points, between one step's
+//    MultiPut and the next step's first call.
+// Prints a digest of the call sequence and metric curve so two builds of
+// the trainers can be compared for identical storage behaviour.
+void CheckStorageProtocol(const char* trainer,
+                          const std::vector<RecordingBackend::Call>& calls,
+                          const TrainResult& result) {
+  using Op = RecordingBackend::Op;
+  std::vector<size_t> looks, gets, puts;
+  for (size_t j = 0; j < calls.size(); ++j) {
+    if (calls[j].op == Op::kLookahead) looks.push_back(j);
+    if (calls[j].op == Op::kGet && !calls[j].untracked) gets.push_back(j);
+    if (calls[j].op == Op::kPut) puts.push_back(j);
+  }
+  ASSERT_EQ(looks.size(), kProtocolBatches - kProtocolDepth);
+  ASSERT_EQ(gets.size(), kProtocolBatches);
+  ASSERT_EQ(puts.size(), kProtocolBatches);
+
+  const uint64_t mask = 3;  // RecordingBackend::shard_bits() == 2
+  for (size_t b = 0; b < kProtocolBatches; ++b) {
+    const std::vector<Key>& keys = calls[gets[b]].keys;
+    const std::set<Key> unique(keys.begin(), keys.end());
+    EXPECT_EQ(unique.size(), keys.size()) << "batch " << b;
+    std::set<uint64_t> closed;
+    for (size_t i = 0; i < keys.size(); ++i) {
+      const uint64_t shard = ShardOf(Hash64(keys[i]), mask);
+      EXPECT_EQ(closed.count(shard), 0u)
+          << "batch " << b << ": shard " << shard << " is not contiguous";
+      if (i + 1 < keys.size() &&
+          ShardOf(Hash64(keys[i + 1]), mask) != shard) {
+        closed.insert(shard);
+      }
+    }
+    // Exactly one MultiPut between this tracked read and the next, on the
+    // identical key span.
+    const size_t end = b + 1 < kProtocolBatches ? gets[b + 1] : calls.size();
+    EXPECT_TRUE(gets[b] < puts[b] && puts[b] < end) << "batch " << b;
+    EXPECT_EQ(calls[puts[b]].keys, keys) << "batch " << b;
+    // The lookahead for batch b + depth is issued in batch b's step, after
+    // batch b - 1's MultiPut and before batch b's tracked MultiGet.
+    if (b < looks.size()) {
+      EXPECT_LT(looks[b], gets[b]) << "batch " << b;
+      if (b > 0) {
+        EXPECT_GT(looks[b], puts[b - 1]) << "batch " << b;
+      }
+    }
+    if (b >= static_cast<size_t>(kProtocolDepth)) {
+      for (const Key k : calls[looks[b - kProtocolDepth]].keys) {
+        EXPECT_EQ(unique.count(k), 1u)
+            << "batch " << b << " does not read hinted key " << k;
+      }
+    }
+  }
+
+  std::vector<size_t> eval_reads(kProtocolBatches, 0);
+  for (size_t j = 0; j < calls.size(); ++j) {
+    if (calls[j].op != Op::kGet || !calls[j].untracked) continue;
+    // The last completed step, and no call of the next one yet.
+    size_t done = 0;
+    while (done < puts.size() && puts[done] < j) ++done;
+    ASSERT_GT(done, 0u) << "untracked read before the first step";
+    const size_t b = done - 1;
+    EXPECT_EQ((b + 1) % kProtocolEvalEvery, 0u)
+        << "untracked read after batch " << b << ", not an eval point";
+    const size_t next_step =
+        done == kProtocolBatches ? calls.size()
+        : done < looks.size()    ? looks[done]
+                                 : gets[done];
+    EXPECT_LT(j, next_step) << "untracked read inside batch " << done
+                            << "'s step";
+    ++eval_reads[b];
+  }
+  for (size_t b = 0; b < kProtocolBatches; ++b) {
+    if ((b + 1) % kProtocolEvalEvery == 0) {
+      EXPECT_GT(eval_reads[b], 0u) << "no eval reads after batch " << b;
+    }
+  }
+  ASSERT_EQ(result.metric_curve.size(),
+            kProtocolBatches / kProtocolEvalEvery);
+
+  uint64_t digest = 0;
+  auto fold = [&digest](uint64_t v) { digest = Hash64(digest ^ v); };
+  for (const auto& c : calls) {
+    fold(static_cast<uint64_t>(c.op) * 2 + (c.untracked ? 1 : 0));
+    fold(c.keys.size());
+    for (const Key k : c.keys) fold(k);
+  }
+  for (const auto& [seconds, metric] : result.metric_curve) {
+    uint64_t bits;
+    std::memcpy(&bits, &metric, sizeof(bits));
+    fold(bits);
+  }
+  std::printf("[ protocol ] %s: %zu calls, digest %016llx\n", trainer,
+              calls.size(), static_cast<unsigned long long>(digest));
+}
+
+TEST(TrainerStorageProtocolTest, Ctr) {
+  TempDir dir;
+  auto backend = MakeRecordingBackend(dir, 8);
+  CtrTrainerOptions o = SmallCtr();
+  o.batch_size = 32;
+  o.num_workers = 1;
+  o.train_batches = kProtocolBatches;
+  o.eval_every = kProtocolEvalEvery;
+  o.eval_samples = 100;
+  o.lookahead_depth = kProtocolDepth;
+  const TrainResult r = CtrTrainer(backend.get(), o).Train();
+  CheckStorageProtocol("ctr", backend->calls(), r);
+}
+
+TEST(TrainerStorageProtocolTest, Kge) {
+  TempDir dir;
+  auto backend = MakeRecordingBackend(dir, 16);
+  KgeTrainerOptions o;
+  o.data.num_entities = 500;
+  o.data.num_relations = 4;
+  o.data.num_clusters = 8;
+  o.dim = 16;
+  o.batch_size = 32;
+  o.num_workers = 1;
+  o.train_batches = kProtocolBatches;
+  o.eval_every = kProtocolEvalEvery;
+  o.eval_triples = 20;
+  o.lookahead_depth = kProtocolDepth;
+  const TrainResult r = KgeTrainer(backend.get(), o).Train();
+  CheckStorageProtocol("kge", backend->calls(), r);
+}
+
+TEST(TrainerStorageProtocolTest, Gnn) {
+  TempDir dir;
+  auto backend = MakeRecordingBackend(dir, 16);
+  GnnTrainerOptions o;
+  o.graph.num_nodes = 500;
+  o.graph.num_classes = 4;
+  o.graph.fanout = 4;
+  o.dim = 16;
+  o.hidden = 16;
+  o.batch_size = 16;
+  o.num_workers = 1;
+  o.train_batches = kProtocolBatches;
+  o.eval_every = kProtocolEvalEvery;
+  o.eval_nodes = 50;
+  o.lookahead_depth = kProtocolDepth;
+  const TrainResult r = GnnTrainer(backend.get(), o).Train();
+  CheckStorageProtocol("gnn", backend->calls(), r);
 }
 
 TEST(EnergyModelTest, StallsCostIdleEnergy) {
