@@ -87,7 +87,9 @@ double RunDurableWrites(DurabilityMode mode, size_t threads, uint64_t batches,
   TempDir dir;
   MlkvOptions opts;
   opts.dir = dir.path() + "/db";
-  opts.mem_size = 16ull << 20;
+  // page_size is a cap: each 16 MiB shard holds FasterStore::
+  // kMinResidentFrames (64) frames of the full 256 KiB.
+  opts.mem_size = 32ull << 20;
   opts.page_size = 256ull << 10;
   // Whole window mutable: updates stay in place, so a batch dirties only
   // the pages its keys live on — the contrast FlushAll cannot exploit.

@@ -10,10 +10,17 @@ label:
 
   worse beyond bound                 the change's median is worse than the
                                      parent's by more than the bound
-  unresolved (IQR wider than bound)  either side's interquartile range,
-                                     relative to its median, exceeds the
-                                     bound, so the medians cannot tell
-  ok                                 neither of the above
+  unresolved (IQR wider than bound)  not worse beyond bound, but either
+                                     side's interquartile range, relative
+                                     to its median, exceeds the bound, so
+                                     the medians cannot tell
+  better beyond bound                the change's median is better than the
+                                     parent's by more than the bound, and
+                                     both IQRs are within it
+  ok                                 none of the above
+
+A worse median is flagged whatever the spread (the conservative side); a
+better one is claimed only when the spread lets the medians tell.
 
 It only warns: the exit status is always 0, so it is not a gate.
 """
@@ -32,6 +39,8 @@ def label(parent, change, metric):
         return delta, "worse beyond bound"
     if max(parent["iqr_over_median"], change["iqr_over_median"]) > bound:
         return delta, "unresolved (IQR wider than bound)"
+    if -worse > bound:
+        return delta, "better beyond bound"
     return delta, "ok"
 
 

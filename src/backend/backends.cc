@@ -422,10 +422,10 @@ class FasterBackend final : public MlkvBackend {
     // scatters on the Mlkv's. The configured bound rides along but is never
     // consulted, since the store tracks nothing.
     auto b = std::make_unique<FasterBackend>(nullptr);
-    b->db_ = std::move(db);
-    b->owned_table_ = std::make_unique<EmbeddingTable>(
+    MLKV_RETURN_NOT_OK(EmbeddingTable::Make(
         "faster", config.dim, config.staleness_bound, std::move(store),
-        /*lookahead_pool=*/nullptr);
+        /*lookahead_pool=*/nullptr, OptimizerConfig{}, &b->owned_table_));
+    b->db_ = std::move(db);
     b->table_ = b->owned_table_.get();
     *out = std::move(b);
     return Status::OK();

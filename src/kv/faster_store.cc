@@ -88,11 +88,11 @@ uint64_t TransformControl(std::atomic<uint64_t>* control, Fn transform) {
 
 Status FasterStore::Open(const FasterOptions& options) {
   options_ = options;
-  // The circular buffer needs at least 4 resident pages; small memory
-  // budgets (the tight end of the Fig. 7 sweep) shrink the page size
-  // rather than failing.
+  // The 4 KiB floor wins for budgets below 256 KiB; HybridLog::Open still
+  // rejects fewer than 4 pages, which the 16 KiB shard floor
+  // (ShardedStore::kMinShardMemBytes) always admits.
   while (options_.page_size > 4096 &&
-         options_.mem_size / options_.page_size < 4) {
+         options_.mem_size / options_.page_size < kMinResidentFrames) {
     options_.page_size >>= 1;
   }
   index_.reset(new HashIndex(options.index_slots));

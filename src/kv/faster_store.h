@@ -57,11 +57,13 @@ struct FasterOptions {
   std::string path;                    // backing log file
   // Hash index entries (rounded to pow2; 8 per 64-byte bucket).
   uint64_t index_slots = 1ull << 20;
-  // Log page size. Open() halves it (down to 4 KiB) until at least four
-  // pages fit in mem_size, so tiny buffer budgets work out of the box.
-  uint64_t page_size = 1ull << 20;
+  // Upper bound on the log page size. Open() halves it (down to 4 KiB)
+  // until at least FasterStore::kMinResidentFrames pages fit in mem_size,
+  // so small buffers get fine-grained eviction and tiny budgets work out of
+  // the box. Recover takes the page from the checkpoint instead.
+  uint64_t page_size = kDefaultPageSize;
   uint64_t mem_size = 64ull << 20;     // in-memory log buffer
-  double mutable_fraction = 0.5;
+  double mutable_fraction = kDefaultMutableFraction;
 
   // MLKV mode. When false, staleness fields are carried but never checked
   // and Get never waits (plain FASTER behaviour).
@@ -104,6 +106,10 @@ struct CompactionResult {
 
 class FasterStore {
  public:
+  // Open() shrinks page_size until the buffer holds this many frames (or
+  // pages reach 4 KiB), so one page roll evicts a small slice of it.
+  static constexpr uint64_t kMinResidentFrames = 64;
+
   FasterStore() = default;
   ~FasterStore() = default;
 

@@ -75,10 +75,17 @@
 
 namespace mlkv {
 
+// Log geometry defaults shared by every options struct that carries them
+// (HybridLogOptions, FasterOptions, MlkvOptions). 90% mutable is FASTER's
+// own default (Chandramouli et al., SIGMOD'18): only the oldest tenth of
+// the buffer is read-only, the window that absorbs page flushes.
+inline constexpr uint64_t kDefaultPageSize = 1ull << 20;
+inline constexpr double kDefaultMutableFraction = 0.9;
+
 struct HybridLogOptions {
-  uint64_t page_size = 1ull << 20;   // 1 MiB pages
+  uint64_t page_size = kDefaultPageSize;
   uint64_t mem_size = 64ull << 20;   // in-memory buffer (circular, pages)
-  double mutable_fraction = 0.5;     // share of buffer kept mutable
+  double mutable_fraction = kDefaultMutableFraction;  // share kept mutable
   std::string path;                  // backing log file
   bool truncate = true;              // false: keep existing file (recovery)
   // Builds the backing device (before Open is called on it). Null uses a

@@ -70,8 +70,9 @@ class ShardedStore {
   // 256 shards is already far past the point where per-shard buffers get
   // starved on one machine; reject anything larger outright.
   static constexpr uint32_t kMaxShardBits = 8;
-  // Floors for the per-shard split. 16 KiB always admits the four resident
-  // pages HybridLog needs (FasterStore::Open shrinks pages to 4 KiB first).
+  // Floors for the per-shard split. 16 KiB is four 4 KiB pages, the
+  // fewest HybridLog accepts (FasterStore::Open shrinks pages to 4 KiB
+  // before that floor is reached).
   static constexpr uint64_t kMinShardMemBytes = 1ull << 14;
   static constexpr uint64_t kMinShardIndexSlots = 64;
   // Minimum keys in a shard sub-batch before it may be offloaded to the

@@ -30,6 +30,30 @@ struct ExportHeader {
 
 }  // namespace
 
+Status EmbeddingTable::Make(std::string model_id, uint32_t dim,
+                            uint32_t staleness_bound,
+                            std::unique_ptr<ShardedStore> store,
+                            ThreadPool* lookahead_pool,
+                            OptimizerConfig optimizer,
+                            std::unique_ptr<EmbeddingTable>* out) {
+  std::unique_ptr<EmbeddingTable> table(
+      new EmbeddingTable(std::move(model_id), dim, staleness_bound,
+                         std::move(store), lookahead_pool, optimizer));
+  const uint64_t record = Record::SizeFor(table->record_bytes());
+  ShardedStore* shards = table->store();
+  for (size_t i = 0; i < shards->num_shards(); ++i) {
+    const uint64_t page = shards->shard(i)->log().options().page_size;
+    if (record > page) {
+      return Status::InvalidArgument(
+          "table " + table->model_id() + ": a " + std::to_string(record) +
+          "-byte record exceeds the " + std::to_string(page) +
+          "-byte log page; raise mem_size or lower dim");
+    }
+  }
+  *out = std::move(table);
+  return Status::OK();
+}
+
 namespace {
 // Reconciles the two span-API result contracts (see the header comment):
 // with a sink, serve everything and return the first hard error; without

@@ -27,19 +27,18 @@ class EmbeddingTable {
   // memory buffer, or an application-side cache.
   enum class LookaheadDest { kStorageBuffer, kApplicationCache };
 
-  // `store` must carry an AsyncIoEngine (ShardedStoreOptions::io): batched
-  // reads and storage-buffer lookaheads submit their cold fetches to it.
-  // Mlkv::OpenTable always provides its per-DB engine. `lookahead_pool`
-  // may be null when Lookahead is never called (the FASTER baseline).
-  EmbeddingTable(std::string model_id, uint32_t dim, uint32_t staleness_bound,
-                 std::unique_ptr<ShardedStore> store,
-                 ThreadPool* lookahead_pool, OptimizerConfig optimizer = {})
-      : model_id_(std::move(model_id)),
-        dim_(dim),
-        staleness_bound_(staleness_bound),
-        optimizer_(optimizer),
-        store_(std::move(store)),
-        lookahead_pool_(lookahead_pool) {}
+  // Builds a table over an opened `store`. InvalidArgument when one
+  // record (Record::SizeFor(record_bytes())) exceeds a shard's log page,
+  // which would otherwise fail every Put. `store` must carry an
+  // AsyncIoEngine (ShardedStoreOptions::io): batched reads and
+  // storage-buffer lookaheads submit their cold fetches to it. Mlkv::
+  // OpenTable always provides its per-DB engine. `lookahead_pool` may be
+  // null when Lookahead is never called (the FASTER baseline).
+  static Status Make(std::string model_id, uint32_t dim,
+                     uint32_t staleness_bound,
+                     std::unique_ptr<ShardedStore> store,
+                     ThreadPool* lookahead_pool, OptimizerConfig optimizer,
+                     std::unique_ptr<EmbeddingTable>* out);
 
   const std::string& model_id() const { return model_id_; }
   uint32_t dim() const { return dim_; }
@@ -153,6 +152,16 @@ class EmbeddingTable {
   uint64_t num_embeddings() const { return store_->approximate_size(); }
 
  private:
+  EmbeddingTable(std::string model_id, uint32_t dim, uint32_t staleness_bound,
+                 std::unique_ptr<ShardedStore> store,
+                 ThreadPool* lookahead_pool, OptimizerConfig optimizer)
+      : model_id_(std::move(model_id)),
+        dim_(dim),
+        staleness_bound_(staleness_bound),
+        optimizer_(optimizer),
+        store_(std::move(store)),
+        lookahead_pool_(lookahead_pool) {}
+
   // Shared body of the span APIs: runs `op` through the sharded
   // scatter/gather and reconciles the two result contracts (sink vs
   // fail-fast; see the span-API comment above).

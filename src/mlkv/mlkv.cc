@@ -192,10 +192,10 @@ Status Mlkv::OpenTable(const std::string& model_id, uint32_t dim,
   } else {
     MLKV_RETURN_NOT_OK(store->Open(so));
   }
-  auto table = std::make_unique<EmbeddingTable>(model_id, dim,
-                                                staleness_bound,
-                                                std::move(store),
-                                                &lookahead_pool_, optimizer);
+  std::unique_ptr<EmbeddingTable> table;
+  MLKV_RETURN_NOT_OK(EmbeddingTable::Make(model_id, dim, staleness_bound,
+                                          std::move(store), &lookahead_pool_,
+                                          optimizer, &table));
   *out = table.get();
   tables_.emplace(model_id, std::move(table));
   if (spec_it == manifest_.end()) {

@@ -40,13 +40,16 @@ struct MlkvOptions {
   // ShardedStore::kMinShardIndexSlots), then rounds its slice up to a
   // power of two — so the realized total can exceed the configured value.
   uint64_t index_slots = 1ull << 20;
-  uint64_t page_size = 1ull << 20;
+  // Upper bound on the log page size; see mem_size for the page a shard
+  // actually gets.
+  uint64_t page_size = kDefaultPageSize;
   // TOTAL per-table in-memory log buffer, split evenly across shards the
   // same way (mem_size >> shard_bits per shard, floored at
-  // ShardedStore::kMinShardMemBytes; each shard then halves page_size
-  // until at least four pages fit its slice).
+  // ShardedStore::kMinShardMemBytes; each shard then halves page_size,
+  // down to 4 KiB, until FasterStore::kMinResidentFrames pages fit its
+  // slice). OpenTable rejects a table whose record exceeds that page.
   uint64_t mem_size = 64ull << 20;
-  double mutable_fraction = 0.5;
+  double mutable_fraction = kDefaultMutableFraction;
   // log2 of the per-table shard count: each table's store is 1 <<
   // shard_bits independent FasterStore shards (own index, log, epoch
   // domain) with log/checkpoint files under dir/shard-NN/. 0 preserves the

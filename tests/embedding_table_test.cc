@@ -268,17 +268,20 @@ TEST(MlkvTest, UntrackedStoreNeverWaitsOnBatchedReads) {
   so.io = &io;
   auto store = std::make_unique<ShardedStore>();
   ASSERT_TRUE(store->Open(so).ok());
-  EmbeddingTable table("plain", 4, kBspBound, std::move(store),
-                       /*lookahead_pool=*/nullptr);
+  std::unique_ptr<EmbeddingTable> table;
+  ASSERT_TRUE(EmbeddingTable::Make("plain", 4, kBspBound, std::move(store),
+                                   /*lookahead_pool=*/nullptr,
+                                   OptimizerConfig{}, &table)
+                  .ok());
   const std::vector<Key> keys = {1, 2};
   std::vector<float> out(keys.size() * 4);
   for (int round = 0; round < 5; ++round) {
     BatchResult r;
-    ASSERT_TRUE(table.GetOrInit(keys, out.data(), &r).ok());
+    ASSERT_TRUE(table->GetOrInit(keys, out.data(), &r).ok());
     EXPECT_EQ(r.busy, 0u) << "round " << round;
     EXPECT_TRUE(r.AllOk()) << "round " << round;
   }
-  EXPECT_EQ(StoreMetric(*table.store(), "mlkv_store_staleness_waits_total"),
+  EXPECT_EQ(StoreMetric(*table->store(), "mlkv_store_staleness_waits_total"),
             0u);
 }
 

@@ -11,6 +11,7 @@
 #include "common/random.h"
 #include "io/temp_dir.h"
 #include "kv/faster_store.h"
+#include "store_geometry.h"
 
 namespace mlkv {
 namespace {
@@ -54,7 +55,7 @@ bool CheckValue(Key key, const char* buf, uint64_t* version_out) {
 TEST(FasterConcurrentTest, ParallelDisjointUpserts) {
   TempDir dir;
   FasterStore store;
-  ASSERT_TRUE(store.Open(StressStore(dir)).ok());
+  ASSERT_NO_FATAL_FAILURE(OpenWithGeometry(StressStore(dir), &store));
   constexpr int kThreads = 8;
   constexpr Key kPerThread = 500;
   std::vector<std::thread> threads;
@@ -81,7 +82,7 @@ TEST(FasterConcurrentTest, ParallelDisjointUpserts) {
 TEST(FasterConcurrentTest, ReadersNeverSeeTornValues) {
   TempDir dir;
   FasterStore store;
-  ASSERT_TRUE(store.Open(StressStore(dir)).ok());
+  ASSERT_NO_FATAL_FAILURE(OpenWithGeometry(StressStore(dir), &store));
   constexpr Key kKeys = 64;  // hot set: stays mutable, max contention
   char init[kValueSize];
   for (Key k = 0; k < kKeys; ++k) {
@@ -124,7 +125,7 @@ TEST(FasterConcurrentTest, ReadersNeverSeeTornValues) {
 TEST(FasterConcurrentTest, MixedColdHotTrafficStaysConsistent) {
   TempDir dir;
   FasterStore store;
-  ASSERT_TRUE(store.Open(StressStore(dir)).ok());
+  ASSERT_NO_FATAL_FAILURE(OpenWithGeometry(StressStore(dir), &store));
   constexpr Key kKeys = 4000;  // far exceeds the 128 KiB buffer
   char init[kValueSize];
   for (Key k = 0; k < kKeys; ++k) {
@@ -184,7 +185,7 @@ TEST(FasterConcurrentTest, MixedColdHotTrafficStaysConsistent) {
 TEST(FasterConcurrentTest, RmwCountersAreExact) {
   TempDir dir;
   FasterStore store;
-  ASSERT_TRUE(store.Open(StressStore(dir)).ok());
+  ASSERT_NO_FATAL_FAILURE(OpenWithGeometry(StressStore(dir), &store));
   constexpr Key kKeys = 32;
   constexpr int kThreads = 8;
   constexpr int kIncrementsPerThread = 2000;

@@ -10,6 +10,7 @@
 #include "io/temp_dir.h"
 #include "kv/faster_store.h"
 #include "kv/log_iterator.h"
+#include "kv/sharded_store.h"
 #include "store_metrics.h"
 
 namespace mlkv {
@@ -492,6 +493,64 @@ TEST(FasterStoreTest, CheckpointRecoverRoundTrip) {
   std::string out;
   ASSERT_TRUE(restored.Read(1000, &out).ok());
   EXPECT_EQ(out, "fresh");
+}
+
+TEST(FasterStoreTest, PageGeometryFollowsBudget) {
+  TempDir dir;
+  const std::string value(200, 'v');
+  // Fills `store` with `n` keys; returns the bytes between the read-only
+  // boundary and the tail (the mutable region).
+  auto fill = [&](FasterStore* store, Key n) {
+    for (Key k = 0; k < n; ++k) {
+      EXPECT_TRUE(store->Upsert(k, value.data(), value.size()).ok());
+    }
+    return store->log().tail() - store->log().read_only_address();
+  };
+
+  // A 1 MiB budget holds 64 frames of 16 KiB; the default 90% keeps
+  // floor(64 * 0.9) = 57 of them mutable, the tail page included.
+  FasterOptions o;
+  o.path = dir.File("wide.log");
+  o.index_slots = 1u << 14;
+  o.page_size = 1ull << 20;
+  o.mem_size = 1ull << 20;
+  constexpr uint64_t kPage = 16ull << 10;
+  {
+    FasterStore store;
+    ASSERT_TRUE(store.Open(o).ok());
+    EXPECT_EQ(store.log().options().page_size, kPage);
+    const uint64_t mutable_bytes = fill(&store, 8000);  // ~1.8 MiB of records
+    EXPECT_GT(mutable_bytes, 56 * kPage);
+    EXPECT_LE(mutable_bytes, 57 * kPage);
+    ASSERT_TRUE(store.Checkpoint(dir.File("wide")).ok());
+  }
+
+  // Recovery parses the log with the checkpoint's 16 KiB pages even though
+  // a 4 MiB budget alone would pick 64 KiB ones.
+  FasterOptions bigger = o;
+  bigger.mem_size = 4ull << 20;
+  {
+    FasterStore restored;
+    ASSERT_TRUE(restored.Recover(bigger, dir.File("wide")).ok());
+    EXPECT_EQ(restored.log().options().page_size, kPage);
+    std::string out;
+    for (Key k = 0; k < 8000; ++k) {
+      ASSERT_TRUE(restored.Read(k, &out).ok()) << "key " << k;
+      EXPECT_EQ(out, value);
+    }
+  }
+
+  // The 16 KiB shard floor still opens: four 4 KiB pages, of which the
+  // mem - 2 cap leaves two mutable.
+  FasterOptions tiny = o;
+  tiny.path = dir.File("tiny.log");
+  tiny.mem_size = ShardedStore::kMinShardMemBytes;
+  FasterStore store;
+  ASSERT_TRUE(store.Open(tiny).ok());
+  EXPECT_EQ(store.log().options().page_size, 4096u);
+  const uint64_t mutable_bytes = fill(&store, 200);  // ~45 KiB of records
+  EXPECT_GT(mutable_bytes, 1 * 4096u);
+  EXPECT_LE(mutable_bytes, 2 * 4096u);
 }
 
 TEST(FasterStoreTest, FixedBufferReadReportsSizeAndTruncates) {

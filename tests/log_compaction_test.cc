@@ -14,6 +14,7 @@
 #include "io/temp_dir.h"
 #include "kv/faster_store.h"
 #include "kv/log_iterator.h"
+#include "store_geometry.h"
 #include "store_metrics.h"
 
 namespace mlkv {
@@ -418,7 +419,7 @@ TEST_P(CompactModelTest, MatchesModelAfterCompaction) {
   o.page_size = p.page_size;
   o.mem_size = p.mem_pages * p.page_size;
   FasterStore store;
-  ASSERT_TRUE(store.Open(o).ok());
+  ASSERT_NO_FATAL_FAILURE(OpenWithGeometry(o, &store));
 
   Rng rng(42);
   std::map<Key, std::string> model;

@@ -7,8 +7,10 @@
 #include <filesystem>
 #include <fstream>
 #include <memory>
+#include <string>
 #include <vector>
 
+#include "backend/kv_backend.h"
 #include "io/temp_dir.h"
 #include "mlkv/mlkv.h"
 
@@ -152,6 +154,41 @@ TEST(MlkvReopenTest, UncheckpointedTableReopensEmpty) {
   ASSERT_TRUE(db->OpenTable("emb", dim, 4, &t).ok());
   Key k = 7;
   EXPECT_TRUE(t->Get({&k, 1}, v.data()).IsNotFound());
+}
+
+TEST(MlkvReopenTest, OversizedRecordFailsAtOpen) {
+  // 64 KiB over four shards is 16 KiB per shard, so 4 KiB pages: a dim-2048
+  // record (8 KiB of floats) can never be allocated. Both hybrid-log
+  // engines refuse the table up front instead of failing every Put.
+  TempDir dir;
+  MlkvOptions opts = SmallDb(dir);
+  opts.page_size = 1ull << 20;
+  opts.mem_size = 64ull << 10;
+  std::unique_ptr<Mlkv> db;
+  ASSERT_TRUE(Mlkv::Open(opts, &db).ok());
+  EmbeddingTable* t = nullptr;
+  const Status s = db->OpenTable("wide", 2048, 4, &t);
+  ASSERT_TRUE(s.IsInvalidArgument()) << s.ToString();
+  const std::string record = std::to_string(Record::SizeFor(2048 * 4));
+  EXPECT_NE(s.message().find(record), std::string::npos) << s.message();
+  EXPECT_NE(s.message().find("4096"), std::string::npos) << s.message();
+  EXPECT_TRUE(db->ListTables().empty());
+  // A record that fits the same page opens and round-trips.
+  ASSERT_TRUE(db->OpenTable("narrow", 512, 4, &t).ok());
+  std::vector<float> v(512, 1.5f), out(512);
+  const Key k = 3;
+  ASSERT_TRUE(t->Put({&k, 1}, v.data()).ok());
+  ASSERT_TRUE(t->Get({&k, 1}, out.data()).ok());
+  EXPECT_EQ(out, v);
+
+  BackendConfig config;
+  config.dir = dir.path() + "/faster";
+  config.dim = 2048;
+  config.buffer_bytes = opts.mem_size;
+  config.index_slots = 1024;
+  std::unique_ptr<KvBackend> faster;
+  EXPECT_TRUE(
+      MakeBackend(BackendKind::kFaster, config, &faster).IsInvalidArgument());
 }
 
 TEST(MlkvExportTest, ExportImportRoundTrip) {

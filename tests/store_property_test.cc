@@ -13,6 +13,7 @@
 #include "common/random.h"
 #include "io/temp_dir.h"
 #include "kv/faster_store.h"
+#include "store_geometry.h"
 #include "store_metrics.h"
 
 namespace mlkv {
@@ -49,7 +50,7 @@ TEST_P(StorePropertyTest, MatchesReferenceModelUnderRandomOps) {
   o.track_staleness = g.track_staleness;
   o.staleness_bound = UINT32_MAX - 1;  // clocks maintained, reads never wait
   FasterStore store;
-  ASSERT_TRUE(store.Open(o).ok());
+  ASSERT_NO_FATAL_FAILURE(OpenWithGeometry(o, &store));
 
   std::unordered_map<Key, std::string> reference;
   Rng rng(g.page_size ^ g.mem_pages ^ g.value_size);
@@ -137,7 +138,7 @@ TEST_P(StorePropertyTest, CheckpointRecoverPreservesEverything) {
   std::unordered_map<Key, std::string> reference;
   {
     FasterStore store;
-    ASSERT_TRUE(store.Open(o).ok());
+    ASSERT_NO_FATAL_FAILURE(OpenWithGeometry(o, &store));
     Rng rng(g.page_size + g.value_size);
     for (int i = 0; i < 4000; ++i) {
       const Key key = rng.Uniform(500);
@@ -157,6 +158,7 @@ TEST_P(StorePropertyTest, CheckpointRecoverPreservesEverything) {
 
   FasterStore restored;
   ASSERT_TRUE(restored.Recover(o, dir.File("ckpt")).ok());
+  ASSERT_EQ(restored.log().options().page_size, g.page_size);
   for (const auto& [key, expected] : reference) {
     std::string got;
     ASSERT_TRUE(restored.Read(key, &got).ok()) << "key " << key;
