@@ -12,6 +12,7 @@
 #include "kv/log_iterator.h"
 #include "mlkv/optimizer.h"
 #include "lsm/lsm_store.h"
+#include "store_promote.h"
 
 namespace mlkv {
 namespace {
@@ -106,7 +107,7 @@ void BM_MlkvPromote(benchmark::State& state) {
   static StoreFixture* fixture = new StoreFixture(true, /*mem_mb=*/1);
   Key k = 0;
   for (auto _ : state) {
-    fixture->store.Promote(k % (kKeys / 2)).ok();
+    Promote(&fixture->store, k % (kKeys / 2)).ok();
     k += 104729;
   }
   state.SetItemsProcessed(state.iterations());

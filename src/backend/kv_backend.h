@@ -181,7 +181,7 @@ struct BackendConfig {
   uint64_t index_slots = 1ull << 20;
   // log2 shard count for the log-structured engines (MLKV tables and the
   // FASTER baseline, which share one EmbeddingTable batch path): each
-  // shard is an independent FasterStore (own index, log, epoch domain)
+  // shard is an independent FasterStore (own index and log)
   // under dir/shard-NN/; buffer_bytes and index_slots are totals split
   // across shards. 0 = the legacy single-store layout, whose batches run
   // inline; max 8 (ShardedStore::kMaxShardBits). Batches are

@@ -1,5 +1,7 @@
 #include "io/async_io.h"
 
+#include <sys/uio.h>
+
 #include <algorithm>
 #include <cstring>
 
@@ -7,7 +9,6 @@
 #include <linux/io_uring.h>
 #include <sys/mman.h>
 #include <sys/syscall.h>
-#include <sys/uio.h>
 #include <unistd.h>
 
 #include <cerrno>
@@ -106,8 +107,8 @@ class UringRing {
 
   // READV / WRITEV (both 5.1+, the most portable vectored ops) share one
   // prep path; only the opcode differs.
-  bool Prep(bool is_write, int fd, struct iovec* iov, uint64_t offset,
-            uint64_t user_data) {
+  bool Prep(bool is_write, int fd, struct iovec* iov, int iovcnt,
+            uint64_t offset, uint64_t user_data) {
     const unsigned tail = *sq_tail_;
     const unsigned head = __atomic_load_n(sq_head_, __ATOMIC_ACQUIRE);
     if (tail - head >= sq_entries_) return false;
@@ -117,7 +118,7 @@ class UringRing {
     sqe->opcode = is_write ? IORING_OP_WRITEV : IORING_OP_READV;
     sqe->fd = fd;
     sqe->addr = reinterpret_cast<uint64_t>(iov);
-    sqe->len = 1;
+    sqe->len = static_cast<uint32_t>(iovcnt);
     sqe->off = offset;
     sqe->user_data = user_data;
     sq_array_[idx] = idx;
@@ -181,10 +182,15 @@ bool ProbeIoUring() {
 
 struct AsyncIoEngine::WorkerScratch {
   std::vector<Request> burst;
+  // kMaxReadSegments iovecs per request this worker can hold in flight.
+  std::vector<struct iovec> iovs;
+  // Where vectored reads' gap bytes land (and are dropped).
+  std::vector<char> gap;
 #ifdef MLKV_HAVE_IO_URING
   struct InFlight {
     Request req;
-    struct iovec iov;
+    struct iovec* iov;  // this request's slot in iovs
+    int iovcnt;
   };
   std::vector<InFlight> flight;
   std::vector<uint8_t> seen;
@@ -200,11 +206,15 @@ AsyncIoEngine::AsyncIoEngine(const Options& options) : options_(options) {
 #endif
   queue_.resize(depth);
   // Every buffer a worker touches is sized here, on the constructing
-  // thread: a burst holds at most per_worker_depth_ requests.
+  // thread: a burst holds at most per_worker_depth_ requests, and only a
+  // ring keeps more than one of them in flight at a time.
+  const size_t iov_slots = using_io_uring_ ? per_worker_depth_ : 1;
   scratch_.reserve(threads);
   for (size_t i = 0; i < threads; ++i) {
     auto s = std::make_unique<WorkerScratch>();
     s->burst.reserve(per_worker_depth_);
+    s->iovs.resize(iov_slots * kMaxReadSegments);
+    s->gap.resize(kMaxGapBytes);
 #ifdef MLKV_HAVE_IO_URING
     s->flight.reserve(per_worker_depth_);
     s->seen.reserve(per_worker_depth_);
@@ -287,6 +297,29 @@ Status AsyncIoEngine::Batch::Submit(const FileDevice* dev, uint64_t offset,
       Request{dev, offset, buf, len, tag, this, /*is_write=*/false}, this);
 }
 
+Status AsyncIoEngine::Batch::Submit(const FileDevice* dev, uint64_t offset,
+                                    const ReadSegment* segments, size_t count,
+                                    uint64_t tag) {
+  if (count == 0 || count > kMaxReadSegments) {
+    return Status::InvalidArgument("vectored read segment count");
+  }
+  uint64_t len = 0;
+  for (size_t i = 0; i < count; ++i) {
+    if (segments[i].buf == nullptr && segments[i].len > kMaxGapBytes) {
+      return Status::InvalidArgument("vectored read gap exceeds scratch");
+    }
+    len += segments[i].len;
+  }
+  if (len > UINT32_MAX) {
+    return Status::InvalidArgument("vectored read range exceeds 4 GiB");
+  }
+  Request req{dev,  offset, nullptr, static_cast<uint32_t>(len), tag,
+              this, /*is_write=*/false};
+  req.segments = segments;
+  req.segment_count = static_cast<uint32_t>(count);
+  return engine_->Enqueue(req, this);
+}
+
 Status AsyncIoEngine::Batch::SubmitWrite(FileDevice* dev, uint64_t offset,
                                          const void* buf, uint32_t len,
                                          uint64_t tag) {
@@ -323,10 +356,27 @@ AsyncIoEngine::Batch::~Batch() {
   }
 }
 
-Status AsyncIoEngine::RunBlocking(const Request& req) {
+int AsyncIoEngine::FillIov(const Request& req, struct iovec* iov,
+                           char* gap) {
+  if (req.segments == nullptr) {
+    iov[0] = {req.buf, req.len};
+    return 1;
+  }
+  for (uint32_t i = 0; i < req.segment_count; ++i) {
+    const ReadSegment& seg = req.segments[i];
+    iov[i] = {seg.buf != nullptr ? seg.buf : gap, seg.len};
+  }
+  return static_cast<int>(req.segment_count);
+}
+
+Status AsyncIoEngine::RunBlocking(const Request& req, struct iovec* iov,
+                                  char* gap) {
   if (req.is_write) {
     return const_cast<FileDevice*>(req.dev)->WriteAt(req.offset, req.buf,
                                                      req.len);
+  }
+  if (req.segments != nullptr) {
+    return req.dev->ReadAt(req.offset, iov, FillIov(req, iov, gap));
   }
   return req.dev->ReadAt(req.offset, req.buf, req.len);
 }
@@ -383,6 +433,8 @@ bool AsyncIoEngine::NextBurst(std::vector<Request>* out, size_t max) {
 
 void AsyncIoEngine::WorkerLoop(WorkerScratch* scratch) {
   std::vector<Request>& burst = scratch->burst;
+  struct iovec* const iovs = scratch->iovs.data();
+  char* const gap = scratch->gap.data();
 #ifdef MLKV_HAVE_IO_URING
   UringRing ring;
   bool ring_ok = false;
@@ -406,16 +458,17 @@ void AsyncIoEngine::WorkerLoop(WorkerScratch* scratch) {
       for (const Request& r : burst) {
         const bool raw =
             r.is_write ? r.dev->AllowsRawWrites() : r.dev->AllowsRawReads();
+        struct iovec* slot = iovs + flight.size() * kMaxReadSegments;
         if (raw) {
-          flight.push_back(InFlight{r, {r.buf, r.len}});
+          flight.push_back(InFlight{r, slot, FillIov(r, slot, gap)});
         } else {
-          Deliver(r, RunBlocking(r));
+          Deliver(r, RunBlocking(r, slot, gap));
         }
       }
       size_t prepped = 0;
       for (InFlight& f : flight) {
         // `entries` >= per_worker_depth_, so Prep cannot run out of sqes.
-        if (!ring.Prep(f.req.is_write, f.req.dev->fd(), &f.iov,
+        if (!ring.Prep(f.req.is_write, f.req.dev->fd(), f.iov, f.iovcnt,
                        f.req.offset, prepped)) {
           break;
         }
@@ -423,7 +476,7 @@ void AsyncIoEngine::WorkerLoop(WorkerScratch* scratch) {
       }
       // Anything that could not be prepped (never expected) goes blocking.
       for (size_t i = prepped; i < flight.size(); ++i) {
-        Deliver(flight[i].req, RunBlocking(flight[i].req));
+        Deliver(flight[i].req, RunBlocking(flight[i].req, flight[i].iov, gap));
       }
       size_t reaped = 0;
       bool enter_failed = false;
@@ -446,22 +499,33 @@ void AsyncIoEngine::WorkerLoop(WorkerScratch* scratch) {
             } else {
               r.dev->NoteRawRead(static_cast<size_t>(res));
             }
-            if (static_cast<uint32_t>(res) < r.len) {
-              // Short transfer (EOF or split): finish through the virtual
-              // call, which loops (and zero-fills reads past EOF) like the
-              // blocking path.
+            const uint32_t done = static_cast<uint32_t>(res);
+            if (done < r.len && !r.is_write) {
+              // Short read (EOF or split): drop the landed bytes from the
+              // front of its iovecs and finish through the virtual call,
+              // which loops (and zero-fills past EOF) like the blocking
+              // path.
+              int k = 0;
+              size_t skip = done;
+              while (skip >= f.iov[k].iov_len) skip -= f.iov[k++].iov_len;
+              f.iov[k].iov_base = static_cast<char*>(f.iov[k].iov_base) + skip;
+              f.iov[k].iov_len -= skip;
+              Deliver(r, r.dev->ReadAt(r.offset + done, f.iov + k,
+                                       f.iovcnt - k));
+            } else if (done < r.len) {
+              // Short write: the rest goes through the virtual call.
               Request rest = r;
-              rest.offset += static_cast<uint64_t>(res);
-              rest.buf = static_cast<char*>(r.buf) + res;
-              rest.len = r.len - static_cast<uint32_t>(res);
-              Deliver(r, RunBlocking(rest));
+              rest.offset += done;
+              rest.buf = static_cast<char*>(r.buf) + done;
+              rest.len = r.len - done;
+              Deliver(r, RunBlocking(rest, f.iov, gap));
             } else {
               Deliver(r, Status::OK());
             }
           } else {
             // Ring-level failure (e.g. EOPNOTSUPP): one blocking retry
             // decides the final status.
-            Deliver(r, RunBlocking(r));
+            Deliver(r, RunBlocking(r, f.iov, gap));
           }
         }
       }
@@ -473,7 +537,8 @@ void AsyncIoEngine::WorkerLoop(WorkerScratch* scratch) {
         // and stop using the ring.
         for (size_t i = 0; i < prepped; ++i) {
           if (seen[i]) continue;
-          Deliver(flight[i].req, RunBlocking(flight[i].req));
+          Deliver(flight[i].req,
+                  RunBlocking(flight[i].req, flight[i].iov, gap));
         }
         ring_ok = false;
       }
@@ -482,7 +547,7 @@ void AsyncIoEngine::WorkerLoop(WorkerScratch* scratch) {
 #endif
     if (!NextBurst(&burst, 1)) return;
     for (const Request& r : burst) {
-      Deliver(r, RunBlocking(r));
+      Deliver(r, RunBlocking(r, iovs, gap));
     }
   }
 }

@@ -10,12 +10,18 @@
 //  * io_uring (when the build detects <linux/io_uring.h> and the kernel
 //    admits the syscalls at runtime): each worker owns a ring and keeps up
 //    to its share of the engine depth in flight with one syscall per burst
-//    (READV sqes for reads, WRITEV for writes). Only devices that allow
+//    (READV sqes for reads, a vectored read's iovecs in one of them, WRITEV
+//    for writes). Only devices that allow
 //    raw-fd transfers ride the ring; decorated devices (fault injection,
 //    the simulated-NVMe cost model) are routed through their virtual
 //    ReadAt/WriteAt on the worker instead, so their semantics hold.
 //  * thread pool (fallback everywhere): each worker issues one blocking
-//    pread/pwrite at a time, so `io_threads` transfers overlap.
+//    pread/preadv/pwrite at a time, so `io_threads` transfers overlap.
+//
+// A vectored read (segmented Submit) is one device read of a contiguous
+// range: member segments land in the caller's buffers and gap segments in
+// the worker's scratch, where they are dropped. The pending-read wave uses
+// it to fetch several records of one log page at once.
 //
 // Backpressure and lifetime rules:
 //  * `queue_depth` bounds requests in flight across the whole engine;
@@ -25,8 +31,9 @@
 //  * The engine destructor drains: every accepted request completes (and
 //    is delivered to its batch) before the workers exit.
 //  * Workers never allocate: Submit reserves the batch's completion slot
-//    and each worker's burst scratch is sized at construction, so the
-//    worker threads never touch the heap (and never get a malloc arena).
+//    and each worker's burst, iovec and gap scratch is sized at
+//    construction, so the worker threads never touch the heap (and never
+//    get a malloc arena).
 //
 // Writes carry no durability by themselves: a completed write is in the
 // page cache, not on media. Durability is the caller's fsync — see
@@ -94,6 +101,16 @@ class AsyncIoEngine {
     Status status;
   };
 
+  // One piece of a vectored read, in file order. A null `buf` is a gap:
+  // its bytes land in the worker's scratch and are dropped.
+  struct ReadSegment {
+    void* buf = nullptr;
+    uint32_t len = 0;
+  };
+  // Bounds of one vectored read, which size the workers' scratch.
+  static constexpr size_t kMaxReadSegments = 32;
+  static constexpr uint32_t kMaxGapBytes = 16u << 10;
+
   // Per-caller completion context: a submission is tagged to one batch and
   // its completion is delivered only there, so concurrent batches (one per
   // MultiGet wave) never see each other's I/O.
@@ -110,6 +127,14 @@ class AsyncIoEngine {
     // block on the engine depth limit, never on the I/O.
     Status Submit(const FileDevice* dev, uint64_t offset, void* buf,
                   uint32_t len, uint64_t tag);
+    // Enqueues one vectored read of the contiguous range at `offset` that
+    // `segments`[0, count) cover in order: a single device read whose one
+    // completion carries every segment's outcome. The segment array and
+    // every member buffer must stay valid until the completion is
+    // collected. More than kMaxReadSegments segments, or a gap longer
+    // than kMaxGapBytes, is InvalidArgument.
+    Status Submit(const FileDevice* dev, uint64_t offset,
+                  const ReadSegment* segments, size_t count, uint64_t tag);
     // Enqueues a write of `buf`[0, len) to [offset, offset + len) on
     // `dev`; same lifetime and backpressure contract as Submit. The
     // completion means the bytes reached the file (page cache), not media
@@ -155,21 +180,28 @@ class AsyncIoEngine {
     const FileDevice* dev = nullptr;
     uint64_t offset = 0;
     void* buf = nullptr;  // destination for reads, source for writes
-    uint32_t len = 0;
+    uint32_t len = 0;     // a vectored read's: the whole range
     uint64_t tag = 0;
     Batch* batch = nullptr;
     bool is_write = false;
+    // A vectored read's segments (null otherwise); `buf` is unused then.
+    const ReadSegment* segments = nullptr;
+    uint32_t segment_count = 0;
   };
 
-  // Per-worker burst buffers, sized on the constructing thread
-  // (io/async_io.cc).
+  // Per-worker burst, iovec and gap buffers, sized on the constructing
+  // thread (io/async_io.cc).
   struct WorkerScratch;
 
   Status Enqueue(const Request& req, Batch* batch);
+  // Points `iov` (kMaxReadSegments slots) at a read's destination: its one
+  // buffer, or its segments with gaps on `gap`. Returns the iovec count.
+  static int FillIov(const Request& req, struct iovec* iov, char* gap);
   // Executes one request on the calling worker thread via the device's
   // virtual ReadAt/WriteAt (the non-ring path and the decorated-device /
-  // short-transfer completion path).
-  static Status RunBlocking(const Request& req);
+  // short-transfer completion path); a vectored read builds its iovecs in
+  // `iov` with gaps on `gap`.
+  static Status RunBlocking(const Request& req, struct iovec* iov, char* gap);
   void WorkerLoop(WorkerScratch* scratch);
   // Takes up to `max` queued requests (blocking for at least one unless
   // stopping) into `out`, whose capacity must cover `max`; a request the

@@ -53,30 +53,49 @@ class FaultyFileDevice : public FileDevice {
   explicit FaultyFileDevice(std::shared_ptr<Script> script)
       : script_(std::move(script)) {}
 
-  // Decorated reads must flow through this override.
+  // Decorated reads must flow through these overrides.
   bool AllowsRawReads() const override { return false; }
 
   Status ReadAt(uint64_t offset, void* data, size_t n) const override {
-    const uint64_t index =
-        script_->reads.fetch_add(1, std::memory_order_acq_rel) + 1;
-    const uint64_t from = script_->fail_from.load(std::memory_order_acquire);
-    const uint64_t count =
-        script_->fail_count.load(std::memory_order_acquire);
-    // Saturating window: fail_count = UINT64_MAX means "from here on".
-    const uint64_t until = from + count < from ? UINT64_MAX : from + count;
-    if (from != 0 && index >= from && index < until) {
-      if (script_->short_read.load(std::memory_order_acquire)) {
-        const size_t half = n / 2;
-        if (half > 0) {
-          MLKV_RETURN_NOT_OK(FileDevice::ReadAt(offset, data, half));
-        }
-        std::memset(static_cast<char*>(data) + half, 0, n - half);
-        return Status::OK();
-      }
+    switch (NextReadFault()) {
+      case ReadFault::kNone:
+        return FileDevice::ReadAt(offset, data, n);
+      case ReadFault::kFail:
+        return Status::IOError("injected read fault",
+                               script_->fault_errno.load());
+      case ReadFault::kTear:
+        break;
+    }
+    const size_t half = n / 2;
+    if (half > 0) {
+      MLKV_RETURN_NOT_OK(FileDevice::ReadAt(offset, data, half));
+    }
+    std::memset(static_cast<char*>(data) + half, 0, n - half);
+    return Status::OK();
+  }
+
+  // A vectored read is one read of the script: it faults, or tears at half
+  // its whole range, as a unit.
+  Status ReadAt(uint64_t offset, const struct iovec* iov,
+                int iovcnt) const override {
+    const ReadFault fault = NextReadFault();
+    if (fault == ReadFault::kFail) {
       return Status::IOError("injected read fault",
                              script_->fault_errno.load());
     }
-    return FileDevice::ReadAt(offset, data, n);
+    MLKV_RETURN_NOT_OK(FileDevice::ReadAt(offset, iov, iovcnt));
+    if (fault == ReadFault::kTear) {
+      size_t n = 0;
+      for (int i = 0; i < iovcnt; ++i) n += iov[i].iov_len;
+      size_t skip = n / 2;
+      for (int i = 0; i < iovcnt; ++i) {
+        const size_t from = skip < iov[i].iov_len ? skip : iov[i].iov_len;
+        std::memset(static_cast<char*>(iov[i].iov_base) + from, 0,
+                    iov[i].iov_len - from);
+        skip -= from;
+      }
+    }
+    return Status::OK();
   }
 
   // Decorated writes must flow through this override.
@@ -120,6 +139,23 @@ class FaultyFileDevice : public FileDevice {
   }
 
  private:
+  enum class ReadFault { kNone, kFail, kTear };
+
+  // Counts one read and decides its fault from the script.
+  ReadFault NextReadFault() const {
+    const uint64_t index =
+        script_->reads.fetch_add(1, std::memory_order_acq_rel) + 1;
+    const uint64_t from = script_->fail_from.load(std::memory_order_acquire);
+    const uint64_t count =
+        script_->fail_count.load(std::memory_order_acquire);
+    // Saturating window: fail_count = UINT64_MAX means "from here on".
+    const uint64_t until = from + count < from ? UINT64_MAX : from + count;
+    if (from == 0 || index < from || index >= until) return ReadFault::kNone;
+    return script_->short_read.load(std::memory_order_acquire)
+               ? ReadFault::kTear
+               : ReadFault::kFail;
+  }
+
   std::shared_ptr<Script> script_;
 };
 

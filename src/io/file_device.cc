@@ -104,8 +104,7 @@ void FileDevice::ChargeWrite(size_t n) const {
                                    (sim_write_gbps_ * 1e9) * 1e9));
 }
 
-Status FileDevice::ReadAt(uint64_t offset, void* data, size_t n) const {
-  char* p = static_cast<char*>(data);
+Status FileDevice::PreadFully(uint64_t offset, char* p, size_t n) const {
   size_t left = n;
   uint64_t off = offset;
   while (left > 0) {
@@ -124,6 +123,45 @@ Status FileDevice::ReadAt(uint64_t offset, void* data, size_t n) const {
     p += r;
     off += static_cast<uint64_t>(r);
     left -= static_cast<size_t>(r);
+  }
+  return Status::OK();
+}
+
+Status FileDevice::ReadAt(uint64_t offset, void* data, size_t n) const {
+  MLKV_RETURN_NOT_OK(PreadFully(offset, static_cast<char*>(data), n));
+  bytes_read_.fetch_add(n, std::memory_order_relaxed);
+  ChargeRead(n);
+  return Status::OK();
+}
+
+Status FileDevice::ReadAt(uint64_t offset, const struct iovec* iov,
+                          int iovcnt) const {
+  size_t n = 0;
+  for (int i = 0; i < iovcnt; ++i) n += iov[i].iov_len;
+  uint64_t off = offset;
+  int i = 0;
+  while (i < iovcnt) {
+    ssize_t r = ::preadv(fd_, iov + i, iovcnt - i, static_cast<off_t>(off));
+    if (r < 0) {
+      if (errno == EINTR) continue;
+      return Status::IOError("preadv " + path_, errno);
+    }
+    if (r == 0) {
+      // Past EOF: zero-fill the rest, as the scalar form does.
+      for (; i < iovcnt; ++i) std::memset(iov[i].iov_base, 0, iov[i].iov_len);
+      break;
+    }
+    off += static_cast<uint64_t>(r);
+    size_t got = static_cast<size_t>(r);
+    while (i < iovcnt && got >= iov[i].iov_len) got -= iov[i++].iov_len;
+    if (got > 0) {
+      // Short transfer ending inside iov[i]: finish that one, then resume.
+      const size_t rest = iov[i].iov_len - got;
+      MLKV_RETURN_NOT_OK(
+          PreadFully(off, static_cast<char*>(iov[i].iov_base) + got, rest));
+      off += rest;
+      ++i;
+    }
   }
   bytes_read_.fetch_add(n, std::memory_order_relaxed);
   ChargeRead(n);

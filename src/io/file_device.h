@@ -8,6 +8,8 @@
 // for devices that do not admit raw-fd transfers.
 #pragma once
 
+#include <sys/uio.h>
+
 #include <atomic>
 #include <cstdint>
 #include <string>
@@ -31,6 +33,12 @@ class FileDevice {
   // Full read/write at absolute offset; loops on short transfers.
   virtual Status WriteAt(uint64_t offset, const void* data, size_t n);
   virtual Status ReadAt(uint64_t offset, void* data, size_t n) const;
+  // Vectored read of the contiguous range starting at `offset` into
+  // `iov`[0, iovcnt) in order (one preadv; same looping and EOF rules).
+  // The simulated cost model charges it as one device read of the whole
+  // range.
+  virtual Status ReadAt(uint64_t offset, const struct iovec* iov,
+                        int iovcnt) const;
 
   virtual Status Sync();
   Status Truncate(uint64_t size);
@@ -95,6 +103,8 @@ class FileDevice {
                                       double read_gbps, double write_gbps);
 
  private:
+  // pread loop behind both ReadAt forms: no accounting, no charge.
+  Status PreadFully(uint64_t offset, char* p, size_t n) const;
   void ChargeRead(size_t n) const;
   void ChargeWrite(size_t n) const;
 

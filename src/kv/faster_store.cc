@@ -485,7 +485,8 @@ Status FasterStore::StartPromote(Key key, uint32_t cap, PendingRead* pending,
 
   switch (WalkForPending(key, &p->address, &p->chain_head)) {
     case WalkOutcome::kMemory:
-      // Resident (mutable or read-only): Promote would skip it too.
+      // Resident (mutable or read-only): nothing to promote. Copying a
+      // read-only record would only re-dirty pages (paper §III-C2).
       stats_.promotions_skipped.fetch_add(1, std::memory_order_relaxed);
       return Status::OK();
     case WalkOutcome::kNotFound:
@@ -502,8 +503,7 @@ void FasterStore::RefetchPending(PendingRead* pending) {
   stats_.async_reads_refetched.fetch_add(1, std::memory_order_relaxed);
   if (pending->out == nullptr) {
     // Buffer-less read (a StartPromote fetch): the record moved while in
-    // flight, so the prefetch is moot — skipped, like Promote's lost race,
-    // and late.
+    // flight, so the prefetch is moot — skipped, and late.
     stats_.promotions_skipped.fetch_add(1, std::memory_order_relaxed);
     stats_.promotions_late.fetch_add(1, std::memory_order_relaxed);
     pending->status = Status::OK();
@@ -592,7 +592,7 @@ FasterStore::PendingStep FasterStore::CompletePendingRead(
           .fetch_add(1, std::memory_order_relaxed);
     } else if (promotion) {
       // Truncated, or a concurrent read or write published the key in
-      // flight (theirs is at least as new): best-effort, like Promote. A
+      // flight (theirs is at least as new): best-effort, skipped. A
       // lost publish means the prefetch arrived late.
       stats_.promotions_skipped.fetch_add(1, std::memory_order_relaxed);
       if (landed_whole && s.IsBusy()) {
@@ -787,40 +787,6 @@ Status FasterStore::Delete(Key key) {
   }
 }
 
-Status FasterStore::Promote(Key key) {
-  for (;;) {
-    FindResult f;
-    MLKV_RETURN_NOT_OK(Find(key, &f));
-    if (!f.found || (f.meta.flags & kRecordTombstone)) {
-      return Status::NotFound();
-    }
-    if (f.in_memory) {
-      // Mutable: nothing to do. Read-only memory (paper §III-C2): copying
-      // it to the mutable region would only re-dirty pages.
-      stats_.promotions_skipped.fetch_add(1, std::memory_order_relaxed);
-      return Status::OK();
-    }
-    // Copy with the ORIGINAL staleness and value (§III-C2: "a new record
-    // with the original staleness and value will be copied into the mutable
-    // memory buffer"). Generation is preserved as well: promotion is not an
-    // update.
-    std::vector<char> value(f.meta.value_size);
-    MLKV_RETURN_NOT_OK(
-        LoadValue(f.address, f.meta, value.data(), f.meta.value_size));
-    Status s =
-        CopyToTail(key, value.data(), f.meta, f.chain_head, CopyWord::kKeep);
-    if (s.IsBusy()) {
-      // Another thread updated the key concurrently ("no other threads
-      // updating it"); their version is newer — skip.
-      stats_.promotions_skipped.fetch_add(1, std::memory_order_relaxed);
-      return Status::OK();
-    }
-    MLKV_RETURN_NOT_OK(s);
-    stats_.promotions.fetch_add(1, std::memory_order_relaxed);
-    return Status::OK();
-  }
-}
-
 Status FasterStore::ReadRecordAt(Address address, RecordMeta* meta,
                                  std::vector<char>* value) {
   if (address < log_.begin_address() || address >= log_.tail()) {
@@ -923,7 +889,7 @@ Status FasterStore::Compact(Address until, CompactionResult* result) {
           break;
         }
         // A compaction copy is not an update: control word (generation AND
-        // staleness) and flags carry over unchanged, like Promote.
+        // staleness) and flags carry over unchanged, like a promotion.
         Status s = CopyToTail(meta.key, rec + sizeof(Record), meta, expected,
                               CopyWord::kKeep);
         if (s.IsBusy()) continue;  // superseded mid-copy; re-check
@@ -1335,10 +1301,12 @@ void FasterStore::CollectMetrics(obs::MetricsSink* sink,
        "Live records re-appended by compaction",
        &Stats::compaction_live_copied},
       {"mlkv_io_async_reads_submitted_total",
-       "Pending-read fetches handed to the AsyncIoEngine",
+       "Pending-read device reads handed to the AsyncIoEngine (a page-merged "
+       "read carries several records)",
        &Stats::async_reads_submitted},
       {"mlkv_io_async_reads_completed_total",
-       "Pending-read fetches that landed", &Stats::async_reads_completed},
+       "Pending-read device reads that completed",
+       &Stats::async_reads_completed},
       {"mlkv_io_async_reads_refetched_total",
        "Pending reads that fell back to a synchronous re-read",
        &Stats::async_reads_refetched},
@@ -1357,7 +1325,8 @@ void FasterStore::CollectMetrics(obs::MetricsSink* sink,
 
   const HybridLogStats& ls = log_.stats();
   sink->AddCounter("mlkv_io_disk_record_reads_total",
-                   "Record fetches served from disk",
+                   "Records landed from disk, one per record however many "
+                   "share a device read",
                    get(ls.disk_record_reads), {at});
   sink->AddCounter("mlkv_io_pages_flushed_total", "Log pages flushed to disk",
                    get(ls.pages_flushed), {at});

@@ -9,9 +9,9 @@
 //    = ASP, anything between = SSP.
 //
 //  * Promotion (the storage half of look-ahead prefetching, §III-C2).
-//    Promote(key) copies a disk-resident record — with its original
-//    staleness and value — to the mutable tail region so later Get/Put hit
-//    memory.
+//    StartPromote + CompletePendingRead copy a disk-resident record — with
+//    its original staleness and value — to the mutable tail region so
+//    later Get/Put hit memory.
 //
 // Both rest on FASTER's copy-to-tail, one rule for every cold read (a
 // record below the read-only boundary), written once in CopyToTail and
@@ -159,11 +159,6 @@ class FasterStore {
 
   Status Delete(Key key);
 
-  // Copies a disk-resident record to the mutable tail (look-ahead prefetch
-  // target); a memory-resident one is skipped. Returns OK whether promoted
-  // or skipped; inspect stats for which.
-  Status Promote(Key key);
-
   // Header of the newest version of `key` (tombstones included), read
   // outside the staleness protocol: no wait, no increment. For tests and
   // diagnostics that inspect a record's control word; `address`, when
@@ -195,7 +190,8 @@ class FasterStore {
   // and an absent one returns NotFound (*parked stays false either way); a
   // disk-resident key primes a buffer-less *pending for wave submission
   // (`cap` must cover the full record value), which CompletePendingRead
-  // then copies to the tail like Promote. Each present key counts once in
+  // then copies to the tail with its original control word, or skips
+  // when the record moved in flight. Each present key counts once in
   // promotions or promotions_skipped. Unlike StartRead this never counts as
   // a read: a prefetch is not a training access.
   Status StartPromote(Key key, uint32_t cap, PendingRead* pending,
@@ -218,8 +214,9 @@ class FasterStore {
   PendingStep CompletePendingRead(PendingRead* pending,
                                   const Status& io_status);
 
-  // Pending-pipeline accounting (called by PendingReadWave per I/O, so the
-  // two balance even when several waiters coalesce onto one fetch).
+  // Pending-pipeline accounting (called by PendingReadWave per device
+  // read, so the two balance however many records and waiters one read
+  // carries).
   void CountAsyncSubmitted() {
     stats_.async_reads_submitted.fetch_add(1, std::memory_order_relaxed);
   }

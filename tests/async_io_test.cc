@@ -1,5 +1,6 @@
 // AsyncIoEngine, GroupCommitter, and FaultyFileDevice unit tests:
 // submit/complete correctness against real files (reads and writes),
+// vectored reads (gaps dropped, EOF zero-filled, bounds checked),
 // batch isolation, depth-limit backpressure, drain-on-shutdown with
 // submissions outstanding, the io_uring/thread-pool backend split, the
 // batched-fsync commit protocol, and the fault decorator's scripted
@@ -107,6 +108,51 @@ TEST_P(AsyncIoTest, ReadPastEofZeroFills) {
   for (size_t i = 256; i < 512; ++i) EXPECT_EQ(buf[i], 0) << i;
 }
 
+TEST_P(AsyncIoTest, VectoredReadLandsSegmentsAndDropsGaps) {
+  TempDir dir;
+  FileDevice dev;
+  ASSERT_TRUE(dev.Open(dir.File("data")).ok());
+  constexpr size_t kFile = 64 * 1024;
+  FillPattern(&dev, kFile);
+
+  AsyncIoEngine engine(EngineOptions(2));
+  AsyncIoEngine::Batch batch(&engine);
+  // Three records with gaps between them: one device read of [4000, 5650).
+  std::vector<char> a(100, 'x'), b(50, 'x'), c(200, 'x');
+  const AsyncIoEngine::ReadSegment inside[] = {
+      {a.data(), 100}, {nullptr, 300}, {b.data(), 50},
+      {nullptr, 1000}, {c.data(), 200}};
+  ASSERT_TRUE(batch.Submit(&dev, 4000, inside, 5, 1).ok());
+  // One that straddles EOF: its second member is half past it.
+  std::vector<char> d(64, 'x'), e(128, 'x');
+  const AsyncIoEngine::ReadSegment eof[] = {
+      {d.data(), 64}, {nullptr, 64}, {e.data(), 128}};
+  ASSERT_TRUE(batch.Submit(&dev, kFile - 192, eof, 3, 2).ok());
+  // Out of bounds: too many segments, or a gap past the scratch.
+  std::vector<AsyncIoEngine::ReadSegment> many(
+      AsyncIoEngine::kMaxReadSegments + 1, {a.data(), 1});
+  EXPECT_TRUE(batch.Submit(&dev, 0, many.data(), many.size(), 3)
+                  .IsInvalidArgument());
+  const AsyncIoEngine::ReadSegment wide[] = {
+      {a.data(), 1}, {nullptr, AsyncIoEngine::kMaxGapBytes + 1}, {b.data(), 1}};
+  EXPECT_TRUE(batch.Submit(&dev, 0, wide, 3, 4).IsInvalidArgument());
+
+  AsyncIoEngine::Completion done;
+  size_t completed = 0;
+  while (batch.WaitOne(&done)) {
+    EXPECT_TRUE(done.status.ok()) << done.tag;
+    ++completed;
+  }
+  EXPECT_EQ(completed, 2u);
+  EXPECT_EQ(engine.stats().reads_submitted, 2u);
+  EXPECT_TRUE(MatchesPattern(a.data(), 4000, 100));
+  EXPECT_TRUE(MatchesPattern(b.data(), 4400, 50));
+  EXPECT_TRUE(MatchesPattern(c.data(), 5450, 200));
+  EXPECT_TRUE(MatchesPattern(d.data(), kFile - 192, 64));
+  EXPECT_TRUE(MatchesPattern(e.data(), kFile - 64, 64));
+  for (size_t i = 64; i < 128; ++i) EXPECT_EQ(e[i], 0) << i;
+}
+
 TEST_P(AsyncIoTest, BatchesAreIsolated) {
   TempDir dir;
   FileDevice dev;
@@ -193,6 +239,7 @@ class LatchDevice : public FileDevice {
  public:
   explicit LatchDevice(int width) : width_(width) {}
   bool AllowsRawReads() const override { return false; }
+  using FileDevice::ReadAt;
   Status ReadAt(uint64_t, void* data, size_t n) const override {
     std::unique_lock<std::mutex> lk(mu_);
     if (++inside_ >= width_) cv_.notify_all();
@@ -352,6 +399,37 @@ TEST(FaultyFileDeviceTest, ShortReadTearsAndZeroFills) {
   EXPECT_EQ(buf[255], 0);
   // Decorated devices must never ride the raw-fd path.
   EXPECT_FALSE(dev.AllowsRawReads());
+}
+
+TEST(FaultyFileDeviceTest, VectoredReadIsOneScriptedRead) {
+  TempDir dir;
+  auto script = std::make_shared<FaultyFileDevice::Script>();
+  FaultyFileDevice dev(script);
+  ASSERT_TRUE(dev.Open(dir.File("data")).ok());
+  std::vector<char> data(256, 4);
+  ASSERT_TRUE(dev.WriteAt(0, data.data(), data.size()).ok());
+
+  char head[64], tail[64], gap[128];
+  const struct iovec iov[] = {
+      {head, sizeof(head)}, {gap, sizeof(gap)}, {tail, sizeof(tail)}};
+  ASSERT_TRUE(dev.ReadAt(0, iov, 3).ok());  // read #1: clean
+  EXPECT_EQ(tail[63], 4);
+  script->fail_from.store(2);  // arm read #2: the whole vector fails
+  EXPECT_TRUE(dev.ReadAt(0, iov, 3).IsIOError());
+  EXPECT_EQ(script->reads.load(), 2u);
+
+  // A tear cuts the vector's whole range at half: head served, the rest
+  // (from the middle of the gap on) zeroed.
+  script->fail_from.store(3);
+  script->short_read.store(true);
+  std::memset(tail, 'x', sizeof(tail));
+  ASSERT_TRUE(dev.ReadAt(0, iov, 3).ok());
+  EXPECT_EQ(head[63], 4);
+  EXPECT_EQ(gap[63], 4);
+  EXPECT_EQ(gap[64], 0);
+  EXPECT_EQ(tail[0], 0);
+  EXPECT_EQ(tail[63], 0);
+  EXPECT_EQ(script->reads.load(), 3u);
 }
 
 TEST(FaultyFileDeviceTest, EngineRoutesDecoratedDeviceThroughReadAt) {

@@ -12,6 +12,7 @@
 #include "io/temp_dir.h"
 #include "kv/faster_store.h"
 #include "store_geometry.h"
+#include "store_promote.h"
 
 namespace mlkv {
 namespace {
@@ -166,7 +167,7 @@ TEST(FasterConcurrentTest, MixedColdHotTrafficStaysConsistent) {
   threads.emplace_back([&] {
     Rng rng(555);
     while (!stop.load(std::memory_order_relaxed)) {
-      store.Promote(rng.Uniform(kKeys)).ok();
+      Promote(&store, rng.Uniform(kKeys)).ok();
     }
   });
   std::this_thread::sleep_for(std::chrono::milliseconds(700));

@@ -12,6 +12,7 @@
 #include "kv/log_iterator.h"
 #include "kv/sharded_store.h"
 #include "store_metrics.h"
+#include "store_promote.h"
 
 namespace mlkv {
 namespace {
@@ -357,7 +358,7 @@ TEST(FasterStoreTest, PromoteMovesDiskRecordToMemory) {
     ASSERT_TRUE(store.Upsert(k, filler.data(), 128).ok());
   }
   ASSERT_FALSE(store.IsInMemory(7)) << "key 7 should have been evicted";
-  ASSERT_TRUE(store.Promote(7).ok());
+  ASSERT_TRUE(Promote(&store, 7).ok());
   EXPECT_TRUE(store.IsInMemory(7));
   EXPECT_EQ(StoreMetric(store, "mlkv_store_promotions_total"), 1u);
   std::string out;
@@ -461,7 +462,7 @@ TEST(FasterStoreTest, PromoteSkipsImmutableInMemoryRecords) {
   }
   ASSERT_TRUE(store.IsInMemory(7));
   const obs::MetricsSink before = StoreSamples(store);
-  ASSERT_TRUE(store.Promote(7).ok());
+  ASSERT_TRUE(Promote(&store, 7).ok());
   const obs::MetricsSink after = StoreSamples(store);
   EXPECT_EQ(MetricSum(after, "mlkv_store_promotions_total"),
             MetricSum(before, "mlkv_store_promotions_total"));

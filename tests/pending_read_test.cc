@@ -1,15 +1,19 @@
 // Two-phase pending-read pipeline tests (kv/pending_read.h): byte-for-byte
 // equivalence with the blocking path on a cold working set, duplicate-cold-key
-// coalescing, a compaction deterministically racing an in-flight read,
-// staleness-bound fallbacks, injected device failures surfacing as per-key
-// codes without poisoning batch siblings, and drain-on-close.
+// coalescing, page-merged device reads (one read per page span, members
+// that hop or fall back still matching the blocking path), a compaction
+// deterministically racing an in-flight read, staleness-bound fallbacks,
+// injected device failures surfacing as per-key codes without poisoning
+// batch siblings, and drain-on-close.
 #include "kv/pending_read.h"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cstring>
+#include <map>
 #include <memory>
+#include <set>
 #include <vector>
 
 #include "backend/kv_backend.h"
@@ -21,6 +25,7 @@
 #include "mlkv/embedding_init.h"
 #include "mlkv/mlkv.h"
 #include "obs/metrics.h"
+#include "store_geometry.h"
 #include "store_metrics.h"
 
 namespace mlkv {
@@ -49,12 +54,93 @@ ShardedStoreOptions ColdStoreOptions(const std::string& path,
   return o;
 }
 
-void LoadKeys(ShardedStore* store, uint64_t num_keys) {
+template <typename Store>
+void LoadKeys(Store* store, uint64_t num_keys) {
   char value[kValueBytes];
   for (Key k = 0; k < num_keys; ++k) {
     FillValue(k, value);
     ASSERT_TRUE(store->Upsert(k, value, kValueBytes).ok());
   }
+}
+
+// Log address of `key`'s newest version.
+Address AddressOf(FasterStore* store, Key key) {
+  RecordMeta meta;
+  Address a = kInvalidAddress;
+  EXPECT_TRUE(store->PeekMeta(key, &meta, &a).ok()) << "key " << key;
+  return a;
+}
+
+uint64_t PageOf(FasterStore* store, Key key) {
+  return AddressOf(store, key) / store->log().options().page_size;
+}
+
+// Counter deltas of one store across a wave.
+struct WaveCounts {
+  uint64_t device_reads = 0;  // mlkv_io_async_reads_submitted_total
+  uint64_t records = 0;       // mlkv_io_disk_record_reads_total
+  uint64_t hops = 0;          // mlkv_store_chain_hops_total
+  uint64_t refetched = 0;     // mlkv_io_async_reads_refetched_total
+};
+
+template <typename Store>
+WaveCounts Counts(const Store& store) {
+  const obs::MetricsSink s = StoreSamples(store);
+  return WaveCounts{MetricSum(s, "mlkv_io_async_reads_submitted_total"),
+                    MetricSum(s, "mlkv_io_disk_record_reads_total"),
+                    MetricSum(s, "mlkv_store_chain_hops_total"),
+                    MetricSum(s, "mlkv_io_async_reads_refetched_total")};
+}
+
+WaveCounts operator-(const WaveCounts& a, const WaveCounts& b) {
+  return WaveCounts{a.device_reads - b.device_reads, a.records - b.records,
+                    a.hops - b.hops, a.refetched - b.refetched};
+}
+
+// Parks an untracked cold read of each key of `keys` (every one must be
+// disk-resident) into one wave, runs it, and returns each key's status;
+// values land in `out` (kValueBytes per key).
+std::vector<Status> ReadWave(FasterStore* store, AsyncIoEngine* engine,
+                             const std::vector<Key>& keys,
+                             std::vector<char>* out) {
+  out->assign(keys.size() * kValueBytes, 0);
+  std::vector<Status> status(keys.size());
+  PendingSink sink;
+  for (size_t i = 0; i < keys.size(); ++i) {
+    PendingRead p;
+    EXPECT_FALSE(store->StartRead(keys[i], out->data() + i * kValueBytes,
+                                  kValueBytes, nullptr, UINT32_MAX,
+                                  /*tracked=*/false, &p))
+        << "key " << keys[i] << " is not cold";
+    sink.Park(store, std::move(p), [&status, i](PendingRead* done) {
+      status[i] = done->status;
+    });
+  }
+  PendingReadWave wave(engine);
+  wave.Adopt(&sink);
+  wave.CompleteAll();
+  return status;
+}
+
+void ExpectValue(const char* got, Key key) {
+  char expected[kValueBytes];
+  FillValue(key, expected);
+  EXPECT_EQ(std::memcmp(got, expected, kValueBytes), 0) << "key " << key;
+}
+
+// One store with 64 KiB pages (4 frames, so most of kLargePageKeys is on
+// disk) and an index wide enough that none of its keys share a chain.
+constexpr uint64_t kLargePage = 64u << 10;
+constexpr uint64_t kLargePageKeys = 10000;
+
+FasterOptions LargePageOptions(const std::string& path, AsyncIoEngine* io) {
+  FasterOptions o;
+  o.path = path;
+  o.index_slots = 1u << 16;
+  o.page_size = kLargePage;
+  o.mem_size = 4 * kLargePage;
+  o.io = io;
+  return o;
 }
 
 // The Get-shaped read op the embedding layer builds, reduced to raw bytes:
@@ -476,40 +562,52 @@ TEST(PendingReadTest, InjectedFaultsFailOnlyTheirKeys) {
   ShardedStore store;
   ASSERT_TRUE(store.Open(o).ok());
   LoadKeys(&store, kKeys);
+  FasterStore* shard = store.shard(0);
 
+  // 32 distinct cold keys, eight to a 4 KiB page: the wave reads each page
+  // once, carrying that page's keys.
   std::vector<Key> keys;
-  for (Key k = 0; k < 32; ++k) keys.push_back(k);  // all cold, distinct
+  for (Key k = 0; k < 32; ++k) keys.push_back(k * 8);
+  std::map<uint64_t, size_t> keys_on_page;
+  for (const Key k : keys) {
+    ASSERT_FALSE(store.IsInMemory(k)) << "key " << k;
+    ++keys_on_page[PageOf(shard, k)];
+  }
+  ASSERT_GT(keys_on_page.size(), 2u);
   std::vector<char> out(keys.size() * kValueBytes, 0);
 
   // Fail exactly one device read; phase 1 issues none, so it is one of
-  // the wave's record fetches.
+  // the wave's reads, and only the keys it carried fail.
+  const WaveCounts before = Counts(store);
   script->fail_from.store(script->reads.load() + 2);
   script->fail_count.store(1);
   BatchResult r;
   store.MultiExecuteRead(keys, RawReadOp(out.data(), kValueBytes), &r);
+  const WaveCounts wave = Counts(store) - before;
+  ASSERT_EQ(wave.hops, 0u) << "a chain hop would add a read of its own";
+  EXPECT_EQ(wave.device_reads, keys_on_page.size());
 
-  EXPECT_EQ(r.failed, 1u);
   EXPECT_TRUE(r.first_error.IsIOError());
-  size_t io_errors = 0;
+  std::set<uint64_t> failed_pages;
   for (size_t i = 0; i < keys.size(); ++i) {
     if (r.codes[i] == Status::Code::kIOError) {
-      ++io_errors;
+      failed_pages.insert(PageOf(shard, keys[i]));
       continue;
     }
     ASSERT_EQ(r.codes[i], Status::Code::kOk) << "sibling poisoned at " << i;
-    char expected[kValueBytes];
-    FillValue(keys[i], expected);
-    EXPECT_EQ(std::memcmp(&out[i * kValueBytes], expected, kValueBytes), 0);
+    ExpectValue(&out[i * kValueBytes], keys[i]);
   }
-  EXPECT_EQ(io_errors, 1u);
+  // The failures are exactly the keys of one page's read.
+  ASSERT_EQ(failed_pages.size(), 1u);
+  EXPECT_EQ(r.failed, keys_on_page[*failed_pages.begin()]);
 
   // A persistently failing device fails every cold key — and still no
   // crash, hang, or misattributed success. The pass above copied its keys
-  // to the tail, so this one reads keys that are still cold.
+  // to the tail, so this one reads keys it left cold.
   std::vector<Key> cold;
-  for (Key k = 32; k < 64; ++k) {
-    ASSERT_FALSE(store.IsInMemory(k)) << "key " << k;
-    cold.push_back(k);
+  for (Key k = 0; k < 32; ++k) {
+    ASSERT_FALSE(store.IsInMemory(k * 8 + 1)) << "key " << k * 8 + 1;
+    cold.push_back(k * 8 + 1);
   }
   script->fail_from.store(1);
   script->fail_count.store(UINT64_MAX);
@@ -518,6 +616,219 @@ TEST(PendingReadTest, InjectedFaultsFailOnlyTheirKeys) {
                          &all_fail);
   EXPECT_EQ(all_fail.failed, cold.size());
   script->fail_from.store(0);  // disarm
+}
+
+TEST(PendingReadTest, ColdKeysWithinOneSpanShareOneDeviceRead) {
+  TempDir dir;
+  AsyncIoEngine engine;
+  FasterStore store;
+  OpenWithGeometry(LargePageOptions(dir.File("m.log"), &engine), &store);
+  LoadKeys(&store, kLargePageKeys);
+
+  // Twelve cold keys, every seventh record from key 100: one page, a span
+  // well inside kMaxMergedReadBytes, and a gap between every pair (23
+  // segments, within the engine's kMaxReadSegments).
+  std::vector<Key> keys;
+  for (Key k = 100; keys.size() < 12; k += 7) keys.push_back(k);
+  ASSERT_LE(2 * keys.size() - 1, AsyncIoEngine::kMaxReadSegments);
+  const Address first = AddressOf(&store, keys.front());
+  const Address last = AddressOf(&store, keys.back());
+  ASSERT_EQ(first / kLargePage, last / kLargePage);
+  ASSERT_LE(last + Record::SizeFor(kValueBytes) - first, kMaxMergedReadBytes);
+
+  const WaveCounts before = Counts(store);
+  std::vector<char> out;
+  const std::vector<Status> status = ReadWave(&store, &engine, keys, &out);
+  const WaveCounts wave = Counts(store) - before;
+  EXPECT_EQ(wave.device_reads, 1u);
+  EXPECT_EQ(wave.records, keys.size());
+  EXPECT_EQ(wave.hops, 0u);
+  EXPECT_EQ(StoreMetric(store, "mlkv_io_async_reads_completed_total"),
+            StoreMetric(store, "mlkv_io_async_reads_submitted_total"));
+  for (size_t i = 0; i < keys.size(); ++i) {
+    ASSERT_TRUE(status[i].ok()) << "key " << keys[i] << ": "
+                                << status[i].ToString();
+    ExpectValue(&out[i * kValueBytes], keys[i]);
+  }
+}
+
+TEST(PendingReadTest, ColdKeysApartTakeOneDeviceReadEach) {
+  TempDir dir;
+  AsyncIoEngine engine;
+  FasterStore store;
+  OpenWithGeometry(LargePageOptions(dir.File("a.log"), &engine), &store);
+  LoadKeys(&store, kLargePageKeys);
+
+  // Three keys on three pages, and two on one page further apart than
+  // kMaxMergedReadBytes.
+  const std::vector<Key> keys = {10, 1100, 2200, 3300, 3600};
+  ASSERT_LT(PageOf(&store, 10), PageOf(&store, 1100));
+  ASSERT_LT(PageOf(&store, 1100), PageOf(&store, 2200));
+  ASSERT_LT(PageOf(&store, 2200), PageOf(&store, 3300));
+  ASSERT_EQ(PageOf(&store, 3300), PageOf(&store, 3600));
+  ASSERT_GT(AddressOf(&store, 3600) + Record::SizeFor(kValueBytes) -
+                AddressOf(&store, 3300),
+            kMaxMergedReadBytes);
+
+  const WaveCounts before = Counts(store);
+  std::vector<char> out;
+  const std::vector<Status> status = ReadWave(&store, &engine, keys, &out);
+  const WaveCounts wave = Counts(store) - before;
+  EXPECT_EQ(wave.device_reads, keys.size());
+  EXPECT_EQ(wave.records, keys.size());
+  EXPECT_EQ(wave.hops, 0u);
+  for (size_t i = 0; i < keys.size(); ++i) {
+    ASSERT_TRUE(status[i].ok()) << "key " << keys[i];
+    ExpectValue(&out[i * kValueBytes], keys[i]);
+  }
+}
+
+TEST(PendingReadTest, MergedReadMembersHopLikeTheBlockingPath) {
+  // A dense cold batch over an index far smaller than the key count:
+  // page-merged reads carry records that are other keys' chain links, so
+  // members hop (on the device and, past the hop budget, on the blocking
+  // walk) after their merged read lands. Results match the blocking path
+  // byte for byte.
+  constexpr uint64_t kKeys = 2000;
+  TempDir sync_dir, async_dir;
+  AsyncIoEngine engine;
+  ShardedStoreOptions sync_opts =
+      ColdStoreOptions(sync_dir.File("s.log"), 0, nullptr);
+  ShardedStoreOptions async_opts =
+      ColdStoreOptions(async_dir.File("a.log"), 0, &engine);
+  sync_opts.store.index_slots = ShardedStore::kMinShardIndexSlots;
+  async_opts.store.index_slots = ShardedStore::kMinShardIndexSlots;
+  ShardedStore sync_store, async_store;
+  ASSERT_TRUE(sync_store.Open(sync_opts).ok());
+  ASSERT_TRUE(async_store.Open(async_opts).ok());
+  LoadKeys(&sync_store, kKeys);
+  LoadKeys(&async_store, kKeys);
+
+  std::vector<Key> keys;
+  for (Key k = 0; k < 192; ++k) keys.push_back(k);
+  std::vector<char> sync_out(keys.size() * kValueBytes, 0);
+  std::vector<char> async_out(keys.size() * kValueBytes, 0);
+  BatchResult sync_r, async_r;
+  const WaveCounts before = Counts(async_store);
+  sync_store.MultiExecuteRead(keys, RawReadOp(sync_out.data(), kValueBytes),
+                              &sync_r);
+  async_store.MultiExecuteRead(keys, RawReadOp(async_out.data(), kValueBytes),
+                               &async_r);
+  const WaveCounts wave = Counts(async_store) - before;
+  ASSERT_EQ(sync_r.codes, async_r.codes);
+  EXPECT_EQ(sync_out, async_out);
+  EXPECT_TRUE(async_r.AllOk());
+  EXPECT_GT(wave.hops, 0u);
+  EXPECT_GT(wave.refetched, 0u);
+  // Merging happened: fewer device reads than records landed.
+  EXPECT_LT(wave.device_reads, wave.records);
+}
+
+TEST(PendingReadTest, StaleMemberOfMergedReadFallsBackAlone) {
+  // Under BSP a record whose frozen staleness fails the bound falls back
+  // to the blocking protocol (which spins out to Busy), while the keys
+  // that shared its merged read are served from it.
+  TempDir dir;
+  AsyncIoEngine engine;
+  ShardedStoreOptions o = ColdStoreOptions(dir.File("b.log"), 0, &engine);
+  o.store.track_staleness = true;
+  o.store.staleness_bound = 0;
+  o.store.busy_spin_limit = 16;
+  ShardedStore sharded;
+  ASSERT_TRUE(sharded.Open(o).ok());
+  FasterStore* store = sharded.shard(0);
+  char value[kValueBytes];
+  FillValue(42, value);
+  ASSERT_TRUE(store->Upsert(42, value, kValueBytes).ok());
+  char buf[kValueBytes];
+  for (int i = 0; i < 3; ++i) {  // tracked reads: staleness -> 3
+    ASSERT_TRUE(
+        store->Read(42, buf, kValueBytes, nullptr, UINT32_MAX - 2).ok());
+  }
+  for (Key filler = 1000; filler < 3000; ++filler) {
+    FillValue(filler, value);
+    ASSERT_TRUE(store->Upsert(filler, value, kValueBytes).ok());
+  }
+  const std::vector<Key> keys = {42, 1000, 1001, 1002};
+  for (const Key k : keys) {
+    ASSERT_FALSE(store->IsInMemory(k)) << "key " << k;
+    ASSERT_EQ(PageOf(store, k), PageOf(store, 42)) << "key " << k;
+  }
+
+  std::vector<char> rows(keys.size() * kValueBytes, 0);
+  std::vector<Status> status(keys.size());
+  PendingSink sink;
+  for (size_t i = 0; i < keys.size(); ++i) {
+    PendingRead p;
+    ASSERT_FALSE(store->StartRead(keys[i], rows.data() + i * kValueBytes,
+                                  kValueBytes, nullptr, UINT32_MAX,
+                                  /*tracked=*/true, &p));
+    sink.Park(store, std::move(p), [&status, i](PendingRead* done) {
+      status[i] = done->status;
+    });
+  }
+  const WaveCounts before = Counts(*store);
+  PendingReadWave wave(&engine);
+  wave.Adopt(&sink);
+  wave.CompleteAll();
+  const WaveCounts delta = Counts(*store) - before;
+
+  EXPECT_TRUE(status[0].IsBusy()) << status[0].ToString();
+  for (size_t i = 1; i < keys.size(); ++i) {
+    ASSERT_TRUE(status[i].ok()) << "key " << keys[i];
+    ExpectValue(&rows[i * kValueBytes], keys[i]);
+  }
+  EXPECT_EQ(delta.device_reads, 1u);
+  EXPECT_EQ(delta.refetched, 1u);
+}
+
+TEST(PendingReadTest, FailedMergedReadFailsExactlyItsMembers) {
+  // Two pages' worth of cold keys: two merged reads. The first one fails
+  // on the device; its keys carry the error and the other read's keys are
+  // served. One engine worker, so device reads run in submission order
+  // (ascending address): the first read is the lower page's.
+  constexpr uint64_t kKeys = 1500;
+  TempDir dir;
+  AsyncIoEngine::Options eo;
+  eo.io_threads = 1;
+  AsyncIoEngine engine(eo);
+  auto script = std::make_shared<FaultyFileDevice::Script>();
+  ShardedStoreOptions o = ColdStoreOptions(dir.File("f.log"), 0, &engine);
+  o.store.device_factory = [script]() {
+    return std::make_unique<FaultyFileDevice>(script);
+  };
+  ShardedStore sharded;
+  ASSERT_TRUE(sharded.Open(o).ok());
+  LoadKeys(&sharded, kKeys);
+  FasterStore* store = sharded.shard(0);
+
+  const std::vector<Key> keys = {210, 0, 205, 5, 200, 10};
+  const uint64_t low = PageOf(store, 0);
+  for (const Key k : {5, 10}) ASSERT_EQ(PageOf(store, k), low);
+  const uint64_t high = PageOf(store, 200);
+  ASSERT_GT(high, low);
+  for (const Key k : {205, 210}) ASSERT_EQ(PageOf(store, k), high);
+  std::vector<bool> on_low;  // before the wave copies served keys away
+  for (const Key k : keys) on_low.push_back(PageOf(store, k) == low);
+
+  script->fail_from.store(script->reads.load() + 1);
+  script->fail_count.store(1);
+  const WaveCounts before = Counts(*store);
+  std::vector<char> out;
+  const std::vector<Status> status = ReadWave(store, &engine, keys, &out);
+  const WaveCounts wave = Counts(*store) - before;
+  script->fail_from.store(0);
+
+  EXPECT_EQ(wave.device_reads, 2u);
+  EXPECT_EQ(wave.records, 3u);  // only the served read's records landed
+  for (size_t i = 0; i < keys.size(); ++i) {
+    if (on_low[i]) {
+      EXPECT_TRUE(status[i].IsIOError()) << "key " << keys[i];
+    } else {
+      ASSERT_TRUE(status[i].ok()) << "key " << keys[i];
+      ExpectValue(&out[i * kValueBytes], keys[i]);
+    }
+  }
 }
 
 TEST(PendingReadTest, MlkvWaveServesPutRowsInitAndLookahead) {

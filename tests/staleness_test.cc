@@ -21,6 +21,7 @@
 #include "kv/pending_read.h"
 #include "mlkv/mlkv.h"
 #include "store_metrics.h"
+#include "store_promote.h"
 
 namespace mlkv {
 namespace {
@@ -168,7 +169,7 @@ TEST(StalenessTest, PromotionPreservesStaleness) {
   }
   ASSERT_FALSE(store.IsInMemory(1));
   // Promote back to the mutable region "with the original staleness".
-  ASSERT_TRUE(store.Promote(1).ok());
+  ASSERT_TRUE(Promote(&store, 1).ok());
   ASSERT_TRUE(store.IsInMemory(1));
   // A bound-2 read must fail (staleness is still 3)...
   EXPECT_TRUE(store.Read(1, out, 16, nullptr, /*bound=*/2).IsBusy());

@@ -15,6 +15,7 @@
 #include "kv/faster_store.h"
 #include "store_geometry.h"
 #include "store_metrics.h"
+#include "store_promote.h"
 
 namespace mlkv {
 namespace {
@@ -104,7 +105,7 @@ TEST_P(StorePropertyTest, MatchesReferenceModelUnderRandomOps) {
         ASSERT_TRUE(s.IsNotFound());
       }
     } else {  // promote (lookahead primitive): must never change contents
-      store.Promote(key).ok();
+      Promote(&store, key).ok();
     }
   }
 

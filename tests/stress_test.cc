@@ -26,6 +26,7 @@
 #include "net/remote_backend.h"
 #include "obs/metrics.h"
 #include "store_metrics.h"
+#include "store_promote.h"
 
 namespace mlkv {
 namespace {
@@ -100,7 +101,7 @@ TEST(StoreStressTest, MixedOpsWithCompactorAndPromoter) {
     Rng rng(4242);
     while (!stop.load(std::memory_order_acquire)) {
       const Key key = rng.Next() % (kWriters * kKeysPerWriter);
-      Status s = store.Promote(key);
+      Status s = Promote(&store, key);
       ASSERT_TRUE(s.ok() || s.IsNotFound()) << s.ToString();
     }
   });
