@@ -21,7 +21,7 @@
 // A vectored read (segmented Submit) is one device read of a contiguous
 // range: member segments land in the caller's buffers and gap segments in
 // the worker's scratch, where they are dropped. The pending-read wave uses
-// it to fetch several records of one log page at once.
+// it to fetch the records of one log span (kv/pending_read.h) at once.
 //
 // Backpressure and lifetime rules:
 //  * `queue_depth` bounds requests in flight across the whole engine;
@@ -107,9 +107,10 @@ class AsyncIoEngine {
     void* buf = nullptr;
     uint32_t len = 0;
   };
-  // Bounds of one vectored read, which size the workers' scratch.
+  // Bounds of one vectored read, which size the workers' scratch. A gap
+  // never exceeds the pending-read wave's merge span (kMaxMergedReadBytes).
   static constexpr size_t kMaxReadSegments = 32;
-  static constexpr uint32_t kMaxGapBytes = 16u << 10;
+  static constexpr uint32_t kMaxGapBytes = 128u << 10;
 
   // Per-caller completion context: a submission is tagged to one batch and
   // its completion is delivered only there, so concurrent batches (one per

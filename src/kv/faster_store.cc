@@ -1301,7 +1301,7 @@ void FasterStore::CollectMetrics(obs::MetricsSink* sink,
        "Live records re-appended by compaction",
        &Stats::compaction_live_copied},
       {"mlkv_io_async_reads_submitted_total",
-       "Pending-read device reads handed to the AsyncIoEngine (a page-merged "
+       "Pending-read device reads handed to the AsyncIoEngine (a span-merged "
        "read carries several records)",
        &Stats::async_reads_submitted},
       {"mlkv_io_async_reads_completed_total",

@@ -57,10 +57,11 @@ void PendingReadWave::Submit() {
     }
   }
 
-  // Page merging: walk the groups in (store, address) order and chain each
-  // onto the read before it when it starts on that read's page, past its
-  // last record, within kMaxMergedReadBytes of its start. A group adds its
-  // record's segment, after a gap segment for any bytes in between.
+  // Span merging: walk the groups in (store, address) order and chain each
+  // onto the read before it when it starts past that read's last record
+  // and ends within kMaxMergedReadBytes of its start. A group adds its
+  // record's segment, after a gap segment for any bytes in between,
+  // whatever log pages they cross.
   std::vector<size_t> order(groups_.size());
   std::iota(order.begin(), order.end(), size_t{0});
   std::sort(order.begin(), order.end(), [this](size_t a, size_t b) {
@@ -80,11 +81,9 @@ void PendingReadWave::Submit() {
     const PendingRead& lead = entries_[groups_[g].leader].read;
     const Address record_end = address + lead.buf_len;
     if (last != kNoGroup && store == groups_[last].target.first) {
-      const uint64_t page = store->log().options().page_size;
       Read& r = reads.back();
       const size_t count = r.count + (address > end ? 1 : 0) + 1;
-      if (address / page == begin / page && address >= end &&
-          record_end - begin <= kMaxMergedReadBytes &&
+      if (address >= end && record_end - begin <= kMaxMergedReadBytes &&
           count <= AsyncIoEngine::kMaxReadSegments) {
         if (address > end) {
           segments_.push_back(AsyncIoEngine::ReadSegment{

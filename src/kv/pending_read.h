@@ -15,9 +15,11 @@
 //
 //  * duplicate cold keys (and chains meeting at one record) share one
 //    fetch per distinct (store, address);
-//  * fetches of one store whose records sit on one log page, within a
-//    kMaxMergedReadBytes span, go to the device as one vectored read:
-//    each record lands in its own buffer, the bytes between them in the
+//  * fetches of one store whose records lie within a kMaxMergedReadBytes
+//    span go to the device as one vectored read, across log pages: a log
+//    address is its file offset and every parked record is below the head
+//    address, so the bytes between two of them are flushed log. Each
+//    record lands in its own buffer, the bytes between them in the
 //    engine's scratch. The read's outcome is every carried record's
 //    outcome, exactly as for coalesced duplicates.
 //
@@ -47,10 +49,12 @@
 
 namespace mlkv {
 
-// Longest file range one merged read spans. Under the simulated device
-// (150 us + 1 GB/s) a 16 KiB read costs at most ~11% more than a
-// one-record read, and it replaces two or more of them.
-constexpr uint32_t kMaxMergedReadBytes = 16u << 10;
+// Longest file range one merged read spans. Reading a gap instead of
+// skipping it never costs more device time than a separate read while the
+// gap's transfer time stays below one read's fixed latency: span <= L * B.
+// For the simulated device (L = 150 us, B = 1 GB/s) that is ~146 KiB, and
+// the largest power of two below it is 128 KiB.
+constexpr uint32_t kMaxMergedReadBytes = 128u << 10;
 static_assert(kMaxMergedReadBytes <= AsyncIoEngine::kMaxGapBytes,
               "a merged read's gaps must fit the engine's scratch");
 
@@ -115,7 +119,7 @@ class PendingReadWave {
   bool empty() const { return entries_.empty(); }
 
   // Submits every parked read (one fetch per distinct (store, address),
-  // page-merged into device reads) and returns: may block on the engine's
+  // span-merged into device reads) and returns: may block on the engine's
   // depth limit, never on a read. An engine-level submit failure
   // (shutdown) completes the affected keys here, with the submit error as
   // their status.
@@ -142,7 +146,7 @@ class PendingReadWave {
   };
 
   // Submits the device read whose chain starts at group `g`: one record,
-  // or (with `segments`) a page-merged range.
+  // or (with `segments`) a span-merged range.
   void SubmitRead(size_t g, const AsyncIoEngine::ReadSegment* segments,
                   size_t count);
   void FailRead(size_t g, const Status& s);

@@ -30,7 +30,8 @@ Status WalWriter::Open(const std::string& path) {
 
 Status WalWriter::AppendRecord(uint8_t op, Key key, const void* value,
                                uint32_t size) {
-  std::vector<char> buf(kRecordHeader + size);
+  // size_t, not uint32_t: a header plus a value near 4 GiB must not wrap.
+  std::vector<char> buf(size_t{kRecordHeader} + size);
   char* p = buf.data() + 4;  // checksum written last
   std::memcpy(p, &op, 1);
   std::memcpy(p + 1, &key, 8);

@@ -1,10 +1,10 @@
 // AsyncIoEngine, GroupCommitter, and FaultyFileDevice unit tests:
 // submit/complete correctness against real files (reads and writes),
-// vectored reads (gaps dropped, EOF zero-filled, bounds checked),
-// batch isolation, depth-limit backpressure, drain-on-shutdown with
-// submissions outstanding, the io_uring/thread-pool backend split, the
-// batched-fsync commit protocol, and the fault decorator's scripted
-// failures.
+// vectored reads (gaps up to the whole scratch dropped, EOF zero-filled,
+// bounds checked), batch isolation, depth-limit backpressure,
+// drain-on-shutdown with submissions outstanding, the io_uring/thread-pool
+// backend split, the batched-fsync commit protocol, and the fault
+// decorator's scripted failures.
 #include "io/async_io.h"
 
 #include <gtest/gtest.h>
@@ -151,6 +151,58 @@ TEST_P(AsyncIoTest, VectoredReadLandsSegmentsAndDropsGaps) {
   EXPECT_TRUE(MatchesPattern(d.data(), kFile - 192, 64));
   EXPECT_TRUE(MatchesPattern(e.data(), kFile - 64, 64));
   for (size_t i = 64; i < 128; ++i) EXPECT_EQ(e[i], 0) << i;
+}
+
+TEST_P(AsyncIoTest, VectoredReadSpansAGapAsLongAsTheScratch) {
+  // Gaps far past one 16 KiB log page, up to the whole scratch, with
+  // several such reads in flight on one worker at once: every member
+  // lands byte-exact and the gap bytes are dropped.
+  TempDir dir;
+  FileDevice dev;
+  ASSERT_TRUE(dev.Open(dir.File("data")).ok());
+  constexpr uint32_t kGap = AsyncIoEngine::kMaxGapBytes;
+  constexpr size_t kReads = 4;
+  constexpr size_t kFile = kReads * (2 * kGap);
+  FillPattern(&dev, kFile);
+
+  AsyncIoEngine engine(EngineOptions(1));
+  AsyncIoEngine::Batch batch(&engine);
+  std::vector<std::vector<char>> heads(kReads), mids(kReads), tails(kReads);
+  std::vector<std::vector<AsyncIoEngine::ReadSegment>> reads(kReads);
+  for (size_t r = 0; r < kReads; ++r) {
+    heads[r].assign(64, 'x');
+    mids[r].assign(96, 'x');
+    tails[r].assign(128, 'x');
+    reads[r] = {{heads[r].data(), 64},
+                {nullptr, 20000},  // past one 16 KiB log page
+                {mids[r].data(), 96},
+                {nullptr, kGap},
+                {tails[r].data(), 128}};
+    ASSERT_TRUE(batch
+                    .Submit(&dev, r * 2 * kGap, reads[r].data(),
+                            reads[r].size(), r)
+                    .ok());
+  }
+  const AsyncIoEngine::ReadSegment too_wide[] = {
+      {heads[0].data(), 1}, {nullptr, kGap + 1}, {mids[0].data(), 1}};
+  EXPECT_TRUE(batch.Submit(&dev, 0, too_wide, 3, kReads).IsInvalidArgument());
+
+  AsyncIoEngine::Completion done;
+  size_t completed = 0;
+  while (batch.WaitOne(&done)) {
+    EXPECT_TRUE(done.status.ok()) << done.tag;
+    ++completed;
+  }
+  EXPECT_EQ(completed, kReads);
+  EXPECT_EQ(engine.stats().reads_submitted, kReads);
+  for (size_t r = 0; r < kReads; ++r) {
+    const uint64_t at = r * 2 * kGap;
+    EXPECT_TRUE(MatchesPattern(heads[r].data(), at, 64)) << r;
+    EXPECT_TRUE(MatchesPattern(mids[r].data(), at + 64 + 20000, 96)) << r;
+    EXPECT_TRUE(
+        MatchesPattern(tails[r].data(), at + 64 + 20000 + 96 + kGap, 128))
+        << r;
+  }
 }
 
 TEST_P(AsyncIoTest, BatchesAreIsolated) {

@@ -1,15 +1,16 @@
 // Two-phase pending-read pipeline tests (kv/pending_read.h): byte-for-byte
 // equivalence with the blocking path on a cold working set, duplicate-cold-key
-// coalescing, page-merged device reads (one read per page span, members
-// that hop or fall back still matching the blocking path), a compaction
-// deterministically racing an in-flight read, staleness-bound fallbacks,
-// injected device failures surfacing as per-key codes without poisoning
-// batch siblings, and drain-on-close.
+// coalescing, span-merged device reads (one read per kMaxMergedReadBytes
+// span across log pages, members that hop or fall back still matching the
+// blocking path), a compaction deterministically racing an in-flight read,
+// staleness-bound fallbacks, injected device failures surfacing as per-key
+// codes without poisoning batch siblings, and drain-on-close.
 #include "kv/pending_read.h"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <atomic>
 #include <cstring>
 #include <map>
 #include <memory>
@@ -142,6 +143,57 @@ FasterOptions LargePageOptions(const std::string& path, AsyncIoEngine* io) {
   o.io = io;
   return o;
 }
+
+// Enough keys that the first several SpanKeys() of them stay cold under
+// either store geometry above.
+constexpr uint64_t kSpreadKeys = 13000;
+
+// Keys this many apart in load order lie more than kMaxMergedReadBytes
+// apart on the log (records are appended back to back), so no merged read
+// carries both.
+Key SpanKeys(FasterStore* store) {
+  const uint32_t record = Record::SizeFor(kValueBytes);
+  EXPECT_EQ(AddressOf(store, 1) - AddressOf(store, 0), record);
+  return kMaxMergedReadBytes / record;
+}
+
+// Device reads seen by LengthRecordingDevice: how many, and the longest.
+struct ReadLengths {
+  std::atomic<uint64_t> reads{0};
+  std::atomic<uint64_t> longest{0};
+};
+
+// A FileDevice that records each read's length. Decorated, so the engine
+// routes its reads through these overrides on either backend.
+class LengthRecordingDevice : public FileDevice {
+ public:
+  explicit LengthRecordingDevice(std::shared_ptr<ReadLengths> lengths)
+      : lengths_(std::move(lengths)) {}
+
+  bool AllowsRawReads() const override { return false; }
+
+  Status ReadAt(uint64_t offset, void* data, size_t n) const override {
+    Note(n);
+    return FileDevice::ReadAt(offset, data, n);
+  }
+  Status ReadAt(uint64_t offset, const struct iovec* iov,
+                int iovcnt) const override {
+    size_t n = 0;
+    for (int i = 0; i < iovcnt; ++i) n += iov[i].iov_len;
+    Note(n);
+    return FileDevice::ReadAt(offset, iov, iovcnt);
+  }
+
+ private:
+  void Note(uint64_t n) const {
+    lengths_->reads.fetch_add(1);
+    uint64_t seen = lengths_->longest.load();
+    while (n > seen && !lengths_->longest.compare_exchange_weak(seen, n)) {
+    }
+  }
+
+  std::shared_ptr<ReadLengths> lengths_;
+};
 
 // The Get-shaped read op the embedding layer builds, reduced to raw bytes:
 // phase-1 resolve or park, untracked.
@@ -551,29 +603,32 @@ TEST(PendingReadTest, StalenessBoundFallsBackToBlockingProtocol) {
 }
 
 TEST(PendingReadTest, InjectedFaultsFailOnlyTheirKeys) {
-  constexpr uint64_t kKeys = 1500;
   TempDir dir;
   AsyncIoEngine engine;
   auto script = std::make_shared<FaultyFileDevice::Script>();
   ShardedStoreOptions o = ColdStoreOptions(dir.File("f.log"), 0, &engine);
+  o.store.index_slots = 1u << 16;  // no shared chains among kSpreadKeys
   o.store.device_factory = [script]() {
     return std::make_unique<FaultyFileDevice>(script);
   };
   ShardedStore store;
   ASSERT_TRUE(store.Open(o).ok());
-  LoadKeys(&store, kKeys);
+  LoadKeys(&store, kSpreadKeys);
   FasterStore* shard = store.shard(0);
 
-  // 32 distinct cold keys, eight to a 4 KiB page: the wave reads each page
-  // once, carrying that page's keys.
+  // 32 distinct cold keys in four clusters of eight, the clusters more
+  // than kMaxMergedReadBytes apart: the wave reads each cluster once,
+  // carrying its eight keys.
+  const Key apart = SpanKeys(shard);
   std::vector<Key> keys;
-  for (Key k = 0; k < 32; ++k) keys.push_back(k * 8);
-  std::map<uint64_t, size_t> keys_on_page;
-  for (const Key k : keys) {
-    ASSERT_FALSE(store.IsInMemory(k)) << "key " << k;
-    ++keys_on_page[PageOf(shard, k)];
+  std::map<Key, size_t> cluster_of;
+  for (size_t c = 0; c < 4; ++c) {
+    for (Key k = 0; k < 8; ++k) {
+      keys.push_back(c * apart + k * 8);
+      cluster_of[keys.back()] = c;
+    }
   }
-  ASSERT_GT(keys_on_page.size(), 2u);
+  for (const Key k : keys) ASSERT_FALSE(store.IsInMemory(k)) << "key " << k;
   std::vector<char> out(keys.size() * kValueBytes, 0);
 
   // Fail exactly one device read; phase 1 issues none, so it is one of
@@ -585,29 +640,29 @@ TEST(PendingReadTest, InjectedFaultsFailOnlyTheirKeys) {
   store.MultiExecuteRead(keys, RawReadOp(out.data(), kValueBytes), &r);
   const WaveCounts wave = Counts(store) - before;
   ASSERT_EQ(wave.hops, 0u) << "a chain hop would add a read of its own";
-  EXPECT_EQ(wave.device_reads, keys_on_page.size());
+  EXPECT_EQ(wave.device_reads, 4u);
 
   EXPECT_TRUE(r.first_error.IsIOError());
-  std::set<uint64_t> failed_pages;
+  std::set<size_t> failed_clusters;
   for (size_t i = 0; i < keys.size(); ++i) {
     if (r.codes[i] == Status::Code::kIOError) {
-      failed_pages.insert(PageOf(shard, keys[i]));
+      failed_clusters.insert(cluster_of[keys[i]]);
       continue;
     }
     ASSERT_EQ(r.codes[i], Status::Code::kOk) << "sibling poisoned at " << i;
     ExpectValue(&out[i * kValueBytes], keys[i]);
   }
-  // The failures are exactly the keys of one page's read.
-  ASSERT_EQ(failed_pages.size(), 1u);
-  EXPECT_EQ(r.failed, keys_on_page[*failed_pages.begin()]);
+  // The failures are exactly the keys of one cluster's read.
+  EXPECT_EQ(failed_clusters.size(), 1u);
+  EXPECT_EQ(r.failed, 8u);
 
   // A persistently failing device fails every cold key — and still no
   // crash, hang, or misattributed success. The pass above copied its keys
   // to the tail, so this one reads keys it left cold.
   std::vector<Key> cold;
-  for (Key k = 0; k < 32; ++k) {
-    ASSERT_FALSE(store.IsInMemory(k * 8 + 1)) << "key " << k * 8 + 1;
-    cold.push_back(k * 8 + 1);
+  for (const Key k : keys) {
+    ASSERT_FALSE(store.IsInMemory(k + 1)) << "key " << k + 1;
+    cold.push_back(k + 1);
   }
   script->fail_from.store(1);
   script->fail_count.store(UINT64_MAX);
@@ -652,23 +707,54 @@ TEST(PendingReadTest, ColdKeysWithinOneSpanShareOneDeviceRead) {
   }
 }
 
+TEST(PendingReadTest, ColdKeysOnAdjacentPagesShareOneDeviceRead) {
+  TempDir dir;
+  AsyncIoEngine engine;
+  FasterStore store;
+  OpenWithGeometry(LargePageOptions(dir.File("p.log"), &engine), &store);
+  LoadKeys(&store, kLargePageKeys);
+
+  // Eight cold keys, four on each side of a page boundary: one span well
+  // inside kMaxMergedReadBytes, so one device read carries both pages.
+  Key boundary = 100;  // first key of the next page
+  while (PageOf(&store, boundary) == PageOf(&store, boundary - 1)) ++boundary;
+  std::vector<Key> keys;
+  for (Key k = boundary - 12; k < boundary + 12; k += 3) keys.push_back(k);
+  ASSERT_LT(PageOf(&store, keys.front()), PageOf(&store, keys.back()));
+  ASSERT_LE(AddressOf(&store, keys.back()) + Record::SizeFor(kValueBytes) -
+                AddressOf(&store, keys.front()),
+            kMaxMergedReadBytes);
+
+  const WaveCounts before = Counts(store);
+  std::vector<char> out;
+  const std::vector<Status> status = ReadWave(&store, &engine, keys, &out);
+  const WaveCounts wave = Counts(store) - before;
+  EXPECT_EQ(wave.device_reads, 1u);
+  EXPECT_EQ(wave.records, keys.size());
+  EXPECT_EQ(wave.hops, 0u);
+  for (size_t i = 0; i < keys.size(); ++i) {
+    ASSERT_TRUE(status[i].ok()) << "key " << keys[i] << ": "
+                                << status[i].ToString();
+    ExpectValue(&out[i * kValueBytes], keys[i]);
+  }
+}
+
 TEST(PendingReadTest, ColdKeysApartTakeOneDeviceReadEach) {
   TempDir dir;
   AsyncIoEngine engine;
   FasterStore store;
   OpenWithGeometry(LargePageOptions(dir.File("a.log"), &engine), &store);
-  LoadKeys(&store, kLargePageKeys);
+  LoadKeys(&store, kSpreadKeys);
 
-  // Three keys on three pages, and two on one page further apart than
-  // kMaxMergedReadBytes.
-  const std::vector<Key> keys = {10, 1100, 2200, 3300, 3600};
-  ASSERT_LT(PageOf(&store, 10), PageOf(&store, 1100));
-  ASSERT_LT(PageOf(&store, 1100), PageOf(&store, 2200));
-  ASSERT_LT(PageOf(&store, 2200), PageOf(&store, 3300));
-  ASSERT_EQ(PageOf(&store, 3300), PageOf(&store, 3600));
-  ASSERT_GT(AddressOf(&store, 3600) + Record::SizeFor(kValueBytes) -
-                AddressOf(&store, 3300),
-            kMaxMergedReadBytes);
+  // Five keys, each one just past kMaxMergedReadBytes from the one before.
+  const Key apart = SpanKeys(&store);
+  std::vector<Key> keys;
+  for (Key k = 10; keys.size() < 5; k += apart) keys.push_back(k);
+  for (size_t i = 1; i < keys.size(); ++i) {
+    ASSERT_GT(AddressOf(&store, keys[i]) + Record::SizeFor(kValueBytes) -
+                  AddressOf(&store, keys[i - 1]),
+              kMaxMergedReadBytes);
+  }
 
   const WaveCounts before = Counts(store);
   std::vector<char> out;
@@ -683,9 +769,54 @@ TEST(PendingReadTest, ColdKeysApartTakeOneDeviceReadEach) {
   }
 }
 
+TEST(PendingReadTest, NoMergedReadSpansMoreThanTheWindow) {
+  // A wave of cold keys strided so that the span, not the segment count,
+  // ends each merged read (every record adds a gap and a member segment):
+  // every device read stays within kMaxMergedReadBytes, and the reads
+  // reach across pages up to it.
+  TempDir dir;
+  AsyncIoEngine engine;
+  auto lengths = std::make_shared<ReadLengths>();
+  FasterOptions o = LargePageOptions(dir.File("w.log"), &engine);
+  o.device_factory = [lengths]() {
+    return std::make_unique<LengthRecordingDevice>(lengths);
+  };
+  FasterStore store;
+  OpenWithGeometry(o, &store);
+  LoadKeys(&store, kSpreadKeys);
+
+  const uint32_t record = Record::SizeFor(kValueBytes);
+  const Key stride = SpanKeys(&store) / 10;
+  std::vector<Key> keys;
+  for (Key k = 0; k + stride < kSpreadKeys / 2; k += stride) keys.push_back(k);
+  // Records one read carries: its first, and every one whose end is still
+  // within the window of the first's start.
+  const size_t per_read =
+      (kMaxMergedReadBytes - record) / (stride * record) + 1;
+  ASSERT_LE(2 * per_read - 1, AsyncIoEngine::kMaxReadSegments);
+
+  lengths->reads.store(0);
+  lengths->longest.store(0);
+  const WaveCounts before = Counts(store);
+  std::vector<char> out;
+  const std::vector<Status> status = ReadWave(&store, &engine, keys, &out);
+  const WaveCounts wave = Counts(store) - before;
+  EXPECT_EQ(wave.records, keys.size());
+  EXPECT_EQ(wave.hops, 0u);
+  EXPECT_EQ(lengths->reads.load(), wave.device_reads);
+  EXPECT_EQ(wave.device_reads, (keys.size() + per_read - 1) / per_read);
+  EXPECT_LE(lengths->longest.load(), kMaxMergedReadBytes);
+  EXPECT_EQ(lengths->longest.load(), (per_read - 1) * stride * record + record);
+  EXPECT_GT(lengths->longest.load(), kLargePage);
+  for (size_t i = 0; i < keys.size(); ++i) {
+    ASSERT_TRUE(status[i].ok()) << "key " << keys[i];
+    ExpectValue(&out[i * kValueBytes], keys[i]);
+  }
+}
+
 TEST(PendingReadTest, MergedReadMembersHopLikeTheBlockingPath) {
   // A dense cold batch over an index far smaller than the key count:
-  // page-merged reads carry records that are other keys' chain links, so
+  // span-merged reads carry records that are other keys' chain links, so
   // members hop (on the device and, past the hop budget, on the blocking
   // walk) after their merged read lands. Results match the blocking path
   // byte for byte.
@@ -783,33 +914,36 @@ TEST(PendingReadTest, StaleMemberOfMergedReadFallsBackAlone) {
 }
 
 TEST(PendingReadTest, FailedMergedReadFailsExactlyItsMembers) {
-  // Two pages' worth of cold keys: two merged reads. The first one fails
-  // on the device; its keys carry the error and the other read's keys are
-  // served. One engine worker, so device reads run in submission order
-  // (ascending address): the first read is the lower page's.
-  constexpr uint64_t kKeys = 1500;
+  // Two clusters of cold keys, more than kMaxMergedReadBytes apart: two
+  // merged reads. The first one fails on the device; its keys carry the
+  // error and the other read's keys are served. One engine worker, so
+  // device reads run in submission order (ascending address): the first
+  // read is the lower cluster's.
   TempDir dir;
   AsyncIoEngine::Options eo;
   eo.io_threads = 1;
   AsyncIoEngine engine(eo);
   auto script = std::make_shared<FaultyFileDevice::Script>();
   ShardedStoreOptions o = ColdStoreOptions(dir.File("f.log"), 0, &engine);
+  o.store.index_slots = 1u << 16;  // no shared chains among kSpreadKeys
   o.store.device_factory = [script]() {
     return std::make_unique<FaultyFileDevice>(script);
   };
   ShardedStore sharded;
   ASSERT_TRUE(sharded.Open(o).ok());
-  LoadKeys(&sharded, kKeys);
+  LoadKeys(&sharded, kSpreadKeys);
   FasterStore* store = sharded.shard(0);
 
-  const std::vector<Key> keys = {210, 0, 205, 5, 200, 10};
-  const uint64_t low = PageOf(store, 0);
-  for (const Key k : {5, 10}) ASSERT_EQ(PageOf(store, k), low);
-  const uint64_t high = PageOf(store, 200);
-  ASSERT_GT(high, low);
-  for (const Key k : {205, 210}) ASSERT_EQ(PageOf(store, k), high);
-  std::vector<bool> on_low;  // before the wave copies served keys away
-  for (const Key k : keys) on_low.push_back(PageOf(store, k) == low);
+  const Key high = SpanKeys(store) + 200;
+  const std::vector<Key> keys = {high + 10, 0, high + 5, 5, high, 10};
+  ASSERT_GT(AddressOf(store, high) + Record::SizeFor(kValueBytes) -
+                AddressOf(store, 0),
+            kMaxMergedReadBytes);
+  ASSERT_LE(AddressOf(store, high + 10) + Record::SizeFor(kValueBytes) -
+                AddressOf(store, high),
+            kMaxMergedReadBytes);
+  std::vector<bool> on_low;
+  for (const Key k : keys) on_low.push_back(k < high);
 
   script->fail_from.store(script->reads.load() + 1);
   script->fail_count.store(1);
