@@ -52,7 +52,8 @@ std::unique_ptr<KvBackend> Make(const TempDir& dir, BackendKind kind,
 struct ColdResult {
   double keys_per_sec = 0;
   uint64_t p50_us = 0, p99_us = 0;
-  uint64_t disk_reads = 0, submitted = 0, refetched = 0;  // mlkv_io_*
+  // mlkv_io_*: records landed, device reads, engine requests, refetches.
+  uint64_t disk_reads = 0, device_reads = 0, submitted = 0, refetched = 0;
 };
 
 ColdResult RunColdConfig(BackendKind kind, uint64_t num_keys,
@@ -126,6 +127,7 @@ ColdResult RunColdConfig(BackendKind kind, uint64_t num_keys,
     return static_cast<uint64_t>(sink.Sum(name));
   };
   res.disk_reads = sum("mlkv_io_disk_record_reads_total");
+  res.device_reads = sum("mlkv_io_device_reads_total");
   res.submitted = sum("mlkv_io_async_reads_submitted_total");
   res.refetched = sum("mlkv_io_async_reads_refetched_total");
   return res;
@@ -153,7 +155,7 @@ int RunColdSweep(const Flags& flags) {
               (unsigned long long)(buffer_bytes >> 10), batch,
               (unsigned long long)rounds);
   Table t({"engine", "io_thr", "keys/s", "p50_ms", "p99_ms", "disk_reads",
-           "async_ios", "refetched"});
+           "device_reads", "async_ios", "refetched"});
   t.PrintHeader();
   const std::vector<size_t> thread_counts =
       flags.Smoke() ? std::vector<size_t>{1, 4}
@@ -166,6 +168,7 @@ int RunColdSweep(const Flags& flags) {
     t.Cell(static_cast<double>(res.p50_us) / 1000.0, "%.2f");
     t.Cell(static_cast<double>(res.p99_us) / 1000.0, "%.2f");
     t.Cell(res.disk_reads);
+    t.Cell(res.device_reads);
     t.Cell(res.submitted);
     t.Cell(res.refetched);
     t.EndRow();

@@ -117,6 +117,69 @@ __attribute__((target("avx2,fma"))) inline void SubScaledAvx2(
 }
 #endif  // MLKV_SIMD_X86
 
+// out[0..n) += sum over i < m of a[i * a_stride] * w[i * w_stride + 0..n):
+// one output row of a dense matmul, as a combination of w's rows. Each
+// output accumulates its terms in ascending i, one multiply then one add
+// per term, and with `skip_zeros` a term whose a[i] is zero is skipped.
+// This is the reference loop; the vector tier keeps that order per output,
+// so every tier's result is bit-identical to it.
+inline void AddRowCombinationScalar(float* out, const float* a,
+                                    size_t a_stride, const float* w,
+                                    size_t w_stride, size_t m, size_t n,
+                                    bool skip_zeros) {
+  for (size_t i = 0; i < m; ++i) {
+    const float av = a[i * a_stride];
+    if (skip_zeros && av == 0.0f) continue;
+    const float* wr = w + i * w_stride;
+    for (size_t c = 0; c < n; ++c) out[c] += av * wr[c];
+  }
+}
+
+#if MLKV_SIMD_X86
+// AVX2 without FMA on purpose: the compiler may not contract the multiply
+// and add, which keeps the results bit-identical to the scalar loop. Four
+// accumulators hold 32 outputs in registers across the whole i loop.
+__attribute__((target("avx2"))) inline void AddRowCombinationAvx2(
+    float* out, const float* a, size_t a_stride, const float* w,
+    size_t w_stride, size_t m, size_t n, bool skip_zeros) {
+  size_t c = 0;
+  for (; c + 32 <= n; c += 32) {
+    __m256 acc0 = _mm256_loadu_ps(out + c);
+    __m256 acc1 = _mm256_loadu_ps(out + c + 8);
+    __m256 acc2 = _mm256_loadu_ps(out + c + 16);
+    __m256 acc3 = _mm256_loadu_ps(out + c + 24);
+    for (size_t i = 0; i < m; ++i) {
+      const float av = a[i * a_stride];
+      if (skip_zeros && av == 0.0f) continue;
+      const __m256 va = _mm256_set1_ps(av);
+      const float* wr = w + i * w_stride + c;
+      acc0 = _mm256_add_ps(acc0, _mm256_mul_ps(va, _mm256_loadu_ps(wr)));
+      acc1 = _mm256_add_ps(acc1, _mm256_mul_ps(va, _mm256_loadu_ps(wr + 8)));
+      acc2 = _mm256_add_ps(acc2, _mm256_mul_ps(va, _mm256_loadu_ps(wr + 16)));
+      acc3 = _mm256_add_ps(acc3, _mm256_mul_ps(va, _mm256_loadu_ps(wr + 24)));
+    }
+    _mm256_storeu_ps(out + c, acc0);
+    _mm256_storeu_ps(out + c + 8, acc1);
+    _mm256_storeu_ps(out + c + 16, acc2);
+    _mm256_storeu_ps(out + c + 24, acc3);
+  }
+  for (; c + 8 <= n; c += 8) {
+    __m256 acc = _mm256_loadu_ps(out + c);
+    for (size_t i = 0; i < m; ++i) {
+      const float av = a[i * a_stride];
+      if (skip_zeros && av == 0.0f) continue;
+      const __m256 wv = _mm256_loadu_ps(w + i * w_stride + c);
+      acc = _mm256_add_ps(acc, _mm256_mul_ps(_mm256_set1_ps(av), wv));
+    }
+    _mm256_storeu_ps(out + c, acc);
+  }
+  if (c < n) {
+    AddRowCombinationScalar(out + c, a, a_stride, w + c, w_stride, m, n - c,
+                            skip_zeros);
+  }
+}
+#endif  // MLKV_SIMD_X86
+
 #if MLKV_SIMD_NEON
 inline void AccumulateFloatsNeon(float* dst, const float* src, size_t n) {
   size_t i = 0;
@@ -174,6 +237,20 @@ inline void SubScaled(float* dst, const float* src, float a, size_t n) {
       break;
   }
   for (size_t i = 0; i < n; ++i) dst[i] -= a * src[i];
+}
+
+// The dense-model matmul row (AddRowCombinationScalar above). NEON runs
+// the scalar loop: no NEON body has been checked bit-identical to it.
+inline void AddRowCombination(float* out, const float* a, size_t a_stride,
+                              const float* w, size_t w_stride, size_t m,
+                              size_t n, bool skip_zeros) {
+#if MLKV_SIMD_X86
+  if (ActiveKernelTier() == KernelTier::kAvx2Fma) {
+    AddRowCombinationAvx2(out, a, a_stride, w, w_stride, m, n, skip_zeros);
+    return;
+  }
+#endif
+  AddRowCombinationScalar(out, a, a_stride, w, w_stride, m, n, skip_zeros);
 }
 
 }  // namespace mlkv::simd

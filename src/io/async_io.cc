@@ -3,6 +3,7 @@
 #include <sys/uio.h>
 
 #include <algorithm>
+#include <climits>
 #include <cstring>
 
 #ifdef MLKV_HAVE_IO_URING
@@ -180,9 +181,16 @@ bool ProbeIoUring() {
 
 #endif  // MLKV_HAVE_IO_URING
 
+#ifdef IOV_MAX
+static_assert(AsyncIoEngine::kMaxMergeIov <= IOV_MAX,
+              "one merged read must be one preadv");
+#endif
+
 struct AsyncIoEngine::WorkerScratch {
+  // A ring burst, or a blocking request with the reads merged into it.
   std::vector<Request> burst;
-  // kMaxReadSegments iovecs per request this worker can hold in flight.
+  // kMaxReadSegments iovecs per request this worker can hold in flight,
+  // and at least a merged read's kMaxMergeIov.
   std::vector<struct iovec> iovs;
   // Where vectored reads' gap bytes land (and are dropped).
   std::vector<char> gap;
@@ -206,14 +214,17 @@ AsyncIoEngine::AsyncIoEngine(const Options& options) : options_(options) {
 #endif
   queue_.resize(depth);
   // Every buffer a worker touches is sized here, on the constructing
-  // thread: a burst holds at most per_worker_depth_ requests, and only a
-  // ring keeps more than one of them in flight at a time.
+  // thread: a ring burst holds at most per_worker_depth_ requests, a merged
+  // read at most one per queue slot and per iovec, and only a ring keeps
+  // more than one request in flight at a time.
   const size_t iov_slots = using_io_uring_ ? per_worker_depth_ : 1;
+  const size_t burst_cap =
+      std::max(per_worker_depth_, std::min(depth, kMaxMergeIov));
   scratch_.reserve(threads);
   for (size_t i = 0; i < threads; ++i) {
     auto s = std::make_unique<WorkerScratch>();
-    s->burst.reserve(per_worker_depth_);
-    s->iovs.resize(iov_slots * kMaxReadSegments);
+    s->burst.reserve(burst_cap);
+    s->iovs.resize(std::max(iov_slots * kMaxReadSegments, kMaxMergeIov));
     s->gap.resize(kMaxGapBytes);
 #ifdef MLKV_HAVE_IO_URING
     s->flight.reserve(per_worker_depth_);
@@ -406,29 +417,110 @@ void AsyncIoEngine::Deliver(const Request& req, const Status& status) {
   depth_cv_.notify_one();
 }
 
-bool AsyncIoEngine::NextBurst(std::vector<Request>* out, size_t max) {
+bool AsyncIoEngine::NextBurst(std::vector<Request>* out, size_t max,
+                              bool ring) {
   std::unique_lock<std::mutex> lk(mu_);
+  if (!out->empty()) --busy_;  // the previous burst is done
+  out->clear();
   queue_cv_.wait(lk, [this] { return stop_ || queued_ > 0; });
   if (queued_ == 0) return false;  // stop with a drained queue
-  // A burst is a run of raw-eligible requests for one ring submission. A
-  // request that must run blocking through the device's virtual call (a
-  // simulated-cost or decorated device) is taken alone, as the thread-pool
-  // backend does, so blocking requests spread across the workers instead
-  // of running one after another on whichever worker dequeued them.
-  out->clear();
+  ++busy_;
+  // A ring burst is a run of raw-eligible requests for one submission. A
+  // request that runs blocking (through the device's virtual call on the
+  // ring path, or on the thread pool) never shares a burst with others, so
+  // blocking requests spread across the workers instead of running one
+  // after another on whichever worker dequeued them; it only carries the
+  // reads merged into it.
   while (queued_ > 0 && out->size() < max) {
     const Request& r = queue_[queue_head_];
     const bool raw =
-        r.is_write ? r.dev->AllowsRawWrites() : r.dev->AllowsRawReads();
+        ring && (r.is_write ? r.dev->AllowsRawWrites()
+                            : r.dev->AllowsRawReads());
     if (!raw && !out->empty()) break;
     out->push_back(r);
     queue_head_ = (queue_head_ + 1) % queue_.size();
     --queued_;
-    if (!raw) break;
+    if (raw) continue;
+    // Merge only when every other worker is executing a request: an idle
+    // one could serve the queued reads now, in parallel.
+    if (!r.is_write && busy_ == scratch_.size()) TakeMergeableReads(out);
+    break;
   }
   // Hand what is left to another idle worker.
   if (queued_ > 0) queue_cv_.notify_one();
   return true;
+}
+
+void AsyncIoEngine::TakeMergeableReads(std::vector<Request>* out) {
+  const Request head = out->front();
+  const auto iov_count = [](const Request& r) -> size_t {
+    return r.segments != nullptr ? r.segment_count : 1;
+  };
+  const uint64_t max_gap = head.dev->MergeGapBytes(kMaxGapBytes);
+  uint64_t lo = head.offset;
+  uint64_t hi = head.offset + head.len;
+  size_t iovs = iov_count(head);
+  // Hull of the same-device writes queued ahead of the read being looked
+  // at: a read behind one of them must not run before it.
+  uint64_t write_lo = UINT64_MAX;
+  uint64_t write_hi = 0;
+  size_t kept = 0;
+  for (size_t i = 0; i < queued_; ++i) {
+    const Request& q = queue_[(queue_head_ + i) % queue_.size()];
+    bool take = false;
+    if (q.dev == head.dev && q.is_write) {
+      write_lo = std::min(write_lo, q.offset);
+      write_hi = std::max(write_hi, q.offset + q.len);
+    } else if (q.dev == head.dev && out->size() < out->capacity()) {
+      const uint64_t q_lo = q.offset;
+      const uint64_t q_hi = q.offset + q.len;
+      const bool near = q_hi <= lo ? lo - q_hi <= max_gap
+                        : q_lo >= hi ? q_lo - hi <= max_gap
+                                     : false;  // overlaps the range
+      const uint64_t new_lo = std::min(lo, q_lo);
+      const uint64_t new_hi = std::max(hi, q_hi);
+      const size_t new_iovs =
+          iovs + iov_count(q) + (q_hi == lo || q_lo == hi ? 0 : 1);
+      take = near && new_hi - new_lo <= kMaxQueueMergeBytes &&
+             new_iovs <= kMaxMergeIov &&
+             (new_hi <= write_lo || new_lo >= write_hi);
+      if (take) {
+        out->push_back(q);
+        lo = new_lo;
+        hi = new_hi;
+        iovs = new_iovs;
+      }
+    }
+    if (!take) queue_[(queue_head_ + kept++) % queue_.size()] = q;
+  }
+  queued_ = kept;
+}
+
+void AsyncIoEngine::RunGroup(std::vector<Request>* group, struct iovec* iov,
+                             char* gap) {
+  if (group->size() == 1) {
+    const Request& r = group->front();
+    Deliver(r, RunBlocking(r, iov, gap));
+    return;
+  }
+  // Constituents are disjoint, so in file order they tile the union with
+  // a gap (at most kMaxGapBytes) before each one that does not abut.
+  std::sort(group->begin(), group->end(),
+            [](const Request& a, const Request& b) {
+              return a.offset < b.offset;
+            });
+  const uint64_t lo = group->front().offset;
+  uint64_t end = lo;
+  int n = 0;
+  for (const Request& r : *group) {
+    if (r.offset > end) {
+      iov[n++] = {gap, static_cast<size_t>(r.offset - end)};
+    }
+    n += FillIov(r, iov + n, gap);
+    end = r.offset + r.len;
+  }
+  const Status status = group->front().dev->ReadAt(lo, iov, n);
+  for (const Request& r : *group) Deliver(r, status);
 }
 
 void AsyncIoEngine::WorkerLoop(WorkerScratch* scratch) {
@@ -450,20 +542,20 @@ void AsyncIoEngine::WorkerLoop(WorkerScratch* scratch) {
   for (;;) {
 #ifdef MLKV_HAVE_IO_URING
     if (ring_ok) {
-      if (!NextBurst(&burst, per_worker_depth_)) return;
-      // Route raw-fd-eligible requests to the ring as one submission wave;
-      // decorated devices (fault injection, simulated costs) execute their
-      // virtual ReadAt/WriteAt here instead.
+      if (!NextBurst(&burst, per_worker_depth_, /*ring=*/true)) return;
+      // A burst is one ring submission wave of raw-fd-eligible requests,
+      // or a request on a decorated device (fault injection, simulated
+      // costs) that executes its virtual ReadAt/WriteAt here instead.
+      const Request& head = burst.front();
+      if (!(head.is_write ? head.dev->AllowsRawWrites()
+                          : head.dev->AllowsRawReads())) {
+        RunGroup(&burst, iovs, gap);
+        continue;
+      }
       flight.clear();
       for (const Request& r : burst) {
-        const bool raw =
-            r.is_write ? r.dev->AllowsRawWrites() : r.dev->AllowsRawReads();
         struct iovec* slot = iovs + flight.size() * kMaxReadSegments;
-        if (raw) {
-          flight.push_back(InFlight{r, slot, FillIov(r, slot, gap)});
-        } else {
-          Deliver(r, RunBlocking(r, slot, gap));
-        }
+        flight.push_back(InFlight{r, slot, FillIov(r, slot, gap)});
       }
       size_t prepped = 0;
       for (InFlight& f : flight) {
@@ -545,10 +637,8 @@ void AsyncIoEngine::WorkerLoop(WorkerScratch* scratch) {
       continue;
     }
 #endif
-    if (!NextBurst(&burst, 1)) return;
-    for (const Request& r : burst) {
-      Deliver(r, RunBlocking(r, iovs, gap));
-    }
+    if (!NextBurst(&burst, 1, /*ring=*/false)) return;
+    RunGroup(&burst, iovs, gap);
   }
 }
 

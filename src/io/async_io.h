@@ -23,6 +23,20 @@
 // the worker's scratch, where they are dropped. The pending-read wave uses
 // it to fetch the records of one log span (kv/pending_read.h) at once.
 //
+// Queue-merged reads. On the blocking path (the thread pool, and every
+// device the ring cannot take raw) one worker serves one read at a time,
+// so a saturated engine queues reads that a block layer would merge. When
+// a worker takes such a read while every other worker is executing a
+// request, it also takes each queued read of the same device that lies
+// outside the range taken so far, within the device's L·B (at most
+// kMaxGapBytes, FileDevice::MergeGapBytes) of it, and keeps the union
+// within kMaxQueueMergeBytes, in one scan of the queue. It issues one
+// vectored ReadAt over the union (constituents in their own buffers, gaps
+// in its scratch) and completes every constituent with the union's status.
+// Writes are never merged, and no read is pulled ahead of a queued write
+// of the same device that overlaps the union. With an idle worker nothing
+// merges: that worker can serve the read now, in parallel.
+//
 // Backpressure and lifetime rules:
 //  * `queue_depth` bounds requests in flight across the whole engine;
 //    Submit blocks (never the I/O itself) once the limit is reached.
@@ -31,9 +45,9 @@
 //  * The engine destructor drains: every accepted request completes (and
 //    is delivered to its batch) before the workers exit.
 //  * Workers never allocate: Submit reserves the batch's completion slot
-//    and each worker's burst, iovec and gap scratch is sized at
-//    construction, so the worker threads never touch the heap (and never
-//    get a malloc arena).
+//    and each worker's burst (which also holds a merged read's
+//    constituents), iovec and gap scratch is sized at construction, so the
+//    worker threads never touch the heap (and never get a malloc arena).
 //
 // Writes carry no durability by themselves: a completed write is in the
 // page cache, not on media. Durability is the caller's fsync — see
@@ -111,6 +125,14 @@ class AsyncIoEngine {
   // never exceeds the pending-read wave's merge span (kMaxMergedReadBytes).
   static constexpr size_t kMaxReadSegments = 32;
   static constexpr uint32_t kMaxGapBytes = 128u << 10;
+  // Longest union of queue-merged reads: four wave windows (kMaxGapBytes
+  // each). At 1 GB/s that is ~0.5 ms of transfer, about 2.5 effective read
+  // latencies of a saturated simulated device, so a merge that reads a gap
+  // still costs less than queueing behind separate reads.
+  static constexpr uint32_t kMaxQueueMergeBytes = 512u << 10;
+  // iovecs of one queue-merged read (IOV_MAX on Linux): every constituent's
+  // segments plus a gap before each one. Also bounds its constituents.
+  static constexpr size_t kMaxMergeIov = 1024;
 
   // Per-caller completion context: a submission is tagged to one batch and
   // its completion is delivered only there, so concurrent batches (one per
@@ -203,12 +225,23 @@ class AsyncIoEngine {
   // short-transfer completion path); a vectored read builds its iovecs in
   // `iov` with gaps on `gap`.
   static Status RunBlocking(const Request& req, struct iovec* iov, char* gap);
+  // Serves `group` (one blocking request, or queue-merged reads of one
+  // device) on the calling worker and delivers each member: a group of
+  // several is one vectored ReadAt over their union, in `iov` (kMaxMergeIov
+  // slots) with gaps on `gap`.
+  void RunGroup(std::vector<Request>* group, struct iovec* iov, char* gap);
   void WorkerLoop(WorkerScratch* scratch);
-  // Takes up to `max` queued requests (blocking for at least one unless
-  // stopping) into `out`, whose capacity must cover `max`; a request the
-  // ring cannot take raw is always taken alone. Returns false when the
-  // worker should exit.
-  bool NextBurst(std::vector<Request>* out, size_t max);
+  // Takes the next requests into `out`, whose capacity must cover
+  // max(`max`, the merge bound), blocking for one unless stopping; `out`
+  // holds the calling worker's previous burst, which it has finished. With
+  // `ring`, a run of up to `max` raw-eligible requests is one burst. A
+  // request that runs blocking (any, without `ring`) is taken with the
+  // queued reads it merges (see the header comment), or alone. Returns
+  // false when the worker should exit.
+  bool NextBurst(std::vector<Request>* out, size_t max, bool ring);
+  // Moves into `out` (holding the blocking read just taken) every queued
+  // read that merges with it, in one scan of the queue. Caller holds mu_.
+  void TakeMergeableReads(std::vector<Request>* out);
   void Deliver(const Request& req, const Status& status);
 
   const Options options_;
@@ -225,6 +258,10 @@ class AsyncIoEngine {
   size_t queue_head_ = 0;
   size_t queued_ = 0;
   size_t inflight_ = 0;  // accepted but not yet delivered
+  // Workers executing a request: counted when one takes a burst, released
+  // when it comes back for the next. Idle waiters do not count, so a
+  // worker still starting up never makes the others look saturated.
+  size_t busy_ = 0;
   bool stop_ = false;
 
   std::atomic<uint64_t> submitted_{0};

@@ -129,6 +129,7 @@ Status FileDevice::PreadFully(uint64_t offset, char* p, size_t n) const {
 
 Status FileDevice::ReadAt(uint64_t offset, void* data, size_t n) const {
   MLKV_RETURN_NOT_OK(PreadFully(offset, static_cast<char*>(data), n));
+  reads_.fetch_add(1, std::memory_order_relaxed);
   bytes_read_.fetch_add(n, std::memory_order_relaxed);
   ChargeRead(n);
   return Status::OK();
@@ -163,6 +164,7 @@ Status FileDevice::ReadAt(uint64_t offset, const struct iovec* iov,
       ++i;
     }
   }
+  reads_.fetch_add(1, std::memory_order_relaxed);
   bytes_read_.fetch_add(n, std::memory_order_relaxed);
   ChargeRead(n);
   return Status::OK();

@@ -10,6 +10,7 @@
 
 #include <sys/uio.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <string>
@@ -62,8 +63,9 @@ class FileDevice {
   virtual bool AllowsRawReads() const {
     return fd_ >= 0 && sim_read_latency_us_ == 0 && sim_read_gbps_ <= 0;
   }
-  // Accounts bytes transferred by a raw-fd read that bypassed ReadAt.
+  // Accounts a raw-fd read of `n` bytes that bypassed ReadAt.
   void NoteRawRead(size_t n) const {
+    reads_.fetch_add(1, std::memory_order_relaxed);
     bytes_read_.fetch_add(n, std::memory_order_relaxed);
   }
 
@@ -82,6 +84,9 @@ class FileDevice {
   // Cumulative transfer counters (drive the energy model's SSD term).
   uint64_t bytes_written() const;
   uint64_t bytes_read() const;
+  // Device reads issued: ReadAt calls of either form plus raw-fd reads. A
+  // vectored read counts once however many records it carries.
+  uint64_t reads() const { return reads_.load(std::memory_order_relaxed); }
 
   // Simulated NVMe cost model (README, "Substitutions and deviations").
   // Benchmarks run against files that land in the OS page cache, which
@@ -94,6 +99,17 @@ class FileDevice {
     sim_read_latency_us_ = read_latency_us;
     sim_read_gbps_ = read_gbps;
     sim_write_gbps_ = write_gbps;
+  }
+
+  // The longest gap worth reading through to merge two reads: the bytes
+  // the simulated device transfers in one read's fixed latency (L·B). Past
+  // it, reading the gap costs more device time than a separate read. At
+  // most `cap`, and `cap` when no cost model is set.
+  uint64_t MergeGapBytes(uint64_t cap) const {
+    if (sim_read_latency_us_ == 0 || sim_read_gbps_ <= 0) return cap;
+    const double lb = static_cast<double>(sim_read_latency_us_) * 1e3 *
+                      sim_read_gbps_;  // us * 1e-6 s * (gbps * 1e9 B/s)
+    return std::min(cap, static_cast<uint64_t>(lb));
   }
 
   // Process-wide default applied to every FileDevice at Open (engines open
@@ -112,6 +128,7 @@ class FileDevice {
   std::string path_;
   mutable std::atomic<uint64_t> bytes_written_{0};
   mutable std::atomic<uint64_t> bytes_read_{0};
+  mutable std::atomic<uint64_t> reads_{0};
   uint64_t sim_read_latency_us_ = 0;
   double sim_read_gbps_ = 0;
   double sim_write_gbps_ = 0;

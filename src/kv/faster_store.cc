@@ -1301,12 +1301,12 @@ void FasterStore::CollectMetrics(obs::MetricsSink* sink,
        "Live records re-appended by compaction",
        &Stats::compaction_live_copied},
       {"mlkv_io_async_reads_submitted_total",
-       "Pending-read device reads handed to the AsyncIoEngine (a span-merged "
-       "read carries several records)",
+       "Pending-read requests handed to the AsyncIoEngine (a span-merged "
+       "request carries several records; the engine may merge requests "
+       "into one device read)",
        &Stats::async_reads_submitted},
       {"mlkv_io_async_reads_completed_total",
-       "Pending-read device reads that completed",
-       &Stats::async_reads_completed},
+       "Pending-read requests that completed", &Stats::async_reads_completed},
       {"mlkv_io_async_reads_refetched_total",
        "Pending reads that fell back to a synchronous re-read",
        &Stats::async_reads_refetched},
@@ -1324,6 +1324,10 @@ void FasterStore::CollectMetrics(obs::MetricsSink* sink,
                  static_cast<double>(index_slots()), {at});
 
   const HybridLogStats& ls = log_.stats();
+  sink->AddCounter("mlkv_io_device_reads_total",
+                   "Reads the log device served, one per device call however "
+                   "many records or requests it carried",
+                   log_.device()->reads(), {at});
   sink->AddCounter("mlkv_io_disk_record_reads_total",
                    "Records landed from disk, one per record however many "
                    "share a device read",

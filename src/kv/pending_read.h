@@ -23,8 +23,13 @@
 //    engine's scratch. The read's outcome is every carried record's
 //    outcome, exactly as for coalesced duplicates.
 //
-// Merging happens once, at submission: a chain hop's resubmission is a
-// read of its own.
+// The wave merges once, at submission: a chain hop's resubmission is a
+// read of its own. Merging then happens at a second level, across waves:
+// when every engine worker is busy, the one that frees up takes the queued
+// requests of other waves (or other batches) that lie near the read it
+// takes, up to AsyncIoEngine::kMaxQueueMergeBytes, into the same device
+// read (io/async_io.h). Each request still completes on its own, with the
+// device read's status, so nothing here changes.
 //
 // A completion that finds the record moved — evicted, compacted, hash
 // chain continuing at another cold address past the hop budget, or a

@@ -245,8 +245,8 @@ class GatModel : public GnnModel {
     // Through the shared projection W: x grads and W grads.
     MatMulGradW(self_in_, gws, &gw_);
     MatMulGradW(nbr_in_, gwn, &gw_);
-    MatMulGradX(gws, w_, grad_self);
-    MatMulGradX(gwn, w_, grad_neighbors);
+    MatMulGradX(gws, w_, grad_self, &wt_);
+    MatMulGradX(gwn, w_, grad_neighbors, &wt_);
   }
 
   void Step() override {
@@ -268,6 +268,7 @@ class GatModel : public GnnModel {
   Linear out_;
   Tensor ws_, wn_, alpha_, h_, concat_;
   Tensor self_in_, nbr_in_;
+  Tensor wt_;  // w^T for MatMulGradX
   std::vector<float> e_raw_, e_all_;
 };
 

@@ -86,7 +86,7 @@ class Linear {
       const float* gr = gy_.row(r);
       for (size_t c = 0; c < gy_.cols(); ++c) gb_.at(0, c) += gr[c];
     }
-    MatMulGradX(gy_, w_, &gx_);
+    MatMulGradX(gy_, w_, &gx_, &wt_);
     return gx_;
   }
 
@@ -108,6 +108,7 @@ class Linear {
   Tensor w_, b_;
   Tensor x_, y_;            // forward caches
   Tensor gy_, gx_, gw_, gb_;  // backward scratch
+  Tensor wt_;                 // w^T for MatMulGradX
 };
 
 // Binary cross-entropy with logits; returns mean loss, fills dL/dlogit.

@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "common/random.h"
+#include "common/simd.h"
 
 namespace mlkv {
 
@@ -53,37 +54,39 @@ class Tensor {
   std::vector<float> data_;
 };
 
+// The three products route every output row through
+// simd::AddRowCombination, which keeps each output's accumulation order
+// and the zero-skips of the plain loops (MatMul and MatMulGradW skip a
+// zero input, MatMulGradX skips nothing), so every kernel tier computes
+// bit-identical results.
+
 // out[B,N] = x[B,M] * w[M,N]
 inline void MatMul(const Tensor& x, const Tensor& w, Tensor* out) {
   assert(x.cols() == w.rows());
   out->Resize(x.rows(), w.cols());
   const size_t B = x.rows(), M = x.cols(), N = w.cols();
   for (size_t b = 0; b < B; ++b) {
-    const float* xr = x.row(b);
-    float* or_ = out->row(b);
-    for (size_t m = 0; m < M; ++m) {
-      const float xv = xr[m];
-      if (xv == 0.0f) continue;
-      const float* wr = w.row(m);
-      for (size_t n = 0; n < N; ++n) or_[n] += xv * wr[n];
-    }
+    simd::AddRowCombination(out->row(b), x.row(b), 1, w.data(), N, M, N,
+                            /*skip_zeros=*/true);
   }
 }
 
-// out[B,M] = g[B,N] * w[M,N]^T   (gradient w.r.t. x)
-inline void MatMulGradX(const Tensor& g, const Tensor& w, Tensor* out) {
+// out[B,M] = g[B,N] * w[M,N]^T   (gradient w.r.t. x). `wt` is the
+// caller's scratch for w^T, so each output row is a combination of its
+// rows; it is resized only when w's shape changes.
+inline void MatMulGradX(const Tensor& g, const Tensor& w, Tensor* out,
+                        Tensor* wt) {
   assert(g.cols() == w.cols());
-  out->Resize(g.rows(), w.rows());
   const size_t B = g.rows(), M = w.rows(), N = w.cols();
+  if (wt->rows() != N || wt->cols() != M) wt->Resize(N, M);
+  for (size_t m = 0; m < M; ++m) {
+    const float* wr = w.row(m);
+    for (size_t n = 0; n < N; ++n) wt->at(n, m) = wr[n];
+  }
+  out->Resize(B, M);
   for (size_t b = 0; b < B; ++b) {
-    const float* gr = g.row(b);
-    float* or_ = out->row(b);
-    for (size_t m = 0; m < M; ++m) {
-      const float* wr = w.row(m);
-      float acc = 0.0f;
-      for (size_t n = 0; n < N; ++n) acc += gr[n] * wr[n];
-      or_[m] = acc;
-    }
+    simd::AddRowCombination(out->row(b), g.row(b), 1, wt->data(), M, N, M,
+                            /*skip_zeros=*/false);
   }
 }
 
@@ -94,15 +97,9 @@ inline void MatMulGradW(const Tensor& x, const Tensor& g, Tensor* out) {
     out->Resize(x.cols(), g.cols());
   }
   const size_t B = x.rows(), M = x.cols(), N = g.cols();
-  for (size_t b = 0; b < B; ++b) {
-    const float* xr = x.row(b);
-    const float* gr = g.row(b);
-    for (size_t m = 0; m < M; ++m) {
-      const float xv = xr[m];
-      if (xv == 0.0f) continue;
-      float* or_ = out->row(m);
-      for (size_t n = 0; n < N; ++n) or_[n] += xv * gr[n];
-    }
+  for (size_t m = 0; m < M; ++m) {
+    simd::AddRowCombination(out->row(m), x.data() + m, M, g.data(), N, B, N,
+                            /*skip_zeros=*/true);
   }
 }
 

@@ -14,7 +14,9 @@
 #include <cstring>
 #include <condition_variable>
 #include <memory>
+#include <map>
 #include <mutex>
+#include <set>
 #include <thread>
 #include <vector>
 
@@ -331,6 +333,319 @@ TEST_P(AsyncIoTest, BlockingReadsRunOnEveryWorkerAtOnce) {
     ++completed;
   }
   EXPECT_EQ(completed, kWorkers);
+}
+
+// A device whose reads and writes are never raw-eligible, that logs every
+// read call (offset, bytes, iovec count; 0 for the scalar form) and write
+// call, and whose gate, while closed, holds a read inside ReadAt. Read
+// call `fail_call` (1-based, 0: none) fails instead of reading.
+class GateDevice : public FileDevice {
+ public:
+  struct Call {
+    uint64_t offset;
+    uint64_t len;
+    int iovcnt;
+    bool operator==(const Call&) const = default;
+    friend void PrintTo(const Call& c, std::ostream* os) {
+      *os << "{" << c.offset << ", " << c.len << ", " << c.iovcnt << "}";
+    }
+  };
+
+  explicit GateDevice(bool open = true, uint64_t fail_call = 0)
+      : open_(open), fail_call_(fail_call) {}
+  bool AllowsRawReads() const override { return false; }
+  bool AllowsRawWrites() const override { return false; }
+
+  Status WriteAt(uint64_t offset, const void* data, size_t n) override {
+    {
+      std::lock_guard<std::mutex> lk(mu_);
+      writes_.push_back(Call{offset, n, 0});
+    }
+    return FileDevice::WriteAt(offset, data, n);
+  }
+  Status ReadAt(uint64_t offset, void* data, size_t n) const override {
+    MLKV_RETURN_NOT_OK(Enter(Call{offset, n, 0}));
+    return FileDevice::ReadAt(offset, data, n);
+  }
+  Status ReadAt(uint64_t offset, const struct iovec* iov,
+                int iovcnt) const override {
+    uint64_t n = 0;
+    for (int i = 0; i < iovcnt; ++i) n += iov[i].iov_len;
+    MLKV_RETURN_NOT_OK(Enter(Call{offset, n, iovcnt}));
+    return FileDevice::ReadAt(offset, iov, iovcnt);
+  }
+
+  // Blocks until a read waits at the closed gate.
+  void AwaitHeldRead() {
+    std::unique_lock<std::mutex> lk(mu_);
+    cv_.wait(lk, [this] { return held_ > 0; });
+  }
+  void OpenGate() {
+    std::lock_guard<std::mutex> lk(mu_);
+    open_ = true;
+    cv_.notify_all();
+  }
+  std::vector<Call> calls() const {
+    std::lock_guard<std::mutex> lk(mu_);
+    return calls_;
+  }
+  std::vector<Call> writes() const {
+    std::lock_guard<std::mutex> lk(mu_);
+    return writes_;
+  }
+
+ private:
+  Status Enter(const Call& call) const {
+    std::unique_lock<std::mutex> lk(mu_);
+    calls_.push_back(call);
+    ++held_;
+    cv_.notify_all();
+    cv_.wait(lk, [this] { return open_; });
+    --held_;
+    if (calls_.size() == fail_call_) {
+      return Status::IOError("gate device: scripted read fault");
+    }
+    return Status::OK();
+  }
+
+  mutable std::mutex mu_;
+  mutable std::condition_variable cv_;
+  bool open_;
+  const uint64_t fail_call_;
+  mutable int held_ = 0;
+  mutable std::vector<Call> calls_;
+  std::vector<Call> writes_;
+};
+
+// Queue merging, made deterministic: the engine's one worker is held
+// inside read 1 (so every other worker, of which there are none, is
+// busy), two more batches queue reads around [9000, 10600) together with
+// reads the rule must leave alone, and the gate opens. `fail_call` 2 fails
+// the merged read.
+struct MergeScene {
+  static constexpr size_t kFile = 256 * 1024;
+  static constexpr uint64_t kWriteAt = 11000;
+  // More than kMaxGapBytes past every other read.
+  static constexpr uint64_t kFar = 200 * 1024;
+  static_assert(kFar > 11050 + AsyncIoEngine::kMaxGapBytes);
+
+  explicit MergeScene(bool try_io_uring, uint64_t fail_call = 0)
+      : dev(/*open=*/false, fail_call) {
+    EXPECT_TRUE(dev.Open(dir.File("data")).ok());
+    EXPECT_TRUE(other.Open(dir.File("other")).ok());
+    FillPattern(&dev, kFile);
+    FillPattern(&other, kFile);
+    write_buf.assign(100, static_cast<char>(0xEE));
+    AsyncIoEngine::Options o;
+    o.io_threads = 1;
+    o.try_io_uring = try_io_uring;
+    engine = std::make_unique<AsyncIoEngine>(o);
+    b1 = std::make_unique<AsyncIoEngine::Batch>(engine.get());
+    b2 = std::make_unique<AsyncIoEngine::Batch>(engine.get());
+    b3 = std::make_unique<AsyncIoEngine::Batch>(engine.get());
+  }
+
+  // Submits everything (tags: 1 the held read; 2-5 the merged reads;
+  // 10-15 the rest) and opens the gate.
+  void Run() {
+    Read(b1.get(), &dev, 0, 64, 1);
+    dev.AwaitHeldRead();
+    Read(b2.get(), &dev, 10000, 100, 2);   // the merge's first read
+    Read(b2.get(), &dev, 10050, 100, 10);  // overlaps it: never merged
+    Read(b3.get(), &dev, 10300, 100, 3);   // 200 bytes right of it
+    Read(b2.get(), &other, 10400, 100, 11);  // another device
+    // One vectored read of [9000, 9400), 600 bytes left of the range.
+    seg_a.assign(100, 'x');
+    seg_b.assign(100, 'x');
+    segments = {{seg_a.data(), 100}, {nullptr, 200}, {seg_b.data(), 100}};
+    EXPECT_TRUE(b3->Submit(&dev, 9000, segments.data(), 3, 4).ok());
+    EXPECT_TRUE(b2->SubmitWrite(&dev, kWriteAt, write_buf.data(), 100, 12)
+                    .ok());
+    // Near the range, but the union would overlap the queued write.
+    Read(b3.get(), &dev, 10900, 150, 13);
+    Read(b2.get(), &dev, 10500, 100, 5);  // behind the write, clear of it
+    Read(b3.get(), &dev, kFar, 100, 14);  // far from every other read
+    dev.OpenGate();
+  }
+
+  // Collects `batch`'s completions, failing on a duplicate or foreign tag.
+  std::map<uint64_t, Status> Drain(AsyncIoEngine::Batch* batch,
+                                   const std::set<uint64_t>& tags) {
+    std::map<uint64_t, Status> done;
+    AsyncIoEngine::Completion c;
+    while (batch->WaitOne(&c)) {
+      EXPECT_EQ(tags.count(c.tag), 1u) << "tag " << c.tag;
+      EXPECT_TRUE(done.emplace(c.tag, c.status).second)
+          << "tag " << c.tag << " delivered twice";
+    }
+    return done;
+  }
+
+  void Read(AsyncIoEngine::Batch* batch, const FileDevice* d, uint64_t at,
+            uint32_t len, uint64_t tag) {
+    auto& buf = bufs[tag];
+    buf.assign(len, 'x');
+    offsets[tag] = at;
+    EXPECT_TRUE(batch->Submit(d, at, buf.data(), len, tag).ok());
+  }
+
+  TempDir dir;
+  GateDevice dev;
+  GateDevice other;
+  std::unique_ptr<AsyncIoEngine> engine;
+  std::unique_ptr<AsyncIoEngine::Batch> b1, b2, b3;
+  std::map<uint64_t, std::vector<char>> bufs;
+  std::map<uint64_t, uint64_t> offsets;
+  std::vector<char> seg_a, seg_b, write_buf;
+  std::vector<AsyncIoEngine::ReadSegment> segments;
+};
+
+// The one vectored read the scene's merge issues: [9000, 10600), in nine
+// iovecs (the vectored read's three, then a gap before each of the other
+// three constituents).
+const GateDevice::Call kMergedCall{9000, 1600, 9};
+
+TEST_P(AsyncIoTest, QueuedNeighboursOfABusyWorkerShareOneDeviceRead) {
+  MergeScene scene(GetParam());
+  scene.Run();
+  const auto d1 = scene.Drain(scene.b1.get(), {1});
+  const auto d2 = scene.Drain(scene.b2.get(), {2, 5, 10, 11, 12});
+  const auto d3 = scene.Drain(scene.b3.get(), {3, 4, 13, 14});
+  EXPECT_EQ(d1.size() + d2.size() + d3.size(), 10u);
+  for (const auto* done : {&d1, &d2, &d3}) {
+    for (const auto& [tag, status] : *done) {
+      EXPECT_TRUE(status.ok()) << "tag " << tag << ": " << status.ToString();
+    }
+  }
+  // Every read lands byte-exact in its own buffer; the read behind the
+  // write (13) sees the written bytes, so it ran after it.
+  for (const auto& [tag, buf] : scene.bufs) {
+    const uint64_t at = scene.offsets[tag];
+    if (tag == 13) {
+      const size_t before = MergeScene::kWriteAt - at;
+      EXPECT_TRUE(MatchesPattern(buf.data(), at, before));
+      for (size_t i = before; i < buf.size(); ++i) {
+        EXPECT_EQ(buf[i], static_cast<char>(0xEE)) << i;
+      }
+      continue;
+    }
+    EXPECT_TRUE(MatchesPattern(buf.data(), at, buf.size())) << "tag " << tag;
+  }
+  EXPECT_TRUE(MatchesPattern(scene.seg_a.data(), 9000, 100));
+  EXPECT_TRUE(MatchesPattern(scene.seg_b.data(), 9300, 100));
+
+  // Read 1; the merged read; then the overlapping read, the read behind
+  // the write and the far one, each alone, in queue order.
+  const std::vector<GateDevice::Call> expected = {
+      {0, 64, 0}, kMergedCall, {10050, 100, 0}, {10900, 150, 0},
+      {MergeScene::kFar, 100, 0}};
+  EXPECT_EQ(scene.dev.calls(), expected);
+  EXPECT_EQ(scene.dev.reads(), expected.size());
+  EXPECT_EQ(scene.other.calls(),
+            (std::vector<GateDevice::Call>{{10400, 100, 0}}));
+  const AsyncIoStats s = scene.engine->stats();
+  EXPECT_EQ(s.reads_submitted, 9u);  // requests, not device reads
+  EXPECT_EQ(s.reads_completed, 9u);
+  EXPECT_EQ(s.writes_completed, 1u);
+}
+
+TEST_P(AsyncIoTest, FailedMergedReadFailsExactlyItsConstituents) {
+  MergeScene scene(GetParam(), /*fail_call=*/2);
+  scene.Run();
+  std::map<uint64_t, Status> all;
+  for (const auto& done :
+       {scene.Drain(scene.b1.get(), {1}),
+        scene.Drain(scene.b2.get(), {2, 5, 10, 11, 12}),
+        scene.Drain(scene.b3.get(), {3, 4, 13, 14})}) {
+    all.insert(done.begin(), done.end());
+  }
+  ASSERT_EQ(all.size(), 10u);
+  for (const auto& [tag, status] : all) {
+    const bool merged = tag >= 2 && tag <= 5;
+    EXPECT_EQ(status.IsIOError(), merged)
+        << "tag " << tag << ": " << status.ToString();
+    if (!merged) {
+      EXPECT_TRUE(status.ok()) << "tag " << tag;
+    }
+  }
+  const std::vector<GateDevice::Call> calls = scene.dev.calls();
+  ASSERT_EQ(calls.size(), 5u);
+  EXPECT_EQ(calls[1], kMergedCall);
+  EXPECT_EQ(scene.engine->stats().read_failures, 4u);
+}
+
+TEST_P(AsyncIoTest, QueueMergedReadStaysWithinItsSpan) {
+  // Reads every 100 KiB (gaps within kMaxGapBytes) queue behind a held
+  // one: the merge takes them until the union would pass
+  // kMaxQueueMergeBytes; the rest are merged with each other next.
+  TempDir dir;
+  GateDevice dev(/*open=*/false);
+  ASSERT_TRUE(dev.Open(dir.File("data")).ok());
+  constexpr uint64_t kStep = 100u << 10;
+  constexpr size_t kReads = 9;
+  FillPattern(&dev, kReads * kStep + 64);
+  AsyncIoEngine engine(EngineOptions(1));
+  AsyncIoEngine::Batch batch(&engine);
+  char held[64];
+  ASSERT_TRUE(batch.Submit(&dev, kReads * kStep, held, 64, kReads).ok());
+  dev.AwaitHeldRead();
+  std::vector<std::vector<char>> bufs(kReads, std::vector<char>(64));
+  for (size_t i = 0; i < kReads; ++i) {
+    ASSERT_TRUE(batch.Submit(&dev, i * kStep, bufs[i].data(), 64, i).ok());
+  }
+  dev.OpenGate();
+  AsyncIoEngine::Completion c;
+  size_t completed = 0;
+  while (batch.WaitOne(&c)) {
+    EXPECT_TRUE(c.status.ok());
+    ++completed;
+  }
+  EXPECT_EQ(completed, kReads + 1);
+  for (size_t i = 0; i < kReads; ++i) {
+    EXPECT_TRUE(MatchesPattern(bufs[i].data(), i * kStep, 64)) << i;
+  }
+  // Six reads fit: 5 * kStep + 64 <= kMaxQueueMergeBytes < 6 * kStep + 64.
+  static_assert(5 * kStep + 64 <= AsyncIoEngine::kMaxQueueMergeBytes);
+  static_assert(6 * kStep + 64 > AsyncIoEngine::kMaxQueueMergeBytes);
+  const std::vector<GateDevice::Call> expected = {
+      {kReads * kStep, 64, 0},
+      {0, 5 * kStep + 64, 11},
+      {6 * kStep, 2 * kStep + 64, 5}};
+  EXPECT_EQ(dev.calls(), expected);
+}
+
+TEST_P(AsyncIoTest, WritesAreNeverMerged) {
+  // Adjacent writes queued behind a held read each go to the device alone.
+  TempDir dir;
+  GateDevice dev(/*open=*/false);
+  ASSERT_TRUE(dev.Open(dir.File("data")).ok());
+  FillPattern(&dev, 4096);
+  AsyncIoEngine engine(EngineOptions(1));
+  AsyncIoEngine::Batch batch(&engine);
+  char held[64];
+  ASSERT_TRUE(batch.Submit(&dev, 0, held, 64, 0).ok());
+  dev.AwaitHeldRead();
+  std::vector<char> data(4 * 256);
+  for (size_t j = 0; j < data.size(); ++j) {
+    data[j] = static_cast<char>(((1024 + j) * 131) & 0xFF);
+  }
+  for (size_t i = 0; i < 4; ++i) {
+    ASSERT_TRUE(batch
+                    .SubmitWrite(&dev, 1024 + i * 256, data.data() + i * 256,
+                                 256, i + 1)
+                    .ok());
+  }
+  dev.OpenGate();
+  AsyncIoEngine::Completion c;
+  while (batch.WaitOne(&c)) EXPECT_TRUE(c.status.ok());
+  EXPECT_EQ(engine.stats().writes_completed, 4u);
+  const std::vector<GateDevice::Call> expected = {
+      {0, 4096, 0},  // FillPattern's
+      {1024, 256, 0}, {1280, 256, 0}, {1536, 256, 0}, {1792, 256, 0}};
+  EXPECT_EQ(dev.writes(), expected);
+  std::vector<char> check(data.size());
+  ASSERT_TRUE(dev.ReadAt(1024, check.data(), check.size()).ok());
+  EXPECT_EQ(check, data);
 }
 
 TEST_P(AsyncIoTest, WritesLandCorrectBytes) {

@@ -149,7 +149,7 @@ TEST(LsmRecoveryTest, RecoversFlushedAndUnflushedWrites) {
     Rng rng(7);
     for (int i = 0; i < 500; ++i) {
       const Key k = rng.Next() % 200;
-      const std::string v = "v" + std::to_string(i);
+      const std::string v = std::string("v").append(std::to_string(i));
       ASSERT_TRUE(store.Put(k, v.data(), v.size()).ok());
       model[k] = v;
     }
@@ -171,7 +171,7 @@ TEST(LsmRecoveryTest, RecoversDeletes) {
     LsmStore store;
     ASSERT_TRUE(store.Open(o).ok());
     for (Key k = 0; k < 50; ++k) {
-      const std::string v = "v" + std::to_string(k);
+      const std::string v = std::string("v").append(std::to_string(k));
       ASSERT_TRUE(store.Put(k, v.data(), v.size()).ok());
     }
     for (Key k = 0; k < 50; k += 2) ASSERT_TRUE(store.Delete(k).ok());
@@ -222,7 +222,7 @@ TEST(LsmRecoveryTest, DoubleRecoveryIsStable) {
     LsmStore store;
     ASSERT_TRUE(store.Open(o).ok());
     for (Key k = 0; k < 300; ++k) {
-      const std::string v = "v" + std::to_string(k);
+      const std::string v = std::string("v").append(std::to_string(k));
       ASSERT_TRUE(store.Put(k, v.data(), v.size()).ok());
     }
   }
@@ -251,7 +251,7 @@ TEST(LsmRecoveryTest, WalDisabledLosesOnlyMemtable) {
     LsmStore store;
     ASSERT_TRUE(store.Open(o).ok());
     for (Key k = 0; k < 300; ++k) {
-      const std::string v = "v" + std::to_string(k);
+      const std::string v = std::string("v").append(std::to_string(k));
       ASSERT_TRUE(store.Put(k, v.data(), v.size()).ok());
     }
     ASSERT_TRUE(store.Flush().ok());
@@ -279,8 +279,10 @@ TEST(LsmScanTest, MergesAllLevelsNewestWins) {
   // with overlapping key versions.
   for (int round = 0; round < 6; ++round) {
     for (Key k = 0; k < 120; ++k) {
-      const std::string v = "r" + std::to_string(round) + "k" +
-                            std::to_string(k);
+      const std::string v = std::string("r")
+                                .append(std::to_string(round))
+                                .append("k")
+                                .append(std::to_string(k));
       ASSERT_TRUE(store.Put(k, v.data(), v.size()).ok());
     }
   }
@@ -300,7 +302,7 @@ TEST(LsmScanTest, SkipsDeletedKeys) {
   LsmStore store;
   ASSERT_TRUE(store.Open(SmallLsm(dir)).ok());
   for (Key k = 0; k < 100; ++k) {
-    const std::string v = "v" + std::to_string(k);
+    const std::string v = std::string("v").append(std::to_string(k));
     ASSERT_TRUE(store.Put(k, v.data(), v.size()).ok());
   }
   for (Key k = 0; k < 100; k += 3) ASSERT_TRUE(store.Delete(k).ok());

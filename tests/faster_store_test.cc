@@ -588,7 +588,7 @@ TEST(FasterStoreGrowTest, AllKeysReadableAfterIndexGrowth) {
   ASSERT_TRUE(store.Open(o).ok());
   const int n = 300;
   for (int i = 0; i < n; ++i) {
-    const std::string v = "v" + std::to_string(i);
+    const std::string v = std::string("v").append(std::to_string(i));
     ASSERT_TRUE(store.Upsert(i, v.data(), v.size()).ok());
   }
   ASSERT_TRUE(store.GrowIndex(4).ok());  // 16 -> 256 slots
@@ -641,7 +641,7 @@ TEST(FasterStoreGrowTest, GrowthSurvivesCheckpointRecover) {
     FasterStore store;
     ASSERT_TRUE(store.Open(o).ok());
     for (int i = 0; i < 150; ++i) {
-      const std::string v = "v" + std::to_string(i);
+      const std::string v = std::string("v").append(std::to_string(i));
       ASSERT_TRUE(store.Upsert(i, v.data(), v.size()).ok());
     }
     ASSERT_TRUE(store.GrowIndex(3).ok());

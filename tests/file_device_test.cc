@@ -53,6 +53,21 @@ TEST(FileDeviceTest, CountersTrackTraffic) {
   ASSERT_TRUE(dev.ReadAt(0, b, 4).ok());
   EXPECT_EQ(dev.bytes_written(), 4u);
   EXPECT_EQ(dev.bytes_read(), 4u);
+  // One device read per call, scalar or vectored, however many buffers.
+  char c[2], d[2];
+  const struct iovec iov[] = {{c, 2}, {d, 2}};
+  ASSERT_TRUE(dev.ReadAt(0, iov, 2).ok());
+  EXPECT_EQ(dev.reads(), 2u);
+  EXPECT_EQ(dev.bytes_read(), 8u);
+}
+
+TEST(FileDeviceTest, MergeGapIsTheCostModelsLatencyTimesBandwidth) {
+  FileDevice dev;
+  EXPECT_EQ(dev.MergeGapBytes(4096), 4096u);  // no cost model: the cap
+  dev.SetSimulatedCosts(/*read_latency_us=*/30, /*read_gbps=*/1.0, 0);
+  EXPECT_EQ(dev.MergeGapBytes(1u << 20), 30000u);  // 30 us x 1 GB/s
+  dev.SetSimulatedCosts(150, 1.0, 0);
+  EXPECT_EQ(dev.MergeGapBytes(128u << 10), 128u << 10);  // L*B past the cap
 }
 
 TEST(FileDeviceTest, ReopenWithoutTruncateKeepsData) {

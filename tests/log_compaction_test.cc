@@ -31,7 +31,7 @@ FasterOptions SmallStore(const TempDir& dir, const char* name = "store.log") {
 }
 
 std::string PadValue(uint64_t key, uint32_t size) {
-  std::string v = "v" + std::to_string(key) + "#";
+  std::string v = std::string("v").append(std::to_string(key)).append("#");
   v.resize(size, 'x');
   return v;
 }

@@ -106,7 +106,9 @@ TEST(SSTableTest, BuildOpenGet) {
   const std::string path = dir.File("t.sst");
   SSTableBuilder builder(path, 256);
   for (Key k = 0; k < 500; k += 2) {
-    ASSERT_TRUE(builder.Add(k, "v" + std::to_string(k), false).ok());
+    ASSERT_TRUE(
+        builder.Add(k, std::string("v").append(std::to_string(k)), false)
+            .ok());
   }
   ASSERT_TRUE(builder.Finish().ok());
 
@@ -184,8 +186,10 @@ TEST(LsmStoreTest, NewestVersionWinsAcrossLevels) {
   ASSERT_TRUE(store.Open(o).ok());
   for (int round = 0; round < 5; ++round) {
     for (Key k = 0; k < 200; ++k) {
-      const std::string v = "r" + std::to_string(round) + "-" +
-                            std::to_string(k);
+      const std::string v = std::string("r")
+                                .append(std::to_string(round))
+                                .append("-")
+                                .append(std::to_string(k));
       ASSERT_TRUE(store.Put(k, v.data(), v.size()).ok());
     }
   }
@@ -253,7 +257,9 @@ TEST(SSTableRangeScanTest, SkipsNonOverlappingBlocks) {
   {
     SSTableBuilder b(path, /*block_size=*/128, 10);  // many small blocks
     for (Key k = 0; k < 500; ++k) {
-      ASSERT_TRUE(b.Add(k * 2, "v" + std::to_string(k * 2), false).ok());
+      ASSERT_TRUE(
+          b.Add(k * 2, std::string("v").append(std::to_string(k * 2)), false)
+              .ok());
     }
     ASSERT_TRUE(b.Finish().ok());
   }
@@ -262,7 +268,7 @@ TEST(SSTableRangeScanTest, SkipsNonOverlappingBlocks) {
   std::vector<Key> got;
   ASSERT_TRUE(t->RangeScan(100, 140, [&](Key k, const std::string& v, bool) {
     got.push_back(k);
-    EXPECT_EQ(v, "v" + std::to_string(k));
+    EXPECT_EQ(v, std::string("v").append(std::to_string(k)));
   }).ok());
   std::vector<Key> expected;
   for (Key k = 100; k <= 140; k += 2) expected.push_back(k);

@@ -618,8 +618,10 @@ TEST(PendingReadTest, InjectedFaultsFailOnlyTheirKeys) {
 
   // 32 distinct cold keys in four clusters of eight, the clusters more
   // than kMaxMergedReadBytes apart: the wave reads each cluster once,
-  // carrying its eight keys.
-  const Key apart = SpanKeys(shard);
+  // carrying its eight keys. The gaps between clusters exceed the
+  // engine's kMaxGapBytes too, so its queue merge never joins two of
+  // their reads, whichever workers are busy.
+  const Key apart = SpanKeys(shard) + 64;
   std::vector<Key> keys;
   std::map<Key, size_t> cluster_of;
   for (size_t c = 0; c < 4; ++c) {
@@ -628,6 +630,9 @@ TEST(PendingReadTest, InjectedFaultsFailOnlyTheirKeys) {
       cluster_of[keys.back()] = c;
     }
   }
+  ASSERT_GT(AddressOf(shard, apart) -
+                (AddressOf(shard, 56) + Record::SizeFor(kValueBytes)),
+            AsyncIoEngine::kMaxGapBytes);
   for (const Key k : keys) ASSERT_FALSE(store.IsInMemory(k)) << "key " << k;
   std::vector<char> out(keys.size() * kValueBytes, 0);
 
@@ -773,9 +778,15 @@ TEST(PendingReadTest, NoMergedReadSpansMoreThanTheWindow) {
   // A wave of cold keys strided so that the span, not the segment count,
   // ends each merged read (every record adds a gap and a member segment):
   // every device read stays within kMaxMergedReadBytes, and the reads
-  // reach across pages up to it.
+  // reach across pages up to it. The engine has far more workers than the
+  // wave has reads, so one is always idle and the engine never merges
+  // queued reads (io/async_io.h): the device sees the wave's reads as
+  // submitted, however the workers are scheduled.
+  constexpr size_t kWorkers = 16;
   TempDir dir;
-  AsyncIoEngine engine;
+  AsyncIoEngine::Options eo;
+  eo.io_threads = kWorkers;
+  AsyncIoEngine engine(eo);
   auto lengths = std::make_shared<ReadLengths>();
   FasterOptions o = LargePageOptions(dir.File("w.log"), &engine);
   o.device_factory = [lengths]() {
@@ -794,6 +805,9 @@ TEST(PendingReadTest, NoMergedReadSpansMoreThanTheWindow) {
   const size_t per_read =
       (kMaxMergedReadBytes - record) / (stride * record) + 1;
   ASSERT_LE(2 * per_read - 1, AsyncIoEngine::kMaxReadSegments);
+  // Room to spare for flush writes the wave's tail copies may add.
+  const size_t wave_reads = (keys.size() + per_read - 1) / per_read;
+  ASSERT_LE(wave_reads, kWorkers / 4);
 
   lengths->reads.store(0);
   lengths->longest.store(0);
@@ -804,7 +818,7 @@ TEST(PendingReadTest, NoMergedReadSpansMoreThanTheWindow) {
   EXPECT_EQ(wave.records, keys.size());
   EXPECT_EQ(wave.hops, 0u);
   EXPECT_EQ(lengths->reads.load(), wave.device_reads);
-  EXPECT_EQ(wave.device_reads, (keys.size() + per_read - 1) / per_read);
+  EXPECT_EQ(wave.device_reads, wave_reads);
   EXPECT_LE(lengths->longest.load(), kMaxMergedReadBytes);
   EXPECT_EQ(lengths->longest.load(), (per_read - 1) * stride * record + record);
   EXPECT_GT(lengths->longest.load(), kLargePage);
@@ -918,7 +932,8 @@ TEST(PendingReadTest, FailedMergedReadFailsExactlyItsMembers) {
   // merged reads. The first one fails on the device; its keys carry the
   // error and the other read's keys are served. One engine worker, so
   // device reads run in submission order (ascending address): the first
-  // read is the lower cluster's.
+  // read is the lower cluster's. The clusters lie more than the engine's
+  // kMaxGapBytes apart too, so its queue merge never joins the two reads.
   TempDir dir;
   AsyncIoEngine::Options eo;
   eo.io_threads = 1;
@@ -942,6 +957,9 @@ TEST(PendingReadTest, FailedMergedReadFailsExactlyItsMembers) {
   ASSERT_LE(AddressOf(store, high + 10) + Record::SizeFor(kValueBytes) -
                 AddressOf(store, high),
             kMaxMergedReadBytes);
+  ASSERT_GT(AddressOf(store, high) -
+                (AddressOf(store, 10) + Record::SizeFor(kValueBytes)),
+            AsyncIoEngine::kMaxGapBytes);
   std::vector<bool> on_low;
   for (const Key k : keys) on_low.push_back(k < high);
 

@@ -1,7 +1,8 @@
 // Parity suite for the vectorized kernel layer (common/simd.h,
 // mlkv/optimizer_kernels.h): the AVX2/FMA (or NEON) tier must agree with
 // the scalar reference for every optimizer kind across vector-width edge
-// cases, and tiers a build lacks must fall back to scalar bit-exactly.
+// cases, tiers a build lacks must fall back to scalar bit-exactly, and the
+// dense-model matmul rows must match the scalar loops bit-exactly.
 //
 // Tolerance policy. The vector tiers contract multiply+add into FMA
 // (one rounding where the scalar reference rounds twice), so a single
@@ -33,6 +34,7 @@
 #include <vector>
 
 #include "common/simd.h"
+#include "ml/tensor.h"
 #include "mlkv/optimizer.h"
 #include "mlkv/optimizer_kernels.h"
 
@@ -282,6 +284,121 @@ TEST(SimdBulkPrimitivesTest, SubScaledWithinOneUlp) {
       EXPECT_TRUE(CloseEnough(a[i], b[i], 1, 1e-7f)) << "n=" << n
                                                      << " i=" << i;
     }
+  }
+}
+
+// --------------------------------------------------------------------------
+// Dense-model matmul rows: AddRowCombination keeps each output's
+// accumulation order, multiplies then adds (no FMA), and skips zero inputs
+// exactly where asked, so every tier must be bit-exact against the scalar
+// loop, and the three Tensor products against the plain loops they
+// replaced.
+// --------------------------------------------------------------------------
+
+// Fills `v` like Fill, with every third element zero (+0 or -0).
+void FillWithZeros(std::vector<float>* v, uint64_t seed) {
+  Fill(v, seed);
+  for (size_t i = 0; i < v->size(); i += 3) {
+    (*v)[i] = (i / 3) % 2 == 0 ? 0.0f : -0.0f;
+  }
+}
+
+bool BitEqual(const std::vector<float>& a, const std::vector<float>& b) {
+  return a.size() == b.size() &&
+         std::memcmp(a.data(), b.data(), a.size() * sizeof(float)) == 0;
+}
+
+void RunAddRowCombination(simd::KernelTier tier, float* out, const float* a,
+                          size_t a_stride, const float* w, size_t w_stride,
+                          size_t m, size_t n, bool skip_zeros) {
+#if MLKV_SIMD_X86
+  if (tier == simd::KernelTier::kAvx2Fma) {
+    simd::AddRowCombinationAvx2(out, a, a_stride, w, w_stride, m, n,
+                                skip_zeros);
+    return;
+  }
+#endif
+  (void)tier;
+  simd::AddRowCombinationScalar(out, a, a_stride, w, w_stride, m, n,
+                                skip_zeros);
+}
+
+TEST(SimdMatmulTest, AddRowCombinationMatchesScalarBitExactly) {
+  const simd::KernelTier tier = VectorTier();
+  for (const size_t m : {1, 3, 8, 17, 64}) {
+    for (const size_t n : {1, 3, 7, 8, 9, 31, 32, 33, 64, 71}) {
+      for (const size_t a_stride : {1, 5}) {
+        for (const bool skip : {false, true}) {
+          const size_t w_stride = n + 3;  // rows wider than the output
+          std::vector<float> a(m * a_stride), w(m * w_stride), out(n);
+          FillWithZeros(&a, 11 * m + n);
+          Fill(&w, 13 * m + n);
+          Fill(&out, 17 * n + m);
+          std::vector<float> ref = out;
+          simd::AddRowCombinationScalar(ref.data(), a.data(), a_stride,
+                                        w.data(), w_stride, m, n, skip);
+          RunAddRowCombination(tier, out.data(), a.data(), a_stride,
+                               w.data(), w_stride, m, n, skip);
+          EXPECT_TRUE(BitEqual(out, ref))
+              << "m=" << m << " n=" << n << " stride=" << a_stride
+              << " skip=" << skip;
+        }
+      }
+    }
+  }
+}
+
+TEST(SimdMatmulTest, DenseProductsMatchThePlainLoopsBitExactly) {
+  // Odd shapes, N = 1 (a logit layer), and inputs with zeros; the plain
+  // loops are the scalar reference the products used to be.
+  struct Shape {
+    size_t b, m, n;
+  };
+  for (const Shape s : {Shape{1, 1, 1}, Shape{5, 7, 1}, Shape{3, 17, 9},
+                        Shape{13, 33, 64}, Shape{128, 40, 33}}) {
+    Tensor x(s.b, s.m), w(s.m, s.n), g(s.b, s.n);
+    std::vector<float> v(s.b * s.m);
+    FillWithZeros(&v, s.b + s.m);
+    std::memcpy(x.data(), v.data(), v.size() * sizeof(float));
+    v.resize(s.m * s.n);
+    Fill(&v, s.m * s.n);
+    std::memcpy(w.data(), v.data(), v.size() * sizeof(float));
+    v.resize(s.b * s.n);
+    Fill(&v, s.b * s.n + 1);
+    std::memcpy(g.data(), v.data(), v.size() * sizeof(float));
+
+    std::vector<float> y_ref(s.b * s.n, 0.0f), gx_ref(s.b * s.m, 0.0f),
+        gw_ref(s.m * s.n, 0.0f);
+    for (size_t b = 0; b < s.b; ++b) {
+      for (size_t m = 0; m < s.m; ++m) {
+        const float xv = x.at(b, m);
+        if (xv == 0.0f) continue;
+        for (size_t n = 0; n < s.n; ++n) y_ref[b * s.n + n] += xv * w.at(m, n);
+      }
+      for (size_t m = 0; m < s.m; ++m) {
+        float acc = 0.0f;
+        for (size_t n = 0; n < s.n; ++n) acc += g.at(b, n) * w.at(m, n);
+        gx_ref[b * s.m + m] = acc;
+      }
+      for (size_t m = 0; m < s.m; ++m) {
+        const float xv = x.at(b, m);
+        if (xv == 0.0f) continue;
+        for (size_t n = 0; n < s.n; ++n) gw_ref[m * s.n + n] += xv * g.at(b, n);
+      }
+    }
+
+    Tensor y, gx, gw, wt;
+    MatMul(x, w, &y);
+    MatMulGradX(g, w, &gx, &wt);
+    MatMulGradW(x, g, &gw);
+    const auto as_vec = [](const Tensor& t) {
+      return std::vector<float>(t.data(), t.data() + t.size());
+    };
+    EXPECT_TRUE(BitEqual(as_vec(y), y_ref)) << s.b << "x" << s.m << "x" << s.n;
+    EXPECT_TRUE(BitEqual(as_vec(gx), gx_ref))
+        << s.b << "x" << s.m << "x" << s.n;
+    EXPECT_TRUE(BitEqual(as_vec(gw), gw_ref))
+        << s.b << "x" << s.m << "x" << s.n;
   }
 }
 
