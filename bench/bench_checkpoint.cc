@@ -34,8 +34,8 @@ void RunScale(uint64_t num_keys, uint32_t dim, Table* t) {
   TempDir dir;
   MlkvOptions opts;
   opts.dir = dir.path() + "/db";
-  opts.index_slots = num_keys;
-  opts.mem_size = 64ull << 20;
+  opts.store.index_slots = num_keys;
+  opts.store.mem_size = 64ull << 20;
   std::unique_ptr<Mlkv> db;
   if (!Mlkv::Open(opts, &db).ok()) std::exit(1);
   EmbeddingTable* table = nullptr;
@@ -89,13 +89,13 @@ double RunDurableWrites(DurabilityMode mode, size_t threads, uint64_t batches,
   opts.dir = dir.path() + "/db";
   // page_size is a cap: each 16 MiB shard holds FasterStore::
   // kMinResidentFrames (64) frames of the full 256 KiB.
-  opts.mem_size = 32ull << 20;
-  opts.page_size = 256ull << 10;
+  opts.store.mem_size = 32ull << 20;
+  opts.store.page_size = 256ull << 10;
   // Whole window mutable: updates stay in place, so a batch dirties only
   // the pages its keys live on — the contrast FlushAll cannot exploit.
-  opts.mutable_fraction = 1.0;
+  opts.store.mutable_fraction = 1.0;
   opts.shard_bits = 1;
-  opts.durability_mode = mode;
+  opts.store.durability = mode;
   std::unique_ptr<Mlkv> db;
   if (!Mlkv::Open(opts, &db).ok()) std::exit(1);
   EmbeddingTable* table = nullptr;
@@ -194,10 +194,10 @@ double RunCheckpointShape(CheckpointMode mode, uint64_t num_keys,
   TempDir dir;
   MlkvOptions opts;
   opts.dir = dir.path() + "/db";
-  opts.index_slots = num_keys * 2;
-  opts.page_size = 128ull << 10;
+  opts.store.index_slots = num_keys * 2;
+  opts.store.page_size = 128ull << 10;
   opts.shard_bits = 1;
-  opts.checkpoint_mode = mode;
+  opts.store.checkpoint_mode = mode;
   std::unique_ptr<Mlkv> db;
   if (!Mlkv::Open(opts, &db).ok()) std::exit(1);
   EmbeddingTable* table = nullptr;

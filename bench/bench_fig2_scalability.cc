@@ -40,7 +40,7 @@ ModeResult RunMode(const Flags& flags, const char* label, uint32_t bound,
   cfg.dim = 8;
   cfg.buffer_bytes = static_cast<uint64_t>(flags.Int("buffer_mb", 4)) << 20;
   cfg.staleness_bound = bound;
-  cfg.shard_bits = static_cast<uint32_t>(flags.Int("shard_bits", 2));
+  cfg.mlkv.shard_bits = static_cast<uint32_t>(flags.Int("shard_bits", 2));
   std::unique_ptr<KvBackend> backend;
   if (!MakeBackend(BackendKind::kMlkv, cfg, &backend).ok()) {
     std::fprintf(stderr, "backend open failed\n");
@@ -93,11 +93,11 @@ SweepPoint RunSweepPoint(const Flags& flags, uint32_t shard_bits,
   cfg.buffer_bytes =
       static_cast<uint64_t>(flags.Int("sweep_buffer_mb", 4, 1)) << 20;
   cfg.staleness_bound = UINT32_MAX - 1;  // ASP: clocks maintained, no waits
-  cfg.shard_bits = shard_bits;
+  cfg.mlkv.shard_bits = shard_bits;
   // Scatter executor: sized so every shard sub-batch of every concurrent
   // caller can be in flight (the single-store baseline runs inline and
   // leaves the pool idle, so extra workers do not flatter it).
-  cfg.lookahead_threads = static_cast<size_t>(flags.Int("sweep_pool", 8));
+  cfg.mlkv.lookahead_threads = static_cast<size_t>(flags.Int("sweep_pool", 8));
   std::unique_ptr<KvBackend> backend;
   if (!MakeBackend(BackendKind::kMlkv, cfg, &backend).ok()) {
     std::fprintf(stderr, "backend open failed\n");

@@ -68,7 +68,7 @@ ColdResult RunColdConfig(BackendKind kind, uint64_t num_keys,
   cfg.buffer_bytes = buffer_bytes;
   cfg.index_slots = num_keys;
   cfg.staleness_bound = UINT32_MAX - 1;  // ASP: clocks kept, no waits
-  cfg.io_threads = io_threads;
+  cfg.mlkv.engine.io_threads = io_threads;
   std::unique_ptr<KvBackend> backend;
   if (!MakeBackend(kind, cfg, &backend).ok()) std::exit(1);
 

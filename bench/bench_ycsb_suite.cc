@@ -254,8 +254,8 @@ double RunBatchedWorkload(const std::string& engine_name, const RunConfig& rc,
                                                    : rc.buffer_mb << 20;
   cfg.index_slots = rc.num_keys;
   cfg.staleness_bound = UINT32_MAX - 1;  // ASP: clocks maintained, no waits
-  cfg.shard_bits = shard_bits;  // MLKV / FASTER scatter-gather fan-out
-  cfg.io_threads = rc.io_threads;
+  cfg.mlkv.shard_bits = shard_bits;  // MLKV / FASTER scatter-gather fan-out
+  cfg.mlkv.engine.io_threads = rc.io_threads;
   std::unique_ptr<net::KvServer> server;  // outlives the remote backend
   std::unique_ptr<KvBackend> backend;
   if (!MakeBackend(KindFor(engine_name), cfg, &backend).ok()) std::exit(1);
@@ -481,8 +481,8 @@ std::unique_ptr<ServingTier> MakeServingTier(
     cfg.buffer_bytes = rc.buffer_mb << 20;
     cfg.index_slots = rc.num_keys;
     cfg.staleness_bound = UINT32_MAX - 1;
-    cfg.shard_bits = per_server_bits;
-    cfg.io_threads = rc.io_threads;
+    cfg.mlkv.shard_bits = per_server_bits;
+    cfg.mlkv.engine.io_threads = rc.io_threads;
     std::unique_ptr<KvBackend> engine;
     if (!MakeBackend(KindFor(engine_name), cfg, &engine).ok()) std::exit(1);
     net::KvServerOptions so;

@@ -54,7 +54,7 @@ int main() {
   TempDir workdir("mlkv-ckpt");
   MlkvOptions options;
   options.dir = workdir.File("db");
-  options.mem_size = 16ull << 20;
+  options.store.mem_size = 16ull << 20;
 
   OptimizerConfig adagrad;
   adagrad.kind = OptimizerKind::kAdagrad;

@@ -71,7 +71,7 @@ int main() {
   TempDir workdir("mlkv-cache");
   MlkvOptions options;
   options.dir = workdir.File("db");
-  options.mem_size = 8ull << 20;  // deliberately smaller than the table
+  options.store.mem_size = 8ull << 20;  // deliberately smaller than the table
   options.lookahead_threads = 2;
   std::unique_ptr<Mlkv> db;
   if (!Mlkv::Open(options, &db).ok()) return 1;
@@ -90,7 +90,7 @@ int main() {
   }
   std::printf("table: %llu rows x dim %u (memory buffer %llu MiB)\n",
               static_cast<unsigned long long>(kNumRows), kDim,
-              static_cast<unsigned long long>(options.mem_size >> 20));
+              static_cast<unsigned long long>(options.store.mem_size >> 20));
 
   const auto batches = MakeBatches(1234);
 

@@ -33,7 +33,7 @@ int main() {
   TempDir workdir("mlkv-serving");
   MlkvOptions options;
   options.dir = workdir.File("db");
-  options.mem_size = 8ull << 20;
+  options.store.mem_size = 8ull << 20;
 
   // ---- Phase 1: "train" and checkpoint. ----
   {

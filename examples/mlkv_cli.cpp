@@ -240,27 +240,38 @@ int RunServe(const std::string& dir, ArgList& args) {
   Status s = net::ParseHostPort(addr, &host, &port, /*allow_port_zero=*/true);
   if (!s.ok()) return Fail(s);
 
+  // Every storage flag defaults to a default BackendConfig's value, except
+  // --staleness: a served table defaults to ASP.
   BackendConfig cfg;
   cfg.dir = dir;
-  cfg.dim = static_cast<uint32_t>(
-      std::strtoul(args.Flag("dim", "16").c_str(), nullptr, 10));
+  cfg.dim = static_cast<uint32_t>(std::strtoul(
+      args.Flag("dim", std::to_string(cfg.dim)).c_str(), nullptr, 10));
   cfg.staleness_bound = static_cast<uint32_t>(std::strtoul(
-      args.Flag("staleness", std::to_string(UINT32_MAX - 1)).c_str(), nullptr,
-      10));
-  cfg.io_threads = static_cast<size_t>(
-      std::strtoul(args.Flag("io_threads", "4").c_str(), nullptr, 10));
-  if (!ParseDurabilityMode(args.Flag("durability_mode", "sync"),
-                           &cfg.durability_mode)) {
+      args.Flag("staleness", std::to_string(kAspBound)).c_str(), nullptr, 10));
+  AsyncIoEngine::Options& engine = cfg.mlkv.engine;
+  engine.io_threads = static_cast<size_t>(std::strtoul(
+      args.Flag("io_threads", std::to_string(engine.io_threads)).c_str(),
+      nullptr, 10));
+  FasterOptions& store = cfg.mlkv.store;
+  if (!ParseDurabilityMode(
+          args.Flag("durability_mode", DurabilityModeName(store.durability)),
+          &store.durability)) {
     return Usage();
   }
-  if (!ParseCheckpointMode(args.Flag("checkpoint_mode", "full"),
-                           &cfg.checkpoint_mode)) {
+  if (!ParseCheckpointMode(args.Flag("checkpoint_mode",
+                                     CheckpointModeName(store.checkpoint_mode)),
+                           &store.checkpoint_mode)) {
     return Usage();
   }
-  cfg.group_commit_window_us = std::strtoull(
-      args.Flag("group_commit_window_us", "200").c_str(), nullptr, 10);
-  cfg.group_commit_max_bytes = std::strtoull(
-      args.Flag("group_commit_max_bytes", "1048576").c_str(), nullptr, 10);
+  GroupCommitter::Options& commit = store.group_commit;
+  commit.window_us = std::strtoull(
+      args.Flag("group_commit_window_us", std::to_string(commit.window_us))
+          .c_str(),
+      nullptr, 10);
+  commit.max_bytes = std::strtoull(
+      args.Flag("group_commit_max_bytes", std::to_string(commit.max_bytes))
+          .c_str(),
+      nullptr, 10);
   std::unique_ptr<KvBackend> backend;
   s = MakeBackend(kind, cfg, &backend);
   if (!s.ok()) return Fail(s);

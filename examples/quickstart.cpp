@@ -21,7 +21,7 @@ int main() {
   //    (SSP; 0 would be BSP, Mlkv::kAspBound fully asynchronous).
   MlkvOptions options;
   options.dir = workdir.File("db");
-  options.mem_size = 16ull << 20;
+  options.store.mem_size = 16ull << 20;
   std::unique_ptr<Mlkv> db;
   Status s = Mlkv::Open(options, &db);
   if (!s.ok()) {

@@ -280,8 +280,10 @@ class MlkvBackend : public KvBackend {
 
   static Status Make(const BackendConfig& config,
                      std::unique_ptr<KvBackend>* out) {
+    MlkvOptions o;
+    MLKV_RETURN_NOT_OK(HybridLogOptions(config, "/mlkv", &o));
     std::unique_ptr<Mlkv> db;
-    MLKV_RETURN_NOT_OK(Mlkv::Open(HybridLogOptions(config, "/mlkv"), &db));
+    MLKV_RETURN_NOT_OK(Mlkv::Open(o, &db));
     EmbeddingTable* table = nullptr;
     MLKV_RETURN_NOT_OK(
         db->OpenTable("emb", config.dim, config.staleness_bound, &table));
@@ -371,21 +373,24 @@ class MlkvBackend : public KvBackend {
  protected:
   // Both hybrid-log backends run on one Mlkv, so they share its shard
   // scatter pool, I/O engine and store budgets by construction.
-  static MlkvOptions HybridLogOptions(const BackendConfig& config,
-                                      const std::string& subdir) {
-    MlkvOptions o;
-    o.dir = config.dir + subdir;
-    o.index_slots = config.index_slots;
-    o.mem_size = config.buffer_bytes;
-    o.shard_bits = config.shard_bits;
-    o.lookahead_threads = config.lookahead_threads;
-    o.busy_spin_limit = config.busy_spin_limit;
-    o.io_threads = config.io_threads;
-    o.durability_mode = config.durability_mode;
-    o.group_commit_window_us = config.group_commit_window_us;
-    o.group_commit_max_bytes = config.group_commit_max_bytes;
-    o.checkpoint_mode = config.checkpoint_mode;
-    return o;
+  // config.mlkv must leave dir, store.mem_size and store.index_slots unset:
+  // they come from config's dir, buffer_bytes and index_slots (Mlkv::Open
+  // checks the fields OpenTable sets per table).
+  static Status HybridLogOptions(const BackendConfig& config,
+                                 const std::string& subdir, MlkvOptions* o) {
+    const MlkvOptions unset;
+    if (config.mlkv.dir != unset.dir ||
+        config.mlkv.store.mem_size != unset.store.mem_size ||
+        config.mlkv.store.index_slots != unset.store.index_slots) {
+      return Status::InvalidArgument(
+          "set BackendConfig's dir, buffer_bytes and index_slots, not "
+          "mlkv.dir, mlkv.store.mem_size or mlkv.store.index_slots");
+    }
+    *o = config.mlkv;
+    o->dir = config.dir + subdir;
+    o->store.index_slots = config.index_slots;
+    o->store.mem_size = config.buffer_bytes;
+    return Status::OK();
   }
 
   EmbeddingTable* table_;
@@ -410,8 +415,10 @@ class FasterBackend final : public MlkvBackend {
                      std::unique_ptr<KvBackend>* out) {
     // The Mlkv lends its pool and I/O engine only: it opens no table, so
     // it writes no MANIFEST row.
+    MlkvOptions mo;
+    MLKV_RETURN_NOT_OK(HybridLogOptions(config, "", &mo));
     std::unique_ptr<Mlkv> db;
-    MLKV_RETURN_NOT_OK(Mlkv::Open(HybridLogOptions(config, ""), &db));
+    MLKV_RETURN_NOT_OK(Mlkv::Open(mo, &db));
     ShardedStoreOptions o =
         db->TableStoreOptions("faster", config.staleness_bound);
     o.store.track_staleness = false;

@@ -42,9 +42,9 @@
 
 #include "common/batch_result.h"
 #include "common/status.h"
-#include "io/async_io.h"
 #include "kv/record.h"
 #include "kv/update_log.h"
+#include "mlkv/mlkv_options.h"
 #include "serve/tinylfu.h"
 
 namespace mlkv {
@@ -179,42 +179,17 @@ struct BackendConfig {
   uint32_t dim = 16;         // embedding dimension
   uint64_t buffer_bytes = 64ull << 20;  // in-memory budget (the Fig. 7 knob)
   uint64_t index_slots = 1ull << 20;
-  // log2 shard count for the log-structured engines (MLKV tables and the
-  // FASTER baseline, which share one EmbeddingTable batch path): each
-  // shard is an independent FasterStore (own index and log)
-  // under dir/shard-NN/; buffer_bytes and index_slots are totals split
-  // across shards. 0 = the legacy single-store layout, whose batches run
-  // inline; max 8 (ShardedStore::kMaxShardBits). Batches are
-  // scatter/gathered into per-shard sub-batches.
-  uint32_t shard_bits = 2;
   uint32_t staleness_bound = 16;        // MLKV only
-  // Background pool of each hybrid-log engine (MLKV and FASTER, built
-  // alike): shard sub-batches of a batched call scatter onto it, and MLKV
-  // also completes its Lookahead prefetches there. LSM, B-tree and the
-  // in-memory engine run batches inline and ignore it.
-  size_t lookahead_threads = 2;
-  // Spin iterations (index re-lookups, each yielding) before a bounded Get
-  // aborts with Busy; see kDefaultBusySpinLimit in kv/record.h.
-  uint64_t busy_spin_limit = kDefaultBusySpinLimit;
-  // Workers of the AsyncIoEngine each hybrid-log backend (MLKV tables and
-  // the FASTER baseline) owns: a batch's cold misses go into flight
-  // together on it (io/async_io.h), and log page flushes leave as one wave.
-  // Engines without a hybrid log ignore it.
-  size_t io_threads = 4;
-  // Write-durability mode for the hybrid-log engines (docs/DURABILITY.md):
-  // kGroup makes every MultiPut/MultiApplyGradient durable before it
-  // returns — dirty pages flush as one engine wave and concurrent batches
-  // share fsyncs through per-shard group committers (the two knobs below
-  // bound how long/large a commit group may grow). kSync (default) keeps
-  // checkpoint-only durability, byte-identical on disk. Engines without a
-  // hybrid log ignore all three fields.
-  DurabilityMode durability_mode = DurabilityMode::kSync;
-  uint64_t group_commit_window_us = 200;
-  uint64_t group_commit_max_bytes = 1ull << 20;
-  // Checkpoint shape for the hybrid-log engines: kIncremental chains index
-  // deltas + dirty-page flushes onto the previous checkpoint instead of
-  // rewriting everything.
-  CheckpointMode checkpoint_mode = CheckpointMode::kFull;
+  // The hybrid-log engines (MLKV tables and the FASTER baseline) both run
+  // on one Mlkv opened with these options (mlkv/mlkv.h), so they share its
+  // shard layout, scatter pool, I/O engine and durability knobs. MakeBackend
+  // sets its dir, store.mem_size and store.index_slots from dir,
+  // buffer_bytes and index_slots above, and OpenTable sets the table's
+  // store.staleness_bound from staleness_bound; MakeBackend returns
+  // InvalidArgument when any of those four, store.path, store.io or
+  // store.track_staleness is set here. Engines without a hybrid log
+  // ignore it.
+  MlkvOptions mlkv;
   // kRemote only: "host:port" of a KvServer (src/net/). The storage
   // fields above are ignored — dim and shard layout are negotiated in the
   // connection handshake, and the server side owns the storage

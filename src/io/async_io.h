@@ -101,6 +101,7 @@ struct AsyncIoStats {
 class AsyncIoEngine {
  public:
   struct Options {
+    // Workers (and, with io_uring, rings) serving the queue.
     size_t io_threads = 4;
     // Max reads in flight across the engine; Submit applies backpressure
     // beyond it.

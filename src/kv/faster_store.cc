@@ -97,22 +97,7 @@ Status FasterStore::Open(const FasterOptions& options) {
   }
   index_.reset(new HashIndex(options.index_slots));
   ckpt_ = CheckpointChain();
-  return log_.Open(LogOptions(/*truncate=*/true));
-}
-
-HybridLogOptions FasterStore::LogOptions(bool truncate) const {
-  HybridLogOptions log_opts;
-  log_opts.page_size = options_.page_size;
-  log_opts.mem_size = options_.mem_size;
-  log_opts.mutable_fraction = options_.mutable_fraction;
-  log_opts.path = options_.path;
-  log_opts.truncate = truncate;
-  log_opts.device_factory = options_.device_factory;
-  log_opts.io = options_.io;
-  log_opts.durability = options_.durability_mode;
-  log_opts.group_commit_window_us = options_.group_commit_window_us;
-  log_opts.group_commit_max_bytes = options_.group_commit_max_bytes;
-  return log_opts;
+  return log_.Open(options_);
 }
 
 Status FasterStore::LoadMeta(Address address, RecordMeta* meta,
@@ -1089,10 +1074,10 @@ Status FasterStore::Recover(const FasterOptions& options,
     }
   }
 
-  MLKV_RETURN_NOT_OK(log_.Open(LogOptions(/*truncate=*/false)));
+  MLKV_RETURN_NOT_OK(log_.Open(options_, /*truncate=*/false));
   stats_.inserts.store(meta.num_inserts, std::memory_order_relaxed);
   Address recovered = meta.tail;
-  if (options_.durability_mode == DurabilityMode::kGroup) {
+  if (options_.durability == DurabilityMode::kGroup) {
     // Group-committed records past the checkpoint tail are durable without
     // being in any checkpoint; replay them against the heads they were
     // published on, then cut the file at the last valid record so torn

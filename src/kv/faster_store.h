@@ -53,41 +53,22 @@ namespace obs {
 class MetricsSink;
 }  // namespace obs
 
-struct FasterOptions {
-  std::string path;                    // backing log file
+// A store's options: its log's (page and buffer geometry, path, device,
+// engine, durability), which Open passes on once page_size fits mem_size,
+// plus the index and staleness knobs below.
+struct FasterOptions : HybridLogOptions {
   // Hash index entries (rounded to pow2; 8 per 64-byte bucket).
   uint64_t index_slots = 1ull << 20;
-  // Upper bound on the log page size. Open() halves it (down to 4 KiB)
-  // until at least FasterStore::kMinResidentFrames pages fit in mem_size,
-  // so small buffers get fine-grained eviction and tiny budgets work out of
-  // the box. Recover takes the page from the checkpoint instead.
-  uint64_t page_size = kDefaultPageSize;
-  uint64_t mem_size = 64ull << 20;     // in-memory log buffer
-  double mutable_fraction = kDefaultMutableFraction;
 
   // MLKV mode. When false, staleness fields are carried but never checked
   // and Get never waits (plain FASTER behaviour).
   bool track_staleness = false;
   uint32_t staleness_bound = UINT32_MAX;
   // Get retries (index re-lookups) while waiting out the staleness bound
-  // before giving up with Status::Busy. Each retry yields the CPU. The
-  // default is shared across layers (kv/record.h).
+  // before giving up with Status::Busy. Each retry yields the CPU; the
+  // default (kv/record.h) is a counted abort within milliseconds.
   uint64_t busy_spin_limit = kDefaultBusySpinLimit;
 
-  // Builds the log's backing device; null uses a plain FileDevice. Tests
-  // inject fault decorators here (io/faulty_file_device.h).
-  std::function<std::unique_ptr<FileDevice>()> device_factory;
-
-  // Shared engine for the log's coalesced flush waves (page roll, FlushAll,
-  // Persist); null keeps flushes sequential blocking writes. Not owned.
-  AsyncIoEngine* io = nullptr;
-  // kGroup: Persist() commits through a per-log GroupCommitter (concurrent
-  // callers share one fsync) and Recover() replays group-committed records
-  // past the checkpoint tail. kSync keeps the classic checkpoint-only
-  // durability, byte-identical on disk.
-  DurabilityMode durability_mode = DurabilityMode::kSync;
-  uint64_t group_commit_window_us = 200;
-  uint64_t group_commit_max_bytes = 1ull << 20;
   // kIncremental: Checkpoint() persists only dirty/undurable log pages and
   // an index delta chained onto the previous checkpoint under the same
   // prefix; kFull keeps the classic full-flush + full-index-dump layout.
@@ -260,7 +241,7 @@ class FasterStore {
   // crash-durable (incremental log flush + fsync; see HybridLog::Persist).
   // Unlike Checkpoint this is safe under concurrent operations and does not
   // write index files — recovery re-derives post-checkpoint publishes by
-  // replaying the log tail (durability_mode == kGroup only).
+  // replaying the log tail (durability == kGroup only).
   Status Persist() { return log_.Persist(); }
   // Highest log address known durable on media.
   Address durable_address() const { return log_.durable_address(); }
@@ -275,7 +256,7 @@ class FasterStore {
   // by atomically renaming <prefix>.meta into place.
   Status Checkpoint(const std::string& prefix);
   // Reopens the store from a checkpoint taken with the same options: base
-  // index plus deltas in order, then — in durability_mode == kGroup — a
+  // index plus deltas in order, then — in durability == kGroup — a
   // replay of valid group-committed records found past the checkpoint tail
   // (stopping at the first torn record and truncating the log there).
   // A legacy checkpoint (untagged v1/v2 index in <prefix>.idx) is rebuilt
@@ -389,9 +370,6 @@ class FasterStore {
     std::atomic<uint64_t> async_reads_refetched{0};
     std::atomic<uint64_t> chain_hops{0};
   };
-
-  // Maps the (page-size-adjusted) store options onto the log's.
-  HybridLogOptions LogOptions(bool truncate) const;
 
   // Incremental checkpoint helpers (kv/faster_store.cc).
   Status CheckpointFull(const std::string& prefix);

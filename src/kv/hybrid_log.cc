@@ -34,7 +34,7 @@ int Log2(uint64_t v) {
 
 HybridLog::~HybridLog() = default;
 
-Status HybridLog::Open(const HybridLogOptions& options) {
+Status HybridLog::Open(const HybridLogOptions& options, bool truncate) {
   options_ = options;
   if ((options_.page_size & (options_.page_size - 1)) != 0) {
     return Status::InvalidArgument("page_size must be a power of two");
@@ -54,7 +54,7 @@ Status HybridLog::Open(const HybridLogOptions& options) {
 
   file_ = options_.device_factory ? options_.device_factory()
                                   : std::make_unique<FileDevice>();
-  MLKV_RETURN_NOT_OK(file_->Open(options_.path, options_.truncate));
+  MLKV_RETURN_NOT_OK(file_->Open(options_.path, truncate));
 
   frames_.resize(mem_pages_);
   frame_page_ = std::vector<std::atomic<uint64_t>>(mem_pages_);
@@ -68,10 +68,8 @@ Status HybridLog::Open(const HybridLogOptions& options) {
   }
 
   if (options_.durability == DurabilityMode::kGroup) {
-    GroupCommitter::Options co;
-    co.window_us = options_.group_commit_window_us;
-    co.max_bytes = options_.group_commit_max_bytes;
-    committer_ = std::make_unique<GroupCommitter>(file_.get(), co);
+    committer_ =
+        std::make_unique<GroupCommitter>(file_.get(), options_.group_commit);
   }
 
   // Provision page 0 directly (no flushing can be needed yet).

@@ -43,7 +43,7 @@
 // Flush / device ownership:
 // * The log owns its FileDevice, built through HybridLogOptions::
 //   device_factory (tests inject fault decorators; see
-//   io/faulty_file_device.h) and opened with options.truncate.
+//   io/faulty_file_device.h) and opened with Open's `truncate`.
 // * All page flushes funnel through one prepare step (writer drain + dirty
 //   clear + partial-tail length). With an AsyncIoEngine configured the
 //   pages of one flush — page roll, FlushAll, Persist — go to the device
@@ -75,30 +75,34 @@
 
 namespace mlkv {
 
-// Log geometry defaults shared by every options struct that carries them
-// (HybridLogOptions, FasterOptions, MlkvOptions). 90% mutable is FASTER's
-// own default (Chandramouli et al., SIGMOD'18): only the oldest tenth of
-// the buffer is read-only, the window that absorbs page flushes.
-inline constexpr uint64_t kDefaultPageSize = 1ull << 20;
-inline constexpr double kDefaultMutableFraction = 0.9;
-
 struct HybridLogOptions {
-  uint64_t page_size = kDefaultPageSize;
+  // Log page size, a power of two. FasterStore::Open treats it as an upper
+  // bound and halves it (down to 4 KiB) until FasterStore::
+  // kMinResidentFrames pages fit in mem_size, so small buffers get
+  // fine-grained eviction; Recover takes the page from the checkpoint.
+  uint64_t page_size = 1ull << 20;
   uint64_t mem_size = 64ull << 20;   // in-memory buffer (circular, pages)
-  double mutable_fraction = kDefaultMutableFraction;  // share kept mutable
+  // Share of the buffer kept mutable. 90% is FASTER's own default
+  // (Chandramouli et al., SIGMOD'18): only the oldest tenth of the buffer
+  // is read-only, the window that absorbs page flushes.
+  double mutable_fraction = 0.9;
   std::string path;                  // backing log file
-  bool truncate = true;              // false: keep existing file (recovery)
   // Builds the backing device (before Open is called on it). Null uses a
   // plain FileDevice; tests inject decorators (io/faulty_file_device.h).
   std::function<std::unique_ptr<FileDevice>()> device_factory;
-  // Shared write engine for flush waves; null keeps every flush a
-  // sequential blocking WriteAt loop (byte-identical on disk).
+  // Shared engine for the log's coalesced flush waves (page roll,
+  // FlushAll, Persist); null keeps every flush a sequential blocking
+  // WriteAt loop (byte-identical on disk). A ShardedStore also sends its
+  // batched reads through it. Not owned.
   AsyncIoEngine* io = nullptr;
-  // kGroup gives the log a GroupCommitter so concurrent Persist callers
-  // share fsyncs; kSync (default) keeps each sync point its own fdatasync.
+  // Write durability (docs/DURABILITY.md). kGroup: Persist() commits
+  // through a per-log GroupCommitter (concurrent callers share one fsync,
+  // bounded by `group_commit`), and FasterStore::Recover replays
+  // group-committed records past the checkpoint tail. kSync (default)
+  // keeps each sync point its own fdatasync and checkpoint-only
+  // durability, byte-identical on disk.
   DurabilityMode durability = DurabilityMode::kSync;
-  uint64_t group_commit_window_us = 200;
-  uint64_t group_commit_max_bytes = 1ull << 20;
+  GroupCommitter::Options group_commit;
 };
 
 struct HybridLogStats {
@@ -121,7 +125,8 @@ class HybridLog {
   HybridLog(const HybridLog&) = delete;
   HybridLog& operator=(const HybridLog&) = delete;
 
-  Status Open(const HybridLogOptions& options);
+  // `truncate` false keeps the existing file (recovery).
+  Status Open(const HybridLogOptions& options, bool truncate = true);
 
   // --- Address-space boundaries (monotonically non-decreasing) ---
   Address tail() const { return tail_.load(std::memory_order_acquire); }

@@ -40,8 +40,7 @@ inline constexpr Address kAddressLimit = Address{1} << 48;
 // the CPU — before a staleness wait gives up with Status::Busy. Multi-worker
 // BSP can deadlock on crossed key waits; the cap converts that into a
 // counted, recoverable abort (~65k yields, i.e. milliseconds of wall time).
-// Shared by FasterOptions, MlkvOptions, and BackendConfig so every layer
-// aborts on the same budget.
+// FasterOptions::busy_spin_limit's default.
 inline constexpr uint64_t kDefaultBusySpinLimit = 1ull << 16;
 
 // Control-word bit manipulation. Plain functions over uint64_t so the same

@@ -30,9 +30,6 @@ bool ShardedStore::CheckpointExists(const ShardedStoreOptions& options,
 }
 
 FasterOptions ShardedStore::ShardOptions(size_t i) const {
-  // Note options_.io (the batched-read wave engine) and options_.store.io
-  // (each shard's flush-wave engine) are set independently by the caller;
-  // MLKV and the FASTER backend point both at one engine.
   FasterOptions o = options_.store;
   if (options_.shard_bits == 0) return o;
   o.path = ShardFilePath(options_.store.path, static_cast<uint32_t>(i),
@@ -235,7 +232,7 @@ void ShardedStore::RunTasks(const std::vector<SubBatch>& tasks,
 void ShardedStore::MultiExecuteRead(std::span<const Key> keys,
                                     const ShardReadOp& op,
                                     BatchResult* result, bool stop_on_error) {
-  AsyncIoEngine* io = options_.io;
+  AsyncIoEngine* io = options_.store.io;
   if (io == nullptr || stop_on_error || keys.size() <= 1) {
     // No engine, the fail-fast legacy contract, or a single key (nothing
     // to overlap): the unchanged blocking path, op with a null sink.

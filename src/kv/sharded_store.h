@@ -42,11 +42,15 @@
 
 namespace mlkv {
 
-class AsyncIoEngine;
-
 struct ShardedStoreOptions {
   // Per-shard template. `path` names the UNSHARDED log file; `mem_size` and
   // `index_slots` are totals split across shards (see header comment).
+  // `store.io`, when set, also carries the two-phase read pipeline
+  // (kv/pending_read.h): disk-resident keys across ALL shard sub-batches
+  // of a batched read go into flight together on it instead of blocking
+  // one ReadAt at a time. Every EmbeddingTable (MLKV and the FASTER
+  // baseline) sets it; null keeps the blocking path, the reference the
+  // pipeline is tested against.
   FasterOptions store;
   // log2 of the shard count; 0 preserves the exact single-store behavior
   // and on-disk layout. Bounded by kMaxShardBits.
@@ -55,14 +59,6 @@ struct ShardedStoreOptions {
   // (the hybrid-log backends reuse their Mlkv's lookahead pool). Null runs
   // every sub-batch inline.
   ThreadPool* pool = nullptr;
-  // Two-phase read pipeline (kv/pending_read.h). Non-null routes batched
-  // reads' cold misses through this engine: disk-resident keys across ALL
-  // shard sub-batches go into flight together instead of blocking one
-  // ReadAt at a time. Every EmbeddingTable (MLKV and the FASTER baseline)
-  // sets it; null keeps the blocking path, the reference the pipeline is
-  // tested against. Not owned; typically shared across every table/shard
-  // of a process (MLKV owns one per DB).
-  AsyncIoEngine* io = nullptr;
 };
 
 class ShardedStore {
@@ -162,8 +158,8 @@ class ShardedStore {
                          BatchResult* part, size_t part_index,
                          PendingSink* sink)>;
 
-  // MultiExecute for batched reads. Without an engine (options().io null),
-  // with stop_on_error, or for single-key calls this is exactly
+  // MultiExecute for batched reads. Without an engine (options().store.io
+  // null), with stop_on_error, or for single-key calls this is exactly
   // MultiExecute with a null sink — the unchanged blocking path. With an
   // engine, phase 1 scatters as usual but cold misses park instead of
   // blocking; after the scatter fan-in, every parked read across all
@@ -176,7 +172,7 @@ class ShardedStore {
   // --- Maintenance across all shards (quiesced where FasterStore is) ---
 
   // Durability point across all shards: each shard's FasterStore::Persist
-  // in turn. Safe under concurrent operations; in durability_mode == kGroup
+  // in turn. Safe under concurrent operations; in durability == kGroup
   // concurrent callers share fsyncs through each shard's GroupCommitter.
   Status PersistAll();
   // Checkpoints every shard, then commits by writing <prefix>.shards via

@@ -256,7 +256,7 @@ Status EmbeddingTable::InitMissing(FasterStore* shard, Key key, float* dst,
 }
 
 Status EmbeddingTable::CommitIfGroup(Status s, BatchResult* result) {
-  if (store_->options().store.durability_mode != DurabilityMode::kGroup) {
+  if (store_->options().store.durability != DurabilityMode::kGroup) {
     return s;
   }
   const Status d = store_->PersistAll();
@@ -397,7 +397,7 @@ Status EmbeddingTable::Lookahead(std::span<const Key> keys, LookaheadDest dest,
     done();
     return Status::OK();
   }
-  auto wave = std::make_shared<PendingReadWave>(store_->options().io);
+  auto wave = std::make_shared<PendingReadWave>(store_->options().store.io);
   wave->Adopt(&sink);
   wave->Submit();
   const auto complete = [wave, done] {

@@ -51,6 +51,15 @@ Status Mlkv::Open(const MlkvOptions& options, std::unique_ptr<Mlkv>* out) {
   if (options.shard_bits > ShardedStore::kMaxShardBits) {
     return Status::InvalidArgument("shard_bits must be <= 8");
   }
+  // OpenTable sets these per table (TableStoreOptions).
+  const FasterOptions unset;
+  if (!options.store.path.empty() || options.store.io != nullptr ||
+      options.store.track_staleness != unset.track_staleness ||
+      options.store.staleness_bound != unset.staleness_bound) {
+    return Status::InvalidArgument(
+        "MlkvOptions::store must leave path, io, track_staleness and "
+        "staleness_bound unset: OpenTable sets them per table");
+  }
   std::error_code ec;
   std::filesystem::create_directories(options.dir, ec);
   if (ec) {
@@ -126,25 +135,13 @@ Status Mlkv::WriteManifest() const {
 ShardedStoreOptions Mlkv::TableStoreOptions(const std::string& model_id,
                                             uint32_t staleness_bound) {
   ShardedStoreOptions so;
+  so.store = options_.store;
   so.store.path = options_.dir + "/" + model_id + ".log";
-  so.store.index_slots = options_.index_slots;
-  so.store.page_size = options_.page_size;
-  so.store.mem_size = options_.mem_size;
-  so.store.mutable_fraction = options_.mutable_fraction;
   so.store.track_staleness = true;
   so.store.staleness_bound = staleness_bound;
-  so.store.busy_spin_limit = options_.busy_spin_limit;
-  // Every shard log flushes through the shared engine and inherits the
-  // durability / checkpoint knobs; batched reads' cold misses ride the
-  // same engine (so.io below).
   so.store.io = &io_engine_;
-  so.store.durability_mode = options_.durability_mode;
-  so.store.group_commit_window_us = options_.group_commit_window_us;
-  so.store.group_commit_max_bytes = options_.group_commit_max_bytes;
-  so.store.checkpoint_mode = options_.checkpoint_mode;
   so.shard_bits = options_.shard_bits;
   so.pool = &lookahead_pool_;
-  so.io = &io_engine_;
   return so;
 }
 

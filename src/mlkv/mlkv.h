@@ -30,60 +30,9 @@
 #include "kv/faster_store.h"
 #include "mlkv/embedding_cache.h"
 #include "mlkv/embedding_table.h"
+#include "mlkv/mlkv_options.h"
 
 namespace mlkv {
-
-struct MlkvOptions {
-  std::string dir;                     // directory for table log files
-  // TOTAL hash-index slots per table, split evenly across that table's
-  // shards: each shard receives index_slots >> shard_bits (floored at
-  // ShardedStore::kMinShardIndexSlots), then rounds its slice up to a
-  // power of two — so the realized total can exceed the configured value.
-  uint64_t index_slots = 1ull << 20;
-  // Upper bound on the log page size; see mem_size for the page a shard
-  // actually gets.
-  uint64_t page_size = kDefaultPageSize;
-  // TOTAL per-table in-memory log buffer, split evenly across shards the
-  // same way (mem_size >> shard_bits per shard, floored at
-  // ShardedStore::kMinShardMemBytes; each shard then halves page_size,
-  // down to 4 KiB, until FasterStore::kMinResidentFrames pages fit its
-  // slice). OpenTable rejects a table whose record exceeds that page.
-  uint64_t mem_size = 64ull << 20;
-  double mutable_fraction = kDefaultMutableFraction;
-  // log2 of the per-table shard count: each table's store is 1 <<
-  // shard_bits independent FasterStore shards (own index, log, epoch
-  // domain) with log/checkpoint files under dir/shard-NN/. 0 preserves the
-  // legacy single-log layout exactly. Mlkv::Open rejects values > 8
-  // (ShardedStore::kMaxShardBits). Tables recorded in the directory's
-  // MANIFEST keep the shard_bits they were created with — the on-disk
-  // layout wins over this option when re-attaching.
-  uint32_t shard_bits = 2;
-  // Workers of the per-DB background pool: Lookahead completes its
-  // prefetches on it, and every table's batched span calls scatter their
-  // shard sub-batches onto it (sub-batches shorter than
-  // ShardedStore::kParallelMinKeys stay on the calling thread).
-  size_t lookahead_threads = 2;
-  // Spin iterations before a bounded Get aborts with Busy (kv/record.h).
-  uint64_t busy_spin_limit = kDefaultBusySpinLimit;
-  // Workers (and, with io_uring, rings) of the per-DB AsyncIoEngine. The
-  // cold misses of every table's batched gets/peeks and Lookahead
-  // promotions go into flight together on it, and log page flushes leave
-  // as one wave through it.
-  size_t io_threads = 4;
-  // Write-durability mode for every table's store (io/async_io.h). kGroup
-  // makes each batched Put/ApplyGradients durable before it returns: the
-  // shard logs flush only dirty pages (as one engine wave) and concurrent
-  // committers share fsyncs through per-shard GroupCommitters; recovery
-  // replays group-committed records past the last checkpoint. kSync (the
-  // default) keeps checkpoint-only durability, byte-identical on disk.
-  DurabilityMode durability_mode = DurabilityMode::kSync;
-  uint64_t group_commit_window_us = 200;
-  uint64_t group_commit_max_bytes = 1ull << 20;
-  // Checkpoint shape for CheckpointAll (io/async_io.h): kIncremental
-  // chains index deltas + dirty-page flushes onto the previous checkpoint
-  // instead of rewriting everything.
-  CheckpointMode checkpoint_mode = CheckpointMode::kFull;
-};
 
 // Consistency presets (paper §III-C1).
 inline constexpr uint32_t kBspBound = 0;
@@ -169,11 +118,7 @@ class Mlkv {
 
   explicit Mlkv(const MlkvOptions& options)
       : options_(options),
-        io_engine_([&options] {
-          AsyncIoEngine::Options o;
-          o.io_threads = options.io_threads;
-          return o;
-        }()),
+        io_engine_(options.engine),
         lookahead_pool_(options.lookahead_threads) {}
 
   std::string ManifestPath() const { return options_.dir + "/MANIFEST"; }

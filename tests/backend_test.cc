@@ -84,7 +84,7 @@ class BackendConformanceTest
     // instance, with a route_bits=1 map installed after Start (the
     // ephemeral ports are only known then) and the test talking to them
     // through BackendKind::kCluster.
-    cfg.shard_bits = 1;
+    cfg.mlkv.shard_bits = 1;
     for (int s = 0; s < 2; ++s) {
       cfg.dir = dir_->File("backend" + std::to_string(s));
       std::unique_ptr<KvBackend> engine;
@@ -522,7 +522,7 @@ class ShardRoutingConformanceTest : public ::testing::TestWithParam<
     cfg.dim = 8;
     cfg.buffer_bytes = 4ull << 20;
     cfg.staleness_bound = UINT32_MAX - 1;
-    cfg.shard_bits = shard_bits;
+    cfg.mlkv.shard_bits = shard_bits;
     std::unique_ptr<KvBackend> backend;
     EXPECT_TRUE(MakeBackend(std::get<0>(GetParam()), cfg, &backend).ok());
     return backend;
@@ -622,7 +622,7 @@ TEST(FasterBaselineShapeTest, NoStalenessTrackingNoLookahead) {
   cfg.dir = dir.File("backend");
   cfg.dim = 8;
   cfg.buffer_bytes = 64u << 10;
-  cfg.shard_bits = 0;
+  cfg.mlkv.shard_bits = 0;
   cfg.staleness_bound = 0;
   std::unique_ptr<KvBackend> backend;
   ASSERT_TRUE(MakeBackend(BackendKind::kFaster, cfg, &backend).ok());
@@ -660,7 +660,7 @@ TEST(StoreMetricsTest, EveryStoreFamilyIsEmittedOncePerShard) {
   BackendConfig cfg;
   cfg.dir = dir.File("backend");
   cfg.dim = 8;
-  cfg.shard_bits = 2;
+  cfg.mlkv.shard_bits = 2;
   std::unique_ptr<KvBackend> backend;
   ASSERT_TRUE(MakeBackend(BackendKind::kMlkv, cfg, &backend).ok());
   std::vector<Key> keys(64);
@@ -805,7 +805,7 @@ TEST(RemoteBusyPropagationTest, BusyCodesCrossTheWire) {
   cfg.dim = 8;
   cfg.buffer_bytes = 4ull << 20;
   cfg.staleness_bound = 0;   // BSP: one Get per Put
-  cfg.busy_spin_limit = 64;  // abort fast — no writer will ever come
+  cfg.mlkv.store.busy_spin_limit = 64;  // abort fast — no writer will ever come
   std::unique_ptr<KvBackend> engine;
   ASSERT_TRUE(MakeBackend(BackendKind::kMlkv, cfg, &engine).ok());
   net::KvServer server(std::move(engine), {});

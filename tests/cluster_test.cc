@@ -181,7 +181,7 @@ TestServer StartServer(const std::string& dir, uint32_t shard_bits,
   cfg.dim = 8;
   cfg.buffer_bytes = 4ull << 20;
   cfg.staleness_bound = UINT32_MAX - 1;
-  cfg.shard_bits = shard_bits;
+  cfg.mlkv.shard_bits = shard_bits;
   std::unique_ptr<KvBackend> engine;
   EXPECT_TRUE(MakeBackend(kind, cfg, &engine).ok());
   net::KvServerOptions so;
@@ -207,7 +207,7 @@ TEST(ClusterParityTest, ByteIdenticalToSingleShardedStore) {
   cfg.dim = 8;
   cfg.buffer_bytes = 4ull << 20;
   cfg.staleness_bound = UINT32_MAX - 1;
-  cfg.shard_bits = 2;
+  cfg.mlkv.shard_bits = 2;
   std::unique_ptr<KvBackend> single;
   ASSERT_TRUE(MakeBackend(BackendKind::kFaster, cfg, &single).ok());
 
@@ -286,7 +286,7 @@ TEST(ReplicationTest, ReplicaConvergesToPrimaryAndResumes) {
   rcfg.dim = 8;
   rcfg.buffer_bytes = 4ull << 20;
   rcfg.staleness_bound = UINT32_MAX - 1;
-  rcfg.shard_bits = 1;
+  rcfg.mlkv.shard_bits = 1;
   std::unique_ptr<KvBackend> replica;
   ASSERT_TRUE(MakeBackend(BackendKind::kFaster, rcfg, &replica).ok());
 
@@ -632,7 +632,7 @@ HedgeCluster StartMutualReplicaPair(TempDir& dir,
     cfg.dim = 8;
     cfg.buffer_bytes = 4ull << 20;
     cfg.staleness_bound = UINT32_MAX - 1;
-    cfg.shard_bits = 1;
+    cfg.mlkv.shard_bits = 1;
     std::unique_ptr<KvBackend> engine;
     EXPECT_TRUE(MakeBackend(BackendKind::kFaster, cfg, &engine).ok());
     EXPECT_TRUE(engine->MultiPut(hc.keys, hc.values.data()).AllOk());

@@ -467,8 +467,8 @@ FasterOptions GroupStore(const TempDir& dir, const char* name = "kv.log") {
   o.page_size = 4096;
   o.mem_size = 16 * 4096;
   o.mutable_fraction = 0.5;
-  o.durability_mode = DurabilityMode::kGroup;
-  o.group_commit_window_us = 100;
+  o.durability = DurabilityMode::kGroup;
+  o.group_commit.window_us = 100;
   return o;
 }
 
@@ -529,7 +529,7 @@ TEST(GroupDurabilityTest, GroupCommittedRecordsReplayPastCheckpoint) {
 TEST(GroupDurabilityTest, SyncModeRecoveryStopsAtCheckpoint) {
   TempDir dir;
   FasterOptions o = GroupStore(dir);
-  o.durability_mode = DurabilityMode::kSync;
+  o.durability = DurabilityMode::kSync;
   const std::string prefix = dir.File("ckpt");
   {
     FasterStore store;
@@ -603,7 +603,7 @@ TEST(GroupDurabilityTest, TornTailIsTruncatedOnRecovery) {
 TEST(IncrementalCheckpointTest, BaseAndDeltasReplayInOrder) {
   TempDir dir;
   FasterOptions o = GroupStore(dir);
-  o.durability_mode = DurabilityMode::kSync;  // isolate from tail replay
+  o.durability = DurabilityMode::kSync;  // isolate from tail replay
   o.checkpoint_mode = CheckpointMode::kIncremental;
   const std::string prefix = dir.File("inc");
   {
@@ -844,7 +844,7 @@ TEST(LegacyCheckpointTest, V1AndV2CheckpointsRecoverEveryKey) {
     TempDir dir;
     FasterOptions o = GroupStore(dir);
     o.index_slots = 64;
-    o.durability_mode = v2 ? DurabilityMode::kGroup : DurabilityMode::kSync;
+    o.durability = v2 ? DurabilityMode::kGroup : DurabilityMode::kSync;
     const std::string prefix = dir.File("legacy");
     std::map<Key, std::string> model;
     {
@@ -994,7 +994,7 @@ TEST(FsyncFaultTest, CheckpointSurfacesInjectedFsyncFailure) {
   TempDir dir;
   auto script = std::make_shared<FaultyFileDevice::Script>();
   FasterOptions o = GroupStore(dir);
-  o.durability_mode = DurabilityMode::kSync;
+  o.durability = DurabilityMode::kSync;
   o.device_factory = [script] {
     return std::make_unique<FaultyFileDevice>(script);
   };
@@ -1128,7 +1128,7 @@ TEST(UpdateLogTest, TombstonesAppearWithEmptyValue) {
 TEST(UpdateLogTest, CompactedAwayPositionReportsCorruption) {
   TempDir dir;
   FasterOptions o = GroupStore(dir);
-  o.durability_mode = DurabilityMode::kSync;
+  o.durability = DurabilityMode::kSync;
   o.mem_size = 8 * 4096;
   FasterStore store;
   ASSERT_TRUE(store.Open(o).ok());

@@ -17,9 +17,9 @@ namespace {
 MlkvOptions SmallMlkv(const TempDir& dir) {
   MlkvOptions o;
   o.dir = dir.File("db");
-  o.index_slots = 4096;
-  o.page_size = 4096;
-  o.mem_size = 16 * 4096;
+  o.store.index_slots = 4096;
+  o.store.page_size = 4096;
+  o.store.mem_size = 16 * 4096;
   o.lookahead_threads = 2;
   return o;
 }
@@ -132,7 +132,8 @@ TEST(MlkvTest, LookaheadSubmitsFetchesBeforeReturning) {
   // in flight when Lookahead returns.
   TempDir dir;
   MlkvOptions o = SmallMlkv(dir);
-  o.index_slots = 1 << 16;  // no shared chains: no hop reads at completion
+  // No shared chains: no hop reads at completion.
+  o.store.index_slots = 1 << 16;
   std::unique_ptr<Mlkv> db;
   ASSERT_TRUE(Mlkv::Open(o, &db).ok());
   EmbeddingTable* t = nullptr;
@@ -236,7 +237,7 @@ TEST(MlkvTest, LookaheadNeverAdvancesStalenessClocks) {
   // (paper §III-C2: lookahead leaves the vector clocks untouched).
   TempDir dir;
   MlkvOptions o = SmallMlkv(dir);
-  o.busy_spin_limit = 1 << 10;  // fail fast if a Get would starve
+  o.store.busy_spin_limit = 1 << 10;  // fail fast if a Get would starve
   std::unique_ptr<Mlkv> db;
   ASSERT_TRUE(Mlkv::Open(o, &db).ok());
   EmbeddingTable* t = nullptr;
@@ -279,7 +280,6 @@ TEST(MlkvTest, UntrackedStoreNeverWaitsOnBatchedReads) {
   so.store.track_staleness = false;
   so.store.busy_spin_limit = 64;  // a wait would abort fast with Busy
   so.store.io = &io;
-  so.io = &io;
   auto store = std::make_unique<ShardedStore>();
   ASSERT_TRUE(store->Open(so).ok());
   std::unique_ptr<EmbeddingTable> table;

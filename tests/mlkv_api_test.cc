@@ -20,9 +20,9 @@ namespace {
 MlkvOptions SmallDb(const TempDir& dir) {
   MlkvOptions opts;
   opts.dir = dir.path() + "/db";
-  opts.index_slots = 1024;
-  opts.page_size = 4096;
-  opts.mem_size = 16 * 4096;
+  opts.store.index_slots = 1024;
+  opts.store.page_size = 4096;
+  opts.store.mem_size = 16 * 4096;
   return opts;
 }
 
@@ -162,8 +162,8 @@ TEST(MlkvReopenTest, OversizedRecordFailsAtOpen) {
   // engines refuse the table up front instead of failing every Put.
   TempDir dir;
   MlkvOptions opts = SmallDb(dir);
-  opts.page_size = 1ull << 20;
-  opts.mem_size = 64ull << 10;
+  opts.store.page_size = 1ull << 20;
+  opts.store.mem_size = 64ull << 10;
   std::unique_ptr<Mlkv> db;
   ASSERT_TRUE(Mlkv::Open(opts, &db).ok());
   EmbeddingTable* t = nullptr;
@@ -184,7 +184,7 @@ TEST(MlkvReopenTest, OversizedRecordFailsAtOpen) {
   BackendConfig config;
   config.dir = dir.path() + "/faster";
   config.dim = 2048;
-  config.buffer_bytes = opts.mem_size;
+  config.buffer_bytes = opts.store.mem_size;
   config.index_slots = 1024;
   std::unique_ptr<KvBackend> faster;
   EXPECT_TRUE(

@@ -995,7 +995,7 @@ TEST(KvServerIoStatsTest, ColdReadCountersTravelTheWire) {
   cfg.dim = 8;
   cfg.buffer_bytes = 1u << 16;
   cfg.index_slots = 4096;
-  cfg.io_threads = 2;
+  cfg.mlkv.engine.io_threads = 2;
   std::unique_ptr<KvBackend> backend;
   ASSERT_TRUE(MakeBackend(BackendKind::kFaster, cfg, &backend).ok());
   KvServer server(std::move(backend));

@@ -140,9 +140,9 @@ struct TableFixture {
   explicit TableFixture(OptimizerKind kind, float lr = 0.1f) {
     MlkvOptions opts;
     opts.dir = dir.path() + "/db";
-    opts.index_slots = 1024;
-    opts.page_size = 4096;
-    opts.mem_size = 16 * 4096;
+    opts.store.index_slots = 1024;
+    opts.store.page_size = 4096;
+    opts.store.mem_size = 16 * 4096;
     EXPECT_TRUE(Mlkv::Open(opts, &db).ok());
     OptimizerConfig cfg;
     cfg.kind = kind;
@@ -228,9 +228,9 @@ TEST(FusedOptimizerTableTest, ColdTrackedReadsKeepFusedState) {
                           std::unique_ptr<Mlkv>* db, EmbeddingTable** t) {
       MlkvOptions opts;
       opts.dir = dir.path() + "/" + name;
-      opts.index_slots = 4096;
-      opts.page_size = 4096;
-      opts.mem_size = mem_size;
+      opts.store.index_slots = 4096;
+      opts.store.page_size = 4096;
+      opts.store.mem_size = mem_size;
       ASSERT_TRUE(Mlkv::Open(opts, db).ok());
       ASSERT_TRUE((*db)->OpenTable("t", kDim, 16, t, cfg).ok());
     };
@@ -307,9 +307,9 @@ TEST(FusedOptimizerTableTest, StateSurvivesCheckpointRecover) {
   TempDir dir;
   MlkvOptions opts;
   opts.dir = dir.path() + "/db";
-  opts.index_slots = 1024;
-  opts.page_size = 4096;
-  opts.mem_size = 16 * 4096;
+  opts.store.index_slots = 1024;
+  opts.store.page_size = 4096;
+  opts.store.mem_size = 16 * 4096;
   OptimizerConfig cfg;
   cfg.kind = OptimizerKind::kAdagrad;
   cfg.lr = 0.1f;

@@ -51,7 +51,7 @@ ShardedStoreOptions ColdStoreOptions(const std::string& path,
   o.store.mem_size = 1u << 16;  // 64 KiB total: a few hundred records hot
   o.store.page_size = 1u << 12;
   o.shard_bits = shard_bits;
-  o.io = io;
+  o.store.io = io;
   return o;
 }
 
@@ -994,10 +994,10 @@ TEST(PendingReadTest, MlkvWaveServesPutRowsInitAndLookahead) {
   TempDir dir;
   MlkvOptions o;
   o.dir = dir.path() + "/db";
-  o.mem_size = 1u << 16;
-  o.page_size = 1u << 12;
+  o.store.mem_size = 1u << 16;
+  o.store.page_size = 1u << 12;
   o.shard_bits = 2;
-  o.io_threads = 4;
+  o.engine.io_threads = 4;
   std::unique_ptr<Mlkv> db;
   ASSERT_TRUE(Mlkv::Open(o, &db).ok());
   EmbeddingTable* table = nullptr;
@@ -1071,7 +1071,7 @@ TEST(PendingReadTest, TrackedColdGetLeavesThePutNothingToRead) {
   cfg.dim = kDim;
   cfg.buffer_bytes = 1u << 16;
   cfg.index_slots = 4096;
-  cfg.io_threads = 2;
+  cfg.mlkv.engine.io_threads = 2;
   std::unique_ptr<KvBackend> backend;
   ASSERT_TRUE(MakeBackend(BackendKind::kMlkv, cfg, &backend).ok());
   const auto sample = [&](const char* name) {

@@ -32,9 +32,9 @@ struct ServeFixture {
   explicit ServeFixture(Key rows, uint64_t mem_pages = 16) {
     MlkvOptions opts;
     opts.dir = dir.path() + "/db";
-    opts.index_slots = 4096;
-    opts.page_size = 4096;
-    opts.mem_size = mem_pages * 4096;
+    opts.store.index_slots = 4096;
+    opts.store.page_size = 4096;
+    opts.store.mem_size = mem_pages * 4096;
     EXPECT_TRUE(Mlkv::Open(opts, &db).ok());
     EXPECT_TRUE(db->OpenTable("emb", kDim, 8, &table).ok());
     std::vector<float> v(kDim);
@@ -177,9 +177,9 @@ TEST(ServeTest, ServesRecoveredCheckpointDirectory) {
   TempDir dir;
   MlkvOptions opts;
   opts.dir = dir.path() + "/db";
-  opts.index_slots = 1024;
-  opts.page_size = 4096;
-  opts.mem_size = 16 * 4096;
+  opts.store.index_slots = 1024;
+  opts.store.page_size = 4096;
+  opts.store.mem_size = 16 * 4096;
   {
     std::unique_ptr<Mlkv> db;
     ASSERT_TRUE(Mlkv::Open(opts, &db).ok());

@@ -293,11 +293,11 @@ struct ColdTable {
   explicit ColdTable(uint32_t bound) {
     MlkvOptions o;
     o.dir = dir.File("db");
-    o.index_slots = 4096;
-    o.page_size = 4096;
-    o.mem_size = 16 * 4096;
+    o.store.index_slots = 4096;
+    o.store.page_size = 4096;
+    o.store.mem_size = 16 * 4096;
     o.shard_bits = 0;
-    o.busy_spin_limit = 16;  // an over-bound read gives up at once
+    o.store.busy_spin_limit = 16;  // an over-bound read gives up at once
     EXPECT_TRUE(Mlkv::Open(o, &db).ok());
     EXPECT_TRUE(db->OpenTable("emb", kDim, bound, &table).ok());
     shard = table->store()->shard(0);

@@ -151,9 +151,9 @@ TEST(TableStressTest, TrainersPrefetchersAndGc) {
   TempDir dir;
   MlkvOptions opts;
   opts.dir = dir.path() + "/db";
-  opts.index_slots = 4096;
-  opts.page_size = 4096;
-  opts.mem_size = 24 * 4096;
+  opts.store.index_slots = 4096;
+  opts.store.page_size = 4096;
+  opts.store.mem_size = 24 * 4096;
   opts.lookahead_threads = 2;
   std::unique_ptr<Mlkv> db;
   ASSERT_TRUE(Mlkv::Open(opts, &db).ok());
@@ -241,10 +241,10 @@ TEST(TableStressTest, SharedKeysBoundedPipeline) {
   TempDir dir;
   MlkvOptions opts;
   opts.dir = dir.path() + "/db";
-  opts.index_slots = 1024;
-  opts.page_size = 4096;
-  opts.mem_size = 16 * 4096;
-  opts.busy_spin_limit = 1 << 14;
+  opts.store.index_slots = 1024;
+  opts.store.page_size = 4096;
+  opts.store.mem_size = 16 * 4096;
+  opts.store.busy_spin_limit = 1 << 14;
   std::unique_ptr<Mlkv> db;
   ASSERT_TRUE(Mlkv::Open(opts, &db).ok());
   EmbeddingTable* table = nullptr;
@@ -354,9 +354,9 @@ TEST(ShardedBatchStressTest, ParallelSpanCallsAcrossShards) {
   TempDir dir;
   MlkvOptions opts;
   opts.dir = dir.File("db");
-  opts.index_slots = 4096;
-  opts.page_size = 4096;
-  opts.mem_size = 64 * 4096;
+  opts.store.index_slots = 4096;
+  opts.store.page_size = 4096;
+  opts.store.mem_size = 64 * 4096;
   opts.shard_bits = 2;
   opts.lookahead_threads = 3;
   std::unique_ptr<Mlkv> db;
@@ -412,12 +412,12 @@ TEST(AsyncReadStressTest, ColdWavesVersusWritersAndCompaction) {
   TempDir dir;
   MlkvOptions opts;
   opts.dir = dir.File("db");
-  opts.index_slots = 4096;
-  opts.page_size = 4096;
-  opts.mem_size = 16 * 4096;  // tiny: most of the key space lives on disk
+  opts.store.index_slots = 4096;
+  opts.store.page_size = 4096;
+  opts.store.mem_size = 16 * 4096;  // tiny: most of the key space lives on disk
   opts.shard_bits = 2;
   opts.lookahead_threads = 2;
-  opts.io_threads = 3;
+  opts.engine.io_threads = 3;
   std::unique_ptr<Mlkv> db;
   ASSERT_TRUE(Mlkv::Open(opts, &db).ok());
   EmbeddingTable* table = nullptr;
@@ -510,8 +510,8 @@ TEST(GroupDurabilityStressTest, ConcurrentWritersShareGroupCommits) {
   o.page_size = 4096;
   o.mem_size = 32 * 4096;
   o.mutable_fraction = 0.5;
-  o.durability_mode = DurabilityMode::kGroup;
-  o.group_commit_window_us = 100;
+  o.durability = DurabilityMode::kGroup;
+  o.group_commit.window_us = 100;
   const std::string prefix = dir.File("ckpt");
 
   constexpr int kWriters = 4;
@@ -605,7 +605,7 @@ TEST(ReplicationStressTest, ConcurrentWritersWithTailingReplica) {
   cfg.dim = 8;
   cfg.buffer_bytes = 4ull << 20;
   cfg.staleness_bound = UINT32_MAX - 1;
-  cfg.shard_bits = 2;
+  cfg.mlkv.shard_bits = 2;
   std::unique_ptr<KvBackend> engine;
   ASSERT_TRUE(MakeBackend(BackendKind::kFaster, cfg, &engine).ok());
   net::KvServerOptions so;
@@ -614,7 +614,7 @@ TEST(ReplicationStressTest, ConcurrentWritersWithTailingReplica) {
   ASSERT_TRUE(primary.Start().ok());
 
   cfg.dir = dir.File("replica");
-  cfg.shard_bits = 1;  // layouts may differ: replication routes by key
+  cfg.mlkv.shard_bits = 1;  // layouts may differ: replication routes by key
   std::unique_ptr<KvBackend> replica;
   ASSERT_TRUE(MakeBackend(BackendKind::kFaster, cfg, &replica).ok());
 
@@ -708,7 +708,7 @@ TEST(ClusterHedgeStressTest, ConcurrentHedgedReadsAgainstStraggler) {
     cfg.dim = 8;
     cfg.buffer_bytes = 4ull << 20;
     cfg.staleness_bound = UINT32_MAX - 1;
-    cfg.shard_bits = 1;
+    cfg.mlkv.shard_bits = 1;
     std::unique_ptr<KvBackend> engine;
     ASSERT_TRUE(MakeBackend(BackendKind::kFaster, cfg, &engine).ok());
     ASSERT_TRUE(engine->MultiPut(keys, values.data()).AllOk());
