@@ -79,7 +79,7 @@ int Usage() {
       "        [--dim N] [--workers N] [--staleness N]\n"
       "        [--io_threads N]       I/O engine workers (a batch's cold\n"
       "                               reads go into flight together)\n"
-      "        [--durability_mode sync|group] [--checkpoint_mode full|incremental]\n"
+      "        [--durability_mode sync|group]\n"
       "        [--group_commit_window_us N] [--group_commit_max_bytes N]\n"
       "        [--request_threads N]  offload storage phases off workers\n"
       "        [--metrics_addr h:p]   Prometheus /metrics endpoint\n"
@@ -206,8 +206,8 @@ std::vector<std::string> SplitKeepEmpty(const std::string& csv) {
 // so a stale or misspelled flag fails loudly instead of silently running
 // the defaults.
 constexpr const char* kServeFlags[] = {
-    "addr", "backend", "cache_admission", "checkpoint_mode", "cluster_addrs",
-    "cluster_epoch", "cluster_replicas", "cluster_self", "dim",
+    "addr", "backend", "cache_admission", "cluster_addrs", "cluster_epoch",
+    "cluster_replicas", "cluster_self", "dim",
     "durability_mode", "group_commit_max_bytes", "group_commit_window_us",
     "io_threads", "metrics_addr", "read_preference", "replica_of",
     "replica_poll_ms", "replica_state", "request_threads", "route_bits",
@@ -256,11 +256,6 @@ int RunServe(const std::string& dir, ArgList& args) {
   if (!ParseDurabilityMode(
           args.Flag("durability_mode", DurabilityModeName(store.durability)),
           &store.durability)) {
-    return Usage();
-  }
-  if (!ParseCheckpointMode(args.Flag("checkpoint_mode",
-                                     CheckpointModeName(store.checkpoint_mode)),
-                           &store.checkpoint_mode)) {
     return Usage();
   }
   GroupCommitter::Options& commit = store.group_commit;

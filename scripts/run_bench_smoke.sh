@@ -63,14 +63,21 @@ if [[ -x "${bench_dir}/bench_ycsb_suite" ]]; then
   fi
 fi
 # One async cold-read smoke: the cold-working-set MultiGet sweep over the
-# pending-read pipeline's io_threads, so the async disk path — io_uring
-# where the runner's kernel admits it, thread-pool fallback otherwise — is
-# exercised on every merge.
+# pending-read pipeline's io_threads, so the engine's async disk path is
+# exercised on every merge; once on the simulated NVMe device, and once on
+# raw page-cache files (no simulated costs).
 if [[ -x "${bench_dir}/bench_fig9_lookahead" ]]; then
   echo "=== bench_fig9_lookahead --smoke --cold"
   if ! "${bench_dir}/bench_fig9_lookahead" --smoke --cold \
       > "${log_dir}/bench_fig9_lookahead_cold.txt"; then
     echo "FAILED: bench_fig9_lookahead --cold" >&2
+    failed=1
+  fi
+  echo "=== bench_fig9_lookahead --smoke --cold (raw device)"
+  if ! "${bench_dir}/bench_fig9_lookahead" --smoke --cold --nvme_read_us=0 \
+      --nvme_read_gbps=0 --nvme_write_gbps=0 \
+      > "${log_dir}/bench_fig9_lookahead_cold_raw.txt"; then
+    echo "FAILED: bench_fig9_lookahead --cold (raw device)" >&2
     failed=1
   fi
 fi

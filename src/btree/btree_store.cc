@@ -307,7 +307,7 @@ void InternalInsertAt(char* page, uint32_t count, uint32_t capacity,
 }  // namespace
 
 Status BTreeStore::SplitLeaf(std::vector<PageRef>* path, Key key) {
-  // Pages touched during a split are all unpinned dirty; conservatively
+  // Pages touched in a split are all unpinned dirty; conservatively
   // re-writing a clean ancestor is harmless and keeps the bookkeeping
   // simple under the exclusive tree lock.
   splits_.fetch_add(1, std::memory_order_relaxed);

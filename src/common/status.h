@@ -42,7 +42,7 @@ class Status {
   static Status IOError(std::string msg = "") {
     return Status(Code::kIOError, std::move(msg));
   }
-  // errno-capturing variant for OS call sites: appends strerror so I/O
+  // errno-carrying variant for OS call sites: appends strerror so I/O
   // failures carry the OS reason ("open /x: No such file or directory").
   static Status IOError(std::string context, int sys_errno) {
     context += ": ";

@@ -4,16 +4,6 @@
 
 #include <algorithm>
 #include <climits>
-#include <cstring>
-
-#ifdef MLKV_HAVE_IO_URING
-#include <linux/io_uring.h>
-#include <sys/mman.h>
-#include <sys/syscall.h>
-#include <unistd.h>
-
-#include <cerrno>
-#endif
 
 namespace mlkv {
 
@@ -32,204 +22,35 @@ bool ParseDurabilityMode(const std::string& name, DurabilityMode* out) {
   return true;
 }
 
-const char* CheckpointModeName(CheckpointMode mode) {
-  return mode == CheckpointMode::kIncremental ? "incremental" : "full";
-}
-
-bool ParseCheckpointMode(const std::string& name, CheckpointMode* out) {
-  if (name == "full") {
-    *out = CheckpointMode::kFull;
-  } else if (name == "incremental") {
-    *out = CheckpointMode::kIncremental;
-  } else {
-    return false;
-  }
-  return true;
-}
-
-#ifdef MLKV_HAVE_IO_URING
-
-namespace {
-
-// Minimal raw-syscall io_uring wrapper (no liburing dependency): one ring
-// per worker thread, single-threaded by construction, READV-only. Any
-// setup failure makes Init() return false and the caller falls back to
-// blocking preads — kernels or sandboxes that deny the syscalls cost
-// nothing but the one probe.
-class UringRing {
- public:
-  ~UringRing() {
-    if (sqe_mm_ != MAP_FAILED) ::munmap(sqe_mm_, sqe_sz_);
-    if (cq_mm_ != MAP_FAILED && cq_mm_ != sq_mm_) ::munmap(cq_mm_, cq_sz_);
-    if (sq_mm_ != MAP_FAILED) ::munmap(sq_mm_, sq_sz_);
-    if (ring_fd_ >= 0) ::close(ring_fd_);
-  }
-
-  bool Init(unsigned entries) {
-    struct io_uring_params p;
-    std::memset(&p, 0, sizeof(p));
-    ring_fd_ = static_cast<int>(::syscall(__NR_io_uring_setup, entries, &p));
-    if (ring_fd_ < 0) return false;
-    sq_entries_ = p.sq_entries;
-    sq_sz_ = p.sq_off.array + p.sq_entries * sizeof(uint32_t);
-    cq_sz_ = p.cq_off.cqes + p.cq_entries * sizeof(struct io_uring_cqe);
-    if (p.features & IORING_FEAT_SINGLE_MMAP) {
-      sq_sz_ = cq_sz_ = std::max(sq_sz_, cq_sz_);
-    }
-    sq_mm_ = ::mmap(nullptr, sq_sz_, PROT_READ | PROT_WRITE,
-                    MAP_SHARED | MAP_POPULATE, ring_fd_, IORING_OFF_SQ_RING);
-    if (sq_mm_ == MAP_FAILED) return false;
-    if (p.features & IORING_FEAT_SINGLE_MMAP) {
-      cq_mm_ = sq_mm_;
-    } else {
-      cq_mm_ = ::mmap(nullptr, cq_sz_, PROT_READ | PROT_WRITE,
-                      MAP_SHARED | MAP_POPULATE, ring_fd_,
-                      IORING_OFF_CQ_RING);
-      if (cq_mm_ == MAP_FAILED) return false;
-    }
-    sqe_sz_ = p.sq_entries * sizeof(struct io_uring_sqe);
-    sqe_mm_ = ::mmap(nullptr, sqe_sz_, PROT_READ | PROT_WRITE,
-                     MAP_SHARED | MAP_POPULATE, ring_fd_, IORING_OFF_SQES);
-    if (sqe_mm_ == MAP_FAILED) return false;
-
-    char* sq = static_cast<char*>(sq_mm_);
-    sq_head_ = reinterpret_cast<unsigned*>(sq + p.sq_off.head);
-    sq_tail_ = reinterpret_cast<unsigned*>(sq + p.sq_off.tail);
-    sq_mask_ = reinterpret_cast<unsigned*>(sq + p.sq_off.ring_mask);
-    sq_array_ = reinterpret_cast<unsigned*>(sq + p.sq_off.array);
-    sqes_ = static_cast<struct io_uring_sqe*>(sqe_mm_);
-    char* cq = static_cast<char*>(cq_mm_);
-    cq_head_ = reinterpret_cast<unsigned*>(cq + p.cq_off.head);
-    cq_tail_ = reinterpret_cast<unsigned*>(cq + p.cq_off.tail);
-    cq_mask_ = reinterpret_cast<unsigned*>(cq + p.cq_off.ring_mask);
-    cqes_ = reinterpret_cast<struct io_uring_cqe*>(cq + p.cq_off.cqes);
-    return true;
-  }
-
-  // READV / WRITEV (both 5.1+, the most portable vectored ops) share one
-  // prep path; only the opcode differs.
-  bool Prep(bool is_write, int fd, struct iovec* iov, int iovcnt,
-            uint64_t offset, uint64_t user_data) {
-    const unsigned tail = *sq_tail_;
-    const unsigned head = __atomic_load_n(sq_head_, __ATOMIC_ACQUIRE);
-    if (tail - head >= sq_entries_) return false;
-    const unsigned idx = tail & *sq_mask_;
-    struct io_uring_sqe* sqe = &sqes_[idx];
-    std::memset(sqe, 0, sizeof(*sqe));
-    sqe->opcode = is_write ? IORING_OP_WRITEV : IORING_OP_READV;
-    sqe->fd = fd;
-    sqe->addr = reinterpret_cast<uint64_t>(iov);
-    sqe->len = static_cast<uint32_t>(iovcnt);
-    sqe->off = offset;
-    sqe->user_data = user_data;
-    sq_array_[idx] = idx;
-    __atomic_store_n(sq_tail_, tail + 1, __ATOMIC_RELEASE);
-    ++to_submit_;
-    return true;
-  }
-
-  // Submits queued sqes and, when `wait_nr` > 0, blocks for that many
-  // completions. False only on a hard io_uring_enter failure.
-  bool Flush(unsigned wait_nr) {
-    for (;;) {
-      const long ret = ::syscall(__NR_io_uring_enter, ring_fd_, to_submit_,
-                                 wait_nr, wait_nr ? IORING_ENTER_GETEVENTS : 0,
-                                 nullptr, 0);
-      if (ret >= 0) {
-        to_submit_ -= static_cast<unsigned>(ret);
-        return true;
-      }
-      if (errno != EINTR) return false;
-    }
-  }
-
-  bool Pop(uint64_t* user_data, int32_t* res) {
-    const unsigned head = *cq_head_;
-    if (head == __atomic_load_n(cq_tail_, __ATOMIC_ACQUIRE)) return false;
-    const struct io_uring_cqe* cqe = &cqes_[head & *cq_mask_];
-    *user_data = cqe->user_data;
-    *res = cqe->res;
-    __atomic_store_n(cq_head_, head + 1, __ATOMIC_RELEASE);
-    return true;
-  }
-
- private:
-  int ring_fd_ = -1;
-  void* sq_mm_ = MAP_FAILED;
-  void* cq_mm_ = MAP_FAILED;
-  void* sqe_mm_ = MAP_FAILED;
-  size_t sq_sz_ = 0, cq_sz_ = 0, sqe_sz_ = 0;
-  unsigned sq_entries_ = 0;
-  unsigned to_submit_ = 0;
-  unsigned* sq_head_ = nullptr;
-  unsigned* sq_tail_ = nullptr;
-  unsigned* sq_mask_ = nullptr;
-  unsigned* sq_array_ = nullptr;
-  struct io_uring_sqe* sqes_ = nullptr;
-  unsigned* cq_head_ = nullptr;
-  unsigned* cq_tail_ = nullptr;
-  unsigned* cq_mask_ = nullptr;
-  struct io_uring_cqe* cqes_ = nullptr;
-};
-
-bool ProbeIoUring() {
-  UringRing ring;
-  return ring.Init(2);
-}
-
-}  // namespace
-
-#endif  // MLKV_HAVE_IO_URING
-
 #ifdef IOV_MAX
 static_assert(AsyncIoEngine::kMaxMergeIov <= IOV_MAX,
               "one merged read must be one preadv");
 #endif
+static_assert(AsyncIoEngine::kMaxReadSegments <= AsyncIoEngine::kMaxMergeIov,
+              "a vectored read fits a worker's merged-read iovecs");
 
 struct AsyncIoEngine::WorkerScratch {
-  // A ring burst, or a blocking request with the reads merged into it.
-  std::vector<Request> burst;
-  // kMaxReadSegments iovecs per request this worker can hold in flight,
-  // and at least a merged read's kMaxMergeIov.
+  // The request being served, with the reads merged into it.
+  std::vector<Request> group;
+  // A merged read's iovecs (kMaxMergeIov, which covers kMaxReadSegments).
   std::vector<struct iovec> iovs;
   // Where vectored reads' gap bytes land (and are dropped).
   std::vector<char> gap;
-#ifdef MLKV_HAVE_IO_URING
-  struct InFlight {
-    Request req;
-    struct iovec* iov;  // this request's slot in iovs
-    int iovcnt;
-  };
-  std::vector<InFlight> flight;
-  std::vector<uint8_t> seen;
-#endif
 };
 
-AsyncIoEngine::AsyncIoEngine(const Options& options) : options_(options) {
+AsyncIoEngine::AsyncIoEngine(const Options& options) {
   const size_t threads = std::max<size_t>(options.io_threads, 1);
   const size_t depth = std::max<size_t>(options.queue_depth, threads);
-  per_worker_depth_ = std::max<size_t>(depth / threads, 1);
-#ifdef MLKV_HAVE_IO_URING
-  if (options.try_io_uring) using_io_uring_ = ProbeIoUring();
-#endif
   queue_.resize(depth);
   // Every buffer a worker touches is sized here, on the constructing
-  // thread: a ring burst holds at most per_worker_depth_ requests, a merged
-  // read at most one per queue slot and per iovec, and only a ring keeps
-  // more than one request in flight at a time.
-  const size_t iov_slots = using_io_uring_ ? per_worker_depth_ : 1;
-  const size_t burst_cap =
-      std::max(per_worker_depth_, std::min(depth, kMaxMergeIov));
+  // thread: a merged read holds at most one request per queue slot and
+  // per iovec.
   scratch_.reserve(threads);
   for (size_t i = 0; i < threads; ++i) {
     auto s = std::make_unique<WorkerScratch>();
-    s->burst.reserve(burst_cap);
-    s->iovs.resize(std::max(iov_slots * kMaxReadSegments, kMaxMergeIov));
+    s->group.reserve(std::min(depth, kMaxMergeIov));
+    s->iovs.resize(kMaxMergeIov);
     s->gap.resize(kMaxGapBytes);
-#ifdef MLKV_HAVE_IO_URING
-    s->flight.reserve(per_worker_depth_);
-    s->seen.reserve(per_worker_depth_);
-#endif
     scratch_.push_back(std::move(s));
   }
   workers_.reserve(threads);
@@ -250,17 +71,6 @@ AsyncIoEngine::~AsyncIoEngine() {
   for (auto& w : workers_) {
     if (w.joinable()) w.join();
   }
-}
-
-AsyncIoStats AsyncIoEngine::stats() const {
-  AsyncIoStats s;
-  s.reads_submitted = submitted_.load(std::memory_order_relaxed);
-  s.reads_completed = completed_.load(std::memory_order_relaxed);
-  s.read_failures = failed_.load(std::memory_order_relaxed);
-  s.writes_submitted = writes_submitted_.load(std::memory_order_relaxed);
-  s.writes_completed = writes_completed_.load(std::memory_order_relaxed);
-  s.write_failures = write_failures_.load(std::memory_order_relaxed);
-  return s;
 }
 
 Status AsyncIoEngine::Enqueue(const Request& req, Batch* batch) {
@@ -292,11 +102,6 @@ Status AsyncIoEngine::Enqueue(const Request& req, Batch* batch) {
     ++inflight_;
     queue_[(queue_head_ + queued_) % queue_.size()] = req;
     ++queued_;
-  }
-  if (req.is_write) {
-    writes_submitted_.fetch_add(1, std::memory_order_relaxed);
-  } else {
-    submitted_.fetch_add(1, std::memory_order_relaxed);
   }
   queue_cv_.notify_one();
   return Status::OK();
@@ -393,15 +198,6 @@ Status AsyncIoEngine::RunBlocking(const Request& req, struct iovec* iov,
 }
 
 void AsyncIoEngine::Deliver(const Request& req, const Status& status) {
-  if (req.is_write) {
-    writes_completed_.fetch_add(1, std::memory_order_relaxed);
-    if (!status.ok()) {
-      write_failures_.fetch_add(1, std::memory_order_relaxed);
-    }
-  } else {
-    completed_.fetch_add(1, std::memory_order_relaxed);
-    if (!status.ok()) failed_.fetch_add(1, std::memory_order_relaxed);
-  }
   {
     // Notify under the lock: the instant the push is visible the owner may
     // collect it and destroy the batch, so the cv must not be touched
@@ -417,35 +213,23 @@ void AsyncIoEngine::Deliver(const Request& req, const Status& status) {
   depth_cv_.notify_one();
 }
 
-bool AsyncIoEngine::NextBurst(std::vector<Request>* out, size_t max,
-                              bool ring) {
+bool AsyncIoEngine::NextGroup(std::vector<Request>* out) {
   std::unique_lock<std::mutex> lk(mu_);
-  if (!out->empty()) --busy_;  // the previous burst is done
+  if (!out->empty()) --busy_;  // the previous group is done
   out->clear();
   queue_cv_.wait(lk, [this] { return stop_ || queued_ > 0; });
   if (queued_ == 0) return false;  // stop with a drained queue
   ++busy_;
-  // A ring burst is a run of raw-eligible requests for one submission. A
-  // request that runs blocking (through the device's virtual call on the
-  // ring path, or on the thread pool) never shares a burst with others, so
-  // blocking requests spread across the workers instead of running one
-  // after another on whichever worker dequeued them; it only carries the
-  // reads merged into it.
-  while (queued_ > 0 && out->size() < max) {
-    const Request& r = queue_[queue_head_];
-    const bool raw =
-        ring && (r.is_write ? r.dev->AllowsRawWrites()
-                            : r.dev->AllowsRawReads());
-    if (!raw && !out->empty()) break;
-    out->push_back(r);
-    queue_head_ = (queue_head_ + 1) % queue_.size();
-    --queued_;
-    if (raw) continue;
-    // Merge only when every other worker is executing a request: an idle
-    // one could serve the queued reads now, in parallel.
-    if (!r.is_write && busy_ == scratch_.size()) TakeMergeableReads(out);
-    break;
-  }
+  // One request per group, so requests spread across the workers instead
+  // of running one after another on whichever worker dequeued them; it
+  // only carries the reads merged into it.
+  const Request& r = queue_[queue_head_];
+  out->push_back(r);
+  queue_head_ = (queue_head_ + 1) % queue_.size();
+  --queued_;
+  // Merge only when every other worker is executing a request: an idle
+  // one could serve the queued reads now, in parallel.
+  if (!r.is_write && busy_ == scratch_.size()) TakeMergeableReads(out);
   // Hand what is left to another idle worker.
   if (queued_ > 0) queue_cv_.notify_one();
   return true;
@@ -524,122 +308,10 @@ void AsyncIoEngine::RunGroup(std::vector<Request>* group, struct iovec* iov,
 }
 
 void AsyncIoEngine::WorkerLoop(WorkerScratch* scratch) {
-  std::vector<Request>& burst = scratch->burst;
+  std::vector<Request>& group = scratch->group;
   struct iovec* const iovs = scratch->iovs.data();
   char* const gap = scratch->gap.data();
-#ifdef MLKV_HAVE_IO_URING
-  UringRing ring;
-  bool ring_ok = false;
-  if (using_io_uring_) {
-    unsigned entries = 2;
-    while (entries < per_worker_depth_) entries <<= 1;
-    ring_ok = ring.Init(entries);
-  }
-  using InFlight = WorkerScratch::InFlight;
-  std::vector<InFlight>& flight = scratch->flight;
-  std::vector<uint8_t>& seen = scratch->seen;
-#endif
-  for (;;) {
-#ifdef MLKV_HAVE_IO_URING
-    if (ring_ok) {
-      if (!NextBurst(&burst, per_worker_depth_, /*ring=*/true)) return;
-      // A burst is one ring submission wave of raw-fd-eligible requests,
-      // or a request on a decorated device (fault injection, simulated
-      // costs) that executes its virtual ReadAt/WriteAt here instead.
-      const Request& head = burst.front();
-      if (!(head.is_write ? head.dev->AllowsRawWrites()
-                          : head.dev->AllowsRawReads())) {
-        RunGroup(&burst, iovs, gap);
-        continue;
-      }
-      flight.clear();
-      for (const Request& r : burst) {
-        struct iovec* slot = iovs + flight.size() * kMaxReadSegments;
-        flight.push_back(InFlight{r, slot, FillIov(r, slot, gap)});
-      }
-      size_t prepped = 0;
-      for (InFlight& f : flight) {
-        // `entries` >= per_worker_depth_, so Prep cannot run out of sqes.
-        if (!ring.Prep(f.req.is_write, f.req.dev->fd(), f.iov, f.iovcnt,
-                       f.req.offset, prepped)) {
-          break;
-        }
-        ++prepped;
-      }
-      // Anything that could not be prepped (never expected) goes blocking.
-      for (size_t i = prepped; i < flight.size(); ++i) {
-        Deliver(flight[i].req, RunBlocking(flight[i].req, flight[i].iov, gap));
-      }
-      size_t reaped = 0;
-      bool enter_failed = false;
-      seen.assign(prepped, 0);
-      while (reaped < prepped && !enter_failed) {
-        if (!ring.Flush(/*wait_nr=*/1)) {
-          enter_failed = true;
-          break;
-        }
-        uint64_t ud = 0;
-        int32_t res = 0;
-        while (ring.Pop(&ud, &res)) {
-          InFlight& f = flight[ud];
-          seen[ud] = 1;
-          ++reaped;
-          const Request& r = f.req;
-          if (res >= 0) {
-            if (r.is_write) {
-              r.dev->NoteRawWrite(static_cast<size_t>(res));
-            } else {
-              r.dev->NoteRawRead(static_cast<size_t>(res));
-            }
-            const uint32_t done = static_cast<uint32_t>(res);
-            if (done < r.len && !r.is_write) {
-              // Short read (EOF or split): drop the landed bytes from the
-              // front of its iovecs and finish through the virtual call,
-              // which loops (and zero-fills past EOF) like the blocking
-              // path.
-              int k = 0;
-              size_t skip = done;
-              while (skip >= f.iov[k].iov_len) skip -= f.iov[k++].iov_len;
-              f.iov[k].iov_base = static_cast<char*>(f.iov[k].iov_base) + skip;
-              f.iov[k].iov_len -= skip;
-              Deliver(r, r.dev->ReadAt(r.offset + done, f.iov + k,
-                                       f.iovcnt - k));
-            } else if (done < r.len) {
-              // Short write: the rest goes through the virtual call.
-              Request rest = r;
-              rest.offset += done;
-              rest.buf = static_cast<char*>(r.buf) + done;
-              rest.len = r.len - done;
-              Deliver(r, RunBlocking(rest, f.iov, gap));
-            } else {
-              Deliver(r, Status::OK());
-            }
-          } else {
-            // Ring-level failure (e.g. EOPNOTSUPP): one blocking retry
-            // decides the final status.
-            Deliver(r, RunBlocking(r, f.iov, gap));
-          }
-        }
-      }
-      if (enter_failed) {
-        // io_uring_enter failed hard after a successful setup — should not
-        // happen; fall back to blocking I/O for the unreaped remainder
-        // (read ranges are immutable and a write sqe that already landed
-        // rewrote identical bytes, so a duplicate completion is benign)
-        // and stop using the ring.
-        for (size_t i = 0; i < prepped; ++i) {
-          if (seen[i]) continue;
-          Deliver(flight[i].req,
-                  RunBlocking(flight[i].req, flight[i].iov, gap));
-        }
-        ring_ok = false;
-      }
-      continue;
-    }
-#endif
-    if (!NextBurst(&burst, 1, /*ring=*/false)) return;
-    RunGroup(&burst, iovs, gap);
-  }
+  while (NextGroup(&group)) RunGroup(&group, iovs, gap);
 }
 
 }  // namespace mlkv

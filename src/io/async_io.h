@@ -3,36 +3,27 @@
 // coalesced flush waves (kv/hybrid_log.h).
 //
 // Callers enqueue positional reads and writes against FileDevices and
-// collect completions per Batch — the io_uring shape (submission queue in,
-// completion queue out) regardless of which backend actually executes the
-// I/O:
-//
-//  * io_uring (when the build detects <linux/io_uring.h> and the kernel
-//    admits the syscalls at runtime): each worker owns a ring and keeps up
-//    to its share of the engine depth in flight with one syscall per burst
-//    (READV sqes for reads, a vectored read's iovecs in one of them, WRITEV
-//    for writes). Only devices that allow
-//    raw-fd transfers ride the ring; decorated devices (fault injection,
-//    the simulated-NVMe cost model) are routed through their virtual
-//    ReadAt/WriteAt on the worker instead, so their semantics hold.
-//  * thread pool (fallback everywhere): each worker issues one blocking
-//    pread/preadv/pwrite at a time, so `io_threads` transfers overlap.
+// collect completions per Batch (a submission queue in, a completion queue
+// out). `io_threads` workers serve the queue, each running one request (or
+// a queue-merged union of reads, below) at a time through the device's
+// virtual ReadAt/WriteAt, so `io_threads` transfers overlap and decorated
+// devices (fault injection, the simulated-NVMe cost model) keep their
+// semantics.
 //
 // A vectored read (segmented Submit) is one device read of a contiguous
 // range: member segments land in the caller's buffers and gap segments in
 // the worker's scratch, where they are dropped. The pending-read wave uses
 // it to fetch the records of one log span (kv/pending_read.h) at once.
 //
-// Queue-merged reads. On the blocking path (the thread pool, and every
-// device the ring cannot take raw) one worker serves one read at a time,
-// so a saturated engine queues reads that a block layer would merge. When
-// a worker takes such a read while every other worker is executing a
-// request, it also takes each queued read of the same device that lies
-// outside the range taken so far, within the device's L·B (at most
-// kMaxGapBytes, FileDevice::MergeGapBytes) of it, and keeps the union
-// within kMaxQueueMergeBytes, in one scan of the queue. It issues one
-// vectored ReadAt over the union (constituents in their own buffers, gaps
-// in its scratch) and completes every constituent with the union's status.
+// Queue-merged reads. One worker serves one read at a time, so a saturated
+// engine queues reads that a block layer would merge. When a worker takes
+// a read while every other worker is executing a request, it also takes
+// each queued read of the same device that lies outside the range taken so
+// far, within the device's L·B (at most kMaxGapBytes,
+// FileDevice::MergeGapBytes) of it, and keeps the union within
+// kMaxQueueMergeBytes, in one scan of the queue. It issues one vectored
+// ReadAt over the union (constituents in their own buffers, gaps in its
+// scratch) and completes every constituent with the union's status.
 // Writes are never merged, and no read is pulled ahead of a queued write
 // of the same device that overlaps the union. With an idle worker nothing
 // merges: that worker can serve the read now, in parallel.
@@ -45,16 +36,15 @@
 //  * The engine destructor drains: every accepted request completes (and
 //    is delivered to its batch) before the workers exit.
 //  * Workers never allocate: Submit reserves the batch's completion slot
-//    and each worker's burst (which also holds a merged read's
-//    constituents), iovec and gap scratch is sized at construction, so the
-//    worker threads never touch the heap (and never get a malloc arena).
+//    and each worker's group (a request with the reads merged into it),
+//    iovec and gap scratch is sized at construction, so the worker
+//    threads never touch the heap (and never get a malloc arena).
 //
 // Writes carry no durability by themselves: a completed write is in the
 // page cache, not on media. Durability is the caller's fsync — see
 // io/group_committer.h for the batched-fsync protocol layered on top.
 #pragma once
 
-#include <atomic>
 #include <condition_variable>
 #include <cstdint>
 #include <memory>
@@ -86,29 +76,14 @@ bool ParseDurabilityMode(const std::string& name, DurabilityMode* out);
 // (kv/faster_store.h).
 enum class CheckpointMode { kFull, kIncremental };
 
-const char* CheckpointModeName(CheckpointMode mode);
-bool ParseCheckpointMode(const std::string& name, CheckpointMode* out);
-
-struct AsyncIoStats {
-  uint64_t reads_submitted = 0;
-  uint64_t reads_completed = 0;
-  uint64_t read_failures = 0;  // read completions with a non-OK status
-  uint64_t writes_submitted = 0;
-  uint64_t writes_completed = 0;
-  uint64_t write_failures = 0;  // write completions with a non-OK status
-};
-
 class AsyncIoEngine {
  public:
   struct Options {
-    // Workers (and, with io_uring, rings) serving the queue.
+    // Workers serving the queue.
     size_t io_threads = 4;
     // Max reads in flight across the engine; Submit applies backpressure
     // beyond it.
     size_t queue_depth = 128;
-    // Prefer the io_uring backend when it was compiled in and the kernel
-    // allows it; the thread pool is the fallback either way.
-    bool try_io_uring = true;
   };
 
   struct Completion {
@@ -191,10 +166,6 @@ class AsyncIoEngine {
   AsyncIoEngine& operator=(const AsyncIoEngine&) = delete;
 
   size_t io_threads() const { return workers_.size(); }
-  // True when the io_uring backend is active (compiled in AND admitted by
-  // the kernel at construction time).
-  bool using_io_uring() const { return using_io_uring_; }
-  AsyncIoStats stats() const;
 
  private:
   struct Request {
@@ -213,7 +184,7 @@ class AsyncIoEngine {
     uint32_t segment_count = 0;
   };
 
-  // Per-worker burst, iovec and gap buffers, sized on the constructing
+  // Per-worker group, iovec and gap buffers, sized on the constructing
   // thread (io/async_io.cc).
   struct WorkerScratch;
 
@@ -222,32 +193,25 @@ class AsyncIoEngine {
   // buffer, or its segments with gaps on `gap`. Returns the iovec count.
   static int FillIov(const Request& req, struct iovec* iov, char* gap);
   // Executes one request on the calling worker thread via the device's
-  // virtual ReadAt/WriteAt (the non-ring path and the decorated-device /
-  // short-transfer completion path); a vectored read builds its iovecs in
-  // `iov` with gaps on `gap`.
+  // virtual ReadAt/WriteAt; a vectored read builds its iovecs in `iov`
+  // with gaps on `gap`.
   static Status RunBlocking(const Request& req, struct iovec* iov, char* gap);
-  // Serves `group` (one blocking request, or queue-merged reads of one
-  // device) on the calling worker and delivers each member: a group of
-  // several is one vectored ReadAt over their union, in `iov` (kMaxMergeIov
-  // slots) with gaps on `gap`.
+  // Serves `group` (one request, or queue-merged reads of one device) on
+  // the calling worker and delivers each member: a group of several is one
+  // vectored ReadAt over their union, in `iov` (kMaxMergeIov slots) with
+  // gaps on `gap`.
   void RunGroup(std::vector<Request>* group, struct iovec* iov, char* gap);
   void WorkerLoop(WorkerScratch* scratch);
-  // Takes the next requests into `out`, whose capacity must cover
-  // max(`max`, the merge bound), blocking for one unless stopping; `out`
-  // holds the calling worker's previous burst, which it has finished. With
-  // `ring`, a run of up to `max` raw-eligible requests is one burst. A
-  // request that runs blocking (any, without `ring`) is taken with the
-  // queued reads it merges (see the header comment), or alone. Returns
-  // false when the worker should exit.
-  bool NextBurst(std::vector<Request>* out, size_t max, bool ring);
-  // Moves into `out` (holding the blocking read just taken) every queued
+  // Takes the next request into `out`, with the queued reads it merges
+  // (see the header comment), blocking for one unless stopping; `out`'s
+  // capacity bounds the merge, and it holds the calling worker's previous
+  // group, which it has finished. Returns false when the worker should
+  // exit.
+  bool NextGroup(std::vector<Request>* out);
+  // Moves into `out` (holding the read just taken) every queued
   // read that merges with it, in one scan of the queue. Caller holds mu_.
   void TakeMergeableReads(std::vector<Request>* out);
   void Deliver(const Request& req, const Status& status);
-
-  const Options options_;
-  size_t per_worker_depth_ = 1;
-  bool using_io_uring_ = false;
 
   std::mutex mu_;
   std::condition_variable queue_cv_;   // workers: work available / stop
@@ -259,18 +223,11 @@ class AsyncIoEngine {
   size_t queue_head_ = 0;
   size_t queued_ = 0;
   size_t inflight_ = 0;  // accepted but not yet delivered
-  // Workers executing a request: counted when one takes a burst, released
+  // Workers executing a request: counted when one takes a group, released
   // when it comes back for the next. Idle waiters do not count, so a
   // worker still starting up never makes the others look saturated.
   size_t busy_ = 0;
   bool stop_ = false;
-
-  std::atomic<uint64_t> submitted_{0};
-  std::atomic<uint64_t> completed_{0};
-  std::atomic<uint64_t> failed_{0};
-  std::atomic<uint64_t> writes_submitted_{0};
-  std::atomic<uint64_t> writes_completed_{0};
-  std::atomic<uint64_t> write_failures_{0};
 
   std::vector<std::unique_ptr<WorkerScratch>> scratch_;
   std::vector<std::thread> workers_;

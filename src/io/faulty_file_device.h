@@ -53,9 +53,6 @@ class FaultyFileDevice : public FileDevice {
   explicit FaultyFileDevice(std::shared_ptr<Script> script)
       : script_(std::move(script)) {}
 
-  // Decorated reads must flow through these overrides.
-  bool AllowsRawReads() const override { return false; }
-
   Status ReadAt(uint64_t offset, void* data, size_t n) const override {
     switch (NextReadFault()) {
       case ReadFault::kNone:
@@ -97,9 +94,6 @@ class FaultyFileDevice : public FileDevice {
     }
     return Status::OK();
   }
-
-  // Decorated writes must flow through this override.
-  bool AllowsRawWrites() const override { return false; }
 
   Status WriteAt(uint64_t offset, const void* data, size_t n) override {
     const uint64_t index =

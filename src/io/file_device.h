@@ -4,8 +4,7 @@
 //
 // ReadAt, WriteAt and Sync are virtual: they are the seams decorators
 // intercept — fault injection (io/faulty_file_device.h) and any I/O-path
-// instrumentation — and the calls the AsyncIoEngine's worker threads issue
-// for devices that do not admit raw-fd transfers.
+// instrumentation — and the calls the AsyncIoEngine's worker threads issue.
 #pragma once
 
 #include <sys/uio.h>
@@ -53,39 +52,13 @@ class FileDevice {
 
   uint64_t FileSize() const;
   bool is_open() const { return fd_ >= 0; }
-  int fd() const { return fd_; }
   const std::string& path() const { return path_; }
-
-  // True when reads may bypass the virtual ReadAt and go straight to the
-  // fd (the AsyncIoEngine's io_uring path). False whenever ReadAt carries
-  // semantics a raw read would skip: the simulated cost model here, or a
-  // decorator's interception (FaultyFileDevice overrides this to false).
-  virtual bool AllowsRawReads() const {
-    return fd_ >= 0 && sim_read_latency_us_ == 0 && sim_read_gbps_ <= 0;
-  }
-  // Accounts a raw-fd read of `n` bytes that bypassed ReadAt.
-  void NoteRawRead(size_t n) const {
-    reads_.fetch_add(1, std::memory_order_relaxed);
-    bytes_read_.fetch_add(n, std::memory_order_relaxed);
-  }
-
-  // Write-side twin of AllowsRawReads: true when writes may bypass the
-  // virtual WriteAt (the AsyncIoEngine's io_uring WRITEV path). False
-  // whenever WriteAt carries semantics a raw write would skip — the
-  // simulated bandwidth model, or a decorator's interception.
-  virtual bool AllowsRawWrites() const {
-    return fd_ >= 0 && sim_write_gbps_ <= 0;
-  }
-  // Accounts bytes transferred by a raw-fd write that bypassed WriteAt.
-  void NoteRawWrite(size_t n) const {
-    bytes_written_.fetch_add(n, std::memory_order_relaxed);
-  }
 
   // Cumulative transfer counters (drive the energy model's SSD term).
   uint64_t bytes_written() const;
   uint64_t bytes_read() const;
-  // Device reads issued: ReadAt calls of either form plus raw-fd reads. A
-  // vectored read counts once however many records it carries.
+  // Device reads issued: ReadAt calls of either form. A vectored read
+  // counts once however many records it carries.
   uint64_t reads() const { return reads_.load(std::memory_order_relaxed); }
 
   // Simulated NVMe cost model (README, "Substitutions and deviations").

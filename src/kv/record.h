@@ -83,7 +83,7 @@ struct ControlWord {
            | (static_cast<uint64_t>(g) << kGenerationShift);
   }
 
-  // Disk images may carry transient in-memory bits (a lock held during the
+  // Disk images may carry transient in-memory bits (a lock held over the
   // flush, a replaced mark applied after the page was written); reads from
   // disk sanitize them.
   static uint64_t Sanitize(uint64_t c) {

@@ -14,7 +14,7 @@ constexpr uint8_t kOpPut = 1;
 constexpr uint8_t kOpDelete = 2;
 constexpr uint32_t kRecordHeader = 4 + 1 + 8 + 4;  // crc, op, key, vlen
 // Caps a parsed value length so a corrupt length field cannot drive a
-// gigantic allocation during replay.
+// gigantic allocation in replay.
 constexpr uint32_t kMaxValueLen = 64u << 20;
 
 uint32_t Checksum(const void* data, size_t n) {

@@ -21,7 +21,7 @@ namespace mlkv {
 struct EnergyModelConfig {
   double gpu_active_watts = 250.0;  // V100-class accelerator under load
   double gpu_idle_watts = 40.0;
-  double cpu_watts = 90.0;          // host during training
+  double cpu_watts = 90.0;          // host while training
   double ssd_joules_per_gb = 6.0;   // NVMe active transfer energy
 };
 

@@ -162,14 +162,16 @@ TEST(MlkvTest, LookaheadSubmitsFetchesBeforeReturning) {
   }
   while (held.load() < 2) std::this_thread::yield();
 
-  const uint64_t submitted0 = db->io_engine()->stats().reads_submitted;
+  const auto submitted = [t] {
+    return StoreMetric(*t->store(), "mlkv_io_async_reads_submitted_total");
+  };
+  const uint64_t submitted0 = submitted();
   const uint64_t promotions0 =
       StoreMetric(*t->store(), "mlkv_store_promotions_total");
   const uint64_t records0 =
       StoreMetric(*t->store(), "mlkv_io_disk_record_reads_total");
   EXPECT_TRUE(t->Lookahead(cold).ok());
-  const uint64_t at_return =
-      db->io_engine()->stats().reads_submitted - submitted0;
+  const uint64_t at_return = submitted() - submitted0;
   EXPECT_GT(at_return, 0u);
   EXPECT_LE(at_return, cold.size());
 
@@ -177,8 +179,7 @@ TEST(MlkvTest, LookaheadSubmitsFetchesBeforeReturning) {
   t->WaitLookahead();
   // Nothing was submitted after Lookahead returned, and those reads landed
   // every cold record.
-  EXPECT_EQ(db->io_engine()->stats().reads_submitted - submitted0,
-            at_return);
+  EXPECT_EQ(submitted() - submitted0, at_return);
   EXPECT_EQ(
       StoreMetric(*t->store(), "mlkv_io_disk_record_reads_total") - records0,
       cold.size());

@@ -203,9 +203,9 @@ double PutRows(KvBackend* b, uint32_t dim, size_t n) {
 }
 
 // io_threads and lookahead_threads size the engine and the pool each
-// hybrid-log backend starts: two more of each is four more threads. It runs
-// before any test here writes through an engine, so no idle io_uring
-// worker of an earlier test can exit between the two counts.
+// hybrid-log backend starts: two more of each is four more threads. Both
+// join every thread they start when destroyed, so no thread of an earlier
+// test can exit between the two counts.
 TEST(OptionPropagationTest, BackendConfigSizesEngineAndPool) {
   for (BackendKind kind : {BackendKind::kMlkv, BackendKind::kFaster}) {
     SCOPED_TRACE(BackendKindName(kind));

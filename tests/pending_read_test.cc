@@ -163,14 +163,11 @@ struct ReadLengths {
   std::atomic<uint64_t> longest{0};
 };
 
-// A FileDevice that records each read's length. Decorated, so the engine
-// routes its reads through these overrides on either backend.
+// A FileDevice that records each read's length.
 class LengthRecordingDevice : public FileDevice {
  public:
   explicit LengthRecordingDevice(std::shared_ptr<ReadLengths> lengths)
       : lengths_(std::move(lengths)) {}
-
-  bool AllowsRawReads() const override { return false; }
 
   Status ReadAt(uint64_t offset, void* data, size_t n) const override {
     Note(n);
